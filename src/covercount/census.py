@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -91,8 +91,12 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
                       checkpoints: Sequence[float],
                       classes: Optional[Sequence[tuple]] = None,
                       budget: Optional[int] = None,
-                      threads: int = 1) -> CensusReport:
-    """N_xi(T) for requested homology classes vs c e^{delta T} / T^{d/2}."""
+                      threads: int = 1,
+                      sink: Optional[Callable[[sk.OrbitRecord], None]] = None) -> CensusReport:
+    """N_xi(T) for requested homology classes vs c e^{delta T} / T^{d/2}.
+
+    sink, if given, receives every enumerated record, in enumeration order.
+    """
     if group.d < 1:
         raise ValidationError("orbit census by homology needs d >= 1")
     cps = np.asarray(sorted(float(t) for t in checkpoints))
@@ -103,6 +107,8 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
     totals = np.zeros(ncp, dtype=np.int64)
 
     def take(rec: sk.OrbitRecord):
+        if sink is not None:
+            sink(rec)
         i = int(np.searchsorted(cps, rec.displacement, side="left"))
         if i == ncp:
             return
@@ -135,16 +141,23 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
 
 def geodesics_by_homology(group: SchottkyGroup, prediction: Prediction, L_max: float,
                           checkpoints: Sequence[float],
-                          budget: Optional[int] = None) -> CensusReport:
+                          budget: Optional[int] = None,
+                          sink: Optional[Callable[[sk.GeodesicRecord], None]] = None
+                          ) -> CensusReport:
     """Primitive-class counts: the trivial class against the absolute law
     e^{delta L} / ((2 pi sigma)^{d/2} delta L^{d/2+1}); for d = 0 the total
-    count against e^{delta L} / (delta L)."""
+    count against e^{delta L} / (delta L).
+
+    sink, if given, receives every enumerated record, in enumeration order.
+    """
     cps = np.asarray(sorted(float(t) for t in checkpoints))
     ncp = len(cps)
     by_class: dict = {}
     totals = np.zeros(ncp, dtype=np.int64)
 
     def take(rec: sk.GeodesicRecord):
+        if sink is not None:
+            sink(rec)
         i = int(np.searchsorted(cps, rec.length, side="left"))
         if i == ncp:
             return

@@ -12,13 +12,13 @@ import sys
 import numpy as np
 
 from . import census as cen
-from . import schottky as sk
 from . import shift as sh
 from . import stats as st
 from . import transfer as tr
 from .acceptance import run_all
 from .errors import CovercountError, ValidationError
 from .groupfile import load_any, load_group
+from .hyperbolic import displacement
 from .reporting import ReportWriter, census_csv_rows, scan_csv_rows
 
 EXIT_OK, EXIT_COMPUTE, EXIT_ACCEPT, EXIT_CONFIG = 0, 1, 2, 3
@@ -160,13 +160,11 @@ def cmd_count_orbit(args) -> int:
     cps = cen.checkpoints_linear(args.t_min, args.t_max, args.checkpoints)
     classes = [tuple(int(x) for x in c.split(",")) for c in args.classes] if args.classes else None
     records = []
+    sink = None
     if args.dump_records:
-        sk.enumerate_orbit(group, args.t_max,
-                           emit=lambda r: records.append(
-                               [len(r.word), r.displacement, *r.homology]),
-                           budget=args.budget_cap)
+        sink = lambda r: records.append([len(r.word), r.displacement, *r.homology])
     rep = cen.orbit_by_homology(group, pred, args.t_max, cps, classes=classes,
-                                budget=args.budget_cap, threads=args.threads)
+                                budget=args.budget_cap, threads=args.threads, sink=sink)
     for key in sorted(rep.counts):
         print(f"class {key}: N(T_max) = {rep.counts[key][-1]}, ratio = {rep.ratios[key][-1]:.4f}")
     writer = ReportWriter(args.out, "count-orbit", vars_config(args))
@@ -188,14 +186,12 @@ def cmd_count_geodesics(args) -> int:
     pred = _group_prediction(args, group)
     cps = cen.checkpoints_linear(args.l_min, args.l_max, args.checkpoints)
     records = []
+    sink = None
     if args.dump_records:
-        from covercount.hyperbolic import displacement as disp_of
-        sk.primitive_classes(group, args.l_max,
-                             emit=lambda r: records.append(
-                                 [len(r.word), disp_of(group.evaluate(r.word)),
-                                  *r.homology, r.length, r.holonomy]),
-                             budget=args.budget_cap)
-    rep = cen.geodesics_by_homology(group, pred, args.l_max, cps, budget=args.budget_cap)
+        sink = lambda r: records.append([len(r.word), displacement(group.evaluate(r.word)),
+                                         *r.homology, r.length, r.holonomy])
+    rep = cen.geodesics_by_homology(group, pred, args.l_max, cps, budget=args.budget_cap,
+                                    sink=sink)
     key = (0,) * group.d
     print(f"primitive classes <= {args.l_max}: {rep.totals[-1]}")
     print(f"trivial-class ratio to the absolute law: {rep.ratios[key][-1]:.4f}")

@@ -42,9 +42,9 @@ class BudgetExceeded(CovercountError):
 
 
 class NotConverged(CovercountError):
-    def __init__(self, iterations):
-        self.iterations = iterations
-        super().__init__(f"eigensolver did not converge in {iterations} iterations")
+    def __init__(self, detail):
+        self.detail = detail
+        super().__init__(f"eigensolver did not converge: {detail}")
 
 
 class DiscretizationUnstable(CovercountError):

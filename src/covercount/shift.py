@@ -7,6 +7,14 @@ an analytic roof (the log-derivative of the expanding boundary map).  All
 per-transition data is indexed (first symbol, second symbol); the cocycle
 increment of y = (y0, y1, ...) is the homology vector of the entering letter
 y0, and the roof at y is log |(branch_{y0}^{-1})'| at the coded point.
+
+The equilibrium sampler has one step kernel (_steps) for both flavours,
+which advances a whole batch of trajectories per step.  The batch sampler
+(sample_cocycle_batch) sums its increments, and the trajectory dump
+(sample_trajectory) runs it on one trajectory and records every step.  On
+Schottky codings the kernel forms all branch images as one (symbols,
+trajectories) array and evaluates the eigenfunction h there by Clenshaw
+recurrence on its per-disk Chebyshev coefficients.
 """
 
 from __future__ import annotations
@@ -281,162 +289,115 @@ def sample_cocycle_batch(chain: ParryChain, shift: MarkovShift, n: int,
     """(tau_n, f_n) over n_traj trajectories of n steps each.
 
     Trajectory i draws its randomness from default_rng([master_seed, i]), so
-    results do not depend on batching or parallel schedule.  Toy shifts run
-    the exact finite-state chain.  Schottky codings run the equilibrium
-    process exactly: random inverse branches weighted by
-    |branch'|^delta h(branch x) / h(x) with h the RPF eigenfunction, which
-    reverses to the shift with marginal nu; the roof increments are the
-    analytic branch derivatives along the trajectory.
+    results do not depend on batching or parallel schedule.  Each batch of
+    trajectories runs through one step kernel (see _steps); Schottky codings
+    first burn in SCHOTTKY_BURN steps from the disk centers.
     """
-    if n == 0:
-        return np.zeros(n_traj), np.zeros((n_traj, shift.d), dtype=np.int64)
     taus = np.zeros(n_traj)
     fs = np.zeros((n_traj, shift.d), dtype=np.int64)
+    if n == 0:
+        return taus, fs
     for lo in range(0, n_traj, batch):
         hi = min(lo + batch, n_traj)
-        seeds = [np.random.default_rng([master_seed, i]) for i in range(lo, hi)]
-        if shift.analytic:
-            t, f = _sample_schottky(chain, shift, n, seeds, spectral)
-        else:
-            t, f = _sample_toy(chain, shift, n, seeds)
-        taus[lo:hi] = t
-        fs[lo:hi] = f
+        rngs = [np.random.default_rng([master_seed, i]) for i in range(lo, hi)]
+        tau_n, f_n = taus[lo:hi], fs[lo:hi]
+        for _, step_tau, step_f in _steps(chain, shift, n, rngs, spectral, SCHOTTKY_BURN):
+            tau_n += step_tau
+            f_n += step_f
     return taus, fs
-
-
-def _uniform_block(rngs, count: int) -> np.ndarray:
-    return np.stack([r.random(count) for r in rngs], axis=0)
 
 
 def sample_trajectory(chain: ParryChain, shift: MarkovShift, n: int,
                       rng_seed: int, spectral=None) -> list[tuple]:
-    """Per-step dump rows (step, symbol, tau_cum, f_cum...) of one trajectory."""
-    rng = np.random.default_rng([rng_seed, 0])
-    cum_pi = np.cumsum(chain.stationary)
-    state = int(np.searchsorted(cum_pi, rng.random()))
+    """Per-step dump rows (step, symbol, tau_cum, f_cum...) of trajectory 0
+    of seed rng_seed, run through the batch kernel with no burn-in.  Schottky
+    symbols are letters (1, -1, 2, ...), toy symbols state indices."""
+    label = sk.letter_of_index if shift.analytic else int
     rows = []
     tau_cum = 0.0
     f_cum = np.zeros(shift.d, dtype=np.int64)
-    if shift.analytic:
-        # follow the same backward branch chain as the batch sampler
-        group = shift.group
-        disc = spectral.discretization
-        h = np.real(spectral.h)
-        N = disc.nodes_per_disk
-        x = group.disks[state].center
-        for step in range(n):
-            weights = []
-            for b in range(shift.k):
-                if state == (b ^ 1):
-                    weights.append(0.0)
-                    continue
-                mb = group.symbol_matrix(b)
-                den = mb[2] * x + mb[3]
-                y = (mb[0] * x + mb[1]) / den
-                hy = float(disc.interp_values(b, np.array([y.real]))[0]
-                           @ h[b * N:(b + 1) * N])
-                weights.append(abs(den) ** (-2.0 * chain.delta) * hy)
-            cum = np.cumsum(weights)
-            b = int(np.searchsorted(cum, rng.random() * cum[-1]))
-            b = min(b, shift.k - 1)
-            mb = group.symbol_matrix(b)
-            den = mb[2] * x + mb[3]
-            tau_cum += 2.0 * math.log(abs(den))
-            f_cum = f_cum + np.asarray(group.symbol_homology(b), dtype=np.int64)
-            x = (mb[0] * x + mb[1]) / den
-            state = b
-            rows.append((step, sk.letter_of_index(b), tau_cum, *f_cum.tolist()))
-        return rows
-    cum_p = np.cumsum(chain.transitions, axis=1)
-    for step in range(n):
-        nxt = int(np.searchsorted(cum_p[state], rng.random()))
-        nxt = min(nxt, shift.k - 1)
-        tau_cum += float(shift.tau[state, nxt])
-        f_cum = f_cum + shift.f[state, nxt]
-        rows.append((step, nxt, tau_cum, *f_cum.tolist()))
-        state = nxt
+    rngs = [np.random.default_rng([rng_seed, 0])]
+    for step, (sym, step_tau, step_f) in enumerate(_steps(chain, shift, n, rngs,
+                                                             spectral, burn=0)):
+        tau_cum += float(step_tau[0])
+        f_cum += step_f[0]
+        rows.append((step, label(int(sym[0])), tau_cum, *f_cum.tolist()))
     return rows
 
 
-def _sample_toy(chain: ParryChain, shift: MarkovShift, n: int, rngs):
-    m = len(rngs)
+SCHOTTKY_BURN = 192  # steps from the disk centers to the equilibrium of x
+_CHUNK = 1024        # steps of uniforms drawn per generator call
+
+
+def _uniforms(rngs, count: int):
+    """count rows of uniforms, one per trajectory; trajectory i's column is
+    the stream of rngs[i], drawn _CHUNK steps at a time."""
+    for lo in range(0, count, _CHUNK):
+        yield from np.stack([r.random(min(_CHUNK, count - lo)) for r in rngs], axis=1)
+
+
+def _steps(chain: ParryChain, shift: MarkovShift, n: int, rngs, spectral, burn: int):
+    """The sampler kernel: n steps of all len(rngs) trajectories at once,
+    yielding per step (symbol, roof increment, cocycle increment) arrays.
+
+    Each trajectory first draws its start symbol from the stationary law,
+    then one uniform per step (burn-in included).
+    """
+    if shift.analytic:
+        return _schottky_steps(chain, shift, n, rngs, spectral, burn)
+    return _toy_steps(chain, shift, n, rngs)
+
+
+def _toy_steps(chain: ParryChain, shift: MarkovShift, n: int, rngs):
+    """The exact finite-state chain, with the 2-block tables read flat."""
+    k = shift.k
     cum_p = np.cumsum(chain.transitions, axis=1)
     cum_pi = np.cumsum(chain.stationary)
-    u0 = np.array([r.random() for r in rngs])
-    state = np.searchsorted(cum_pi, u0)
-    tau_n = np.zeros(m)
-    f_n = np.zeros((m, shift.d), dtype=np.int64)
-    chunk = 1024
-    done = 0
-    while done < n:
-        take = min(chunk, n - done)
-        u = _uniform_block(rngs, take)
-        for j in range(take):
-            nxt = (cum_p[state] < u[:, j][:, None]).sum(axis=1)
-            nxt = np.minimum(nxt, shift.k - 1)
-            tau_n += shift.tau[state, nxt]
-            f_n += shift.f[state, nxt]
-            state = nxt
-        done += take
-    return tau_n, f_n
+    tau = shift.tau.ravel()
+    f = shift.f.reshape(k * k, shift.d)
+    state = np.searchsorted(cum_pi, [r.random() for r in rngs])
+    for u in _uniforms(rngs, n):
+        nxt = np.minimum((cum_p[state] < u[:, None]).sum(axis=1), k - 1)
+        pair = state * k + nxt
+        yield nxt, tau.take(pair), f.take(pair, axis=0)
+        state = nxt
 
 
-def _sample_schottky(chain: ParryChain, shift: MarkovShift, n: int, rngs, spectral):
+def _schottky_steps(chain: ParryChain, shift: MarkovShift, n: int, rngs, spectral,
+                    burn: int):
     """Backward h-weighted branch chain; Birkhoff sums read along it equal
-    forward sums under the equilibrium measure."""
+    forward sums under the equilibrium measure.
+
+    From the point x (real: it stays on the trace of the disks) each step
+    weighs every branch b by |gamma_b'(x)|^delta h(gamma_b x) and zeroes the
+    inverse of the current symbol, with all (nsym, m) branch images at once
+    and h evaluated by Clenshaw on its per-disk Chebyshev coefficients.
+    """
     if spectral is None:
         raise ValidationError("schottky sampling needs the spectral result at delta")
     group = shift.group
-    disc = spectral.discretization
-    delta = chain.delta
-    h = np.real(spectral.h)
-    N = disc.nodes_per_disk
+    grid = spectral.discretization
+    coeffs = grid.chebyshev_coeffs(np.real(spectral.h))
     nsym = shift.k
-    m = len(rngs)
-    mats = np.array([group.symbol_matrix(a) for a in range(nsym)])  # (nsym, 4)
-    f_sym = np.array([group.symbol_homology(a) for a in range(nsym)], dtype=np.int64)
-    if group.d == 0:
-        f_sym = f_sym.reshape(nsym, 0)
-
-    # start at equilibrium symbol marginals, on the disk centers, and burn in
+    a, b, c, d = np.array([group.symbol_matrix(s) for s in range(nsym)]).real.T[..., None]
+    f_sym = np.array([group.symbol_homology(s) for s in range(nsym)],
+                     dtype=np.int64).reshape(nsym, group.d)
+    inverse = np.array([sk.inverse_index(s) for s in range(nsym)])
+    expo = -2.0 * chain.delta
+    cols = np.arange(len(rngs))
     cum_pi = np.cumsum(chain.stationary)
-    u0 = np.array([r.random() for r in rngs])
-    sym = np.minimum(np.searchsorted(cum_pi, u0), nsym - 1).astype(np.int64)
-    x = np.array([group.disks[a].center for a in sym], dtype=complex)
-    burn = 192
-    tau_n = np.zeros(m)
-    f_n = np.zeros((m, group.d), dtype=np.int64)
-    chunk = 1024
-    total = n + burn
-    done = 0
-    while done < total:
-        take = min(chunk, total - done)
-        u = _uniform_block(rngs, take)
-        rows = np.arange(m)
-        for j in range(take):
-            # candidate branches b != inverse(sym): weights |gamma_b'(x)|^delta h(gamma_b x)
-            weights = np.zeros((m, nsym))
-            ys = np.zeros((m, nsym), dtype=complex)
-            for b in range(nsym):
-                allowed = sym != (b ^ 1)
-                mb = mats[b]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    den = mb[2] * x + mb[3]
-                    y = (mb[0] * x + mb[1]) / den
-                ys[:, b] = y
-                hy = np.zeros(m)
-                hy[allowed] = disc.interp_values(b, y[allowed].real) @ h[b * N:(b + 1) * N]
-                weights[allowed, b] = np.abs(den[allowed]) ** (-2.0 * delta) * hy[allowed]
-            cum = np.cumsum(weights, axis=1)
-            pick = (cum < (u[:, j] * cum[:, -1])[:, None]).sum(axis=1)
-            pick = np.minimum(pick, nsym - 1)
-            mb = mats[pick]
-            den = mb[:, 2] * x + mb[:, 3]
-            step_tau = 2.0 * np.log(np.abs(den))
-            x = ys[rows, pick]
-            sym = pick
-            if done + j >= burn:
-                tau_n += step_tau
-                f_n += f_sym[pick]
-        done += take
-    return tau_n, f_n
+    sym = np.minimum(np.searchsorted(cum_pi, [r.random() for r in rngs]), nsym - 1)
+    x = grid.centers[sym]
+    for step, u in enumerate(_uniforms(rngs, n + burn)):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            den = c * x + d  # (nsym, m): branch b's image of every trajectory
+            # num * (1 / den) is numpy's complex quotient of real operands
+            y = (a * x + b) * (1.0 / den)
+            w = np.abs(den) ** expo * grid.clenshaw(coeffs, y)
+        w[inverse[sym], cols] = 0.0
+        cum = np.cumsum(w, axis=0)
+        pick = np.minimum((cum < u * cum[-1]).sum(axis=0), nsym - 1)
+        if step >= burn:
+            yield pick, 2.0 * np.log(np.abs(den[pick, cols])), f_sym[pick]
+        x = y[pick, cols]
+        sym = pick

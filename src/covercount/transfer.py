@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.fft import dct
 from scipy.optimize import brentq
 
 from . import schottky as sk
@@ -30,7 +31,13 @@ DOUBLING_TOL = 1e-8
 
 class CollocationGrid:
     """Chebyshev nodes (first kind) on each disk's real interval, with the
-    branch images, log-derivatives and interpolation blocks precomputed."""
+    branch images, log-derivatives and interpolation blocks precomputed.
+
+    A vector of node values, disk after disk, stands for the per-disk
+    polynomial interpolants.  They are evaluated barycentrically
+    (interp_values, for fixed point sets) or by Clenshaw recurrence on their
+    Chebyshev coefficients (chebyshev_coeffs + clenshaw, for many points).
+    """
 
     def __init__(self, group, nodes_per_disk: int):
         if nodes_per_disk < 8:
@@ -44,10 +51,9 @@ class CollocationGrid:
         k = np.arange(N)
         ref = np.cos(np.pi * (2 * k + 1) / (2 * N))
         self.bary_w = (-1.0) ** k * np.sin(np.pi * (2 * k + 1) / (2 * N))
-        self.nodes = []
-        for a in range(n):
-            dk = group.disks[a]
-            self.nodes.append(dk.center.real + dk.radius * ref)
+        self.centers = np.array([dk.center.real for dk in group.disks])
+        self.radii = np.array([dk.radius for dk in group.disks])
+        self.nodes = [self.centers[a] + self.radii[a] * ref for a in range(n)]
         self._logd = {}
         self._interp = {}
         for a in range(n):
@@ -66,13 +72,40 @@ class CollocationGrid:
         """Barycentric Lagrange basis values on disk a's nodes at pts."""
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
         diff = pts[:, None] - self.nodes[a][None, :]
-        hit = np.isclose(diff, 0.0, atol=1e-300)
+        hit = np.abs(diff) <= 1e-300
         with np.errstate(divide="ignore", invalid="ignore"):
             L = self.bary_w[None, :] / diff
         L[~np.isfinite(L)] = 0.0
         rows_hit = hit.any(axis=1)
         L[rows_hit] = hit[rows_hit].astype(float)
         return L / L.sum(axis=1, keepdims=True)
+
+    def chebyshev_coeffs(self, values: np.ndarray) -> np.ndarray:
+        """Chebyshev coefficients, shape (n_symbols, N), of each disk's
+        interpolant through node values laid out disk after disk."""
+        N = self.nodes_per_disk
+        vals = np.asarray(values, dtype=float).reshape(-1, N)
+        coeffs = dct(vals, type=2, axis=1) / N  # first-kind nodes: DCT-II
+        coeffs[:, 0] *= 0.5
+        return coeffs
+
+    def clenshaw(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Values at pts, shape (n_symbols, m), of the Chebyshev series in
+        coeffs: row b is evaluated on disk b's interval."""
+        t = (pts - self.centers[:, None]) / self.radii[:, None]
+        t2 = t + t
+        b1 = np.zeros_like(t)
+        b2 = np.zeros_like(t)
+        tmp = np.empty_like(t)
+        for ck in coeffs.T[:0:-1, :, None]:  # k = N-1, ..., 1
+            np.multiply(t2, b1, out=tmp)  # b_k = c_k + 2t b_{k+1} - b_{k+2}
+            tmp -= b2
+            tmp += ck
+            b1, b2, tmp = tmp, b1, b2
+        t *= b1
+        t -= b2
+        t += coeffs[:, :1]
+        return t
 
     def log_deriv(self, a: int, b: int) -> np.ndarray:
         return self._logd[(a, b)]

@@ -123,3 +123,31 @@ def test_bad_config_file(tmp_path):
     bad = tmp_path / "cfg.json"
     bad.write_text("{nope")
     assert run(["--config", str(bad), "validate", "--group", "fixture:b"]) == 3
+
+
+def test_dump_records_enumerates_once(tmp_path, monkeypatch):
+    from covercount import schottky as sk
+    calls = {"enumerate_orbit": 0, "primitive_classes": 0}
+
+    def counted(name):
+        fn = getattr(sk, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sk, name, counted(name))
+    assert run(["--out", str(tmp_path), "count-orbit", "--group", "fixture:b",
+                "--t-min", "4", "--t-max", "8", "--checkpoints", "6",
+                "--dump-records"]) == 0
+    assert run(["--out", str(tmp_path), "count-geodesics", "--group", "fixture:b",
+                "--l-min", "6", "--l-max", "10", "--checkpoints", "5",
+                "--dump-records"]) == 0
+    assert calls == {"enumerate_orbit": 1, "primitive_classes": 1}
+    for command in ("count-orbit", "count-geodesics"):
+        rep = next(tmp_path.glob(f"{command}-*"))
+        totals = json.loads((rep / "summary.json").read_text())["totals"]
+        rows = (rep / "records.csv").read_text().splitlines()
+        assert len(rows) - 1 == totals[-1] > 0

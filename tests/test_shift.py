@@ -12,7 +12,8 @@ from covercount.hyperbolic import geodesic_invariants
 from covercount.shift import (MarkovShift, cycle_holonomy_sum,
                               cycle_roof_sum, from_schottky, parry_chain,
                               sample_cocycle, sample_cocycle_batch,
-                              toy_from_json, toy_full_shift, toy_to_json)
+                              sample_trajectory, toy_from_json, toy_full_shift,
+                              toy_to_json)
 
 
 def test_toy_full_shift_structure():
@@ -161,15 +162,149 @@ def test_sample_cocycle_zero_drift(toy2):
     assert abs(mean) < 3 * se + 1e-12
 
 
-def test_sampler_deterministic_per_trajectory(toy2):
+def test_sampler_deterministic_per_trajectory(toy2, shift_b, spectral_b):
     spec = tr.OperatorSpec(toy2)
     sr = tr.leading_eigenvalue(spec, math.log(2.0), want_measure=True)
-    chain = parry_chain(toy2, sr)
-    t1, f1 = sample_cocycle_batch(chain, toy2, 100, 6, master_seed=5, batch=2)
-    t2, f2 = sample_cocycle_batch(chain, toy2, 100, 6, master_seed=5, batch=6)
-    assert np.array_equal(t1, t2) and np.array_equal(f1, f2)
-    _, f3 = sample_cocycle_batch(chain, toy2, 100, 6, master_seed=6)
-    assert not np.array_equal(f1, f3)
+    for shift, spectral in ((toy2, sr), (shift_b, spectral_b)):
+        chain = parry_chain(shift, spectral)
+        t1, f1 = sample_cocycle_batch(chain, shift, 100, 6, master_seed=5,
+                                      spectral=spectral, batch=2)
+        t2, f2 = sample_cocycle_batch(chain, shift, 100, 6, master_seed=5,
+                                      spectral=spectral, batch=6)
+        assert np.array_equal(t1, t2) and np.array_equal(f1, f2)
+        _, f3 = sample_cocycle_batch(chain, shift, 100, 6, master_seed=6,
+                                     spectral=spectral)
+        assert not np.array_equal(f1, f3)
+
+
+# Reference samplers: the per-branch barycentric loop and the scalar dump loop
+# that the vectorized Clenshaw kernel replaced.  The kernel must reproduce
+# their picks exactly; x is carried as complex numbers here.
+
+def _reference_schottky_batch(chain, shift, n, rngs, spectral, burn=192):
+    group = shift.group
+    disc = spectral.discretization
+    delta = chain.delta
+    h = np.real(spectral.h)
+    N = disc.nodes_per_disk
+    nsym = shift.k
+    m = len(rngs)
+    mats = np.array([group.symbol_matrix(a) for a in range(nsym)])
+    f_sym = np.array([group.symbol_homology(a) for a in range(nsym)],
+                     dtype=np.int64).reshape(nsym, group.d)
+    cum_pi = np.cumsum(chain.stationary)
+    u0 = np.array([r.random() for r in rngs])
+    sym = np.minimum(np.searchsorted(cum_pi, u0), nsym - 1).astype(np.int64)
+    x = np.array([group.disks[a].center for a in sym], dtype=complex)
+    tau_n = np.zeros(m)
+    f_n = np.zeros((m, group.d), dtype=np.int64)
+    total = n + burn
+    done = 0
+    rows = np.arange(m)
+    while done < total:
+        take = min(1024, total - done)
+        u = np.stack([r.random(take) for r in rngs], axis=0)
+        for j in range(take):
+            weights = np.zeros((m, nsym))
+            ys = np.zeros((m, nsym), dtype=complex)
+            for b in range(nsym):
+                allowed = sym != (b ^ 1)
+                mb = mats[b]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    den = mb[2] * x + mb[3]
+                    y = (mb[0] * x + mb[1]) / den
+                ys[:, b] = y
+                hy = np.zeros(m)
+                hy[allowed] = disc.interp_values(b, y[allowed].real) @ h[b * N:(b + 1) * N]
+                weights[allowed, b] = np.abs(den[allowed]) ** (-2.0 * delta) * hy[allowed]
+            cum = np.cumsum(weights, axis=1)
+            pick = np.minimum((cum < (u[:, j] * cum[:, -1])[:, None]).sum(axis=1), nsym - 1)
+            mb = mats[pick]
+            den = mb[:, 2] * x + mb[:, 3]
+            step_tau = 2.0 * np.log(np.abs(den))
+            x = ys[rows, pick]
+            sym = pick
+            if done + j >= burn:
+                tau_n += step_tau
+                f_n += f_sym[pick]
+        done += take
+    return tau_n, f_n
+
+
+def _reference_schottky_dump(chain, shift, n, rng_seed, spectral):
+    rng = np.random.default_rng([rng_seed, 0])
+    state = int(np.searchsorted(np.cumsum(chain.stationary), rng.random()))
+    group = shift.group
+    disc = spectral.discretization
+    h = np.real(spectral.h)
+    N = disc.nodes_per_disk
+    x = group.disks[state].center
+    rows = []
+    tau_cum = 0.0
+    f_cum = np.zeros(shift.d, dtype=np.int64)
+    for step in range(n):
+        weights = []
+        for b in range(shift.k):
+            if state == (b ^ 1):
+                weights.append(0.0)
+                continue
+            mb = group.symbol_matrix(b)
+            den = mb[2] * x + mb[3]
+            y = (mb[0] * x + mb[1]) / den
+            hy = float(disc.interp_values(b, np.array([y.real]))[0] @ h[b * N:(b + 1) * N])
+            weights.append(abs(den) ** (-2.0 * chain.delta) * hy)
+        cum = np.cumsum(weights)
+        b = min(int(np.searchsorted(cum, rng.random() * cum[-1])), shift.k - 1)
+        mb = group.symbol_matrix(b)
+        den = mb[2] * x + mb[3]
+        tau_cum += 2.0 * math.log(abs(den))
+        f_cum = f_cum + np.asarray(group.symbol_homology(b), dtype=np.int64)
+        x = (mb[0] * x + mb[1]) / den
+        state = b
+        rows.append((step, sk.letter_of_index(b), tau_cum, *f_cum.tolist()))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [7, 20260808])
+def test_schottky_kernel_matches_reference_loop(shift_b, spectral_b, seed):
+    chain = parry_chain(shift_b, spectral_b)
+    n, m = 300, 64
+    tau, f = sample_cocycle_batch(chain, shift_b, n, m, master_seed=seed,
+                                  spectral=spectral_b)
+    rngs = [np.random.default_rng([seed, i]) for i in range(m)]
+    tau_ref, f_ref = _reference_schottky_batch(chain, shift_b, n, rngs, spectral_b)
+    assert np.array_equal(tau, tau_ref)
+    assert np.array_equal(f, f_ref)
+
+
+def test_schottky_dump_matches_reference_loop(shift_b, spectral_b):
+    chain = parry_chain(shift_b, spectral_b)
+    rows = sample_trajectory(chain, shift_b, 400, 7, spectral=spectral_b)
+    ref = _reference_schottky_dump(chain, shift_b, 400, 7, spectral_b)
+    assert len(rows) == len(ref) == 400
+    for got, want in zip(rows, ref):
+        assert got[:2] == want[:2] and got[3:] == want[3:]  # step, symbol, f_cum
+        assert got[2] == pytest.approx(want[2], rel=1e-12)  # tau_cum
+
+
+def test_toy_dump_matches_reference_loop():
+    shift = toy_full_shift(3, 0.7, [[1], [-1], [0]])
+    shift = MarkovShift(k=3, transition=shift.transition, f=shift.f,
+                        tau=shift.tau * np.array([[1.0, 2.0, 0.5]]))
+    spec = tr.OperatorSpec(shift)
+    sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
+    chain = parry_chain(shift, sr)
+    rng = np.random.default_rng([5, 0])
+    state = int(np.searchsorted(np.cumsum(chain.stationary), rng.random()))
+    cum_p = np.cumsum(chain.transitions, axis=1)
+    ref, tau_cum, f_cum = [], 0.0, np.zeros(1, dtype=np.int64)
+    for step in range(300):
+        nxt = min(int(np.searchsorted(cum_p[state], rng.random())), 2)
+        tau_cum += float(shift.tau[state, nxt])
+        f_cum = f_cum + shift.f[state, nxt]
+        ref.append((step, nxt, tau_cum, *f_cum.tolist()))
+        state = nxt
+    assert sample_trajectory(chain, shift, 300, 5) == ref
 
 
 def test_schottky_sampler_statistics(shift_b, spectral_b, surface_b):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from covercount import transfer as tr
 from covercount.errors import (HessianNotPD, HolonomyUnavailable,
-                               ValidationError)
+                               NotConverged, ValidationError)
 from covercount.shift import toy_full_shift
 from covercount.transfer import (OperatorSpec, apply, critical_exponent,
                                  leading_eigenvalue, pressure, pressure_surface,
@@ -193,3 +193,10 @@ def test_scan_rows_sorted_and_clean_on_fixture(spec_b, delta_b):
     assert keys == sorted(keys)
     assert not rep.violations
     assert rep.max_abs_lambda() < 1.0
+
+
+def test_not_converged_message(toy2_spec, monkeypatch):
+    monkeypatch.setattr(tr, "_dominant", lambda M, v0=None: (1.0 + 0j, np.ones(2), 1.2e-3))
+    with pytest.raises(NotConverged) as err:
+        leading_eigenvalue(toy2_spec, math.log(2.0))
+    assert str(err.value) == "eigensolver did not converge: residual 1.200e-03"
