@@ -115,6 +115,20 @@ def test_collocation_rejects_small_grid(shift_b):
         OperatorSpec(shift_b, nodes_per_disk=4).grid()
 
 
+def test_clenshaw_matches_barycentric_interpolant(spec_b, spectral_b):
+    grid = spec_b.grid()
+    h = np.real(spectral_b.h)
+    N = grid.nodes_per_disk
+    coeffs = grid.chebyshev_coeffs(h)
+    assert coeffs.shape == (4, N)
+    assert_allclose(grid.clenshaw(coeffs, np.array(grid.nodes)), h.reshape(4, N),
+                    rtol=1e-13)
+    u = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 50))
+    pts = grid.centers[:, None] + grid.radii[:, None] * u
+    bary = [grid.interp_values(b, pts[b]) @ h[b * N:(b + 1) * N] for b in range(4)]
+    assert_allclose(grid.clenshaw(coeffs, pts), np.array(bary), rtol=1e-13)
+
+
 def test_collocation_apply_matches_branch_sum(group_b, spec_b):
     """Oracle: apply the operator matrix to samples of an entire function and
     compare against the direct branch-sum quadrature at every node."""
