@@ -289,7 +289,12 @@ def sample_cocycle_batch(chain: ParryChain, shift: MarkovShift, n: int,
     """(tau_n, f_n) over n_traj trajectories of n steps each.
 
     Trajectory i draws its randomness from default_rng([master_seed, i]), so
-    results do not depend on batching or parallel schedule.  Each batch of
+    results do not depend on batching or parallel schedule.  Toy shifts run
+    the exact finite-state chain.  Schottky codings run the equilibrium
+    process exactly: random inverse branches weighted by
+    |branch'|^delta h(branch x) / h(x) with h the RPF eigenfunction, which
+    reverses to the shift with marginal nu; the roof increments are the
+    analytic branch derivatives along the trajectory.  Each batch of
     trajectories runs through one step kernel (see _steps); Schottky codings
     first burn in SCHOTTKY_BURN steps from the disk centers.
     """
