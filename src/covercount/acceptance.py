@@ -149,7 +149,7 @@ def c02_coding_correctness(ws: Workspace) -> CriterionResult:
                 continue
             n_classes += 1
             ell = geodesic_invariants(group.evaluate(word)).length
-            worst = max(worst, abs(sh.cycle_roof_sum(group, word) - ell))
+            worst = max(worst, abs(sh.cycle_roof_sum(group, word).real - ell))
     return _result("C2", "roof sums equal translation lengths", worst < 1e-6,
                    {"max_error": worst, "classes_checked": n_classes,
                     "max_word_length": ws.budget.coding_len}, t0)
@@ -230,8 +230,7 @@ def c06_local_mixing_counts(ws: Workspace) -> CriterionResult:
     delta = ws.delta_b
     cps, rep = _orbit_report(ws, ws.group_b, delta, ws.surface_b.sigma, T)
     c0 = rep.counts[(0,)]
-    corr = c0 * np.exp(-delta * cps) * np.sqrt(cps)
-    plateau = float(corr[-3:].max() / corr[-3:].min() - 1.0)
+    plateau = st.plateau_deviation(c0 * np.exp(-delta * cps) * np.sqrt(cps))
     allc = rep.meta["all_classes"]
     symmetric = all(np.array_equal(allc[key], allc[tuple(-x for x in key)])
                     for key in allc)
@@ -310,8 +309,7 @@ def c10_vector_orbit(ws: Workspace) -> CriterionResult:
     half = len(cps) // 2
     fit = cen.fit_growth(np.log(cps)[half:], cts[half:], fix_log_power=-0.5)
     exp_err = abs(fit.exponent - delta)
-    corr = cts * cps ** (-delta) * np.sqrt(np.log(cps))
-    plateau = float(corr[-3:].max() / corr[-3:].min() - 1.0)
+    plateau = st.plateau_deviation(cts * cps ** (-delta) * np.sqrt(np.log(cps)))
     passed = exp_err < 0.05 and plateau < 0.15
     return _result("C10", "vector-orbit counting exponent and plateau", passed,
                    {"exponent": fit.exponent, "exponent_err": exp_err,

@@ -14,6 +14,7 @@ from . import schottky as sk
 from . import hyperbolic as hyp
 from .errors import InsufficientData, ValidationError
 from .schottky import SchottkyGroup
+from .stats import plateau_deviation
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,6 @@ class Prediction:
     delta: float
     sigma: float
     d: int
-    mode: str = "UpToConstant"  # or "Absolute"
 
     def __post_init__(self):
         if self.delta <= 0 or self.sigma <= 0 or self.d < 0:
@@ -91,7 +91,6 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
                       checkpoints: Sequence[float],
                       classes: Optional[Sequence[tuple]] = None,
                       budget: Optional[int] = None,
-                      threads: int = 1,
                       sink: Optional[Callable[[sk.OrbitRecord], None]] = None) -> CensusReport:
     """N_xi(T) for requested homology classes vs c e^{delta T} / T^{d/2}.
 
@@ -118,7 +117,7 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
         arr[i] += 1
         totals[i] += 1
 
-    sk.enumerate_orbit(group, T_max, emit=take, budget=budget, threads=threads)
+    sk.enumerate_orbit(group, T_max, emit=take, budget=budget)
     for arr in by_class.values():
         np.cumsum(arr, out=arr)
     np.cumsum(totals, out=totals)
@@ -225,8 +224,7 @@ def holonomy_equidistribution(group: SchottkyGroup, L_max: float,
 def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[float],
                  T_max: float, checkpoints: Sequence[float],
                  norm: str = "euclidean", disp_pad: float = 4.0,
-                 budget: Optional[int] = None,
-                 threads: int = 1) -> CensusReport:
+                 budget: Optional[int] = None) -> CensusReport:
     """#{v in w0 Gamma : ||v|| <= T} for the kernel subgroup (f = 0 words)
     under the adjoint SO(2,1) action, vs c T^delta / (log T)^{d/2}.
 
@@ -267,7 +265,7 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
         seen[key] = True
         new_counts[int(np.searchsorted(cps, r, side="left"))] += 1
 
-    sk.enumerate_orbit(group, disp_cap, emit=take, budget=budget, threads=threads)
+    sk.enumerate_orbit(group, disp_cap, emit=take, budget=budget)
     counts_arr = np.cumsum(new_counts)
     delta, d = prediction.delta, prediction.d
     law = lambda T: T ** delta / (math.log(T) ** (d / 2.0)) if T > 1.0 else 0.0
@@ -330,7 +328,5 @@ def fit_growth(xs: Sequence[float], counts: Sequence[float],
         exponent = float(fix_exponent)
     log_power = float(sol[i]) if fix_log_power is None else float(fix_log_power)
     corrected = counts * np.exp(-exponent * xs) * xs ** (-log_power)
-    tail = corrected[-3:]
-    plateau = float(tail.max() / tail.min() - 1.0)
     return GrowthFit(exponent=exponent, log_power=log_power,
-                     constant=math.exp(const), plateau=plateau)
+                     constant=math.exp(const), plateau=plateau_deviation(corrected))

@@ -125,9 +125,12 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _emit_census(args, command, rep, extra=None) -> None:
+def _emit_census(args, command, rep, extra=None, records=None) -> None:
+    """Write census.csv, summary.json and, given (header, rows), records.csv."""
     writer = ReportWriter(args.out, command, vars_config(args))
     writer.write_csv("census.csv", *census_csv_rows(rep))
+    if records is not None:
+        writer.write_csv("records.csv", *records)
     summary = {"kind": rep.kind, "checkpoints": rep.checkpoints,
                "totals": rep.totals,
                "meta": {k: v for k, v in rep.meta.items() if k != "all_classes"}}
@@ -150,8 +153,7 @@ def _group_prediction(args, group):
         sigma = tr.pressure_surface(spec).sigma
     else:
         sigma = 1.0
-    return cen.Prediction(delta=delta, sigma=sigma, d=group.d,
-                          mode="Absolute" if getattr(args, "use_sigma", False) else "UpToConstant")
+    return cen.Prediction(delta=delta, sigma=sigma, d=group.d)
 
 
 def cmd_count_orbit(args) -> int:
@@ -159,24 +161,15 @@ def cmd_count_orbit(args) -> int:
     pred = _group_prediction(args, group)
     cps = cen.checkpoints_linear(args.t_min, args.t_max, args.checkpoints)
     classes = [tuple(int(x) for x in c.split(",")) for c in args.classes] if args.classes else None
-    records = []
-    sink = None
+    records, sink = None, None
     if args.dump_records:
-        sink = lambda r: records.append([len(r.word), r.displacement, *r.homology])
+        records = (["word_len", "displacement"] + [f"xi_{i}" for i in range(group.d)], [])
+        sink = lambda r: records[1].append([len(r.word), r.displacement, *r.homology])
     rep = cen.orbit_by_homology(group, pred, args.t_max, cps, classes=classes,
-                                budget=args.budget_cap, threads=args.threads, sink=sink)
+                                budget=args.budget_cap, sink=sink)
     for key in sorted(rep.counts):
         print(f"class {key}: N(T_max) = {rep.counts[key][-1]}, ratio = {rep.ratios[key][-1]:.4f}")
-    writer = ReportWriter(args.out, "count-orbit", vars_config(args))
-    writer.write_csv("census.csv", *census_csv_rows(rep))
-    if args.dump_records:
-        header = ["word_len", "displacement"] + [f"xi_{i}" for i in range(group.d)]
-        writer.write_csv("records.csv", header, records)
-    writer.write_json("summary.json", {"kind": rep.kind, "checkpoints": rep.checkpoints,
-                                       "totals": rep.totals, "delta": pred.delta,
-                                       "meta": {k: v for k, v in rep.meta.items()
-                                                if k != "all_classes"}})
-    writer.finish({"group": group.fingerprint()})
+    _emit_census(args, "count-orbit", rep, {"delta": pred.delta}, records)
     return EXIT_OK
 
 
@@ -185,27 +178,19 @@ def cmd_count_geodesics(args) -> int:
     args.use_sigma = group.d >= 1
     pred = _group_prediction(args, group)
     cps = cen.checkpoints_linear(args.l_min, args.l_max, args.checkpoints)
-    records = []
-    sink = None
+    records, sink = None, None
     if args.dump_records:
-        sink = lambda r: records.append([len(r.word), displacement(group.evaluate(r.word)),
-                                         *r.homology, r.length, r.holonomy])
+        records = (["word_len", "displacement"] + [f"xi_{i}" for i in range(group.d)]
+                   + ["length", "holonomy"], [])
+        sink = lambda r: records[1].append([len(r.word), displacement(group.evaluate(r.word)),
+                                            *r.homology, r.length, r.holonomy])
     rep = cen.geodesics_by_homology(group, pred, args.l_max, cps, budget=args.budget_cap,
                                     sink=sink)
     key = (0,) * group.d
     print(f"primitive classes <= {args.l_max}: {rep.totals[-1]}")
     print(f"trivial-class ratio to the absolute law: {rep.ratios[key][-1]:.4f}")
-    writer = ReportWriter(args.out, "count-geodesics", vars_config(args))
-    writer.write_csv("census.csv", *census_csv_rows(rep))
-    if args.dump_records:
-        header = (["word_len", "displacement"] + [f"xi_{i}" for i in range(group.d)]
-                  + ["length", "holonomy"])
-        writer.write_csv("records.csv", header, records)
-    writer.write_json("summary.json", {"kind": rep.kind, "checkpoints": rep.checkpoints,
-                                       "totals": rep.totals, "delta": pred.delta,
-                                       "sigma": pred.sigma,
-                                       "meta": rep.meta})
-    writer.finish({"group": group.fingerprint()})
+    _emit_census(args, "count-geodesics", rep, {"delta": pred.delta, "sigma": pred.sigma},
+                 records)
     return EXIT_OK
 
 
@@ -215,7 +200,7 @@ def cmd_count_vectors(args) -> int:
     cps = np.exp(np.linspace(math.log(args.t_min), math.log(args.t_max), args.checkpoints))
     rep = cen.vector_orbit(group, pred, _parse_vec(args.w0), args.t_max, cps,
                            norm=args.norm, disp_pad=args.disp_pad,
-                           budget=args.budget_cap, threads=args.threads)
+                           budget=args.budget_cap)
     cts = rep.counts["vectors"]
     print(f"vectors with norm <= {args.t_max:.3e}: {cts[-1]}")
     half = len(cps) // 2
@@ -238,12 +223,8 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_clt(args) -> int:
-    obj = load_any(args.group)
-    if isinstance(obj, sh.MarkovShift):
-        shift, spec = obj, tr.OperatorSpec(obj)
-    else:
-        shift = sh.from_schottky(obj)
-        spec = tr.OperatorSpec(shift, nodes_per_disk=args.nodes)
+    _, spec = _spec_for(args.group, args.nodes)
+    shift = spec.shift
     if shift.d < 1:
         raise ValidationError("CLT check needs homology dimension d >= 1")
     delta = tr.critical_exponent(spec)
@@ -348,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", type=int, default=12)
     p.add_argument("--classes", nargs="*", help="homology classes like '0' '1' '-1'")
     p.add_argument("--budget-cap", type=int, default=5_000_000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--dump-records", action="store_true",
                    help="also write the raw record stream CSV")
 
@@ -373,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", choices=["euclidean", "sup"], default="euclidean")
     p.add_argument("--disp-pad", type=float, default=4.0)
     p.add_argument("--budget-cap", type=int, default=5_000_000)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("holonomy", cmd_holonomy, help="holonomy character sums over classes")
     p.add_argument("--group")
@@ -412,6 +391,11 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         del argv[i:i + 2]
         defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
+        known = {a.dest for p in (ap, *ap._command_parsers.values()) for a in p._actions}
+        unknown = sorted(set(defaults) - known)
+        if unknown:
+            print(f"error: bad --config: unknown keys {unknown}", file=sys.stderr)
+            return EXIT_CONFIG
         ap.set_defaults(**defaults)
         for p in ap._command_parsers.values():
             p.set_defaults(**{k: v for k, v in defaults.items()

@@ -63,23 +63,6 @@ def group_from_dict(data: dict) -> SchottkyGroup:
     return SchottkyGroup(gens, disks_minus, disks_plus, hom, model)
 
 
-def group_to_dict(group: SchottkyGroup) -> dict:
-    def disk_json(dk: Disk) -> dict:
-        return {"center": [dk.center.real, dk.center.imag], "radius": dk.radius}
-
-    from .schottky import sym_index
-    return {
-        "model": group.model.value,
-        "disks": [
-            {"minus": disk_json(group.disks[sym_index(-(i + 1))]),
-             "plus": disk_json(group.disks[sym_index(i + 1)])}
-            for i in range(group.g)
-        ],
-        "generators": [[[x.real, x.imag] for x in g.entries] for g in group.generators],
-        "homology_matrix": group.homology_matrix.tolist(),
-    }
-
-
 def _read_source(source: Union[str, Path, dict]) -> dict:
     if isinstance(source, dict):
         return source
@@ -114,6 +97,3 @@ def fixture_text(name: str) -> str:
         raise ValidationError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}")
     return resources.files("covercount.fixtures").joinpath(FIXTURES[name]).read_text()
 
-
-def save_group(group: SchottkyGroup, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(group_to_dict(group), indent=2, sort_keys=True) + "\n")

@@ -82,15 +82,19 @@ def identity(model: Model = Model.H2) -> MoebiusMap:
     return MoebiusMap(1, 0, 0, 1, model)
 
 
+def mat_mul(m, n) -> tuple[complex, complex, complex, complex]:
+    """Product m @ n of 2x2 matrices given as raw (a, b, c, d) tuples."""
+    a, b, c, d = m
+    na, nb, nc, nd = n
+    return (a * na + b * nc, a * nb + b * nd,
+            c * na + d * nc, c * nb + d * nd)
+
+
 def compose(g: MoebiusMap, h: MoebiusMap) -> MoebiusMap:
-    """Matrix product g @ h, renormalized to det 1."""
+    """Matrix product g @ h of unimodular maps (unimodular without renormalizing)."""
     if g.model != h.model:
         raise ValueError("cannot compose maps of different models")
-    a = g.a * h.a + g.b * h.c
-    b = g.a * h.b + g.b * h.d
-    c = g.c * h.a + g.d * h.c
-    d = g.c * h.b + g.d * h.d
-    return MoebiusMap(a, b, c, d, g.model, normalize=False)
+    return MoebiusMap(*mat_mul(g.entries, h.entries), g.model, normalize=False)
 
 
 def inverse(g: MoebiusMap) -> MoebiusMap:
@@ -175,7 +179,8 @@ class GeodesicInvariants:
     holonomy_angle: float = 0.0
 
 
-def _wrap_angle(theta: float) -> float:
+def wrap_angle(theta: float) -> float:
+    """theta reduced to (-pi, pi]."""
     out = math.fmod(theta, 2.0 * math.pi)
     if out > math.pi:
         out -= 2.0 * math.pi
@@ -184,19 +189,25 @@ def _wrap_angle(theta: float) -> float:
     return out
 
 
-def geodesic_invariants(g: MoebiusMap) -> GeodesicInvariants:
-    """Solve trace = +-2 cosh((l + i theta)/2); theta = 0 in the H2 model."""
-    if classify(g) != ElementClass.LOXODROMIC:
-        raise NotLoxodromic(f"element classifies as {classify(g).value}")
-    tr = g.trace()
+def trace_invariants(tr: complex, model: Model) -> tuple[float, float]:
+    """(length, holonomy) solving tr = +-2 cosh((l + i theta)/2) for a det-1
+    matrix with trace tr; theta = 0 in the H2 model.  Non-loxodromic traces
+    give length 0."""
     disc = cmath.sqrt(tr * tr - 4.0)
     lam = (tr + disc) / 2.0
     if abs(lam) < 1.0:
         lam = (tr - disc) / 2.0
-    length = 2.0 * math.log(abs(lam))
-    if g.model == Model.H2:
-        return GeodesicInvariants(length, 0.0)
-    return GeodesicInvariants(length, _wrap_angle(2.0 * cmath.phase(lam)))
+    length = 2.0 * math.log(max(abs(lam), 1.0))
+    if model == Model.H2:
+        return length, 0.0
+    return length, wrap_angle(2.0 * cmath.phase(lam))
+
+
+def geodesic_invariants(g: MoebiusMap) -> GeodesicInvariants:
+    """Translation length and holonomy of a loxodromic map (see trace_invariants)."""
+    if classify(g) != ElementClass.LOXODROMIC:
+        raise NotLoxodromic(f"element classifies as {classify(g).value}")
+    return GeodesicInvariants(*trace_invariants(g.trace(), g.model))
 
 
 def boundary_derivative(g: MoebiusMap, x: complex) -> float:
@@ -205,14 +216,6 @@ def boundary_derivative(g: MoebiusMap, x: complex) -> float:
     if abs(den) < 1e-14 * (1.0 + abs(x)):
         raise PoleAtPoint(f"{x} is the pole of the map")
     return 1.0 / abs(den) ** 2
-
-
-def boundary_derivative_complex(g: MoebiusMap, x: complex) -> complex:
-    """g'(x) = 1/(c x + d)^2 with phase; the phase drives the holonomy cocycle."""
-    den = g.c * x + g.d
-    if abs(den) < 1e-14 * (1.0 + abs(x)):
-        raise PoleAtPoint(f"{x} is the pole of the map")
-    return 1.0 / (den * den)
 
 
 def fixed_points(g: MoebiusMap) -> tuple[complex, complex]:

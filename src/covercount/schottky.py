@@ -27,6 +27,7 @@ from .hyperbolic import Model, MoebiusMap
 
 PAIRING_TOL = 1e-8
 MARGIN_PAD = 0.10
+IDENTITY = (1.0 + 0j, 0j, 0j, 1.0 + 0j)  # raw (a, b, c, d) of the empty word
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,9 @@ class SchottkyGroup:
         return all(x == 0 for x in self.abelianize(word))
 
     def evaluate(self, word: Sequence[int]) -> MoebiusMap:
-        m = _eval_raw(self._mats, word)
+        m = IDENTITY
+        for letter in word:
+            m = hyp.mat_mul(m, self._mats[sym_index(letter)])
         return MoebiusMap(*m, self.model, normalize=False)
 
     def fingerprint(self) -> str:
@@ -259,13 +262,6 @@ class SchottkyGroup:
         return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
 
     # -- pruning geometry --------------------------------------------------
-
-    def _phi_model_distance(self, c_idx: int, region_pts: Iterable[tuple[complex, float]]) -> float:
-        best = 0.0
-        for z, t in region_pts:
-            ch = 1.0 + (abs(z) ** 2 + (t - 1.0) ** 2) / (2.0 * t)
-            best = max(best, math.acosh(max(ch, 1.0)))
-        return best
 
     def orbit_margin(self) -> float:
         """Uniform displacement dip bound: every reduced descendant of w
@@ -328,30 +324,15 @@ class SchottkyGroup:
         return step
 
 
-def _eval_raw(mats, word) -> tuple[complex, complex, complex, complex]:
-    a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    for letter in word:
-        ma, mb, mc, md = mats[sym_index(letter)]
-        a, b, c, d = (a * ma + b * mc, a * mb + b * md,
-                      c * ma + d * mc, c * mb + d * md)
-    return a, b, c, d
-
-
 def _frob2(m) -> float:
     a, b, c, d = m
     return (a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
             + c.real * c.real + c.imag * c.imag + d.real * d.real + d.imag * d.imag)
 
 
-def validate(group: SchottkyGroup) -> None:
-    """Re-run the construction-time checks (they raise on violation)."""
-    group.validate()
-
-
 def enumerate_orbit(group: SchottkyGroup, T: float,
                     emit: Optional[Callable[[OrbitRecord], None]] = None,
-                    budget: Optional[int] = None,
-                    threads: int = 1) -> int:
+                    budget: Optional[int] = None) -> int:
     """Emit every reduced word with displacement <= T exactly once.
 
     Depth-first with the shadow-projection prune: the displacement of any
@@ -368,18 +349,17 @@ def enumerate_orbit(group: SchottkyGroup, T: float,
     count += 1
     mats = group._mats
     n = group.n_symbols
-
-    def run_shard(first_idx: int) -> list[OrbitRecord]:
-        out: list[OrbitRecord] = []
-        root_m = mats[first_idx]
-        stack = [((letter_of_index(first_idx),), root_m, first_idx)]
+    for first_idx in range(n):
+        # records of one first letter, emitted by (length, word_key)
+        shard: list[OrbitRecord] = []
+        stack = [((letter_of_index(first_idx),), mats[first_idx], first_idx)]
         while stack:
             word, m, last = stack.pop()
             ch = _frob2(m) / 2.0
             if ch <= cosh_T:
-                out.append(OrbitRecord(word, math.acosh(max(ch, 1.0)),
-                                       group.abelianize(word)))
-                if budget is not None and len(out) > budget:
+                shard.append(OrbitRecord(word, math.acosh(max(ch, 1.0)),
+                                         group.abelianize(word)))
+                if budget is not None and len(shard) > budget:
                     raise BudgetExceeded(budget)
             if ch > cosh_cut:
                 continue
@@ -387,22 +367,9 @@ def enumerate_orbit(group: SchottkyGroup, T: float,
             for idx in range(n):
                 if idx == bad:
                     continue
-                ma, mb, mc, md = mats[idx]
-                a, b, c, d = m
-                child = (a * ma + b * mc, a * mb + b * md,
-                         c * ma + d * mc, c * mb + d * md)
-                stack.append((word + (letter_of_index(idx),), child, idx))
-        out.sort(key=lambda rec: (len(rec.word), word_key(rec.word)))
-        return out
-
-    shards: list[list[OrbitRecord]]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shards = list(pool.map(run_shard, range(n)))
-    else:
-        shards = [run_shard(i) for i in range(n)]
-    for shard in shards:
+                stack.append((word + (letter_of_index(idx),),
+                              hyp.mat_mul(m, mats[idx]), idx))
+        shard.sort(key=lambda rec: (len(rec.word), word_key(rec.word)))
         for rec in shard:
             count += 1
             if budget is not None and count > budget:
@@ -428,31 +395,10 @@ def enumerate_orbit_bruteforce(group: SchottkyGroup, T: float, max_len: int) -> 
         for idx in range(n):
             if last is not None and idx == inverse_index(last):
                 continue
-            ma, mb, mc, md = mats[idx]
-            a, b, c, d = m
-            child = (a * ma + b * mc, a * mb + b * md, c * ma + d * mc, c * mb + d * md)
-            rec_walk(word + (letter_of_index(idx),), child, idx)
+            rec_walk(word + (letter_of_index(idx),), hyp.mat_mul(m, mats[idx]), idx)
 
-    rec_walk((), (1.0 + 0j, 0j, 0j, 1.0 + 0j), None)
+    rec_walk((), IDENTITY, None)
     return out
-
-
-def _invariants_raw(m, model: Model) -> tuple[float, float]:
-    """(length, holonomy) of a loxodromic raw matrix (det 1)."""
-    tr = m[0] + m[3]
-    disc = cmath.sqrt(tr * tr - 4.0)
-    lam = (tr + disc) / 2.0
-    if abs(lam) < 1.0:
-        lam = (tr - disc) / 2.0
-    length = 2.0 * math.log(max(abs(lam), 1.0))
-    if model == Model.H2:
-        return length, 0.0
-    theta = math.fmod(2.0 * cmath.phase(lam), 2.0 * math.pi)
-    if theta > math.pi:
-        theta -= 2.0 * math.pi
-    elif theta <= -math.pi:
-        theta += 2.0 * math.pi
-    return length, theta
 
 
 def primitive_classes(group: SchottkyGroup, L: float,
@@ -479,7 +425,7 @@ def primitive_classes(group: SchottkyGroup, L: float,
             word, m, last = stack.pop()
             if last != inverse_index(first_idx):
                 # cyclically admissible candidate rooted at its first letter
-                length, theta = _invariants_raw(m, group.model)
+                length, theta = hyp.trace_invariants(m[0] + m[3], group.model)
                 if 0.0 < length <= L and word == canonical_rotation(word) \
                         and is_primitive(word):
                     count += 1
@@ -487,7 +433,7 @@ def primitive_classes(group: SchottkyGroup, L: float,
                         raise BudgetExceeded(budget)
                     if emit is not None:
                         emit(GeodesicRecord(word, length, group.abelianize(word), theta))
-            a, b, c, d = m
+            _, _, c, d = m
             bad = inverse_index(last)
             for idx in range(first_idx, n):  # letters below first_idx never canonical
                 if idx == bad:
@@ -500,8 +446,6 @@ def primitive_classes(group: SchottkyGroup, L: float,
                     min_len = 2.0 * math.log(abs(d))
                 if min_len > L:
                     continue
-                ma, mb, mc, md = mats[idx]
-                child = (a * ma + b * mc, a * mb + b * md,
-                         c * ma + d * mc, c * mb + d * md)
-                stack.append((word + (letter_of_index(idx),), child, idx))
+                stack.append((word + (letter_of_index(idx),),
+                              hyp.mat_mul(m, mats[idx]), idx))
     return count

@@ -173,34 +173,22 @@ def _roof_term(group: SchottkyGroup, letter: int, x: complex) -> complex:
     return complex(-2.0 * math.log(abs(den)), -2.0 * math.atan2(den.imag, den.real))
 
 
-def cycle_roof_sum(group: SchottkyGroup, word: Sequence[int]) -> float:
-    """tau_n along the periodic coding of a cyclically reduced word.
+def cycle_roof_sum(group: SchottkyGroup, word: Sequence[int]) -> complex:
+    """Complex roof sum tau_n + i theta_n along the periodic coding of a
+    cyclically reduced word; theta_n is not wrapped.
 
     Each rotation's branch derivative is evaluated at its own attracting
     fixed point; this avoids iterating the expanding map.  By the chain rule
-    the total equals the translation length of the word's conjugacy class.
+    the real part equals the translation length of the word's conjugacy
+    class, and the imaginary part its holonomy angle modulo 2 pi.
     """
     if not sk.is_cyclically_reduced(word):
         raise ValidationError("cycle roof sums need a cyclically reduced word")
-    total = 0.0
+    total = 0j
     for r in range(len(word)):
         rot = tuple(word[r:]) + tuple(word[:r])
-        total += _roof_term(group, rot[0], periodic_point(group, rot)).real
+        total += _roof_term(group, rot[0], periodic_point(group, rot))
     return total
-
-
-def cycle_holonomy_sum(group: SchottkyGroup, word: Sequence[int]) -> float:
-    """theta_n along the periodic coding, wrapped to (-pi, pi]."""
-    total = 0.0
-    for r in range(len(word)):
-        rot = tuple(word[r:]) + tuple(word[:r])
-        total += _roof_term(group, rot[0], periodic_point(group, rot)).imag
-    out = math.fmod(total, 2.0 * math.pi)
-    if out > math.pi:
-        out -= 2.0 * math.pi
-    elif out <= -math.pi:
-        out += 2.0 * math.pi
-    return out
 
 
 # -- Parry chain and cocycle sampling ---------------------------------------
@@ -221,13 +209,6 @@ class ParryChain:
         pi = np.asarray(self.stationary, dtype=float)
         if np.max(np.abs(pi @ P - pi)) > 1e-10:
             raise ValidationError("stationary vector fails pi P = pi")
-
-
-@dataclass(frozen=True)
-class CocycleSample:
-    n: int
-    tau_n: float
-    f_n: np.ndarray
 
 
 def parry_chain(shift: MarkovShift, spectral) -> ParryChain:
@@ -274,13 +255,6 @@ def _schottky_symbol_chain(shift: MarkovShift, spectral) -> tuple[np.ndarray, np
     P = nu_ab / nu_ab.sum(axis=1, keepdims=True)
     pi = nu_a / nu_a.sum()
     return pi, P
-
-
-def sample_cocycle(chain: ParryChain, shift: MarkovShift, n: int,
-                   rng_seed: int, spectral=None) -> CocycleSample:
-    """One equilibrium trajectory of n steps; see sample_cocycle_batch."""
-    tau_n, f_n = sample_cocycle_batch(chain, shift, n, 1, rng_seed, spectral=spectral)
-    return CocycleSample(n=n, tau_n=float(tau_n[0]), f_n=f_n[0])
 
 
 def sample_cocycle_batch(chain: ParryChain, shift: MarkovShift, n: int,

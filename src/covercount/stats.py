@@ -38,15 +38,6 @@ def chi2_sf(stat: float, df: int) -> float:
     return float(special.gammaincc(df / 2.0, stat / 2.0))
 
 
-def chi2_cdf(x, df: int):
-    return special.gammainc(df / 2.0, np.asarray(x, dtype=float) / 2.0)
-
-
-def chi2_test(stat: float, df: int) -> float:
-    """p-value of a chi-square statistic (e.g. stat 7.815 / df 3 -> 0.05)."""
-    return chi2_sf(float(stat), int(df))
-
-
 def chi2_gof(observed: Sequence[float], expected: Sequence[float]) -> tuple[float, float]:
     """Goodness-of-fit statistic and p over fixed bins (df = bins - 1)."""
     obs = np.asarray(observed, dtype=float)

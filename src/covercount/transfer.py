@@ -142,11 +142,6 @@ class OperatorSpec:
             self._grids[nodes] = CollocationGrid(self.shift.group, nodes)
         return self._grids[nodes]
 
-    def dim(self) -> int:
-        if self.shift.analytic:
-            return self.shift.k * self.nodes_per_disk
-        return self.shift.k
-
     def fingerprint(self) -> str:
         return self.shift.fingerprint()
 
@@ -301,6 +296,10 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
             raise NotConverged("Perron eigenfunction is not strictly positive")
     if want_measure:
         lamL, rho_vec, resL = _dominant(M.T)
+        gap = abs(lamL - lam)
+        if not resL < RESIDUAL_TOL or gap > RESIDUAL_TOL * max(1.0, abs(lam)):
+            raise NotConverged(f"left eigenpair residual {resL:.3e}, "
+                               f"|lambda_left - lambda| = {gap:.3e}")
         rho = rho_vec
         if is_perron:
             rho = np.real(rho)

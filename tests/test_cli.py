@@ -119,6 +119,15 @@ def test_config_file_merged_under_flags(tmp_path, capsys):
     assert manifest["config"]["traj"] == 32
 
 
+def test_config_unknown_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 4}))
+    assert run(["--out", str(tmp_path), "--config", str(cfg),
+                "count-orbit", "--group", "fixture:b", "--t-max", "6"]) == 3
+    assert "threads" in capsys.readouterr().err
+    assert not list(tmp_path.glob("count-orbit-*"))
+
+
 def test_bad_config_file(tmp_path):
     bad = tmp_path / "cfg.json"
     bad.write_text("{nope")

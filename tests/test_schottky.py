@@ -160,11 +160,19 @@ def test_enumerate_below_min_generator():
     assert n == 1
 
 
-def test_enumerate_matches_bruteforce_oracle(group_b):
+@pytest.mark.parametrize("name,T,max_len", [
+    ("b", 6.0, 11),    # longest emitted word: 7 letters
+    ("c", 6.0, 8),     # 6 letters
+    ("d0", 8.5, 10),   # 7 letters; H3, so the prune margin carries MARGIN_PAD
+    ("d1", 8.5, 10),   # 7 letters
+], ids=["b", "c", "d0", "d1"])
+def test_enumerate_matches_bruteforce_oracle(request, name, T, max_len):
+    group = request.getfixturevalue(f"group_{name}")
     records = []
-    enumerate_orbit(group_b, 6.0, emit=records.append)
-    # longest word at T = 6 has 7 letters; 11 leaves a 4-letter safety margin
-    brute = enumerate_orbit_bruteforce(group_b, 6.0, max_len=11)
+    enumerate_orbit(group, T, emit=records.append)
+    brute = enumerate_orbit_bruteforce(group, T, max_len=max_len)
+    # the oracle is complete only if no emitted word comes near its depth
+    assert max(len(r.word) for r in records) < max_len
     assert set(r.word for r in records) == set(r.word for r in brute)
     assert len(records) == len(brute)
 
@@ -190,13 +198,6 @@ def test_enumerate_budget():
     g = simple_group()
     with pytest.raises(BudgetExceeded):
         enumerate_orbit(g, 12.0, budget=5)
-
-
-def test_enumerate_threads_deterministic(group_b):
-    one, four = [], []
-    enumerate_orbit(group_b, 8.0, emit=one.append, threads=1)
-    enumerate_orbit(group_b, 8.0, emit=four.append, threads=4)
-    assert one == four
 
 
 # -- primitive classes -----------------------------------------------------------

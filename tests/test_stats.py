@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from covercount.errors import InsufficientData, SingularReference
-from covercount.stats import (chi2_gof, chi2_test, clt_check, ks_test, normal_cdf,
+from covercount.stats import (chi2_gof, chi2_sf, clt_check, ks_test, normal_cdf,
                               plateau_deviation, trend_test)
 
 
@@ -29,8 +29,8 @@ def test_chi2_textbook_quantile():
     # df = 3 has the closed-form tail 2(1 - Phi(sqrt(x))) + sqrt(2x/pi) e^{-x/2}
     x = 7.815
     oracle = 2.0 * (1.0 - normal_cdf(math.sqrt(x))) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
-    assert_allclose(chi2_test(x, 3), oracle, atol=1e-12)
-    assert abs(chi2_test(x, 3) - 0.05) < 1e-3
+    assert_allclose(chi2_sf(x, 3), oracle, atol=1e-12)
+    assert abs(chi2_sf(x, 3) - 0.05) < 1e-3
 
 
 def test_chi2_gof_null():
@@ -106,7 +106,7 @@ def test_clt_check_needs_samples():
 
 
 def test_p_values_monotone_in_statistic():
-    chis = [chi2_test(x, 3) for x in (1.0, 3.0, 7.0, 12.0)]
+    chis = [chi2_sf(x, 3) for x in (1.0, 3.0, 7.0, 12.0)]
     assert all(a > b for a, b in zip(chis, chis[1:]))
     # a larger KS deviation gives a smaller p
     grid = (np.arange(1, 500) - 0.5) / 499.0

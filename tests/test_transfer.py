@@ -214,3 +214,22 @@ def test_not_converged_message(toy2_spec, monkeypatch):
     with pytest.raises(NotConverged) as err:
         leading_eigenvalue(toy2_spec, math.log(2.0))
     assert str(err.value) == "eigensolver did not converge: residual 1.200e-03"
+
+
+@pytest.mark.parametrize("left_shift,left_res", [(0.0, 1e-3), (1e-6, 0.0)],
+                         ids=["residual", "eigenvalue"])
+def test_left_eigenpair_checked(toy2_spec, monkeypatch, left_shift, left_res):
+    # the right solve is exact; the left one (the second call) is perturbed
+    solve, calls = tr._dominant, []
+
+    def perturbed(M, v0=None):
+        lam, z, res = solve(M, v0)
+        calls.append(M)
+        if len(calls) == 2:
+            return lam + left_shift, z, res + left_res
+        return lam, z, res
+
+    monkeypatch.setattr(tr, "_dominant", perturbed)
+    with pytest.raises(NotConverged, match="left eigenpair"):
+        leading_eigenvalue(toy2_spec, math.log(2.0), want_measure=True)
+    assert len(calls) == 2
