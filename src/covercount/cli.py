@@ -163,8 +163,9 @@ def cmd_count_orbit(args) -> int:
     classes = [tuple(int(x) for x in c.split(",")) for c in args.classes] if args.classes else None
     records, sink = None, None
     if args.dump_records:
-        records = (["word_len", "displacement"] + [f"xi_{i}" for i in range(group.d)], [])
-        sink = lambda r: records[1].append([len(r.word), r.displacement, *r.homology])
+        rows = []
+        records = (["word_len", "displacement"] + [f"xi_{i}" for i in range(group.d)], rows)
+        sink = lambda r: rows.append([len(r.word), r.displacement, *r.homology])
     rep = cen.orbit_by_homology(group, pred, args.t_max, cps, classes=classes,
                                 budget=args.budget_cap, sink=sink)
     for key in sorted(rep.counts):
@@ -180,10 +181,11 @@ def cmd_count_geodesics(args) -> int:
     cps = cen.checkpoints_linear(args.l_min, args.l_max, args.checkpoints)
     records, sink = None, None
     if args.dump_records:
+        rows = []
         records = (["word_len", "displacement"] + [f"xi_{i}" for i in range(group.d)]
-                   + ["length", "holonomy"], [])
-        sink = lambda r: records[1].append([len(r.word), displacement(group.evaluate(r.word)),
-                                            *r.homology, r.length, r.holonomy])
+                   + ["length", "holonomy"], rows)
+        sink = lambda r: rows.append([len(r.word), displacement(group.evaluate(r.word)),
+                                      *r.homology, r.length, r.holonomy])
     rep = cen.geodesics_by_homology(group, pred, args.l_max, cps, budget=args.budget_cap,
                                     sink=sink)
     key = (0,) * group.d
@@ -390,6 +392,9 @@ def main(argv=None) -> int:
             print(f"error: bad --config: {e}", file=sys.stderr)
             return EXIT_CONFIG
         del argv[i:i + 2]
+        if not isinstance(cfg, dict):
+            print("error: bad --config: not a JSON object", file=sys.stderr)
+            return EXIT_CONFIG
         defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
         known = {a.dest for p in (ap, *ap._command_parsers.values()) for a in p._actions}
         unknown = sorted(set(defaults) - known)

@@ -96,4 +96,3 @@ def fixture_text(name: str) -> str:
     if name not in FIXTURES:
         raise ValidationError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}")
     return resources.files("covercount.fixtures").joinpath(FIXTURES[name]).read_text()
-

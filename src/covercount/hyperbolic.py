@@ -91,7 +91,7 @@ def mat_mul(m, n) -> tuple[complex, complex, complex, complex]:
 
 
 def compose(g: MoebiusMap, h: MoebiusMap) -> MoebiusMap:
-    """Matrix product g @ h of unimodular maps (unimodular without renormalizing)."""
+    """Matrix product g @ h, not renormalized (see MoebiusMap)."""
     if g.model != h.model:
         raise ValueError("cannot compose maps of different models")
     return MoebiusMap(*mat_mul(g.entries, h.entries), g.model, normalize=False)

@@ -295,12 +295,11 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
         if want_measure and np.min(h) <= 0:
             raise NotConverged("Perron eigenfunction is not strictly positive")
     if want_measure:
-        lamL, rho_vec, resL = _dominant(M.T)
+        lamL, rho, resL = _dominant(M.T)
         gap = abs(lamL - lam)
-        if not resL < RESIDUAL_TOL or gap > RESIDUAL_TOL * max(1.0, abs(lam)):
+        if not (resL < RESIDUAL_TOL and gap <= RESIDUAL_TOL * max(1.0, abs(lam))):
             raise NotConverged(f"left eigenpair residual {resL:.3e}, "
                                f"|lambda_left - lambda| = {gap:.3e}")
-        rho = rho_vec
         if is_perron:
             rho = np.real(rho)
             rho = rho / rho.sum()  # rho(1) = 1

@@ -130,8 +130,9 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 
 def test_bad_config_file(tmp_path):
     bad = tmp_path / "cfg.json"
-    bad.write_text("{nope")
-    assert run(["--config", str(bad), "validate", "--group", "fixture:b"]) == 3
+    for text in ("{nope", "[1, 2]"):
+        bad.write_text(text)
+        assert run(["--config", str(bad), "validate", "--group", "fixture:b"]) == 3
 
 
 def test_dump_records_enumerates_once(tmp_path, monkeypatch):
