@@ -401,8 +401,8 @@ def main(argv=None) -> int:
         if unknown:
             print(f"error: bad --config: unknown keys {unknown}", file=sys.stderr)
             return EXIT_CONFIG
-        ap.set_defaults(**defaults)
-        for p in ap._command_parsers.values():
+        # each parser takes only its own keys, so one file can serve every command
+        for p in (ap, *ap._command_parsers.values()):
             p.set_defaults(**{k: v for k, v in defaults.items()
                               if any(k == a.dest for a in p._actions)})
     try:

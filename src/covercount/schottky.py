@@ -2,10 +2,10 @@
 geometric pruning, the Z^d homology cocycle, and primitive conjugacy classes.
 
 Symbols are letters {1,-1,2,-2,...,g,-g}; letter k > 0 is generator k, -k its
-inverse.  The symbol index order 1 < -1 < 2 < -2 < ... is used for canonical
-rotations and for deterministic enumeration order.  Disk j of letter a is the
-disk the letter maps INTO: letter a sends the exterior of disk(-a) onto the
-interior of disk(a).
+inverse.  The symbol index order 1 < -1 < 2 < -2 < ... orders words: a class
+is represented by its Lyndon word (its least rotation), and enumeration order
+is deterministic.  Disk j of letter a is the disk the letter maps INTO:
+letter a sends the exterior of disk(-a) onto the interior of disk(a).
 """
 
 from __future__ import annotations
@@ -406,46 +406,46 @@ def primitive_classes(group: SchottkyGroup, L: float,
                       budget: Optional[int] = None) -> int:
     """Emit every oriented primitive conjugacy class with length <= L once.
 
-    Classes are cyclically reduced words up to rotation; the canonical
-    representative is the lexicographically least rotation in the symbol
-    order 1 < -1 < 2 < -2 < ...  Orientation-reversed classes are distinct.
+    A class is a cyclically reduced word up to rotation, represented by its
+    Lyndon word (strictly least rotation) in the order 1 < -1 < 2 < -2 < ...;
+    orientation-reversed classes are distinct.
 
-    Pruning: for a partial word p extended by letter b, every completion w
-    satisfies |w'(fix)| <= sup_{D_b} |p'|, since the remaining letters only
-    contract further; so length(w) >= -log sup_{D_b} |p'|, an exact bound
-    read off the partial product in O(1).
+    Words grow as prenecklaces of symbol indices (Fredricksen-Kessler-Maiorana
+    / Duval): w of length k and Lyndon period p takes only letters b >= w[k-p],
+    keeping p if b = w[k-p], else p = k + 1; no necklace starts otherwise.  w
+    is a class when p = k and its last letter is not the inverse of its first.
+
+    Length pruning: with (c, d) the bottom row of w's matrix and D_b = disk
+    (z_b, r_b), every completion u of w b has |u'(fix)| <= sup_{D_b} |w'|, as
+    later letters only contract; so length(u) >= 2 log(|c z_b + d| - |c| r_b).
     """
     group.min_cycle_step()  # validates that all admissible steps contract
-    mats = group._mats
+    mats, disks = group._mats, group.disks
     n = group.n_symbols
     count = 0
     for first_idx in range(n):
-        stack = [((letter_of_index(first_idx),), mats[first_idx], first_idx)]
+        stack = [((first_idx,), mats[first_idx], 1)]
         while stack:
-            word, m, last = stack.pop()
-            if last != inverse_index(first_idx):
-                # cyclically admissible candidate rooted at its first letter
+            w, m, p = stack.pop()
+            if p == len(w) and w[-1] != inverse_index(first_idx):
                 length, theta = hyp.trace_invariants(m[0] + m[3], group.model)
-                if 0.0 < length <= L and word == canonical_rotation(word) \
-                        and is_primitive(word):
+                if 0.0 < length <= L:
                     count += 1
                     if budget is not None and count > budget:
                         raise BudgetExceeded(budget)
                     if emit is not None:
+                        word = tuple(letter_of_index(i) for i in w)
                         emit(GeodesicRecord(word, length, group.abelianize(word), theta))
             _, _, c, d = m
-            bad = inverse_index(last)
-            for idx in range(first_idx, n):  # letters below first_idx never canonical
+            ac = abs(c)
+            bad = inverse_index(w[-1])
+            low = w[-p]  # = w[k - p]
+            for idx in range(low, n):
                 if idx == bad:
                     continue
-                dk = group.disks[idx]
-                if abs(c) > 1e-14:
-                    gap = abs(dk.center + d / c) - dk.radius
-                    min_len = 2.0 * math.log(abs(c) * gap)
-                else:
-                    min_len = 2.0 * math.log(abs(d))
-                if min_len > L:
+                dk = disks[idx]
+                if 2.0 * math.log(abs(c * dk.center + d) - ac * dk.radius) > L:
                     continue
-                stack.append((word + (letter_of_index(idx),),
-                              hyp.mat_mul(m, mats[idx]), idx))
+                stack.append((w + (idx,), hyp.mat_mul(m, mats[idx]),
+                              p if idx == low else len(w) + 1))
     return count

@@ -128,6 +128,22 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert not list(tmp_path.glob("count-orbit-*"))
 
 
+def test_config_keys_of_other_commands_ignored(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"traj": 32}))  # a clt option
+    args = ["count-orbit", "--group", "fixture:b", "--t-min", "4", "--t-max", "6",
+            "--checkpoints", "3"]
+    assert run(["--out", str(tmp_path / "plain"), *args]) == 0
+    assert run(["--out", str(tmp_path / "cfg"), "--config", str(cfg), *args]) == 0
+    manifests = []
+    for side in ("plain", "cfg"):
+        (run_dir,) = (tmp_path / side).glob("count-orbit-*")
+        manifests.append((run_dir.name, json.loads((run_dir / "manifest.json").read_text())))
+    assert manifests[0][0] == manifests[1][0]
+    assert "traj" not in manifests[1][1]["config"]
+    assert manifests[0][1]["config"] == manifests[1][1]["config"]
+
+
 def test_bad_config_file(tmp_path):
     bad = tmp_path / "cfg.json"
     for text in ("{nope", "[1, 2]"):

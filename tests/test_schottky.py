@@ -10,7 +10,8 @@ from covercount import schottky as sk
 from covercount.errors import (BudgetExceeded, DisksOverlap, PairingBroken,
                                RankDeficientHomology, ValidationError)
 from covercount.groupfile import group_from_dict, pairing_map
-from covercount.hyperbolic import Model, geodesic_invariants
+from covercount.hyperbolic import (Model, geodesic_invariants, mat_mul,
+                                   trace_invariants)
 from covercount.schottky import (Disk, SchottkyGroup, canonical_rotation,
                                  enumerate_orbit, enumerate_orbit_bruteforce,
                                  is_cyclically_reduced, is_primitive, is_reduced,
@@ -262,3 +263,126 @@ def test_classes_3d_model(group_d0):
         dtheta = abs(r.holonomy - inv.holonomy_angle) % (2 * math.pi)
         assert min(dtheta, 2 * math.pi - dtheta) < 1e-10
         assert any(abs(r.holonomy) > 1e-3 for r in records)
+
+
+# Reference enumerator: the rotation-testing loop that the prenecklace
+# enumeration replaced.  It visits every reduced word starting with its least
+# letter and keeps the ones equal to their canonical rotation and primitive.
+# The new enumerator must emit the same records in the same order.
+
+def _reference_primitive_classes(group, L, emit=None, budget=None):
+    group.min_cycle_step()
+    mats = group._mats
+    n = group.n_symbols
+    count = 0
+    for first_idx in range(n):
+        stack = [((sk.letter_of_index(first_idx),), mats[first_idx], first_idx)]
+        while stack:
+            word, m, last = stack.pop()
+            if last != sk.inverse_index(first_idx):
+                length, theta = trace_invariants(m[0] + m[3], group.model)
+                if 0.0 < length <= L and word == canonical_rotation(word) \
+                        and is_primitive(word):
+                    count += 1
+                    if budget is not None and count > budget:
+                        raise BudgetExceeded(budget)
+                    if emit is not None:
+                        emit(sk.GeodesicRecord(word, length, group.abelianize(word), theta))
+            _, _, c, d = m
+            bad = sk.inverse_index(last)
+            for idx in range(first_idx, n):
+                if idx == bad:
+                    continue
+                dk = group.disks[idx]
+                if abs(c) > 1e-14:
+                    gap = abs(dk.center + d / c) - dk.radius
+                    min_len = 2.0 * math.log(abs(c) * gap)
+                else:
+                    min_len = 2.0 * math.log(abs(d))
+                if min_len > L:
+                    continue
+                stack.append((word + (sk.letter_of_index(idx),),
+                              mat_mul(m, mats[idx]), idx))
+    return count
+
+
+@pytest.mark.parametrize("name,L", [("b", 14.0), ("c", 12.0), ("d0", 13.0), ("d1", 12.0)],
+                         ids=["b", "c", "d0", "d1"])
+def test_classes_match_reference_loop(request, name, L):
+    group = request.getfixturevalue(f"group_{name}")
+    new, ref = [], []
+    assert primitive_classes(group, L, emit=new.append) == \
+        _reference_primitive_classes(group, L, emit=ref.append)
+    assert new == ref  # words, float lengths, homology, holonomy and order
+    assert len(new) > 300
+
+
+def test_classes_budget_matches_reference_loop(group_b):
+    total = primitive_classes(group_b, 10.0)
+    for budget in (0, 1, total // 2, total - 1, total):
+        runs = []
+        for fn in (primitive_classes, _reference_primitive_classes):
+            records = []
+            try:
+                fn(group_b, 10.0, emit=records.append, budget=budget)
+                raised = False
+            except BudgetExceeded:
+                raised = True
+            runs.append((raised, records))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (budget < total)
+
+
+def _reduced_words(n_letters, max_len):
+    """Every reduced word of length 1..max_len over letters +-1..+-n_letters/2."""
+    letters = [sk.letter_of_index(i) for i in range(n_letters)]
+    level = [(a,) for a in letters]
+    while level:
+        yield from level
+        if len(level[0]) == max_len:
+            break
+        level = [w + (a,) for w in level for a in letters if a != -w[-1]]
+
+
+def _lyndon_classes(words):
+    return [w for w in words if is_cyclically_reduced(w)
+            and w == canonical_rotation(w) and is_primitive(w)]
+
+
+def test_prenecklace_rule_matches_rotation_test():
+    # Tiny disks make every letter add nearly the same length (17.4-19.6), so
+    # at L = the longest class of <= 8 letters the length prune cuts no prefix
+    # of such a class and every class of >= 9 letters is longer than L.  The
+    # classes emitted are then exactly the words the period rule accepts.
+    g = group_from_dict({
+        "model": "H2",
+        "disks": [
+            {"minus": {"center": [-3.0, 0.0], "radius": 1e-3},
+             "plus": {"center": [3.0, 0.0], "radius": 1e-3}},
+            {"minus": {"center": [-9.0, 0.0], "radius": 1e-3},
+             "plus": {"center": [9.0, 0.0], "radius": 1e-3}},
+        ],
+        "homology_matrix": [[1, 0]],
+    })
+    expected = _lyndon_classes(_reduced_words(g.n_symbols, 8))
+    L = max(geodesic_invariants(g.evaluate(w)).length for w in expected)
+    words = []
+    primitive_classes(g, L, emit=lambda r: words.append(r.word))
+    assert len(expected) == 1320  # Lyndon words with no cancelling pair, k <= 8
+    assert sorted(words) == sorted(expected)
+
+
+@pytest.mark.parametrize("name,L,max_len", [
+    ("b", 9.0, 10),    # longest emitted word: 7 letters
+    ("d0", 9.0, 10),   # 7 letters
+], ids=["b", "d0"])
+def test_classes_match_bruteforce(request, name, L, max_len):
+    group = request.getfixturevalue(f"group_{name}")
+    words = []
+    primitive_classes(group, L, emit=lambda r: words.append(r.word))
+    brute = [w for w in _lyndon_classes(_reduced_words(group.n_symbols, max_len))
+             if 0.0 < trace_invariants(group.evaluate(w).trace(), group.model)[0] <= L]
+    # the oracle is complete only if no emitted word comes near its depth
+    assert max(len(w) for w in words) < max_len
+    assert sorted(words) == sorted(brute)
+    assert len(words) == len(set(words))
