@@ -70,7 +70,7 @@ def _safe_ratio(counts, preds):
     return out
 
 
-def _fit_constant(checkpoints, counts, law, calibration_half=True) -> float:
+def _fit_constant(checkpoints, counts, law) -> float:
     """One multiplicative constant, least squares in log space on the first
     half of the checkpoints (falling back to all of them for sparse classes)."""
     n = len(checkpoints)
@@ -79,7 +79,7 @@ def _fit_constant(checkpoints, counts, law, calibration_half=True) -> float:
         return [math.log(counts[i] / law(checkpoints[i]))
                 for i in idx if counts[i] > 0 and law(checkpoints[i]) > 0]
 
-    logs = window_logs(range(n // 2) if calibration_half else range(n))
+    logs = window_logs(range(n // 2))
     if not logs:
         logs = window_logs(range(n))
     if not logs:

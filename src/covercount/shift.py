@@ -7,6 +7,8 @@ an analytic roof (the log-derivative of the expanding boundary map).  All
 per-transition data is indexed (first symbol, second symbol); the cocycle
 increment of y = (y0, y1, ...) is the homology vector of the entering letter
 y0, and the roof at y is log |(branch_{y0}^{-1})'| at the coded point.
+The Parry chain (parry_chain) has one formula for both flavours: it reads
+the transfer operator's per-transition blocks, one node per toy symbol.
 
 The equilibrium sampler has one step kernel (_steps) for both flavours,
 which advances a whole batch of trajectories per step.  The batch sampler
@@ -212,49 +214,32 @@ class ParryChain:
 
 
 def parry_chain(shift: MarkovShift, spectral) -> ParryChain:
-    """Markov chain p(a -> b) = B[a,b] rho_b / (lambda rho_a) from RPF data
-    at s = delta, with rho the eigenvector of the weight matrix B and the
-    stationary law proportional to h * rho."""
+    """Markov chain p(a -> b) = nu([ab]) / nu([a]) of nu = h d rho at
+    s = delta, with nu([ab]) = sum rho_b exp(delta logd[a,b]) interp[a,b] h_a
+    and nu([a]) = sum rho_a h_a over the nodes of the operator blocks.  On a
+    toy shift (one node) this is B[a,b] rho_b / (lambda rho_a)."""
     lam = spectral.lam
     if abs(lam - 1.0) > 1e-8 or abs(complex(lam).imag) > 1e-8:
         raise NotAtCriticalExponent(f"leading eigenvalue {lam} != 1")
-    if shift.analytic:
-        pi, P = _schottky_symbol_chain(shift, spectral)
-    else:
-        delta = float(complex(spectral.s).real)
-        B = np.exp(-delta * shift.tau) * shift.transition
-        rho = np.abs(np.real(spectral.rho))
-        h = np.abs(np.real(spectral.h))
-        P = B * rho[None, :] / rho[:, None]
-        P /= P.sum(axis=1, keepdims=True)
-        pi = h * rho
-        pi /= pi.sum()
-    return ParryChain(stationary=pi, transitions=P, delta=float(complex(spectral.s).real))
-
-
-def _schottky_symbol_chain(shift: MarkovShift, spectral) -> tuple[np.ndarray, np.ndarray]:
-    """Marginalize collocation eigendata of nu = h d rho to cylinder masses
-    nu([a]), nu([ab]) and form p(a -> b) = nu([ab]) / nu([a])."""
-    disc = spectral.discretization
+    if spectral.rho is None:
+        raise ValidationError("parry_chain needs rho: leading_eigenvalue(want_measure=True)")
+    grid = spectral.discretization
     h = np.real(spectral.h)
-    ell = np.real(spectral.rho)  # quadrature weights of the eigenmeasure
-    n = shift.k
-    N = disc.nodes_per_disk
+    rho = np.real(spectral.rho)
+    n, N = shift.k, grid.nodes_per_disk
     delta = float(complex(spectral.s).real)
-    nu_a = np.array([float(np.dot(ell[a * N:(a + 1) * N], h[a * N:(a + 1) * N]))
+    nu_a = np.array([float(np.dot(rho[a * N:(a + 1) * N], h[a * N:(a + 1) * N]))
                      for a in range(n)])
     nu_ab = np.zeros((n, n))
     for a in range(n):
         for b in range(n):
             if shift.transition[a, b] == 0:
                 continue
-            x = disc.nodes[b]
-            w = np.exp(delta * disc.log_deriv(a, b))
-            hvals = disc.interp_block(a, b) @ h[a * N:(a + 1) * N]
-            nu_ab[a, b] = float(np.dot(ell[b * N:(b + 1) * N], w * hvals))
-    P = nu_ab / nu_ab.sum(axis=1, keepdims=True)
-    pi = nu_a / nu_a.sum()
-    return pi, P
+            w = np.exp(delta * grid.logd[a, b])
+            hvals = grid.interp[a, b] @ h[a * N:(a + 1) * N]
+            nu_ab[a, b] = float(np.dot(rho[b * N:(b + 1) * N], w * hvals))
+    return ParryChain(stationary=nu_a / nu_a.sum(),
+                      transitions=nu_ab / nu_ab.sum(axis=1, keepdims=True), delta=delta)
 
 
 def sample_cocycle_batch(chain: ParryChain, shift: MarkovShift, n: int,

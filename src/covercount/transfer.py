@@ -2,11 +2,12 @@
 exponent, the pressure surface with its Hessian data, and spectral-radius
 scans on the critical line.
 
-Toy shifts use their exact k x k weight matrices.  Schottky codings in the
-half-plane model are discretized by Chebyshev collocation on the real trace
-of each disk; the branch maps send every admissible interval strictly inside
-the target interval, so polynomial interpolation converges geometrically and
-the leading eigenvalue is certified by node doubling.
+Schottky codings in the half-plane model are discretized by Chebyshev
+collocation on the real trace of each disk; the branch maps send every
+admissible interval strictly inside the target interval, so polynomial
+interpolation converges geometrically and the leading eigenvalue is certified
+by node doubling.  Toy shifts are the exact one-node case (logd = -tau,
+interp = 1), so both kinds share one assembly from per-transition blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ DOUBLING_TOL = 1e-8
 
 class CollocationGrid:
     """Chebyshev nodes (first kind) on each disk's real interval, with the
-    branch images, log-derivatives and interpolation blocks precomputed.
+    log-derivatives logd, shape (n, n, N), and interpolation blocks interp,
+    shape (n, n, N, N), of the branch images precomputed per transition.
 
     A vector of node values, disk after disk, stands for the per-disk
     polynomial interpolants.  They are evaluated barycentrically
@@ -54,8 +56,8 @@ class CollocationGrid:
         self.centers = np.array([dk.center.real for dk in group.disks])
         self.radii = np.array([dk.radius for dk in group.disks])
         self.nodes = [self.centers[a] + self.radii[a] * ref for a in range(n)]
-        self._logd = {}
-        self._interp = {}
+        self.logd = np.zeros((n, n, N))
+        self.interp = np.zeros((n, n, N, N))
         for a in range(n):
             ma = group.symbol_matrix(a)
             ca, da = ma[2], ma[3]
@@ -64,9 +66,9 @@ class CollocationGrid:
                     continue
                 x = self.nodes[b]
                 den = ca * x + da
-                self._logd[(a, b)] = -2.0 * np.log(np.abs(den))
+                self.logd[a, b] = -2.0 * np.log(np.abs(den))
                 y = (ma[0] * x + ma[1]) / den
-                self._interp[(a, b)] = self.interp_values(a, y.real)
+                self.interp[a, b] = self.interp_values(a, y.real)
 
     def interp_values(self, a: int, pts: np.ndarray) -> np.ndarray:
         """Barycentric Lagrange basis values on disk a's nodes at pts."""
@@ -107,16 +109,21 @@ class CollocationGrid:
         t += coeffs[:, :1]
         return t
 
-    def log_deriv(self, a: int, b: int) -> np.ndarray:
-        return self._logd[(a, b)]
 
-    def interp_block(self, a: int, b: int) -> np.ndarray:
-        return self._interp[(a, b)]
+class ExactGrid:
+    """A toy shift as the exact one-node case of collocation: the 1 x 1 block
+    of transition (a, b) is its weight e^{-s tau[a, b]}."""
+
+    nodes_per_disk = 1
+
+    def __init__(self, shift: MarkovShift):
+        self.logd = -shift.tau[..., None]
+        self.interp = np.ones((shift.k, shift.k, 1, 1))
 
 
 @dataclass
 class OperatorSpec:
-    """Shift plus its discretization; collocation grids cached per node count."""
+    """Shift plus its discretization; grids cached per node count."""
 
     shift: MarkovShift
     nodes_per_disk: Optional[int] = None
@@ -128,72 +135,48 @@ class OperatorSpec:
                 self.nodes_per_disk = 16
             if self.shift.group is None:
                 raise ValidationError("analytic shift without group data")
-        else:
-            if self.nodes_per_disk is not None:
-                raise ValidationError("exact toy operators take no collocation nodes")
+        elif self.nodes_per_disk is not None:
+            raise ValidationError("exact toy operators take no collocation nodes")
 
-    @property
-    def kind(self) -> str:
-        return "Collocation" if self.shift.analytic else "ExactMatrix"
-
-    def grid(self, nodes: Optional[int] = None) -> CollocationGrid:
+    def grid(self, nodes: Optional[int] = None):
+        """CollocationGrid with nodes per disk, or a toy shift's ExactGrid."""
         nodes = nodes or self.nodes_per_disk
         if nodes not in self._grids:
-            self._grids[nodes] = CollocationGrid(self.shift.group, nodes)
+            shift = self.shift
+            self._grids[nodes] = (CollocationGrid(shift.group, nodes) if shift.analytic
+                                  else ExactGrid(shift))
         return self._grids[nodes]
 
     def fingerprint(self) -> str:
         return self.shift.fingerprint()
 
 
-def _twist_weights(shift: MarkovShift, v, u) -> np.ndarray:
-    """exp(<u, f> + i <v, f>) per transition, from the integer cocycle."""
-    d = shift.d
+def build_matrix(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
+                 nodes: Optional[int] = None) -> np.ndarray:
+    """Dense matrix of L_{s,v,p} (with an optional real twist u) on node
+    values, disk after disk: block (b, a) of an admissible transition (a, b)
+    is exp(s logd[a,b] + <u + iv, f[a,b]> + i p theta[a,b]) interp[a,b]."""
+    shift = spec.shift
+    if p != 0 and shift.theta is None:
+        raise HolonomyUnavailable("shift carries no holonomy data")
+    grid = spec.grid(nodes)
+    n, N, d = shift.k, grid.nodes_per_disk, shift.d
     v = np.zeros(d) if v is None else np.asarray(v, dtype=float)
     u = np.zeros(d) if u is None else np.asarray(u, dtype=float)
     if v.shape != (d,) or u.shape != (d,):
         raise ValidationError(f"twist vectors must have dimension {d}")
-    expo = shift.f @ (u + 1j * v)
-    return np.exp(expo)
-
-
-def build_matrix(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
-                 nodes: Optional[int] = None) -> np.ndarray:
-    """Dense matrix of L_{s,v,p} (with an optional real twist u) acting on
-    coefficient vectors."""
-    shift = spec.shift
-    if not shift.analytic:
-        w = _twist_weights(shift, v, u) * np.exp(-s * shift.tau)
-        if p != 0:
-            if shift.theta is None:
-                raise HolonomyUnavailable("shift carries no holonomy data")
-            w = w * np.exp(1j * p * shift.theta)
-        W = shift.transition * w
-        return W.T.astype(complex)
-    if p != 0:
-        raise HolonomyUnavailable("collocation operators carry no holonomy characters")
-    grid = spec.grid(nodes)
-    n = shift.k
-    N = grid.nodes_per_disk
-    d = shift.d
-    v = np.zeros(d) if v is None else np.asarray(v, dtype=float)
-    u = np.zeros(d) if u is None else np.asarray(u, dtype=float)
-    group = shift.group
     M = np.zeros((n * N, n * N), dtype=complex)
     for a in range(n):
-        hom = np.asarray(group.symbol_homology(a), dtype=float)
-        cw = math.fsum(u * hom) + 1j * float(v @ hom) if d else 0.0
         for b in range(n):
             if shift.transition[a, b] == 0:
                 continue
-            wvec = np.exp(s * grid.log_deriv(a, b) + cw)
-            M[b * N:(b + 1) * N, a * N:(a + 1) * N] = wvec[:, None] * grid.interp_block(a, b)
+            f = shift.f[a, b].astype(float)
+            cw = math.fsum(u * f) + 1j * float(v @ f) if d else 0.0
+            if p != 0:
+                cw += 1j * p * shift.theta[a, b]
+            wvec = np.exp(s * grid.logd[a, b] + cw)
+            M[b * N:(b + 1) * N, a * N:(a + 1) * N] = wvec[:, None] * grid.interp[a, b]
     return M
-
-
-def apply(spec: OperatorSpec, s: complex, v, p: int, gvec, u=None) -> np.ndarray:
-    """L_{s,v,p} g on coefficient vectors (values at nodes / symbol values)."""
-    return build_matrix(spec, s, v, p, u) @ np.asarray(gvec, dtype=complex)
 
 
 def _interpolate_between_grids(spec: OperatorSpec, h: np.ndarray,
@@ -218,7 +201,7 @@ class SpectralResult:
     h: np.ndarray
     rho: Optional[np.ndarray]
     residual: float
-    discretization: object = None  # CollocationGrid or None for exact
+    discretization: object = None  # CollocationGrid, or a toy shift's ExactGrid
 
 
 def _dense_leading(M: np.ndarray):
@@ -269,8 +252,9 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
                        check_stability: bool = True) -> SpectralResult:
     """Dominant eigenvalue with certified residual.
 
-    Power iteration with a dense-eig fallback when the gap is too small; for
-    collocation the value must be stable under doubling nodes_per_disk.
+    Power iteration first; when the modulus gap is too small, ARPACK (for
+    matrices larger than 16 x 16) and then dense eig.  For collocation the
+    value must be stable under doubling nodes_per_disk.
     """
     M = build_matrix(spec, s, v, p, u)
     lam, h, res = _dominant(M)
@@ -304,11 +288,10 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
             rho = np.real(rho)
             rho = rho / rho.sum()  # rho(1) = 1
             h = h / float(rho @ h)  # nu = h d rho is a probability
-    dtup = spec.grid() if spec.shift.analytic else None
     vv = tuple(np.atleast_1d(v).tolist()) if v is not None else (0.0,) * spec.shift.d
     uu = tuple(np.atleast_1d(u).tolist()) if u is not None else (0.0,) * spec.shift.d
     return SpectralResult(s=s, v=vv, p=p, u=uu, lam=lam, h=h, rho=rho,
-                          residual=float(res), discretization=dtup)
+                          residual=float(res), discretization=spec.grid())
 
 
 def _lead_lam_real(spec: OperatorSpec, s: float, u=None) -> float:
@@ -354,7 +337,7 @@ def critical_exponent(spec: OperatorSpec) -> float:
     delta = _solve_pressure_root(spec)
     if spec.shift.analytic:
         # certify the root's eigenvalue against node doubling
-        leading_eigenvalue(spec, delta, check_stability=True)
+        leading_eigenvalue(spec, delta)
     return delta
 
 
@@ -375,8 +358,7 @@ class PressureSurface:
     fd_step: float
 
 
-def pressure_surface(spec: OperatorSpec, fd_step: float = 1e-3,
-                     extra_grid: Optional[Sequence] = None) -> PressureSurface:
+def pressure_surface(spec: OperatorSpec, fd_step: float = 1e-3) -> PressureSurface:
     """delta, Richardson-extrapolated gradient/Hessian of P at 0, and the
     Gaussian constants sigma = det(Hess)^{1/d}, C0 = (2 pi / sigma)^{d/2}."""
     d = spec.shift.d
@@ -416,9 +398,6 @@ def pressure_surface(spec: OperatorSpec, fd_step: float = 1e-3,
         raise HessianNotPD(f"Hessian eigenvalues {eigs}")
     sigma = float(np.linalg.det(H) ** (1.0 / d))
     c0 = float((2 * math.pi / sigma) ** (d / 2.0))
-    if extra_grid is not None:
-        for uvec in extra_grid:
-            P(np.asarray(uvec, dtype=float))
     return PressureSurface(delta=delta, samples=dict(cache), gradient=grad,
                            hessian=H, sigma=sigma, c0=c0, fd_step=fd_step)
 
@@ -459,8 +438,7 @@ def spectral_radius_scan(spec: OperatorSpec, delta: float, t_grid: Sequence[floa
             if len(vv) != d:
                 raise ValidationError(f"scan twist {vv} has wrong dimension")
             for p in p_list:
-                r = leading_eigenvalue(spec, complex(delta, t), v=vv, p=p,
-                                       check_stability=spec.shift.analytic)
+                r = leading_eigenvalue(spec, complex(delta, t), v=vv, p=p)
                 mod = float(abs(r.lam))
                 trivial = (abs(t) < 1e-15 and not any(abs(x) > 1e-15 for x in vv)
                            and p == 0)

@@ -32,6 +32,17 @@ def toy2():
 
 
 @pytest.fixture(scope="session")
+def toy3_mixed():
+    """Toy shift with a forbidden transition, unequal roofs and holonomy."""
+    return sh.toy_from_json({
+        "transition": [[1, 1, 0], [1, 0, 1], [1, 1, 1]],
+        "tau": [[0.7, 1.1, 0.0], [0.9, 0.0, 1.3], [0.5, 1.7, 0.8]],
+        "f": [[1, 0], [0, 1], [-1, -1]],
+        "theta": [[0.3, -1.2, 0.0], [2.1, 0.0, -0.4], [0.9, 1.6, -2.5]],
+    })
+
+
+@pytest.fixture(scope="session")
 def toy2_spec(toy2):
     return tr.OperatorSpec(toy2)
 

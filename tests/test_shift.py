@@ -131,6 +131,73 @@ def test_parry_chain_respects_disk_symmetry(shift_b, spectral_b):
                     atol=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["toy", "schottky"])
+def test_parry_chain_requires_eigenmeasure(kind, toy2, shift_b, spec_b, delta_b):
+    if kind == "toy":
+        shift, sr = toy2, tr.leading_eigenvalue(tr.OperatorSpec(toy2), math.log(2.0))
+    else:
+        shift, sr = shift_b, tr.leading_eigenvalue(spec_b, delta_b)
+    assert sr.rho is None
+    with pytest.raises(ValidationError, match="want_measure"):
+        parry_chain(shift, sr)
+
+
+def _reference_symbol_chain(shift, spectral):
+    """The collocation chain before toy and Schottky shifts shared one
+    formula: cylinder masses nu([a]) and nu([ab]) of nu = h d rho, with each
+    branch's log-derivative and interpolation block formed from the group."""
+    disc = spectral.discretization
+    group = shift.group
+    h = np.real(spectral.h)
+    ell = np.real(spectral.rho)  # quadrature weights of the eigenmeasure
+    n = shift.k
+    N = disc.nodes_per_disk
+    delta = float(complex(spectral.s).real)
+    nu_a = np.array([float(np.dot(ell[a * N:(a + 1) * N], h[a * N:(a + 1) * N]))
+                     for a in range(n)])
+    nu_ab = np.zeros((n, n))
+    for a in range(n):
+        ma = group.symbol_matrix(a)
+        for b in range(n):
+            if shift.transition[a, b] == 0:
+                continue
+            x = disc.nodes[b]
+            den = ma[2] * x + ma[3]
+            w = np.exp(delta * -2.0 * np.log(np.abs(den)))
+            y = (ma[0] * x + ma[1]) / den
+            hvals = disc.interp_values(a, y.real) @ h[a * N:(a + 1) * N]
+            nu_ab[a, b] = float(np.dot(ell[b * N:(b + 1) * N], w * hvals))
+    return nu_a / nu_a.sum(), nu_ab / nu_ab.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("name,nodes", [("b", 24), ("c", 20)])
+def test_parry_chain_matches_reference_loop(name, nodes, group_b, group_c):
+    shift = from_schottky({"b": group_b, "c": group_c}[name])
+    spec = tr.OperatorSpec(shift, nodes_per_disk=nodes)
+    sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
+    chain = parry_chain(shift, sr)
+    pi, P = _reference_symbol_chain(shift, sr)
+    assert_allclose(chain.stationary, pi, rtol=0, atol=1e-14)
+    assert_allclose(chain.transitions, P, rtol=0, atol=1e-14)
+
+
+def test_parry_chain_toy_closed_form(toy3_mixed):
+    # p(a -> b) = B[a,b] rho_b / (lambda rho_a), B = A e^{-delta tau}; pi = h rho
+    shift = toy3_mixed
+    spec = tr.OperatorSpec(shift)
+    delta = tr.critical_exponent(spec)
+    sr = tr.leading_eigenvalue(spec, delta, want_measure=True)
+    chain = parry_chain(shift, sr)
+    B = shift.transition * np.exp(-delta * shift.tau)
+    rho, h, lam = np.real(sr.rho), np.real(sr.h), sr.lam.real
+    # rows of the closed form sum to 1 only up to the eigensolver's residual
+    # (power iteration stops at 1e-12 |lambda|); the chain normalizes them
+    assert_allclose(chain.transitions, B * rho[None, :] / (lam * rho[:, None]),
+                    rtol=0, atol=1e-11)
+    assert_allclose(chain.stationary, h * rho / np.dot(h, rho), rtol=0, atol=1e-14)
+    assert np.all(chain.transitions[shift.transition == 0] == 0.0)
+
+
 # -- cocycle sampling ----------------------------------------------------------
 
 def test_sample_cocycle_zero_steps(toy2):

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from covercount import transfer as tr
 from covercount.errors import (HessianNotPD, HolonomyUnavailable,
                                NotConverged, ValidationError)
-from covercount.shift import toy_full_shift
-from covercount.transfer import (OperatorSpec, apply, critical_exponent,
+from covercount.shift import from_schottky, toy_full_shift
+from covercount.transfer import (OperatorSpec, build_matrix, critical_exponent,
                                  leading_eigenvalue, pressure, pressure_surface,
                                  spectral_radius_scan)
 
@@ -21,13 +21,13 @@ def toy2_spec():
 # -- exact toy operators -------------------------------------------------------
 
 def test_apply_toy_constant_eigenfunction(toy2_spec):
-    out = apply(toy2_spec, math.log(2.0), None, 0, np.ones(2))
+    out = build_matrix(toy2_spec, math.log(2.0)) @ np.ones(2)
     assert_allclose(out, np.ones(2), atol=1e-14)
 
 
 def test_apply_toy_twisted_constant(toy2_spec):
     s, v = 0.4, 0.9
-    out = apply(toy2_spec, s, [v], 0, np.ones(2))
+    out = build_matrix(toy2_spec, s, [v]) @ np.ones(2)
     expected = math.exp(-s) * 2.0 * math.cos(v)
     # L 1 (x) = e^{-s} (e^{iv} + e^{-iv}) independent of x
     assert_allclose(out, np.full(2, expected, dtype=complex), atol=1e-12)
@@ -58,7 +58,21 @@ def test_toy_with_holonomy_characters():
 
 def test_holonomy_unavailable_without_theta(toy2_spec):
     with pytest.raises(HolonomyUnavailable):
-        apply(toy2_spec, 0.5, None, 1, np.ones(2))
+        build_matrix(toy2_spec, 0.5, None, 1) @ np.ones(2)
+
+
+@pytest.mark.parametrize("s", [0.6, complex(0.6, 0.9)])
+@pytest.mark.parametrize("v", [None, [0.7, -0.3]])
+@pytest.mark.parametrize("u", [None, [0.2, -0.3]])
+@pytest.mark.parametrize("p", [0, 1, -1])
+def test_toy_matrix_closed_form(toy3_mixed, s, v, u, p):
+    # the one-node assembly gives the k x k weight matrix (A o e^{...})^T
+    shift = toy3_mixed
+    vv = np.zeros(2) if v is None else np.asarray(v)
+    uu = np.zeros(2) if u is None else np.asarray(u)
+    W = shift.transition * np.exp(-s * shift.tau + shift.f @ (uu + 1j * vv)
+                                  + 1j * p * shift.theta)
+    assert_allclose(build_matrix(OperatorSpec(shift), s, v, p, u), W.T, rtol=1e-15, atol=0)
 
 
 def test_critical_exponent_toys(toy2_spec):
@@ -110,6 +124,22 @@ def test_collocation_requires_analytic(toy2_spec):
         OperatorSpec(toy_full_shift(2, 1.0, [[1], [-1]]), nodes_per_disk=16)
 
 
+def test_twist_dimension_checked_on_collocation(group_c):
+    # a length-1 twist on a d = 2 coding must not broadcast over both classes
+    spec = OperatorSpec(from_schottky(group_c), nodes_per_disk=20)
+    with pytest.raises(ValidationError, match="dimension 2"):
+        build_matrix(spec, 0.5, u=[0.1])
+    with pytest.raises(ValidationError, match="dimension 2"):
+        build_matrix(spec, 0.5, v=[0.1])
+
+
+def test_holonomy_unavailable_on_collocation(spec_b, delta_b):
+    with pytest.raises(HolonomyUnavailable):
+        build_matrix(spec_b, delta_b, None, 1)
+    with pytest.raises(HolonomyUnavailable):
+        leading_eigenvalue(spec_b, delta_b, p=-2)
+
+
 def test_collocation_rejects_small_grid(shift_b):
     with pytest.raises(ValidationError):
         OperatorSpec(shift_b, nodes_per_disk=4).grid()
@@ -137,7 +167,7 @@ def test_collocation_apply_matches_branch_sum(group_b, spec_b):
     s = 0.75
     F = lambda x: np.exp(0.31 * x) * np.cos(x)
     gvec = np.concatenate([F(grid.nodes[a]) for a in range(4)])
-    out = apply(spec_b, s, None, 0, gvec)
+    out = build_matrix(spec_b, s) @ gvec
     worst = 0.0
     for b in range(4):
         for j, x in enumerate(grid.nodes[b]):
