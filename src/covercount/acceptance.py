@@ -303,8 +303,7 @@ def c10_vector_orbit(ws: Workspace) -> CriterionResult:
     delta = ws.delta_b
     cps = np.exp(np.linspace(6.0, ws.budget.vector_logT, 12))
     pred = cen.Prediction(delta=delta, sigma=1.0, d=1)
-    rep = cen.vector_orbit(ws.group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps,
-                           disp_pad=4.0)
+    rep = cen.vector_orbit(ws.group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps)
     cts = rep.counts["vectors"]
     half = len(cps) // 2
     fit = cen.fit_growth(np.log(cps)[half:], cts[half:], fix_log_power=-0.5)

@@ -223,28 +223,44 @@ def holonomy_equidistribution(group: SchottkyGroup, L_max: float,
 
 def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[float],
                  T_max: float, checkpoints: Sequence[float],
-                 norm: str = "euclidean", disp_pad: float = 4.0,
+                 norm: str = "euclidean",
                  budget: Optional[int] = None) -> CensusReport:
     """#{v in w0 Gamma : ||v|| <= T} for the kernel subgroup (f = 0 words)
     under the adjoint SO(2,1) action, vs c T^delta / (log T)^{d/2}.
 
-    Words are enumerated out to displacement log(T_max / floor) + disp_pad;
-    vectors are deduplicated, and coincidences from distinct words are
-    reported in meta["stabilizer_hits"] rather than double counted.
+    Words are enumerated out to an exact displacement cap.  A definite w0
+    (Q(w0) = v1^2 - 4 v0 v2 < 0) is +-c F_p, with c = sqrt(-Q) / 2 and
+    F_p = (1, -2x, x^2 + y^2) / y the form of the point p = x + iy; so
+    cosh d(o, p) = |w0[0] + w0[2]| / 2c.  Precomposing F_p with g gives
+    F_{g^-1 p}, so v = w0 @ adjoint(g) = (A, B, C) has
+
+        |A + C| = 2c cosh d(o, g^-1 p) >= 2c cosh(d(o, g o) - d(o, p)),
+
+    while |A + C| <= kappa ||v|| with kappa = sqrt(2) for the euclidean norm
+    and 2 for the sup norm.  Every ||v|| <= T therefore comes from a word
+    with d(o, g o) <= acosh(kappa T / 2c) + d(o, p), the cap used with T the
+    last checkpoint; for w0 = (1, 0, 1) it is acosh(T / sqrt(2)).  An
+    indefinite or degenerate w0 has no such bound and is rejected.  Vectors
+    are deduplicated, and coincidences from distinct words are reported in
+    meta["stabilizer_hits"] rather than double counted.
     """
     if group.model != hyp.Model.H2:
         raise ValidationError("vector orbit census needs the H2 model")
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != (3,):
         raise ValidationError("w0 must be a 3-vector")
+    q0 = hyp.so21_form(w0)
+    if not q0 < 0.0:
+        raise ValidationError(f"w0 must be a definite form (v1^2 - 4 v0 v2 < 0), got {q0}")
     cps = np.asarray(sorted(float(t) for t in checkpoints))
     ncp = len(cps)
     if cps[-1] > T_max * (1.0 + 1e-12):
         raise ValidationError("checkpoints exceed T_max")
-    norm_fn = {"euclidean": lambda v: float(np.linalg.norm(v)),
-               "sup": lambda v: float(np.max(np.abs(v)))}[norm]
-    w0n = norm_fn(w0)
-    disp_cap = math.log(T_max / w0n) + disp_pad if T_max > w0n else disp_pad
+    kappa, norm_fn = {"euclidean": (math.sqrt(2.0), lambda v: float(np.linalg.norm(v))),
+                      "sup": (2.0, lambda v: float(np.max(np.abs(v))))}[norm]
+    two_c = math.sqrt(-q0)
+    disp_cap = (math.acosh(max(kappa * cps[-1] / two_c, 1.0))
+                + math.acosh(max(abs(w0[0] + w0[2]) / two_c, 1.0)))
     seen: dict = {}
     hits = 0
     new_counts = np.zeros(ncp, dtype=np.int64)
@@ -253,7 +269,7 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
         nonlocal hits
         if any(rec.homology):
             return
-        mat = group.evaluate(rec.word)
+        mat = hyp.MoebiusMap(*rec.matrix, group.model, normalize=False)
         vec = w0 @ hyp.adjoint_so21(mat)
         r = norm_fn(vec)
         if r > cps[-1]:

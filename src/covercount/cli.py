@@ -18,7 +18,7 @@ from . import transfer as tr
 from .acceptance import run_all
 from .errors import CovercountError, ValidationError
 from .groupfile import load_any, load_group
-from .hyperbolic import displacement
+from .hyperbolic import MoebiusMap, displacement
 from .reporting import ReportWriter, census_csv_rows, scan_csv_rows
 
 EXIT_OK, EXIT_COMPUTE, EXIT_ACCEPT, EXIT_CONFIG = 0, 1, 2, 3
@@ -52,7 +52,6 @@ def cmd_validate(args) -> int:
             gap = abs(group.disks[i].center - group.disks[j].center) \
                 - group.disks[i].radius - group.disks[j].radius
             print(f"disk gap [{i},{j}]: {gap:.6f}")
-    print(f"orbit prune margin: {group.orbit_margin():.6f}")
     print(f"min cycle step: {group.min_cycle_step():.6f}")
     return EXIT_OK
 
@@ -184,8 +183,10 @@ def cmd_count_geodesics(args) -> int:
         rows = []
         records = (["word_len", "displacement"] + [f"xi_{i}" for i in range(group.d)]
                    + ["length", "holonomy"], rows)
-        sink = lambda r: rows.append([len(r.word), displacement(group.evaluate(r.word)),
-                                      *r.homology, r.length, r.holonomy])
+
+        def sink(r):
+            g = MoebiusMap(*r.matrix, group.model, normalize=False)
+            rows.append([len(r.word), displacement(g), *r.homology, r.length, r.holonomy])
     rep = cen.geodesics_by_homology(group, pred, args.l_max, cps, budget=args.budget_cap,
                                     sink=sink)
     key = (0,) * group.d
@@ -201,8 +202,7 @@ def cmd_count_vectors(args) -> int:
     pred = _group_prediction(args, group)
     cps = np.exp(np.linspace(math.log(args.t_min), math.log(args.t_max), args.checkpoints))
     rep = cen.vector_orbit(group, pred, _parse_vec(args.w0), args.t_max, cps,
-                           norm=args.norm, disp_pad=args.disp_pad,
-                           budget=args.budget_cap)
+                           norm=args.norm, budget=args.budget_cap)
     cts = rep.counts["vectors"]
     print(f"vectors with norm <= {args.t_max:.3e}: {cts[-1]}")
     half = len(cps) // 2
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=math.e ** 13)
     p.add_argument("--checkpoints", type=int, default=12)
     p.add_argument("--norm", choices=["euclidean", "sup"], default="euclidean")
-    p.add_argument("--disp-pad", type=float, default=4.0)
     p.add_argument("--budget-cap", type=int, default=5_000_000)
 
     p = add("holonomy", cmd_holonomy, help="holonomy character sums over classes")

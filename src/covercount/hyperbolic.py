@@ -127,23 +127,6 @@ def apply_boundary(g: MoebiusMap, x: complex) -> complex:
     return (g.a * x + g.b) / den
 
 
-def apply_halfspace(g: MoebiusMap, z: complex, t: float) -> tuple[complex, float]:
-    """Action on an interior point (z, t), t > 0; H2 points have real z."""
-    cz_d = g.c * z + g.d
-    den = abs(cz_d) ** 2 + abs(g.c) ** 2 * t * t
-    znew = ((g.a * z + g.b) * cz_d.conjugate() + g.a * g.c.conjugate() * t * t) / den
-    return znew, t / den
-
-
-def basepoint(model: Model) -> tuple[complex, float]:
-    return 0j, 1.0
-
-
-def point_distance(z1: complex, t1: float, z2: complex, t2: float) -> float:
-    ch = 1.0 + (abs(z1 - z2) ** 2 + (t1 - t2) ** 2) / (2.0 * t1 * t2)
-    return math.acosh(max(ch, 1.0))
-
-
 def displacement(g: MoebiusMap) -> float:
     """Hyperbolic distance d(o, g o).
 
@@ -152,12 +135,6 @@ def displacement(g: MoebiusMap) -> float:
     """
     frob2 = abs(g.a) ** 2 + abs(g.b) ** 2 + abs(g.c) ** 2 + abs(g.d) ** 2
     return math.acosh(max(frob2 / 2.0, 1.0))
-
-
-def displacement_moved_point(g: MoebiusMap) -> float:
-    """d(o, g o) via the explicit orbit point; cross-check for displacement()."""
-    z, t = apply_halfspace(g, *basepoint(g.model))
-    return point_distance(0j, 1.0, z, t)
 
 
 def classify(g: MoebiusMap, tol: float = CLASSIFY_TOL) -> ElementClass:

@@ -26,7 +26,9 @@ from .errors import (BudgetExceeded, DisksOverlap, PairingBroken,
 from .hyperbolic import Model, MoebiusMap
 
 PAIRING_TOL = 1e-8
-MARGIN_PAD = 0.10
+# relative slack of the orbit shadow prune: far above the rounding of the
+# pulled-back base point, far below any change in the records it keeps
+SHADOW_SLACK = 1e-9
 IDENTITY = (1.0 + 0j, 0j, 0j, 1.0 + 0j)  # raw (a, b, c, d) of the empty word
 
 
@@ -104,10 +106,14 @@ def exponent_vector(word: Sequence[int], g: int) -> np.ndarray:
     return vec
 
 
+Matrix = tuple[complex, complex, complex, complex]  # raw (a, b, c, d)
+
+
 class OrbitRecord(NamedTuple):
     word: tuple[int, ...]
     displacement: float
     homology: tuple[int, ...]
+    matrix: Matrix  # the word's product, bit-identical to group.evaluate(word)
 
 
 class GeodesicRecord(NamedTuple):
@@ -115,6 +121,7 @@ class GeodesicRecord(NamedTuple):
     length: float
     homology: tuple[int, ...]
     holonomy: float
+    matrix: Matrix
 
 
 def _rank_over_q(mat: Sequence[Sequence[int]]) -> int:
@@ -132,22 +139,6 @@ def _rank_over_q(mat: Sequence[Sequence[int]]) -> int:
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
-
-
-def _mobius_image_circle(m: tuple[complex, complex, complex, complex],
-                         q: complex, r: float) -> tuple[complex, float]:
-    """Image of the circle |z - q| = r (pole outside) under a det-1 map."""
-    a, b, c, d = m
-    if abs(c) < 1e-14:
-        center = (a * q + b) / d
-        return center, abs(a / d) * r
-    pole = -d / c
-    if abs(pole - q) <= r:
-        raise ValueError("pole inside the disk")
-    zstar = q + r * r / (pole - q).conjugate()
-    center = (a * zstar + b) / (c * zstar + d)
-    edge = (a * (q + r) + b) / (c * (q + r) + d)
-    return center, abs(edge - center)
 
 
 class SchottkyGroup:
@@ -185,7 +176,6 @@ class SchottkyGroup:
             cols.append(tuple(-x for x in col))
         self._hom = tuple(cols)
         self.validate()
-        self._orbit_margin: Optional[float] = None
 
     # -- validation -------------------------------------------------------
 
@@ -263,42 +253,6 @@ class SchottkyGroup:
 
     # -- pruning geometry --------------------------------------------------
 
-    def orbit_margin(self) -> float:
-        """Uniform displacement dip bound: every reduced descendant of w
-        satisfies d(o, u o) >= d(o, w o) - orbit_margin()."""
-        if self._orbit_margin is not None:
-            return self._orbit_margin
-        best = 0.0
-        for c in range(self.n_symbols):
-            dc = self.disks[c]
-            phi = (1.0, -(dc.center + dc.radius), 1.0, -(dc.center - dc.radius))
-            # normalize to det 1 for the half-space action
-            det = phi[0] * phi[3] - phi[1] * phi[2]
-            s = cmath.sqrt(det)
-            phi_map = MoebiusMap(phi[0] / s, phi[1] / s, phi[2] / s, phi[3] / s, Model.H3)
-            zo, to = hyp.apply_halfspace(phi_map, 0j, 1.0)
-            for b in range(self.n_symbols):
-                if b == c:
-                    continue
-                db = self.disks[b]
-                w0, r0 = _mobius_image_circle(phi_map.entries, db.center, db.radius)
-                if self.model == Model.H2:
-                    # projection arc endpoints on the model axis {(0, s)}
-                    for sproj in (abs(abs(w0) - r0), abs(w0) + r0):
-                        if sproj <= 0:
-                            continue
-                        ch = 1.0 + (abs(zo) ** 2 + (to - sproj) ** 2) / (2.0 * to * sproj)
-                        best = max(best, math.acosh(max(ch, 1.0)))
-                else:
-                    # 2d projection region on the model plane {(iy, s)}
-                    for y in np.linspace(w0.imag - r0, w0.imag + r0, 41):
-                        rho = math.sqrt(max(r0 ** 2 - (y - w0.imag) ** 2, 0.0))
-                        for sproj in (max(abs(abs(w0.real) - rho), 1e-9), abs(w0.real) + rho):
-                            ch = 1.0 + (abs(zo - 1j * y) ** 2 + (to - sproj) ** 2) / (2.0 * to * sproj)
-                            best = max(best, math.acosh(max(ch, 1.0)))
-        self._orbit_margin = best + (0.0 if self.model == Model.H2 else MARGIN_PAD)
-        return self._orbit_margin
-
     def min_cycle_step(self) -> float:
         """Lower bound on the per-letter length gain of cyclic words:
         tau >= -log sup |gamma_a'| over any admissible source disk."""
@@ -335,40 +289,60 @@ def enumerate_orbit(group: SchottkyGroup, T: float,
                     budget: Optional[int] = None) -> int:
     """Emit every reduced word with displacement <= T exactly once.
 
-    Depth-first with the shadow-projection prune: the displacement of any
-    reduced descendant is at least the parent displacement minus the group's
-    orbit margin, so subtrees rooted above T + margin are dead.
+    Depth-first with a per-child shadow prune.  Let w be a reduced word and b
+    a letter that may follow it.  By ping-pong every reduced word b v sends o
+    into the half-space H_b over disk b (validate() checks that o lies outside
+    every H_c), so every descendant u = w b v, w b included, has u o in
+    w(H_b).  Hence d(o, u o) >= d(o, w(H_b)) = d(p, H_b) with p = w^-1 o =
+    (z, t), and for p outside the half-space over the disk (q, r)
+
+        sinh d(p, H_b) = (|z - q|^2 + t^2 - r^2) / (2 r t),
+
+    which is (|z'|^2 + 1 - r'^2) / (2 r') for the image circle (z', r') =
+    w(D_b).  The child is dropped before its matrix product when this exceeds
+    sinh T, with the relative slack SHADOW_SLACK so that rounding never cuts a
+    record at exactly T.  Records of one first letter are emitted in
+    (length, word_key) order.
     """
-    margin = group.orbit_margin()
     cosh_T = math.cosh(T)
-    cosh_cut = math.cosh(T + margin)
+    sinh_cut = math.sinh(T) * (1.0 + SHADOW_SLACK)
     count = 0
     zero = (0,) * group.d
     if emit is not None:
-        emit(OrbitRecord((), 0.0, zero))
+        emit(OrbitRecord((), 0.0, zero, IDENTITY))
     count += 1
     mats = group._mats
     n = group.n_symbols
-    for first_idx in range(n):
+    letters = [letter_of_index(idx) for idx in range(n)]
+    # per letter: its disk's center q and r^2, and 2 r sinh T with the slack
+    shadows = [(idx, dk.center, dk.radius * dk.radius, 2.0 * dk.radius * sinh_cut)
+               for idx, dk in enumerate(group.disks)]
+    for first_idx, q, r2, cut in shadows:
+        if abs(q) ** 2 + 1.0 - r2 > cut:  # w empty: p = o = (0, 1)
+            continue
         # records of one first letter, emitted by (length, word_key)
         shard: list[OrbitRecord] = []
-        stack = [((letter_of_index(first_idx),), mats[first_idx], first_idx)]
+        stack = [((letters[first_idx],), mats[first_idx], first_idx)]
         while stack:
             word, m, last = stack.pop()
             ch = _frob2(m) / 2.0
             if ch <= cosh_T:
                 shard.append(OrbitRecord(word, math.acosh(max(ch, 1.0)),
-                                         group.abelianize(word)))
+                                         group.abelianize(word), m))
                 if budget is not None and len(shard) > budget:
                     raise BudgetExceeded(budget)
-            if ch > cosh_cut:
-                continue
+            a, b, c, d = m
+            t = 1.0 / (a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag)
+            z = -(b * a.conjugate() + d * c.conjugate()) * t
+            tt = t * t
             bad = inverse_index(last)
-            for idx in range(n):
+            for idx, q, r2, cut in shadows:
                 if idx == bad:
                     continue
-                stack.append((word + (letter_of_index(idx),),
-                              hyp.mat_mul(m, mats[idx]), idx))
+                dz = z - q
+                if dz.real * dz.real + dz.imag * dz.imag + tt - r2 > cut * t:
+                    continue
+                stack.append((word + (letters[idx],), hyp.mat_mul(m, mats[idx]), idx))
         shard.sort(key=lambda rec: (len(rec.word), word_key(rec.word)))
         for rec in shard:
             count += 1
@@ -389,7 +363,7 @@ def enumerate_orbit_bruteforce(group: SchottkyGroup, T: float, max_len: int) -> 
     def rec_walk(word, m, last):
         ch = _frob2(m) / 2.0
         if ch <= math.cosh(T):
-            out.append(OrbitRecord(word, math.acosh(max(ch, 1.0)), group.abelianize(word)))
+            out.append(OrbitRecord(word, math.acosh(max(ch, 1.0)), group.abelianize(word), m))
         if len(word) >= max_len:
             return
         for idx in range(n):
@@ -435,7 +409,7 @@ def primitive_classes(group: SchottkyGroup, L: float,
                         raise BudgetExceeded(budget)
                     if emit is not None:
                         word = tuple(letter_of_index(i) for i in w)
-                        emit(GeodesicRecord(word, length, group.abelianize(word), theta))
+                        emit(GeodesicRecord(word, length, group.abelianize(word), theta, m))
             _, _, c, d = m
             ac = abs(c)
             bad = inverse_index(w[-1])

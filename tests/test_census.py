@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from covercount import census as cen
+from covercount import hyperbolic as hyp
+from covercount.schottky import enumerate_orbit
 from covercount.census import (Prediction, checkpoints_linear,
                                fit_growth, geodesics_by_homology,
                                holonomy_equidistribution, orbit_by_homology,
@@ -147,7 +149,7 @@ def test_holonomy_requires_h3(group_b):
 def test_vector_below_norm_is_empty(group_b, delta_b):
     pred = Prediction(delta=delta_b, sigma=1.0, d=1)
     cps = np.array([0.3, 0.5, 0.9])
-    rep = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], 0.9, cps, disp_pad=2.0)
+    rep = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], 0.9, cps)
     assert np.array_equal(rep.counts["vectors"], np.zeros(3, dtype=int))
 
 
@@ -167,6 +169,38 @@ def test_vector_counts_deduplicated(group_b, delta_b):
     cps = np.exp(np.linspace(5.0, 9.0, 6))
     rep = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps)
     assert rep.meta["stabilizer_hits"] == 0
+
+
+@pytest.mark.parametrize("w0", [(1.0, 0.0, 1.0), (2.0, 1.0, 1.0)], ids=["o", "p"])
+@pytest.mark.parametrize("norm", ["euclidean", "sup"])
+def test_vector_exact_cap_matches_padded_cap(group_b, delta_b, w0, norm):
+    # counts at the exact displacement cap equal those enumerated out to the
+    # padded cap log(T / ||w0||) + 4 that it replaced
+    pred = Prediction(delta=delta_b, sigma=1.0, d=1)
+    cps = np.exp(np.linspace(6.0, 11.0, 6))
+    rep = vector_orbit(group_b, pred, w0, float(cps[-1]), cps, norm=norm)
+    norm_fn = {"euclidean": np.linalg.norm, "sup": lambda v: np.max(np.abs(v))}[norm]
+    padded = math.log(cps[-1] / norm_fn(np.array(w0))) + 4.0
+    assert rep.meta["disp_cap"] < padded - 2.0
+    norms = {}
+
+    def take(rec):
+        if not any(rec.homology):
+            vec = np.array(w0) @ hyp.adjoint_so21(group_b.evaluate(rec.word))
+            norms[tuple(np.round(vec, 6))] = norm_fn(vec)
+
+    enumerate_orbit(group_b, padded, emit=take)
+    want = [sum(r <= T for r in norms.values()) for T in cps]
+    assert rep.counts["vectors"].tolist() == want
+    assert want[-1] > 50
+    assert rep.meta["stabilizer_hits"] == 0
+
+
+@pytest.mark.parametrize("w0", [(1.0, 0.0, -1.0), (1.0, 2.0, 1.0)], ids=["indefinite", "degenerate"])
+def test_vector_rejects_non_definite_w0(group_b, delta_b, w0):
+    pred = Prediction(delta=delta_b, sigma=1.0, d=1)
+    with pytest.raises(ValidationError, match="definite"):
+        vector_orbit(group_b, pred, w0, 100.0, [10.0, 100.0])
 
 
 def test_vector_requires_h2(group_d0, delta_b):

@@ -177,3 +177,23 @@ def test_dump_records_enumerates_once(tmp_path, monkeypatch):
         totals = json.loads((rep / "summary.json").read_text())["totals"]
         rows = (rep / "records.csv").read_text().splitlines()
         assert len(rows) - 1 == totals[-1] > 0
+
+
+def test_record_sinks_take_the_enumerator_matrix(tmp_path, monkeypatch):
+    from covercount.schottky import SchottkyGroup
+
+    def refuse(self, word):
+        raise AssertionError("record sinks must not re-evaluate words")
+
+    monkeypatch.setattr(SchottkyGroup, "evaluate", refuse)
+    assert run(["--out", str(tmp_path), "count-geodesics", "--group", "fixture:b",
+                "--l-min", "6", "--l-max", "10", "--checkpoints", "5",
+                "--dump-records"]) == 0
+    assert run(["--out", str(tmp_path), "count-vectors", "--group", "fixture:b",
+                "--t-min", "100", "--t-max", "20000", "--checkpoints", "10"]) == 0
+
+
+def test_count_vectors_indefinite_w0_is_config_error(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "count-vectors", "--group", "fixture:b",
+                "--w0", "1,0,-1"]) == 3
+    assert "definite" in capsys.readouterr().err

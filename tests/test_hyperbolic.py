@@ -10,10 +10,32 @@ from covercount import hyperbolic as hyp
 from covercount.errors import NotLoxodromic, PoleAtPoint
 from covercount.hyperbolic import (ElementClass, Model, MoebiusMap, adjoint_so21,
                                    apply_boundary, boundary_derivative, classify,
-                                   compose, displacement, displacement_moved_point,
+                                   compose, displacement,
                                    geodesic_invariants, identity, inverse, power,
                                    projectively_equal, rotation, so21_form,
                                    translation)
+
+
+# The moved-point route to d(o, g o): the oracle for displacement(), which
+# reads the distance off the Frobenius norm instead.
+
+def apply_halfspace(g: MoebiusMap, z: complex, t: float) -> tuple[complex, float]:
+    """Action on an interior point (z, t), t > 0; H2 points have real z."""
+    cz_d = g.c * z + g.d
+    den = abs(cz_d) ** 2 + abs(g.c) ** 2 * t * t
+    znew = ((g.a * z + g.b) * cz_d.conjugate() + g.a * g.c.conjugate() * t * t) / den
+    return znew, t / den
+
+
+def point_distance(z1: complex, t1: float, z2: complex, t2: float) -> float:
+    ch = 1.0 + (abs(z1 - z2) ** 2 + (t1 - t2) ** 2) / (2.0 * t1 * t2)
+    return math.acosh(max(ch, 1.0))
+
+
+def displacement_moved_point(g: MoebiusMap) -> float:
+    """d(o, g o) via the explicit orbit point, o = (0, 1)."""
+    z, t = apply_halfspace(g, 0j, 1.0)
+    return point_distance(0j, 1.0, z, t)
 
 
 def random_h2(rng) -> MoebiusMap:

@@ -161,14 +161,15 @@ def test_enumerate_below_min_generator():
     assert n == 1
 
 
-@pytest.mark.parametrize("name,T,max_len", [
+ORACLE_CASES = [
     ("b", 6.0, 11),    # longest emitted word: 7 letters
     ("c", 6.0, 8),     # 6 letters
-    ("d0", 8.5, 10),   # 7 letters; H3, so the prune margin carries MARGIN_PAD
+    ("d0", 8.5, 10),   # 7 letters; H3, where the shadows are 3-dimensional
     ("d1", 8.5, 10),   # 7 letters
-], ids=["b", "c", "d0", "d1"])
-def test_enumerate_matches_bruteforce_oracle(request, name, T, max_len):
-    group = request.getfixturevalue(f"group_{name}")
+]
+
+
+def _assert_matches_oracle(group, T, max_len):
     records = []
     enumerate_orbit(group, T, emit=records.append)
     brute = enumerate_orbit_bruteforce(group, T, max_len=max_len)
@@ -176,6 +177,94 @@ def test_enumerate_matches_bruteforce_oracle(request, name, T, max_len):
     assert max(len(r.word) for r in records) < max_len
     assert set(r.word for r in records) == set(r.word for r in brute)
     assert len(records) == len(brute)
+
+
+@pytest.mark.parametrize("name,T,max_len", ORACLE_CASES + [
+    ("d0", 11.0, 11),  # 10 letters, 1521 records
+], ids=["b", "c", "d0", "d1", "d0-large"])
+def test_enumerate_matches_bruteforce_oracle(request, name, T, max_len):
+    _assert_matches_oracle(request.getfixturevalue(f"group_{name}"), T, max_len)
+
+
+@pytest.mark.parametrize("name,T,max_len", ORACLE_CASES, ids=["b", "c", "d0", "d1"])
+def test_enumerate_oracle_at_record_displacement(request, name, T, max_len):
+    # T is the displacement of an emitted record, so the shadow cut sits at a
+    # record; whether that record itself is emitted is up to the emit test
+    # cosh(d) <= cosh(T), which the oracle applies in the same way
+    group = request.getfixturevalue(f"group_{name}")
+    records = []
+    enumerate_orbit(group, T, emit=records.append)
+    edge = max(r.displacement for r in records)
+    _assert_matches_oracle(group, edge, max_len)
+
+
+def _image_circle(m, q, r):
+    """The circle |z - q| = r under a det-1 map with its pole outside."""
+    a, b, c, d = m
+    den = abs(c * q + d) ** 2 - abs(c) ** 2 * r * r
+    center = ((a * q + b) * (c * q + d).conjugate() - a * c.conjugate() * r * r) / den
+    return center, r / abs(den)
+
+
+@pytest.mark.parametrize("name,T,max_len", ORACLE_CASES, ids=["b", "c", "d0", "d1"])
+def test_shadow_bound_holds_on_every_split(request, name, T, max_len):
+    # the lemma behind the prune: for every reduced u = w b v, with (z, r) the
+    # image circle w(D_b), 2 r sinh d(o, u o) >= |z|^2 + 1 - r^2; it holds for
+    # any reduced word, so the oracle need not be complete at T + 2
+    group = request.getfixturevalue(f"group_{name}")
+    checked = 0
+    for rec in enumerate_orbit_bruteforce(group, T + 2.0, max_len=max_len):
+        for k in range(len(rec.word)):
+            w = group.evaluate(rec.word[:k]).entries
+            dk = group.disks[sk.sym_index(rec.word[k])]
+            z, r = _image_circle(w, dk.center, dk.radius)
+            assert abs(z) ** 2 + 1.0 - r * r <= 2.0 * r * math.sinh(rec.displacement)
+            checked += 1
+    assert checked > 300
+
+
+def _reference_orbit_words(group, T):
+    """Reduced words with displacement <= T, from a depth-first walk that
+    drops a child w b only when the image circle (z, r) = w(D_b) puts its
+    half-space more than T + 1 from o: the lemma above, with a loose cut."""
+    words = []
+    cut = math.sinh(T + 1.0)
+    stack = [((), sk.IDENTITY, None)]
+    while stack:
+        word, m, last = stack.pop()
+        if sum(abs(x) ** 2 for x in m) / 2.0 <= math.cosh(T):
+            words.append(word)
+        for idx in range(group.n_symbols):
+            if last is not None and idx == sk.inverse_index(last):
+                continue
+            dk = group.disks[idx]
+            z, r = _image_circle(m, dk.center, dk.radius)
+            if abs(z) ** 2 + 1.0 - r * r > 2.0 * r * cut:
+                continue
+            stack.append((word + (sk.letter_of_index(idx),),
+                          mat_mul(m, group.symbol_matrix(idx)), idx))
+    return words
+
+
+@pytest.mark.parametrize("name,T", [("b", 13.0), ("c", 12.5), ("d0", 11.0), ("d1", 11.0)],
+                         ids=["b", "c", "d0", "d1"])
+def test_enumerate_matches_reference_walk(request, name, T):
+    # at the census scale, past the reach of the prune-free oracle
+    group = request.getfixturevalue(f"group_{name}")
+    words = []
+    enumerate_orbit(group, T, emit=lambda r: words.append(r.word))
+    assert sorted(words, key=sk.word_key) == sorted(_reference_orbit_words(group, T),
+                                                    key=sk.word_key)
+    assert len(words) > 1500
+
+
+def test_records_carry_evaluated_matrix(group_b, group_d0):
+    for group in (group_b, group_d0):
+        records = []
+        enumerate_orbit(group, 7.0, emit=records.append)
+        primitive_classes(group, 7.0, emit=records.append)
+        for rec in records:
+            assert rec.matrix == group.evaluate(rec.word).entries
 
 
 def test_enumerate_no_duplicates_and_reduced(group_b):
@@ -287,7 +376,8 @@ def _reference_primitive_classes(group, L, emit=None, budget=None):
                     if budget is not None and count > budget:
                         raise BudgetExceeded(budget)
                     if emit is not None:
-                        emit(sk.GeodesicRecord(word, length, group.abelianize(word), theta))
+                        emit(sk.GeodesicRecord(word, length, group.abelianize(word),
+                                              theta, m))
             _, _, c, d = m
             bad = sk.inverse_index(last)
             for idx in range(first_idx, n):
