@@ -78,10 +78,6 @@ class MoebiusMap:
         return apply_boundary(self, x)
 
 
-def identity(model: Model = Model.H2) -> MoebiusMap:
-    return MoebiusMap(1, 0, 0, 1, model)
-
-
 def mat_mul(m, n) -> tuple[complex, complex, complex, complex]:
     """Product m @ n of 2x2 matrices given as raw (a, b, c, d) tuples."""
     a, b, c, d = m
@@ -99,24 +95,6 @@ def compose(g: MoebiusMap, h: MoebiusMap) -> MoebiusMap:
 
 def inverse(g: MoebiusMap) -> MoebiusMap:
     return MoebiusMap(g.d, -g.b, -g.c, g.a, g.model, normalize=False)
-
-
-def power(g: MoebiusMap, k: int) -> MoebiusMap:
-    if k < 0:
-        return power(inverse(g), -k)
-    out = identity(g.model)
-    for _ in range(k):
-        out = compose(out, g)
-    return out
-
-
-def projectively_equal(g: MoebiusMap, h: MoebiusMap, tol: float = 1e-9) -> bool:
-    """g and -g represent the same map."""
-    if g.model != h.model:
-        return False
-    dplus = max(abs(x - y) for x, y in zip(g.entries, h.entries))
-    dminus = max(abs(x + y) for x, y in zip(g.entries, h.entries))
-    return min(dplus, dminus) <= tol
 
 
 def apply_boundary(g: MoebiusMap, x: complex) -> complex:
@@ -187,14 +165,6 @@ def geodesic_invariants(g: MoebiusMap) -> GeodesicInvariants:
     return GeodesicInvariants(*trace_invariants(g.trace(), g.model))
 
 
-def boundary_derivative(g: MoebiusMap, x: complex) -> float:
-    """|g'(x)| = 1/|c x + d|^2 on the boundary."""
-    den = g.c * x + g.d
-    if abs(den) < 1e-14 * (1.0 + abs(x)):
-        raise PoleAtPoint(f"{x} is the pole of the map")
-    return 1.0 / abs(den) ** 2
-
-
 def fixed_points(g: MoebiusMap) -> tuple[complex, complex]:
     """(attracting, repelling) boundary fixed points of a loxodromic map."""
     if classify(g) != ElementClass.LOXODROMIC:
@@ -219,17 +189,6 @@ def fixed_points(g: MoebiusMap) -> tuple[complex, complex]:
     return z2, z1
 
 
-def translation(t: float, model: Model = Model.H2) -> MoebiusMap:
-    """a_t = diag(e^{t/2}, e^{-t/2}), translation length t along the o-axis."""
-    return MoebiusMap(math.exp(t / 2.0), 0, 0, math.exp(-t / 2.0), model)
-
-
-def rotation(alpha: float) -> MoebiusMap:
-    """Rotation by alpha about o = i in the H2 model."""
-    ca, sa = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
-    return MoebiusMap(ca, sa, -sa, ca, Model.H2)
-
-
 # Adjoint representation into SO(2,1): row vectors (A, B, C) are binary
 # quadratic forms A x^2 + B xy + C y^2; precomposition with g acts on the
 # right and preserves the discriminant, a signature (2,1) form.
@@ -251,16 +210,3 @@ def adjoint_so21(g: MoebiusMap) -> np.ndarray:
 def so21_form(v) -> float:
     """Q(v) = v1^2 - 4 v0 v2, the discriminant preserved by v -> v @ adjoint."""
     return float(v[1] * v[1] - 4.0 * v[0] * v[2])
-
-
-def to_json(g: MoebiusMap) -> dict:
-    return {
-        "model": g.model.value,
-        "entries": [[x.real, x.imag] for x in g.entries],
-    }
-
-
-def from_json(data: dict) -> MoebiusMap:
-    model = Model(data["model"])
-    a, b, c, d = (complex(re, im) for re, im in data["entries"])
-    return MoebiusMap(a, b, c, d, model)

@@ -26,8 +26,10 @@ from .errors import (BudgetExceeded, DisksOverlap, PairingBroken,
 from .hyperbolic import Model, MoebiusMap
 
 PAIRING_TOL = 1e-8
-# relative slack of the orbit shadow prune: far above the rounding of the
-# pulled-back base point, far below any change in the records it keeps
+# relative slack of the orbit shadow prune and of the cheap cosh pre-test
+# before a record's displacement is compared with T: far above the rounding
+# of the pulled-back base point and of cosh, far below any change in the
+# records they keep
 SHADOW_SLACK = 1e-9
 IDENTITY = (1.0 + 0j, 0j, 0j, 1.0 + 0j)  # raw (a, b, c, d) of the empty word
 
@@ -64,20 +66,6 @@ def is_cyclically_reduced(word: Sequence[int]) -> bool:
     if not word:
         return False
     return is_reduced(word) and word[0] != -word[-1]
-
-
-def reduce_concat(w1: Sequence[int], w2: Sequence[int]) -> tuple[int, ...]:
-    out = list(w1)
-    for a in w2:
-        if out and out[-1] == -a:
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)
-
-
-def word_inverse(word: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-a for a in reversed(word))
 
 
 def rotations(word: Sequence[int]) -> Iterable[tuple[int, ...]]:
@@ -233,9 +221,6 @@ class SchottkyGroup:
         vec = self.homology_matrix @ exponent_vector(word, self.g)
         return tuple(int(x) for x in vec)
 
-    def kernel_membership(self, word: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.abelianize(word))
-
     def evaluate(self, word: Sequence[int]) -> MoebiusMap:
         m = IDENTITY
         for letter in word:
@@ -301,10 +286,12 @@ def enumerate_orbit(group: SchottkyGroup, T: float,
     which is (|z'|^2 + 1 - r'^2) / (2 r') for the image circle (z', r') =
     w(D_b).  The child is dropped before its matrix product when this exceeds
     sinh T, with the relative slack SHADOW_SLACK so that rounding never cuts a
-    record at exactly T.  Records of one first letter are emitted in
-    (length, word_key) order.
+    record at exactly T.  A word is emitted when its reported displacement
+    acosh(||w||_F^2 / 2) is <= T; the cosh pre-test carries the same slack,
+    because cosh(acosh(x)) can round below x.  Records of one first letter
+    are emitted in (length, word_key) order.
     """
-    cosh_T = math.cosh(T)
+    cosh_cut = math.cosh(T) * (1.0 + SHADOW_SLACK)
     sinh_cut = math.sinh(T) * (1.0 + SHADOW_SLACK)
     count = 0
     zero = (0,) * group.d
@@ -326,11 +313,12 @@ def enumerate_orbit(group: SchottkyGroup, T: float,
         while stack:
             word, m, last = stack.pop()
             ch = _frob2(m) / 2.0
-            if ch <= cosh_T:
-                shard.append(OrbitRecord(word, math.acosh(max(ch, 1.0)),
-                                         group.abelianize(word), m))
-                if budget is not None and len(shard) > budget:
-                    raise BudgetExceeded(budget)
+            if ch <= cosh_cut:
+                disp = math.acosh(max(ch, 1.0))
+                if disp <= T:
+                    shard.append(OrbitRecord(word, disp, group.abelianize(word), m))
+                    if budget is not None and len(shard) > budget:
+                        raise BudgetExceeded(budget)
             a, b, c, d = m
             t = 1.0 / (a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag)
             z = -(b * a.conjugate() + d * c.conjugate()) * t
@@ -361,9 +349,9 @@ def enumerate_orbit_bruteforce(group: SchottkyGroup, T: float, max_len: int) -> 
     n = group.n_symbols
 
     def rec_walk(word, m, last):
-        ch = _frob2(m) / 2.0
-        if ch <= math.cosh(T):
-            out.append(OrbitRecord(word, math.acosh(max(ch, 1.0)), group.abelianize(word), m))
+        disp = math.acosh(max(_frob2(m) / 2.0, 1.0))
+        if disp <= T:
+            out.append(OrbitRecord(word, disp, group.abelianize(word), m))
         if len(word) >= max_len:
             return
         for idx in range(n):

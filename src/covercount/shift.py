@@ -134,15 +134,6 @@ def toy_from_json(data: dict) -> MarkovShift:
     return MarkovShift(k=k, transition=A, f=f, tau=tau, theta=theta, source="Toy")
 
 
-def toy_to_json(shift: MarkovShift) -> dict:
-    return {
-        "transition": shift.transition.tolist(),
-        "tau": shift.tau.tolist(),
-        "f": shift.f.tolist(),
-        "theta": None if shift.theta is None else shift.theta.tolist(),
-    }
-
-
 def from_schottky(group: SchottkyGroup) -> MarkovShift:
     """Boundary coding of a Schottky group: 2g symbols, transitions forbid a
     letter followed by its inverse, analytic roof, per-letter homology."""

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.fft import dct
 from scipy.optimize import brentq
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from . import schottky as sk
 from .errors import (BracketFailed, DiscretizationUnstable, HessianNotPD,
@@ -123,11 +124,13 @@ class ExactGrid:
 
 @dataclass
 class OperatorSpec:
-    """Shift plus its discretization; grids cached per node count."""
+    """Shift plus its discretization; grids cached per node count, and the
+    per-disk interpolation matrices between two node counts per pair."""
 
     shift: MarkovShift
     nodes_per_disk: Optional[int] = None
     _grids: dict = field(default_factory=dict, repr=False)
+    _interp: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.shift.analytic:
@@ -182,12 +185,15 @@ def build_matrix(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
 def _interpolate_between_grids(spec: OperatorSpec, h: np.ndarray,
                                n_from: int, n_to: int) -> np.ndarray:
     """Evaluate per-disk node values on a finer node set; doubling-check seed."""
-    gfrom, gto = spec.grid(n_from), spec.grid(n_to)
     nsym = spec.shift.k
+    mats = spec._interp.get((n_from, n_to))
+    if mats is None:
+        gfrom, gto = spec.grid(n_from), spec.grid(n_to)
+        mats = [gfrom.interp_values(a, gto.nodes[a]) for a in range(nsym)]
+        spec._interp[(n_from, n_to)] = mats
     out = np.zeros(nsym * n_to, dtype=complex)
     for a in range(nsym):
-        block = h[a * n_from:(a + 1) * n_from]
-        out[a * n_to:(a + 1) * n_to] = gfrom.interp_values(a, gto.nodes[a]) @ block
+        out[a * n_to:(a + 1) * n_to] = mats[a] @ h[a * n_from:(a + 1) * n_from]
     return out
 
 
@@ -211,26 +217,35 @@ def _dense_leading(M: np.ndarray):
 
 
 def _dominant(M: np.ndarray, v0: Optional[np.ndarray] = None):
-    """Dominant eigenpair: power iteration seeded by v0 (or ones), Arnoldi
-    when the modulus gap is too small, dense eig as the last resort."""
+    """Dominant eigenpair (lam, z, residual) of M.
+
+    Path rule: power iteration seeded by v0 (or a fixed near-constant start)
+    for real or seeded matrices; ARPACK from that same start for cold complex
+    ones larger than 16 x 16, and after a power loop that does not converge;
+    dense eig as the last resort.  A cold complex matrix is a twisted operator
+    on the critical line, where |lambda_2 / lambda_1| is close to 1 and 60
+    power steps do not converge, so the loop is skipped there.  Each power
+    step makes one product with M and reuses it for lambda, the residual and
+    the next iterate.
+    """
     n = M.shape[0]
-    if v0 is None:
+    cold = v0 is None
+    if cold:
         v0 = np.ones(n, dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, n)
-    z = v0 / np.linalg.norm(v0)
-    lam = 0.0 + 0j
-    for _ in range(60):
+    if not (cold and n > 16 and np.any(M.imag)):
+        z = v0 / np.linalg.norm(v0)
         w = M @ z
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0 + 0j, z, 0.0
-        z = w / nw
-        lam_new = np.vdot(z, M @ z)
-        res = float(np.linalg.norm(M @ z - lam_new * z))
-        if res < 1e-12 * max(1.0, abs(lam_new)):
-            return lam_new, z, res
-        lam = lam_new
+        for _ in range(60):
+            nw = np.linalg.norm(w)
+            if nw == 0.0:
+                return 0.0 + 0j, z, 0.0
+            z = w / nw
+            w = M @ z
+            lam = np.vdot(z, w)
+            res = float(np.linalg.norm(w - lam * z))
+            if res < 1e-12 * max(1.0, abs(lam)):
+                return lam, z, res
     if n > 16:
-        from scipy.sparse.linalg import ArpackNoConvergence, eigs
         try:
             k = min(3, n - 2)
             vals, vecs = eigs(M, k=k, v0=np.asarray(v0, dtype=complex), which="LM",
@@ -252,9 +267,12 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
                        check_stability: bool = True) -> SpectralResult:
     """Dominant eigenvalue with certified residual.
 
-    Power iteration first; when the modulus gap is too small, ARPACK (for
-    matrices larger than 16 x 16) and then dense eig.  For collocation the
-    value must be stable under doubling nodes_per_disk.
+    The solver path follows _dominant: the power loop for real operators
+    (s real, v = 0, p = 0) and for the seeded doubling solve, ARPACK for cold
+    complex operators larger than 16 x 16 and after a power loop that does not
+    converge, dense eig as the last resort.  For collocation the value must be
+    stable under doubling nodes_per_disk; the doubled solve is seeded with h
+    interpolated onto the finer nodes.
     """
     M = build_matrix(spec, s, v, p, u)
     lam, h, res = _dominant(M)

@@ -6,14 +6,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from covercount import hyperbolic as hyp
 from covercount.errors import NotLoxodromic, PoleAtPoint
 from covercount.hyperbolic import (ElementClass, Model, MoebiusMap, adjoint_so21,
-                                   apply_boundary, boundary_derivative, classify,
-                                   compose, displacement,
-                                   geodesic_invariants, identity, inverse, power,
-                                   projectively_equal, rotation, so21_form,
-                                   translation)
+                                   apply_boundary, classify, compose, displacement,
+                                   geodesic_invariants, inverse, so21_form)
+
+
+# Constructors, comparisons and derivatives that only the tests use.
+
+def identity(model: Model = Model.H2) -> MoebiusMap:
+    return MoebiusMap(1, 0, 0, 1, model)
+
+
+def power(g: MoebiusMap, k: int) -> MoebiusMap:
+    if k < 0:
+        return power(inverse(g), -k)
+    out = identity(g.model)
+    for _ in range(k):
+        out = compose(out, g)
+    return out
+
+
+def projectively_equal(g: MoebiusMap, h: MoebiusMap, tol: float = 1e-9) -> bool:
+    """g and -g represent the same map."""
+    if g.model != h.model:
+        return False
+    dplus = max(abs(x - y) for x, y in zip(g.entries, h.entries))
+    dminus = max(abs(x + y) for x, y in zip(g.entries, h.entries))
+    return min(dplus, dminus) <= tol
+
+
+def boundary_derivative(g: MoebiusMap, x: complex) -> float:
+    """|g'(x)| = 1/|c x + d|^2 on the boundary."""
+    den = g.c * x + g.d
+    if abs(den) < 1e-14 * (1.0 + abs(x)):
+        raise PoleAtPoint(f"{x} is the pole of the map")
+    return 1.0 / abs(den) ** 2
+
+
+def translation(t: float, model: Model = Model.H2) -> MoebiusMap:
+    """a_t = diag(e^{t/2}, e^{-t/2}), translation length t along the o-axis."""
+    return MoebiusMap(math.exp(t / 2.0), 0, 0, math.exp(-t / 2.0), model)
+
+
+def rotation(alpha: float) -> MoebiusMap:
+    """Rotation by alpha about o = i in the H2 model."""
+    ca, sa = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
+    return MoebiusMap(ca, sa, -sa, ca, Model.H2)
+
+
+def to_json(g: MoebiusMap) -> dict:
+    return {"model": g.model.value, "entries": [[x.real, x.imag] for x in g.entries]}
+
+
+def from_json(data: dict) -> MoebiusMap:
+    a, b, c, d = (complex(re, im) for re, im in data["entries"])
+    return MoebiusMap(a, b, c, d, Model(data["model"]))
 
 
 # The moved-point route to d(o, g o): the oracle for displacement(), which
@@ -79,10 +127,10 @@ def test_projective_equality():
 
 def test_serialization_roundtrip():
     g = MoebiusMap(1.5, 0.25, 1.0, 1.0)
-    back = hyp.from_json(hyp.to_json(g))
+    back = from_json(to_json(g))
     assert projectively_equal(g, back, tol=1e-14)
     h = MoebiusMap(1 + 1j, 0.5j, 0.25, 1.0, Model.H3)
-    assert projectively_equal(h, hyp.from_json(hyp.to_json(h)), tol=1e-14)
+    assert projectively_equal(h, from_json(to_json(h)), tol=1e-14)
 
 
 # -- compose -----------------------------------------------------------------

@@ -15,7 +15,27 @@ from covercount.hyperbolic import (Model, geodesic_invariants, mat_mul,
 from covercount.schottky import (Disk, SchottkyGroup, canonical_rotation,
                                  enumerate_orbit, enumerate_orbit_bruteforce,
                                  is_cyclically_reduced, is_primitive, is_reduced,
-                                 primitive_classes, reduce_concat, word_inverse)
+                                 primitive_classes)
+
+# Word operations and a homology query that only the tests use.
+
+def reduce_concat(w1, w2) -> tuple[int, ...]:
+    out = list(w1)
+    for a in w2:
+        if out and out[-1] == -a:
+            out.pop()
+        else:
+            out.append(a)
+    return tuple(out)
+
+
+def word_inverse(word) -> tuple[int, ...]:
+    return tuple(-a for a in reversed(word))
+
+
+def kernel_membership(group, word) -> bool:
+    return all(x == 0 for x in group.abelianize(word))
+
 
 letters = st.integers(min_value=-2, max_value=2).filter(lambda x: x != 0)
 words = st.lists(letters, max_size=10).map(tuple)
@@ -76,9 +96,9 @@ def test_primitivity():
 def test_evaluate_matches_composition(group_b):
     w1, w2 = (1, 2, -1), (2, 2, 1)
     lhs = group_b.evaluate(w1 + w2)  # concatenation stays reduced
-    from covercount.hyperbolic import compose, projectively_equal
+    from covercount.hyperbolic import compose
     rhs = compose(group_b.evaluate(w1), group_b.evaluate(w2))
-    assert projectively_equal(lhs, rhs, tol=1e-9)
+    assert max(abs(x - y) for x, y in zip(lhs.entries, rhs.entries)) <= 1e-9
 
 
 def test_abelianize_examples():
@@ -95,8 +115,8 @@ def test_abelianize_examples():
     assert g.abelianize(()) == (0, 0)
     assert g.abelianize((1, 2, -1, -2)) == (0, 0)  # commutator
     assert g.abelianize((1, 2, 1)) == (2, 1)
-    assert g.kernel_membership((1, -2, -1, 2))
-    assert not g.kernel_membership((1,))
+    assert kernel_membership(g, (1, -2, -1, 2))
+    assert not kernel_membership(g, (1,))
 
 
 # -- validation -----------------------------------------------------------------
@@ -188,14 +208,26 @@ def test_enumerate_matches_bruteforce_oracle(request, name, T, max_len):
 
 @pytest.mark.parametrize("name,T,max_len", ORACLE_CASES, ids=["b", "c", "d0", "d1"])
 def test_enumerate_oracle_at_record_displacement(request, name, T, max_len):
-    # T is the displacement of an emitted record, so the shadow cut sits at a
-    # record; whether that record itself is emitted is up to the emit test
-    # cosh(d) <= cosh(T), which the oracle applies in the same way
+    # T is the displacement of an emitted record, so the shadow cut and the
+    # emit test both sit at a record, which must be emitted
     group = request.getfixturevalue(f"group_{name}")
     records = []
     enumerate_orbit(group, T, emit=records.append)
     edge = max(r.displacement for r in records)
     _assert_matches_oracle(group, edge, max_len)
+
+
+def test_enumerate_keeps_record_at_its_own_displacement(group_b):
+    # the largest displacement emitted at T = 6 is that of (1, 1, -2) and its
+    # three ties; cosh of it rounds below ||w||_F^2 / 2, so a cosh test alone
+    # dropped all four and returned 31 records
+    T = 5.904845882756799
+    records = []
+    enumerate_orbit(group_b, T, emit=records.append)
+    assert len(records) == 35
+    assert (1, 1, -2) in {r.word for r in records}
+    assert sum(r.displacement == T for r in records) == 4
+    assert len(enumerate_orbit_bruteforce(group_b, T, max_len=8)) == 35
 
 
 def _image_circle(m, q, r):

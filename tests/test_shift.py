@@ -11,8 +11,17 @@ from covercount.errors import NotAtCriticalExponent, ValidationError
 from covercount.hyperbolic import geodesic_invariants, wrap_angle
 from covercount.shift import (MarkovShift, cycle_roof_sum, from_schottky,
                               parry_chain, sample_cocycle_batch,
-                              sample_trajectory, toy_from_json, toy_full_shift,
-                              toy_to_json)
+                              sample_trajectory, toy_from_json, toy_full_shift)
+
+
+def toy_to_json(shift: MarkovShift) -> dict:
+    """The inverse of toy_from_json; only the round-trip test writes toy data."""
+    return {
+        "transition": shift.transition.tolist(),
+        "tau": shift.tau.tolist(),
+        "f": shift.f.tolist(),
+        "theta": None if shift.theta is None else shift.theta.tolist(),
+    }
 
 
 def test_toy_full_shift_structure():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from covercount import transfer as tr
 from covercount.errors import (HessianNotPD, HolonomyUnavailable,
@@ -263,3 +264,99 @@ def test_left_eigenpair_checked(toy2_spec, monkeypatch, left_shift, left_res):
     with pytest.raises(NotConverged, match="left eigenpair"):
         leading_eigenvalue(toy2_spec, math.log(2.0), want_measure=True)
     assert len(calls) == 2
+
+
+# -- eigensolver paths -------------------------------------------------------------
+
+def _reference_dominant(M, v0=None):
+    """The eigensolver before its power step reused its product: three
+    products with M per step, and the power loop before ARPACK on every
+    matrix.  The oracle for bit-identical results."""
+    n = M.shape[0]
+    if v0 is None:
+        v0 = np.ones(n, dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, n)
+    z = v0 / np.linalg.norm(v0)
+    for _ in range(60):
+        w = M @ z
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0 + 0j, z, 0.0
+        z = w / nw
+        lam_new = np.vdot(z, M @ z)
+        res = float(np.linalg.norm(M @ z - lam_new * z))
+        if res < 1e-12 * max(1.0, abs(lam_new)):
+            return lam_new, z, res
+    if n > 16:
+        try:
+            vals, vecs = eigs(M, k=min(3, n - 2), v0=np.asarray(v0, dtype=complex),
+                              which="LM", maxiter=5000, tol=1e-14)
+            i = int(np.argmax(np.abs(vals)))
+            lam, z = vals[i], vecs[:, i]
+            res = float(np.linalg.norm(M @ z - lam * z) / np.linalg.norm(z))
+            if res < 1e-10 * max(1.0, abs(lam)):
+                return lam, z / np.linalg.norm(z), res
+        except ArpackNoConvergence:
+            pass
+    vals, vecs = np.linalg.eig(M)
+    i = int(np.argmax(np.abs(vals)))
+    lam, z = vals[i], vecs[:, i]
+    return lam, z, float(np.linalg.norm(M @ z - lam * z) / np.linalg.norm(z))
+
+
+def _assert_same_bits(got, want):
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("case", ["perron-b-delta", "perron-b-half", "perron-toy2",
+                                  "seeded-doubling-b48", "cold-twisted-b48"])
+def test_dominant_bit_identical_to_reference(case, spec_b, delta_b, toy2_spec):
+    # a scan point at N = 48: the cold 192 x 192 solve leaves the power loop
+    # unconverged, the seeded 384 x 384 doubling solve converges in it
+    spec48 = OperatorSpec(spec_b.shift, nodes_per_disk=48)
+    s, v = complex(delta_b, 1.0), [0.5]
+    v0 = None
+    if case == "perron-b-delta":
+        M = build_matrix(spec_b, delta_b)
+    elif case == "perron-b-half":
+        M = build_matrix(spec_b, 0.5)
+    elif case == "perron-toy2":
+        M = build_matrix(toy2_spec, math.log(2.0))
+    elif case == "seeded-doubling-b48":
+        _, h, _ = _reference_dominant(build_matrix(spec48, s, v))
+        M = build_matrix(spec48, s, v, nodes=96)
+        v0 = tr._interpolate_between_grids(spec48, h, 48, 96)
+    else:
+        M = build_matrix(spec48, s, v)
+        assert M.shape == (192, 192) and np.any(M.imag)
+    _assert_same_bits(tr._dominant(M, v0), _reference_dominant(M, v0))
+
+
+def test_scan_rows_match_reference_solver(shift_b, delta_b, monkeypatch):
+    grid = dict(t_grid=[0.5, 0.25, 0.75], v_grid=[[0.0], [3.14]])
+    rows = spectral_radius_scan(OperatorSpec(shift_b, nodes_per_disk=24),
+                                delta_b, **grid).rows
+    monkeypatch.setattr(tr, "_dominant", _reference_dominant)
+    want = spectral_radius_scan(OperatorSpec(shift_b, nodes_per_disk=24),
+                                delta_b, **grid).rows
+    assert rows == want
+
+
+def test_doubling_interpolation_cached(shift_b, delta_b, monkeypatch):
+    spec = OperatorSpec(shift_b, nodes_per_disk=24)
+    s, v = complex(delta_b, 0.5), [3.14]
+    first = leading_eigenvalue(spec, s, v)
+    cached = spec._interp[(24, 48)]
+    calls = []
+    build = tr.CollocationGrid.interp_values
+    monkeypatch.setattr(tr.CollocationGrid, "interp_values",
+                        lambda self, a, pts: calls.append(a) or build(self, a, pts))
+    second = leading_eigenvalue(spec, s, v)
+    assert calls == [] and spec._interp[(24, 48)] is cached
+    assert second.lam == first.lam
+    seed = tr._interpolate_between_grids(spec, first.h, 24, 48)
+    monkeypatch.undo()
+    fresh = tr._interpolate_between_grids(OperatorSpec(shift_b, nodes_per_disk=24),
+                                          first.h, 24, 48)
+    assert np.array_equal(seed, fresh)
