@@ -70,6 +70,21 @@ def _safe_ratio(counts, preds):
     return out
 
 
+def _tally(cps, values, weights=None):
+    """Cumulative tally of one census's records at the sorted checkpoints cps:
+    entry i counts the records with value <= cps[i], or sums their complex
+    weights; records past the last checkpoint count nowhere.  Each bin adds
+    the weights' parts in record order, so the sums keep their bits."""
+    bins = np.searchsorted(cps, np.asarray(values, dtype=float), side="left")
+    kept = bins < len(cps)
+    part = lambda w=None: np.cumsum(np.bincount(bins[kept], w, minlength=len(cps)))
+    if weights is None:
+        return part()
+    out = part(weights.real[kept]).astype(complex)
+    out.imag = part(weights.imag[kept])
+    return out
+
+
 def _fit_constant(checkpoints, counts, law) -> float:
     """One multiplicative constant, least squares in log space on the first
     half of the checkpoints (falling back to all of them for sparse classes)."""
@@ -101,33 +116,24 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
     cps = np.asarray(sorted(float(t) for t in checkpoints))
     if cps[-1] > T_max:
         raise ValidationError("checkpoints exceed T_max")
-    ncp = len(cps)
-    by_class: dict = {}
-    totals = np.zeros(ncp, dtype=np.int64)
+    values: dict = {}  # class -> record values, in record order
 
     def take(rec: sk.OrbitRecord):
         if sink is not None:
             sink(rec)
-        i = int(np.searchsorted(cps, rec.displacement, side="left"))
-        if i == ncp:
-            return
-        arr = by_class.get(rec.homology)
-        if arr is None:
-            arr = by_class.setdefault(rec.homology, np.zeros(ncp, dtype=np.int64))
-        arr[i] += 1
-        totals[i] += 1
+        values.setdefault(rec.homology, []).append(rec.displacement)
 
     sk.enumerate_orbit(group, T_max, emit=take, budget=budget)
-    for arr in by_class.values():
-        np.cumsum(arr, out=arr)
-    np.cumsum(totals, out=totals)
+    tallies = {key: _tally(cps, v) for key, v in values.items()}
+    by_class = {key: t for key, t in tallies.items() if t[-1]}  # some record <= cps[-1]
+    totals = sum(by_class.values(), np.zeros(len(cps), dtype=np.int64))
 
     delta, d = prediction.delta, prediction.d
     law = lambda T: math.exp(delta * T) / T ** (d / 2.0) if T > 0 else 0.0
     wanted = [tuple(int(x) for x in c) for c in classes] if classes is not None else sorted(by_class)
     counts, preds, ratios = {}, {}, {}
     for key in wanted:
-        cts = by_class.get(key, np.zeros(ncp, dtype=np.int64))
+        cts = by_class.get(key, np.zeros_like(totals))
         counts[key] = cts
         c = _fit_constant(cps, cts, law)
         pr = np.array([c * law(T) for T in cps])
@@ -150,26 +156,17 @@ def geodesics_by_homology(group: SchottkyGroup, prediction: Prediction, L_max: f
     sink, if given, receives every enumerated record, in enumeration order.
     """
     cps = np.asarray(sorted(float(t) for t in checkpoints))
-    ncp = len(cps)
-    by_class: dict = {}
-    totals = np.zeros(ncp, dtype=np.int64)
+    values: dict = {}  # class -> record values, in record order
 
     def take(rec: sk.GeodesicRecord):
         if sink is not None:
             sink(rec)
-        i = int(np.searchsorted(cps, rec.length, side="left"))
-        if i == ncp:
-            return
-        arr = by_class.get(rec.homology)
-        if arr is None:
-            arr = by_class.setdefault(rec.homology, np.zeros(ncp, dtype=np.int64))
-        arr[i] += 1
-        totals[i] += 1
+        values.setdefault(rec.homology, []).append(rec.length)
 
     sk.primitive_classes(group, float(cps[-1]), emit=take, budget=budget)
-    for arr in by_class.values():
-        np.cumsum(arr, out=arr)
-    np.cumsum(totals, out=totals)
+    tallies = {key: _tally(cps, v) for key, v in values.items()}
+    by_class = {key: t for key, t in tallies.items() if t[-1]}  # some record <= cps[-1]
+    totals = sum(by_class.values(), np.zeros(len(cps), dtype=np.int64))
 
     delta, sigma, d = prediction.delta, prediction.sigma, prediction.d
     if d == 0:
@@ -178,7 +175,7 @@ def geodesics_by_homology(group: SchottkyGroup, prediction: Prediction, L_max: f
     else:
         coef = (2.0 * math.pi * sigma) ** (d / 2.0)
         law = lambda L: math.exp(delta * L) / (coef * delta * L ** (d / 2.0 + 1.0))
-        zero_counts = by_class.get((0,) * d, np.zeros(ncp, dtype=np.int64))
+        zero_counts = by_class.get((0,) * d, np.zeros_like(totals))
     key = (0,) * d
     preds = {key: np.array([law(L) for L in cps])}
     counts = dict(by_class) if d else {key: zero_counts}
@@ -197,23 +194,18 @@ def holonomy_equidistribution(group: SchottkyGroup, L_max: float,
     if group.model != hyp.Model.H3:
         raise ValidationError("holonomy census needs the H3 model")
     cps = np.asarray(sorted(float(t) for t in checkpoints))
-    ncp = len(cps)
-    sums = {int(p): np.zeros(ncp, dtype=complex) for p in p_list}
-    totals = np.zeros(ncp, dtype=np.int64)
+    lengths, theta = [], []
 
     def take(rec: sk.GeodesicRecord):
-        i = int(np.searchsorted(cps, rec.length, side="left"))
-        if i == ncp:
-            return
-        totals[i] += 1
-        for p in sums:
-            sums[p][i] += np.exp(1j * p * rec.holonomy)
+        lengths.append(rec.length)
+        theta.append(rec.holonomy)
 
     sk.primitive_classes(group, float(cps[-1]), emit=take, budget=budget)
-    np.cumsum(totals, out=totals)
+    theta = np.array(theta, dtype=float)
+    totals = _tally(cps, lengths)
     counts, preds, ratios = {}, {}, {}
-    for p in sorted(sums):
-        csum = np.cumsum(sums[p])
+    for p in sorted({int(p) for p in p_list}):
+        csum = _tally(cps, lengths, np.exp(1j * p * theta))
         counts[p] = np.abs(csum)
         preds[p] = totals.astype(float)
         ratios[p] = _safe_ratio(np.abs(csum), totals.astype(float))
@@ -253,7 +245,6 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
     if not q0 < 0.0:
         raise ValidationError(f"w0 must be a definite form (v1^2 - 4 v0 v2 < 0), got {q0}")
     cps = np.asarray(sorted(float(t) for t in checkpoints))
-    ncp = len(cps)
     if cps[-1] > T_max * (1.0 + 1e-12):
         raise ValidationError("checkpoints exceed T_max")
     kappa, norm_fn = {"euclidean": (math.sqrt(2.0), lambda v: float(np.linalg.norm(v))),
@@ -263,7 +254,7 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
                 + math.acosh(max(abs(w0[0] + w0[2]) / two_c, 1.0)))
     seen: dict = {}
     hits = 0
-    new_counts = np.zeros(ncp, dtype=np.int64)
+    norms = []
 
     def take(rec: sk.OrbitRecord):
         nonlocal hits
@@ -279,10 +270,10 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
             hits += 1
             return
         seen[key] = True
-        new_counts[int(np.searchsorted(cps, r, side="left"))] += 1
+        norms.append(r)
 
     sk.enumerate_orbit(group, disp_cap, emit=take, budget=budget)
-    counts_arr = np.cumsum(new_counts)
+    counts_arr = _tally(cps, norms)
     delta, d = prediction.delta, prediction.d
     law = lambda T: T ** delta / (math.log(T) ** (d / 2.0)) if T > 1.0 else 0.0
     try:

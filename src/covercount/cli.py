@@ -37,9 +37,8 @@ def _parse_vec(text: str) -> list[float]:
 def _spec_for(source, nodes):
     obj = load_any(source)
     if isinstance(obj, sh.MarkovShift):
-        return obj, tr.OperatorSpec(obj)
-    shift = sh.from_schottky(obj)
-    return obj, tr.OperatorSpec(shift, nodes_per_disk=nodes)
+        return tr.OperatorSpec(obj)
+    return tr.OperatorSpec(sh.from_schottky(obj), nodes_per_disk=nodes)
 
 
 def cmd_validate(args) -> int:
@@ -57,7 +56,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    obj, spec = _spec_for(args.group, args.nodes)
+    spec = _spec_for(args.group, args.nodes)
     delta = tr.critical_exponent(spec)
     res = tr.leading_eigenvalue(spec, delta)
     print(f"delta = {delta:.12f}   |lambda(delta)-1| = {abs(res.lam - 1.0):.3e}")
@@ -69,7 +68,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_pressure(args) -> int:
-    obj, spec = _spec_for(args.group, args.nodes)
+    spec = _spec_for(args.group, args.nodes)
     surf = tr.pressure_surface(spec, fd_step=args.fd_step)
     print(f"delta = {surf.delta:.12f}")
     print(f"grad P(0) = {surf.gradient.tolist()}")
@@ -97,7 +96,7 @@ def cmd_pressure(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    obj, spec = _spec_for(args.group, args.nodes)
+    spec = _spec_for(args.group, args.nodes)
     delta = tr.critical_exponent(spec)
     t_grid = np.linspace(args.t_min, args.t_max, args.t_count)
     d = spec.shift.d
@@ -144,14 +143,12 @@ def vars_config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def _group_prediction(args, group):
-    shift = sh.from_schottky(group)
-    spec = tr.OperatorSpec(shift, nodes_per_disk=args.nodes)
+def _group_prediction(args, group, use_sigma: bool = False):
+    """delta of the group's operator; sigma from its pressure surface when
+    use_sigma, else 1 (sigma enters only the absolute geodesic law)."""
+    spec = tr.OperatorSpec(sh.from_schottky(group), nodes_per_disk=args.nodes)
     delta = tr.critical_exponent(spec)
-    if group.d >= 1 and getattr(args, "use_sigma", False):
-        sigma = tr.pressure_surface(spec).sigma
-    else:
-        sigma = 1.0
+    sigma = tr.pressure_surface(spec).sigma if use_sigma else 1.0
     return cen.Prediction(delta=delta, sigma=sigma, d=group.d)
 
 
@@ -175,8 +172,7 @@ def cmd_count_orbit(args) -> int:
 
 def cmd_count_geodesics(args) -> int:
     group = load_group(args.group)
-    args.use_sigma = group.d >= 1
-    pred = _group_prediction(args, group)
+    pred = _group_prediction(args, group, use_sigma=group.d >= 1)
     cps = cen.checkpoints_linear(args.l_min, args.l_max, args.checkpoints)
     records, sink = None, None
     if args.dump_records:
@@ -225,7 +221,7 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_clt(args) -> int:
-    _, spec = _spec_for(args.group, args.nodes)
+    spec = _spec_for(args.group, args.nodes)
     shift = spec.shift
     if shift.d < 1:
         raise ValidationError("CLT check needs homology dimension d >= 1")

@@ -240,24 +240,20 @@ class SchottkyGroup:
 
     def min_cycle_step(self) -> float:
         """Lower bound on the per-letter length gain of cyclic words:
-        tau >= -log sup |gamma_a'| over any admissible source disk."""
-        worst = -math.inf
+        tau >= -log sup_{D_b} |gamma_a'| = 2 log(|c z_b + d| - |c| r_b) over
+        admissible (a, b), the division-free bound primitive_classes prunes with."""
+        worst = math.inf
         for a in range(self.n_symbols):
-            ma = self._mats[a]
-            _, _, c, d = ma
+            _, _, c, d = self._mats[a]
             for b in range(self.n_symbols):
                 if b == inverse_index(a):
                     continue
                 db = self.disks[b]
-                if abs(c) < 1e-14:
-                    sup = 1.0 / abs(d) ** 2
-                else:
-                    gap = abs(db.center + d / c) - db.radius
-                    if gap <= 0:
-                        raise ValidationError("pole inside an admissible disk")
-                    sup = 1.0 / (abs(c) * gap) ** 2
-                worst = max(worst, math.log(sup))
-        step = -worst
+                gap = abs(c * db.center + d) - abs(c) * db.radius
+                if gap <= 0:
+                    raise ValidationError("pole inside an admissible disk")
+                worst = min(worst, gap)
+        step = 2.0 * math.log(worst)
         if step <= 0:
             raise ValidationError("disks too weakly contracted for class enumeration")
         return step

@@ -8,6 +8,8 @@ admissible interval strictly inside the target interval, so polynomial
 interpolation converges geometrically and the leading eigenvalue is certified
 by node doubling.  Toy shifts are the exact one-node case (logd = -tau,
 interp = 1), so both kinds share one assembly from per-transition blocks.
+Barycentric interpolation builds those blocks; node values are evaluated
+anywhere else (sampler, doubling seed) by Clenshaw on Chebyshev coefficients.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ class CollocationGrid:
     shape (n, n, N, N), of the branch images precomputed per transition.
 
     A vector of node values, disk after disk, stands for the per-disk
-    polynomial interpolants.  They are evaluated barycentrically
-    (interp_values, for fixed point sets) or by Clenshaw recurrence on their
-    Chebyshev coefficients (chebyshev_coeffs + clenshaw, for many points).
+    polynomial interpolants.  interp_values gives the barycentric basis at the
+    branch images once per grid, to build the interp blocks; every evaluation
+    of node values away from the nodes (the sampler's eigenfunction, the
+    doubled solve's seed, real or complex) goes through their Chebyshev
+    coefficients, chebyshev_coeffs + clenshaw.
     """
 
     def __init__(self, group, nodes_per_disk: int):
@@ -87,28 +91,29 @@ class CollocationGrid:
         """Chebyshev coefficients, shape (n_symbols, N), of each disk's
         interpolant through node values laid out disk after disk."""
         N = self.nodes_per_disk
-        vals = np.asarray(values, dtype=float).reshape(-1, N)
+        vals = np.asarray(values).reshape(-1, N)  # complex: each part's DCT
         coeffs = dct(vals, type=2, axis=1) / N  # first-kind nodes: DCT-II
         coeffs[:, 0] *= 0.5
         return coeffs
 
     def clenshaw(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Values at pts, shape (n_symbols, m), of the Chebyshev series in
-        coeffs: row b is evaluated on disk b's interval."""
+        coeffs: row b is evaluated on disk b's interval.  pts is one point set
+        for every disk, shape (m,), or one per disk, shape (n_symbols, m)."""
         t = (pts - self.centers[:, None]) / self.radii[:, None]
         t2 = t + t
-        b1 = np.zeros_like(t)
-        b2 = np.zeros_like(t)
-        tmp = np.empty_like(t)
+        b1 = np.zeros(t.shape, dtype=coeffs.dtype)
+        b2 = np.zeros_like(b1)
+        tmp = np.empty_like(b1)
         for ck in coeffs.T[:0:-1, :, None]:  # k = N-1, ..., 1
             np.multiply(t2, b1, out=tmp)  # b_k = c_k + 2t b_{k+1} - b_{k+2}
             tmp -= b2
             tmp += ck
             b1, b2, tmp = tmp, b1, b2
-        t *= b1
-        t -= b2
-        t += coeffs[:, :1]
-        return t
+        b1 *= t
+        b1 -= b2
+        b1 += coeffs[:, :1]
+        return b1
 
 
 class ExactGrid:
@@ -124,13 +129,12 @@ class ExactGrid:
 
 @dataclass
 class OperatorSpec:
-    """Shift plus its discretization; grids cached per node count, and the
-    per-disk interpolation matrices between two node counts per pair."""
+    """Shift plus its discretization, with grids cached per node count; the
+    doubling seed is a Clenshaw evaluation on the coarse grid, not cached."""
 
     shift: MarkovShift
     nodes_per_disk: Optional[int] = None
     _grids: dict = field(default_factory=dict, repr=False)
-    _interp: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.shift.analytic:
@@ -180,21 +184,6 @@ def build_matrix(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
             wvec = np.exp(s * grid.logd[a, b] + cw)
             M[b * N:(b + 1) * N, a * N:(a + 1) * N] = wvec[:, None] * grid.interp[a, b]
     return M
-
-
-def _interpolate_between_grids(spec: OperatorSpec, h: np.ndarray,
-                               n_from: int, n_to: int) -> np.ndarray:
-    """Evaluate per-disk node values on a finer node set; doubling-check seed."""
-    nsym = spec.shift.k
-    mats = spec._interp.get((n_from, n_to))
-    if mats is None:
-        gfrom, gto = spec.grid(n_from), spec.grid(n_to)
-        mats = [gfrom.interp_values(a, gto.nodes[a]) for a in range(nsym)]
-        spec._interp[(n_from, n_to)] = mats
-    out = np.zeros(nsym * n_to, dtype=complex)
-    for a in range(nsym):
-        out[a * n_to:(a + 1) * n_to] = mats[a] @ h[a * n_from:(a + 1) * n_from]
-    return out
 
 
 @dataclass
@@ -271,18 +260,18 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
     (s real, v = 0, p = 0) and for the seeded doubling solve, ARPACK for cold
     complex operators larger than 16 x 16 and after a power loop that does not
     converge, dense eig as the last resort.  For collocation the value must be
-    stable under doubling nodes_per_disk; the doubled solve is seeded with h
-    interpolated onto the finer nodes.
+    stable under doubling nodes_per_disk; the doubled solve is seeded with h's
+    interpolant evaluated on the finer nodes by Clenshaw recurrence.
     """
     M = build_matrix(spec, s, v, p, u)
     lam, h, res = _dominant(M)
     if not res < RESIDUAL_TOL:
         raise NotConverged(f"residual {res:.3e}")
     if spec.shift.analytic and check_stability:
-        M2 = build_matrix(spec, s, v, p, u, nodes=2 * spec.nodes_per_disk)
-        v0 = _interpolate_between_grids(spec, h, spec.nodes_per_disk,
-                                        2 * spec.nodes_per_disk)
-        lam2, _, _ = _dominant(M2, v0=v0)
+        grid, fine = spec.grid(), spec.grid(2 * spec.nodes_per_disk)
+        v0 = grid.clenshaw(grid.chebyshev_coeffs(h), np.array(fine.nodes)).ravel()
+        lam2, _, _ = _dominant(build_matrix(spec, s, v, p, u, nodes=fine.nodes_per_disk),
+                               v0=v0)
         if abs(lam - lam2) > DOUBLING_TOL * max(abs(lam2), 1e-12):
             raise DiscretizationUnstable(
                 f"lambda moved {abs(lam - lam2):.2e} under node doubling")
@@ -318,12 +307,14 @@ def _lead_lam_real(spec: OperatorSpec, s: float, u=None) -> float:
     return float(np.real(r.lam))
 
 
-def _solve_pressure_root(spec: OperatorSpec, u=None, lo: float = 1e-3) -> float:
+def _solve_pressure_root(spec: OperatorSpec, u=None) -> float:
     """Unique s with lambda(s; u) = 1 by bracket expansion + Brent.
 
-    The upper bracket stops at the first crossing, where the eigenvalue is
-    O(1) and the discretization is well resolved.
+    The lower bracket starts at 1e-3 and halves; the upper bracket stops at
+    the first crossing, where the eigenvalue is O(1) and the discretization
+    is well resolved.
     """
+    lo = 1e-3
     f_lo = _lead_lam_real(spec, lo, u)
     while lo > 1e-12 and f_lo <= 1.0:
         lo *= 0.5

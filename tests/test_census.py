@@ -61,7 +61,58 @@ def test_prediction_validates():
         Prediction(delta=-1.0, sigma=1.0, d=1)
 
 
+# -- binning kernel ----------------------------------------------------------------
+
+def _reference_binning(cps, values, weights=None):
+    """The per-record closure the censuses used before the shared kernel: one
+    searchsorted per record into per-bin sums, then an in-place cumsum."""
+    ncp = len(cps)
+    out = np.zeros(ncp, dtype=np.int64 if weights is None else complex)
+    for k, x in enumerate(values):
+        i = int(np.searchsorted(cps, x, side="left"))
+        if i == ncp:
+            continue
+        out[i] += 1 if weights is None else weights[k]
+    np.cumsum(out, out=out)
+    return out
+
+
+def test_tally_matches_per_record_reference():
+    rng = np.random.default_rng(7)
+    cps = checkpoints_linear(2.0, 6.0, 9)
+    # ties exactly at checkpoints, and values past the last one
+    values = np.concatenate([rng.uniform(0.0, 8.0, 400), cps, cps[::3], [6.0, 6.5, 9.0]])
+    rng.shuffle(values)
+    assert (values > cps[-1]).any() and np.isin(cps, values).all()
+    got, want = cen._tally(cps, values), _reference_binning(cps, values)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    theta = rng.uniform(-math.pi, math.pi, values.size)
+    for p in (1, 3):
+        w = np.exp(1j * p * theta)
+        got, want = cen._tally(cps, values, w), _reference_binning(cps, values, w)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(cen._tally(cps, []), np.zeros(9, dtype=np.int64))
+
+
 # -- orbit census ------------------------------------------------------------------
+
+def test_orbit_census_past_last_checkpoint(group_b, delta_b):
+    # T_max above the last checkpoint: the sink still gets every record, and a
+    # class appears only with a record at or below the last checkpoint
+    cps = checkpoints_linear(3.0, 6.0, 4)
+    pred = Prediction(delta=delta_b, sigma=1.0, d=1)
+    seen, direct = [], []
+    rep = orbit_by_homology(group_b, pred, 8.0, cps, sink=seen.append)
+    enumerate_orbit(group_b, 8.0, emit=direct.append)
+    assert seen == direct
+    near = {r.homology for r in seen if r.displacement <= cps[-1]}
+    assert set(rep.meta["all_classes"]) == near
+    assert any(r.homology not in near for r in seen)
+    for key, arr in rep.meta["all_classes"].items():
+        want = [sum(r.displacement <= T for r in seen if r.homology == key) for T in cps]
+        assert arr.tolist() == want
+    assert rep.totals.tolist() == [sum(r.displacement <= T for r in seen) for T in cps]
+
 
 def test_orbit_counts_monotone_and_symmetric(orbit_b):
     cps, rep = orbit_b

@@ -197,3 +197,22 @@ def test_count_vectors_indefinite_w0_is_config_error(tmp_path, capsys):
     assert run(["--out", str(tmp_path), "count-vectors", "--group", "fixture:b",
                 "--w0", "1,0,-1"]) == 3
     assert "definite" in capsys.readouterr().err
+
+
+def test_census_manifest_config_is_the_options(tmp_path):
+    # the manifest's config holds exactly the subcommand's options, nothing
+    # the command derives while it runs
+    from covercount.cli import build_parser
+    parsers = build_parser()._command_parsers
+    runs = {"count-orbit": ["--t-min", "3", "--t-max", "5", "--checkpoints", "3"],
+            "count-geodesics": ["--l-min", "5", "--l-max", "8", "--checkpoints", "3"],
+            "count-vectors": ["--t-min", "100", "--t-max", "20000", "--checkpoints", "10"],
+            "holonomy": ["--group", "fixture:d0", "--l-min", "5", "--l-max", "8",
+                         "--checkpoints", "3"]}
+    for command, extra in runs.items():
+        group = [] if "--group" in extra else ["--group", "fixture:b"]
+        out = tmp_path / command
+        assert run(["--out", str(out), command, *group, *extra]) == 0
+        config = json.loads(next(out.glob(f"{command}-*/manifest.json")).read_text())["config"]
+        dests = {a.dest for a in parsers[command]._actions if a.dest != "help"}
+        assert set(config) == dests, command

@@ -508,3 +508,29 @@ def test_classes_match_bruteforce(request, name, L, max_len):
     assert max(len(w) for w in words) < max_len
     assert sorted(words) == sorted(brute)
     assert len(words) == len(set(words))
+
+
+def _reference_min_cycle_step(group):
+    """min_cycle_step before it took primitive_classes' division-free bound:
+    sup_{D_b} |gamma_a'| = 1 / (|c| (|z_b + d/c| - r_b))^2, or 1 / |d|^2 at c = 0."""
+    worst = -math.inf
+    for a in range(group.n_symbols):
+        _, _, c, d = group._mats[a]
+        for b in range(group.n_symbols):
+            if b == sk.inverse_index(a):
+                continue
+            db = group.disks[b]
+            if abs(c) < 1e-14:
+                sup = 1.0 / abs(d) ** 2
+            else:
+                sup = 1.0 / (abs(c) * (abs(db.center + d / c) - db.radius)) ** 2
+            worst = max(worst, math.log(sup))
+    return -worst
+
+
+@pytest.mark.parametrize("name", ["b", "c", "d0", "d1"])
+def test_min_cycle_step_matches_division_form(name, request):
+    group = request.getfixturevalue(f"group_{name}")
+    step = group.min_cycle_step()
+    assert step > 0
+    assert abs(step - _reference_min_cycle_step(group)) <= 1e-12

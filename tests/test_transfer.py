@@ -158,6 +158,12 @@ def test_clenshaw_matches_barycentric_interpolant(spec_b, spectral_b):
     pts = grid.centers[:, None] + grid.radii[:, None] * u
     bary = [grid.interp_values(b, pts[b]) @ h[b * N:(b + 1) * N] for b in range(4)]
     assert_allclose(grid.clenshaw(coeffs, pts), np.array(bary), rtol=1e-13)
+    # complex node values keep their imaginary part through both steps
+    hc = h * np.exp(1j * np.linspace(0.0, 3.0, h.size))
+    cc = grid.chebyshev_coeffs(hc)
+    assert cc.dtype == complex
+    bary = [grid.interp_values(b, pts[b]) @ hc[b * N:(b + 1) * N] for b in range(4)]
+    assert_allclose(grid.clenshaw(cc, pts), np.array(bary), rtol=1e-13)
 
 
 def test_collocation_apply_matches_branch_sum(group_b, spec_b):
@@ -303,6 +309,12 @@ def _reference_dominant(M, v0=None):
     return lam, z, float(np.linalg.norm(M @ z - lam * z) / np.linalg.norm(z))
 
 
+def _doubling_seed(spec, h):
+    """The seed of the doubled solve in leading_eigenvalue."""
+    grid, fine = spec.grid(), spec.grid(2 * spec.nodes_per_disk)
+    return grid.clenshaw(grid.chebyshev_coeffs(h), np.array(fine.nodes)).ravel()
+
+
 def _assert_same_bits(got, want):
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
@@ -326,7 +338,7 @@ def test_dominant_bit_identical_to_reference(case, spec_b, delta_b, toy2_spec):
     elif case == "seeded-doubling-b48":
         _, h, _ = _reference_dominant(build_matrix(spec48, s, v))
         M = build_matrix(spec48, s, v, nodes=96)
-        v0 = tr._interpolate_between_grids(spec48, h, 48, 96)
+        v0 = _doubling_seed(spec48, h)
     else:
         M = build_matrix(spec48, s, v)
         assert M.shape == (192, 192) and np.any(M.imag)
@@ -343,20 +355,21 @@ def test_scan_rows_match_reference_solver(shift_b, delta_b, monkeypatch):
     assert rows == want
 
 
-def test_doubling_interpolation_cached(shift_b, delta_b, monkeypatch):
+def test_doubling_seed_matches_barycentric(shift_b, delta_b, monkeypatch):
+    # the doubled solve starts from h's interpolant on the 2N nodes, evaluated
+    # by Clenshaw; the barycentric basis on those nodes is the oracle
     spec = OperatorSpec(shift_b, nodes_per_disk=24)
     s, v = complex(delta_b, 0.5), [3.14]
-    first = leading_eigenvalue(spec, s, v)
-    cached = spec._interp[(24, 48)]
-    calls = []
-    build = tr.CollocationGrid.interp_values
-    monkeypatch.setattr(tr.CollocationGrid, "interp_values",
-                        lambda self, a, pts: calls.append(a) or build(self, a, pts))
-    second = leading_eigenvalue(spec, s, v)
-    assert calls == [] and spec._interp[(24, 48)] is cached
-    assert second.lam == first.lam
-    seed = tr._interpolate_between_grids(spec, first.h, 24, 48)
-    monkeypatch.undo()
-    fresh = tr._interpolate_between_grids(OperatorSpec(shift_b, nodes_per_disk=24),
-                                          first.h, 24, 48)
-    assert np.array_equal(seed, fresh)
+    seeds = []
+    solve = tr._dominant
+    monkeypatch.setattr(tr, "_dominant",
+                        lambda M, v0=None: seeds.append(v0) or solve(M, v0))
+    h = leading_eigenvalue(spec, s, v).h
+    assert seeds[0] is None and np.iscomplexobj(h) and np.any(h.imag)
+    assert np.array_equal(seeds[1], _doubling_seed(spec, h))
+    grid, fine = spec.grid(), spec.grid(48)
+    bary = np.concatenate([grid.interp_values(a, fine.nodes[a]) @ h[a * 24:(a + 1) * 24]
+                           for a in range(4)])
+    # relative to the vector's scale: entries 30x below it lose digits to
+    # cancellation in either evaluator
+    assert_allclose(seeds[1], bary, rtol=1e-13, atol=1e-13 * np.abs(bary).max())
