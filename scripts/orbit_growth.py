@@ -31,13 +31,13 @@ def main():
     spec = OperatorSpec(from_schottky(group), nodes_per_disk=args.nodes)
     delta = critical_exponent(spec)
     cps = checkpoints_linear(args.t_min, args.t_max, args.checkpoints)
-    pred = Prediction(delta=delta, sigma=1.0, d=group.d)
+    pred = Prediction(delta=delta, sigma=1.0)
     rep = orbit_by_homology(group, pred, args.t_max, cps)
 
     half = min(len(cps) // 2, len(cps) - 5)  # top half, at least 5 points
-    fit = fit_growth(cps[half:], rep.totals[half:], fix_log_power=0.0)
-    print(f"delta = {delta:.6f}, fitted slope = {fit.exponent:.6f} "
-          f"(difference {abs(fit.exponent - delta):.2e})")
+    slope = fit_growth(cps[half:], rep.totals[half:], fix_log_power=0.0)
+    print(f"delta = {delta:.6f}, fitted slope = {slope:.6f} "
+          f"(difference {abs(slope - delta):.2e})")
 
     zero = (0,) * group.d
     n0 = rep.counts.get(zero, np.zeros(len(cps), dtype=int))

@@ -157,7 +157,7 @@ def c02_coding_correctness(ws: Workspace) -> CriterionResult:
 
 def _orbit_report(ws: Workspace, group, delta, sigma, T):
     cps = cen.checkpoints_linear(5.0, T, 12)
-    pred = cen.Prediction(delta=delta, sigma=sigma, d=group.d)
+    pred = cen.Prediction(delta=delta, sigma=sigma)
     return cps, cen.orbit_by_homology(group, pred, T, cps)
 
 
@@ -170,10 +170,10 @@ def c03_two_method_delta(ws: Workspace) -> CriterionResult:
         T = ws.budget.slope_T
         cps, rep = _orbit_report(ws, group, delta, 1.0, T)
         half = len(cps) // 2
-        fit = cen.fit_growth(cps[half:], rep.totals[half:], fix_log_power=0.0)
-        err = abs(fit.exponent - delta)
+        slope = cen.fit_growth(cps[half:], rep.totals[half:], fix_log_power=0.0)
+        err = abs(slope - delta)
         details[f"delta_{tag}"] = delta
-        details[f"slope_{tag}"] = fit.exponent
+        details[f"slope_{tag}"] = slope
         details[f"err_{tag}"] = err
         passed = passed and err < 2e-2
     return _result("C3", "transfer delta vs orbit-growth slope", passed, details, t0)
@@ -231,9 +231,8 @@ def c06_local_mixing_counts(ws: Workspace) -> CriterionResult:
     cps, rep = _orbit_report(ws, ws.group_b, delta, ws.surface_b.sigma, T)
     c0 = rep.counts[(0,)]
     plateau = st.plateau_deviation(c0 * np.exp(-delta * cps) * np.sqrt(cps))
-    allc = rep.meta["all_classes"]
-    symmetric = all(np.array_equal(allc[key], allc[tuple(-x for x in key)])
-                    for key in allc)
+    symmetric = all(np.array_equal(cts, rep.counts[tuple(-x for x in key)])
+                    for key, cts in rep.counts.items())
     return _result("C6", "local-mixing orbit law and count symmetry",
                    plateau < 0.10 and symmetric,
                    {"plateau": plateau, "symmetric": symmetric,
@@ -246,7 +245,7 @@ def c07_prime_geodesic_theorem(ws: Workspace) -> CriterionResult:
     delta, sigma = ws.delta_b, ws.surface_b.sigma
     cps = cen.checkpoints_linear(ws.budget.geodesic_lo, L,
                                  ws.budget.geodesic_checkpoints)
-    pred = cen.Prediction(delta=delta, sigma=sigma, d=1)
+    pred = cen.Prediction(delta=delta, sigma=sigma)
     rep = cen.geodesics_by_homology(ws.group_b, pred, L, cps)
     ratios = rep.ratios[(0,)]
     top_ok = 0.7 <= ratios[-1] <= 1.3
@@ -256,7 +255,7 @@ def c07_prime_geodesic_theorem(ws: Workspace) -> CriterionResult:
                               [ws.group_b.disks[sk.sym_index(-(i + 1))] for i in range(ws.group_b.g)],
                               [ws.group_b.disks[sk.sym_index(i + 1)] for i in range(ws.group_b.g)],
                               [], ws.group_b.model)
-    rep0 = cen.geodesics_by_homology(group0, cen.Prediction(delta=delta, sigma=1.0, d=0), L, cps)
+    rep0 = cen.geodesics_by_homology(group0, cen.Prediction(delta=delta, sigma=1.0), L, cps)
     control = float(rep0.ratios[()][-1])
     control_ok = 0.7 <= control <= 1.3
     passed = top_ok and trend_p < 0.05 and control_ok
@@ -302,16 +301,16 @@ def c10_vector_orbit(ws: Workspace) -> CriterionResult:
     t0 = time.time()
     delta = ws.delta_b
     cps = np.exp(np.linspace(6.0, ws.budget.vector_logT, 12))
-    pred = cen.Prediction(delta=delta, sigma=1.0, d=1)
+    pred = cen.Prediction(delta=delta, sigma=1.0)
     rep = cen.vector_orbit(ws.group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps)
     cts = rep.counts["vectors"]
     half = len(cps) // 2
-    fit = cen.fit_growth(np.log(cps)[half:], cts[half:], fix_log_power=-0.5)
-    exp_err = abs(fit.exponent - delta)
+    exponent = cen.fit_growth(np.log(cps)[half:], cts[half:], fix_log_power=-0.5)
+    exp_err = abs(exponent - delta)
     plateau = st.plateau_deviation(cts * cps ** (-delta) * np.sqrt(np.log(cps)))
     passed = exp_err < 0.05 and plateau < 0.15
     return _result("C10", "vector-orbit counting exponent and plateau", passed,
-                   {"exponent": fit.exponent, "exponent_err": exp_err,
+                   {"exponent": exponent, "exponent_err": exp_err,
                     "plateau": plateau, "top_count": int(cts[-1]),
                     "stabilizer_hits": rep.meta["stabilizer_hits"]}, t0)
 
@@ -332,7 +331,7 @@ def c11_determinism(ws: Workspace, out_dir=None) -> CriterionResult:
                                          500, 64, ws.seed)
         group = load_group("fixture:b")
         cps = cen.checkpoints_linear(4.0, 8.0, 6)
-        rep = cen.orbit_by_homology(group, cen.Prediction(delta, 1.0, 1), 8.0, cps)
+        rep = cen.orbit_by_homology(group, cen.Prediction(delta, 1.0), 8.0, cps)
         w.write_json("summary.json", {
             "delta": delta,
             "tau_head": tau[:8].tolist(),

@@ -1,6 +1,9 @@
 """Censuses: binned orbit/geodesic statistics compared against the predicted
 asymptotics (local-mixing orbit law, prime geodesic theorem with homology,
-holonomy equidistribution, vector-orbit counting)."""
+holonomy equidistribution, vector-orbit counting).  Each census bins one
+schottky enumerator's record values at its checkpoints (_tally); the orbit and
+geodesic censuses share their per-class core (_by_class).  Laws take d from
+the group."""
 
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ from . import schottky as sk
 from . import hyperbolic as hyp
 from .errors import InsufficientData, ValidationError
 from .schottky import SchottkyGroup
-from .stats import plateau_deviation
 
 
 @dataclass(frozen=True)
@@ -23,11 +25,10 @@ class Prediction:
 
     delta: float
     sigma: float
-    d: int
 
     def __post_init__(self):
-        if self.delta <= 0 or self.sigma <= 0 or self.d < 0:
-            raise ValidationError("prediction needs delta > 0, sigma > 0, d >= 0")
+        if self.delta <= 0 or self.sigma <= 0:
+            raise ValidationError("prediction needs delta > 0 and sigma > 0")
 
 
 @dataclass
@@ -39,22 +40,6 @@ class CensusReport:
     ratios: dict                      # class key -> observed / predicted
     totals: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    def table_rows(self):
-        rows = []
-        for key in sorted(self.counts):
-            cts = self.counts[key]
-            preds = self.predictions.get(key)
-            rats = self.ratios.get(key)
-            for i, T in enumerate(self.checkpoints):
-                rows.append({
-                    "checkpoint": float(T),
-                    "class": "|".join(str(x) for x in key) if isinstance(key, tuple) else str(key),
-                    "count": float(cts[i]),
-                    "predicted": float(preds[i]) if preds is not None else float("nan"),
-                    "ratio": float(rats[i]) if rats is not None else float("nan"),
-                })
-        return rows
 
 
 def checkpoints_linear(t_min: float, t_max: float, count: int) -> np.ndarray:
@@ -85,6 +70,25 @@ def _tally(cps, values, weights=None):
     return out
 
 
+def _by_class(cps, enumerate_with, sink):
+    """Per-class cumulative counts of one enumerator's records at the sorted
+    checkpoints cps, and their total.  enumerate_with(emit) runs the
+    enumerator; sink, if given, receives every record, in enumeration order.
+    A class is kept only when some record of it is <= cps[-1]."""
+    values: dict = {}  # class -> record values, in record order
+
+    def take(rec):
+        if sink is not None:
+            sink(rec)
+        # field 1 is the record's value: an orbit displacement or a class length
+        values.setdefault(rec.homology, []).append(rec[1])
+
+    enumerate_with(take)
+    tallies = {key: _tally(cps, v) for key, v in values.items()}
+    by_class = {key: t for key, t in tallies.items() if t[-1]}
+    return by_class, sum(by_class.values(), np.zeros(len(cps), dtype=np.int64))
+
+
 def _fit_constant(checkpoints, counts, law) -> float:
     """One multiplicative constant, least squares in log space on the first
     half of the checkpoints (falling back to all of them for sparse classes)."""
@@ -107,7 +111,9 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
                       classes: Optional[Sequence[tuple]] = None,
                       budget: Optional[int] = None,
                       sink: Optional[Callable[[sk.OrbitRecord], None]] = None) -> CensusReport:
-    """N_xi(T) for requested homology classes vs c e^{delta T} / T^{d/2}.
+    """N_xi(T) for the requested homology classes vs c e^{delta T} / T^{d/2},
+    d = group.d.  With classes None, counts holds every class that has a
+    record <= the last checkpoint.
 
     sink, if given, receives every enumerated record, in enumeration order.
     """
@@ -116,19 +122,10 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
     cps = np.asarray(sorted(float(t) for t in checkpoints))
     if cps[-1] > T_max:
         raise ValidationError("checkpoints exceed T_max")
-    values: dict = {}  # class -> record values, in record order
+    by_class, totals = _by_class(
+        cps, lambda emit: sk.enumerate_orbit(group, T_max, emit=emit, budget=budget), sink)
 
-    def take(rec: sk.OrbitRecord):
-        if sink is not None:
-            sink(rec)
-        values.setdefault(rec.homology, []).append(rec.displacement)
-
-    sk.enumerate_orbit(group, T_max, emit=take, budget=budget)
-    tallies = {key: _tally(cps, v) for key, v in values.items()}
-    by_class = {key: t for key, t in tallies.items() if t[-1]}  # some record <= cps[-1]
-    totals = sum(by_class.values(), np.zeros(len(cps), dtype=np.int64))
-
-    delta, d = prediction.delta, prediction.d
+    delta, d = prediction.delta, group.d
     law = lambda T: math.exp(delta * T) / T ** (d / 2.0) if T > 0 else 0.0
     wanted = [tuple(int(x) for x in c) for c in classes] if classes is not None else sorted(by_class)
     counts, preds, ratios = {}, {}, {}
@@ -140,7 +137,7 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
         preds[key] = pr
         ratios[key] = _safe_ratio(cts, pr)
     meta = {"delta": delta, "d": d, "constant_mode": "UpToConstant",
-            "group": group.fingerprint(), "all_classes": {key: by_class[key] for key in sorted(by_class)}}
+            "group": group.fingerprint()}
     return CensusReport("OrbitByHomology", cps, counts, preds, ratios, totals, meta)
 
 
@@ -150,25 +147,18 @@ def geodesics_by_homology(group: SchottkyGroup, prediction: Prediction, L_max: f
                           sink: Optional[Callable[[sk.GeodesicRecord], None]] = None
                           ) -> CensusReport:
     """Primitive-class counts: the trivial class against the absolute law
-    e^{delta L} / ((2 pi sigma)^{d/2} delta L^{d/2+1}); for d = 0 the total
-    count against e^{delta L} / (delta L).
+    e^{delta L} / ((2 pi sigma)^{d/2} delta L^{d/2+1}), d = group.d, with
+    every class that has a record <= the last checkpoint in counts; for
+    d = 0 the total count against e^{delta L} / (delta L).
 
     sink, if given, receives every enumerated record, in enumeration order.
     """
     cps = np.asarray(sorted(float(t) for t in checkpoints))
-    values: dict = {}  # class -> record values, in record order
+    by_class, totals = _by_class(
+        cps, lambda emit: sk.primitive_classes(group, float(cps[-1]), emit=emit,
+                                               budget=budget), sink)
 
-    def take(rec: sk.GeodesicRecord):
-        if sink is not None:
-            sink(rec)
-        values.setdefault(rec.homology, []).append(rec.length)
-
-    sk.primitive_classes(group, float(cps[-1]), emit=take, budget=budget)
-    tallies = {key: _tally(cps, v) for key, v in values.items()}
-    by_class = {key: t for key, t in tallies.items() if t[-1]}  # some record <= cps[-1]
-    totals = sum(by_class.values(), np.zeros(len(cps), dtype=np.int64))
-
-    delta, sigma, d = prediction.delta, prediction.sigma, prediction.d
+    delta, sigma, d = prediction.delta, prediction.sigma, group.d
     if d == 0:
         law = lambda L: math.exp(delta * L) / (delta * L)
         zero_counts = totals.copy()
@@ -218,7 +208,7 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
                  norm: str = "euclidean",
                  budget: Optional[int] = None) -> CensusReport:
     """#{v in w0 Gamma : ||v|| <= T} for the kernel subgroup (f = 0 words)
-    under the adjoint SO(2,1) action, vs c T^delta / (log T)^{d/2}.
+    under the adjoint SO(2,1) action, vs c T^delta / (log T)^{d/2}, d = group.d.
 
     Words are enumerated out to an exact displacement cap.  A definite w0
     (Q(w0) = v1^2 - 4 v0 v2 < 0) is +-c F_p, with c = sqrt(-Q) / 2 and
@@ -274,7 +264,7 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
 
     sk.enumerate_orbit(group, disp_cap, emit=take, budget=budget)
     counts_arr = _tally(cps, norms)
-    delta, d = prediction.delta, prediction.d
+    delta, d = prediction.delta, group.d
     law = lambda T: T ** delta / (math.log(T) ** (d / 2.0)) if T > 1.0 else 0.0
     try:
         c = _fit_constant(cps, counts_arr, law)
@@ -290,23 +280,10 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
                         counts_arr, meta)
 
 
-@dataclass
-class GrowthFit:
-    exponent: float
-    log_power: float
-    constant: float
-    plateau: float
-
-
 def fit_growth(xs: Sequence[float], counts: Sequence[float],
-               fix_exponent: Optional[float] = None,
-               fix_log_power: Optional[float] = None) -> GrowthFit:
-    """Least squares for log N = const + exponent * x + log_power * log x.
-
-    Either coefficient may be pinned.  The plateau diagnostic is the max
-    pairwise relative deviation of the corrected counts over the last three
-    checkpoints.
-    """
+               fix_log_power: float) -> float:
+    """Exponent of the least-squares fit log N = const + exponent * x +
+    fix_log_power * log x, with the log power pinned."""
     xs = np.asarray(xs, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if len(xs) < 5:
@@ -315,25 +292,6 @@ def fit_growth(xs: Sequence[float], counts: Sequence[float],
         raise InsufficientData("growth fits need positive counts")
     if np.any(xs <= 0):
         raise InsufficientData("growth fits need positive checkpoints")
-    y = np.log(counts)
-    cols = [np.ones_like(xs)]
-    if fix_exponent is None:
-        cols.append(xs)
-    else:
-        y = y - fix_exponent * xs
-    if fix_log_power is None:
-        cols.append(np.log(xs))
-    else:
-        y = y - fix_log_power * np.log(xs)
-    A = np.column_stack(cols)
-    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-    const = float(sol[0])
-    i = 1
-    if fix_exponent is None:
-        exponent = float(sol[i]); i += 1
-    else:
-        exponent = float(fix_exponent)
-    log_power = float(sol[i]) if fix_log_power is None else float(fix_log_power)
-    corrected = counts * np.exp(-exponent * xs) * xs ** (-log_power)
-    return GrowthFit(exponent=exponent, log_power=log_power,
-                     constant=math.exp(const), plateau=plateau_deviation(corrected))
+    y = np.log(counts) - fix_log_power * np.log(xs)
+    sol, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(xs), xs]), y, rcond=None)
+    return float(sol[1])

@@ -18,7 +18,7 @@ from . import transfer as tr
 from .acceptance import run_all
 from .errors import CovercountError, ValidationError
 from .groupfile import load_any, load_group
-from .hyperbolic import MoebiusMap, displacement
+from .hyperbolic import frob2
 from .reporting import ReportWriter, census_csv_rows, scan_csv_rows
 
 EXIT_OK, EXIT_COMPUTE, EXIT_ACCEPT, EXIT_CONFIG = 0, 1, 2, 3
@@ -60,7 +60,7 @@ def cmd_delta(args) -> int:
     delta = tr.critical_exponent(spec)
     res = tr.leading_eigenvalue(spec, delta)
     print(f"delta = {delta:.12f}   |lambda(delta)-1| = {abs(res.lam - 1.0):.3e}")
-    writer = ReportWriter(args.out, "delta", {"group": str(args.group), "nodes": args.nodes})
+    writer = ReportWriter(args.out, "delta", vars_config(args))
     writer.write_json("summary.json", {"delta": delta, "lambda_residual": res.residual,
                                        "abs_lambda_err": abs(res.lam - 1.0)})
     writer.finish({"input": spec.fingerprint()})
@@ -75,13 +75,11 @@ def cmd_pressure(args) -> int:
     print(f"hess P(0) = {surf.hessian.tolist()}")
     print(f"sigma = {surf.sigma:.12f}   C(0) = {surf.c0:.12f}")
     extras = {}
-    for text in args.u or []:
+    for text in args.u:
         u = _parse_vec(text)
         extras[text] = tr.pressure(spec, u)
         print(f"P({text}) = {extras[text]:.12f}")
-    writer = ReportWriter(args.out, "pressure",
-                          {"group": str(args.group), "nodes": args.nodes,
-                           "fd_step": args.fd_step, "u": args.u or []})
+    writer = ReportWriter(args.out, "pressure", vars_config(args))
     d = spec.shift.d
     header = [f"u_{i}" for i in range(d)] + ["P"]
     rows = [list(k) + [v] for k, v in sorted(surf.samples.items())]
@@ -111,10 +109,7 @@ def cmd_scan(args) -> int:
     print(f"violations: {len(rep.violations)}")
     for r in rep.violations[:10]:
         print(f"  flagged t={r.t:.6f} v={r.v} p={r.p} |lambda|={r.abs_lambda:.8f}")
-    writer = ReportWriter(args.out, "scan",
-                          {"group": str(args.group), "nodes": args.nodes,
-                           "t": [args.t_min, args.t_max, args.t_count],
-                           "v_count": args.v_count, "p": args.p, "margin": args.margin})
+    writer = ReportWriter(args.out, "scan", vars_config(args))
     writer.write_csv("scan.csv", *scan_csv_rows(rep))
     writer.write_json("summary.json", {"delta": delta,
                                        "max_abs_lambda": rep.max_abs_lambda(),
@@ -130,8 +125,7 @@ def _emit_census(args, command, rep, extra=None, records=None) -> None:
     if records is not None:
         writer.write_csv("records.csv", *records)
     summary = {"kind": rep.kind, "checkpoints": rep.checkpoints,
-               "totals": rep.totals,
-               "meta": {k: v for k, v in rep.meta.items() if k != "all_classes"}}
+               "totals": rep.totals, "meta": rep.meta}
     if extra:
         summary.update(extra)
     writer.write_json("summary.json", summary)
@@ -139,6 +133,8 @@ def _emit_census(args, command, rep, extra=None, records=None) -> None:
 
 
 def vars_config(args) -> dict:
+    """The manifest config of every command: its parsed options, so that the
+    manifest's config fed back as --config reproduces the run."""
     skip = {"func", "out", "command"}  # the run directory is not configuration
     return {k: v for k, v in vars(args).items() if k not in skip}
 
@@ -149,7 +145,7 @@ def _group_prediction(args, group, use_sigma: bool = False):
     spec = tr.OperatorSpec(sh.from_schottky(group), nodes_per_disk=args.nodes)
     delta = tr.critical_exponent(spec)
     sigma = tr.pressure_surface(spec).sigma if use_sigma else 1.0
-    return cen.Prediction(delta=delta, sigma=sigma, d=group.d)
+    return cen.Prediction(delta=delta, sigma=sigma)
 
 
 def cmd_count_orbit(args) -> int:
@@ -181,8 +177,8 @@ def cmd_count_geodesics(args) -> int:
                    + ["length", "holonomy"], rows)
 
         def sink(r):
-            g = MoebiusMap(*r.matrix, group.model, normalize=False)
-            rows.append([len(r.word), displacement(g), *r.homology, r.length, r.holonomy])
+            disp = math.acosh(max(frob2(r.matrix) / 2.0, 1.0))  # d(o, g o) of the record
+            rows.append([len(r.word), disp, *r.homology, r.length, r.holonomy])
     rep = cen.geodesics_by_homology(group, pred, args.l_max, cps, budget=args.budget_cap,
                                     sink=sink)
     key = (0,) * group.d
@@ -202,10 +198,10 @@ def cmd_count_vectors(args) -> int:
     cts = rep.counts["vectors"]
     print(f"vectors with norm <= {args.t_max:.3e}: {cts[-1]}")
     half = len(cps) // 2
-    fit = cen.fit_growth(np.log(cps)[half:], cts[half:], fix_log_power=-pred.d / 2.0)
-    print(f"fitted exponent {fit.exponent:.4f} (delta = {pred.delta:.4f})")
+    exponent = cen.fit_growth(np.log(cps)[half:], cts[half:], fix_log_power=-group.d / 2.0)
+    print(f"fitted exponent {exponent:.4f} (delta = {pred.delta:.4f})")
     _emit_census(args, "count-vectors", rep,
-                 {"delta": pred.delta, "fitted_exponent": fit.exponent})
+                 {"delta": pred.delta, "fitted_exponent": exponent})
     return EXIT_OK
 
 
@@ -269,7 +265,7 @@ def cmd_verify_all(args) -> int:
 
     results = run_all(budget=args.budget, seed=args.seed, progress=show)
     n_fail = sum(not r.passed for r in results)
-    writer = ReportWriter(args.out, "verify-all", {"budget": args.budget, "seed": args.seed})
+    writer = ReportWriter(args.out, "verify-all", vars_config(args))
     # timings go to stdout only; report files must be bitwise reproducible
     writer.write_json("summary.json", [
         {"cid": r.cid, "name": r.name, "passed": r.passed,
@@ -307,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group")
     p.add_argument("--nodes", type=int, default=24)
     p.add_argument("--fd-step", type=float, default=1e-3)
-    p.add_argument("--u", action="append", help="extra twist point, e.g. '0.3' or '0.3,0.1'")
+    p.add_argument("--u", action="append", default=[],
+                   help="extra twist point, e.g. '0.3' or '0.3,0.1'")
 
     p = add("scan", cmd_scan, help="spectral radius scan on the critical line")
     p.add_argument("--group")
@@ -382,7 +379,8 @@ def main(argv=None) -> int:
     if "--config" in argv:
         i = argv.index("--config")
         try:
-            cfg = json.loads(open(argv[i + 1]).read())
+            with open(argv[i + 1]) as fh:
+                cfg = json.load(fh)
         except (IndexError, OSError, json.JSONDecodeError) as e:
             print(f"error: bad --config: {e}", file=sys.stderr)
             return EXIT_CONFIG

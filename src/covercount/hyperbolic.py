@@ -105,14 +105,21 @@ def apply_boundary(g: MoebiusMap, x: complex) -> complex:
     return (g.a * x + g.b) / den
 
 
+def frob2(m) -> float:
+    """||m||_F^2 of raw (a, b, c, d) entries, as re*re + im*im per entry
+    (bit-equal to abs(x) ** 2 for the real entries of H2)."""
+    a, b, c, d = m
+    return (a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
+            + c.real * c.real + c.imag * c.imag + d.real * d.real + d.imag * d.imag)
+
+
 def displacement(g: MoebiusMap) -> float:
     """Hyperbolic distance d(o, g o).
 
     Equal to acosh(||g||_F^2 / 2); the Frobenius norm is invariant under the
     stabilizer of o on both sides, so this matches the moved-point formula.
     """
-    frob2 = abs(g.a) ** 2 + abs(g.b) ** 2 + abs(g.c) ** 2 + abs(g.d) ** 2
-    return math.acosh(max(frob2 / 2.0, 1.0))
+    return math.acosh(max(frob2(g.entries) / 2.0, 1.0))
 
 
 def classify(g: MoebiusMap, tol: float = CLASSIFY_TOL) -> ElementClass:

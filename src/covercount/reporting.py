@@ -93,9 +93,16 @@ def _csv_cell(x) -> str:
 
 
 def census_csv_rows(report) -> tuple[list[str], list[list]]:
+    """One row per class (sorted) and checkpoint; a class with no prediction
+    gets nan in the predicted and ratio columns."""
     header = ["checkpoint", "class", "count", "predicted", "ratio"]
-    rows = [[r["checkpoint"], r["class"], r["count"], r["predicted"], r["ratio"]]
-            for r in report.table_rows()]
+    nan = [float("nan")] * len(report.checkpoints)
+    rows = []
+    for key in sorted(report.counts):
+        label = "|".join(str(x) for x in key) if isinstance(key, tuple) else str(key)
+        cols = zip(report.checkpoints, report.counts[key],
+                   report.predictions.get(key, nan), report.ratios.get(key, nan))
+        rows += [[float(T), label, float(c), float(p), float(r)] for T, c, p, r in cols]
     return header, rows
 
 

@@ -6,6 +6,10 @@ inverse.  The symbol index order 1 < -1 < 2 < -2 < ... orders words: a class
 is represented by its Lyndon word (its least rotation), and enumeration order
 is deterministic.  Disk j of letter a is the disk the letter maps INTO:
 letter a sends the exterior of disk(-a) onto the interior of disk(a).
+
+Both enumerators walk index words (tuples of symbol indices, see word_key) and
+turn a word into letters once, when they emit its record; a record's
+homology class is the sum of its symbols' columns (_index_homology).
 """
 
 from __future__ import annotations
@@ -85,13 +89,6 @@ def is_primitive(word: Sequence[int]) -> bool:
         if n % p == 0 and all(word[k] == word[(k + p) % n] for k in range(n)):
             return False
     return True
-
-
-def exponent_vector(word: Sequence[int], g: int) -> np.ndarray:
-    vec = np.zeros(g, dtype=np.int64)
-    for a in word:
-        vec[abs(a) - 1] += 1 if a > 0 else -1
-    return vec
 
 
 Matrix = tuple[complex, complex, complex, complex]  # raw (a, b, c, d)
@@ -215,11 +212,14 @@ class SchottkyGroup:
     def symbol_homology(self, idx: int) -> tuple[int, ...]:
         return self._hom[idx]
 
-    def abelianize(self, word: Sequence[int]) -> tuple[int, ...]:
+    def _index_homology(self, w: Sequence[int]) -> tuple[int, ...]:
+        """Class in Z^d of the index word w: the sum of its symbols' columns."""
         if self.d == 0:
             return ()
-        vec = self.homology_matrix @ exponent_vector(word, self.g)
-        return tuple(int(x) for x in vec)
+        return tuple(map(sum, zip(*map(self._hom.__getitem__, w)))) or (0,) * self.d
+
+    def abelianize(self, word: Sequence[int]) -> tuple[int, ...]:
+        return self._index_homology(word_key(word))
 
     def evaluate(self, word: Sequence[int]) -> MoebiusMap:
         m = IDENTITY
@@ -259,12 +259,6 @@ class SchottkyGroup:
         return step
 
 
-def _frob2(m) -> float:
-    a, b, c, d = m
-    return (a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
-            + c.real * c.real + c.imag * c.imag + d.real * d.real + d.imag * d.imag)
-
-
 def enumerate_orbit(group: SchottkyGroup, T: float,
                     emit: Optional[Callable[[OrbitRecord], None]] = None,
                     budget: Optional[int] = None) -> int:
@@ -284,8 +278,11 @@ def enumerate_orbit(group: SchottkyGroup, T: float,
     sinh T, with the relative slack SHADOW_SLACK so that rounding never cuts a
     record at exactly T.  A word is emitted when its reported displacement
     acosh(||w||_F^2 / 2) is <= T; the cosh pre-test carries the same slack,
-    because cosh(acosh(x)) can round below x.  Records of one first letter
-    are emitted in (length, word_key) order.
+    because cosh(acosh(x)) can round below x.
+
+    The walk carries index words; a record gets its letter word and class
+    when it is emitted.  Records of one first letter are emitted in
+    (length, index word) order, which is (length, word_key) of the letters.
     """
     cosh_cut = math.cosh(T) * (1.0 + SHADOW_SLACK)
     sinh_cut = math.sinh(T) * (1.0 + SHADOW_SLACK)
@@ -295,45 +292,45 @@ def enumerate_orbit(group: SchottkyGroup, T: float,
         emit(OrbitRecord((), 0.0, zero, IDENTITY))
     count += 1
     mats = group._mats
-    n = group.n_symbols
-    letters = [letter_of_index(idx) for idx in range(n)]
+    letters = [letter_of_index(idx) for idx in range(group.n_symbols)]
     # per letter: its disk's center q and r^2, and 2 r sinh T with the slack
     shadows = [(idx, dk.center, dk.radius * dk.radius, 2.0 * dk.radius * sinh_cut)
                for idx, dk in enumerate(group.disks)]
     for first_idx, q, r2, cut in shadows:
         if abs(q) ** 2 + 1.0 - r2 > cut:  # w empty: p = o = (0, 1)
             continue
-        # records of one first letter, emitted by (length, word_key)
-        shard: list[OrbitRecord] = []
-        stack = [((letters[first_idx],), mats[first_idx], first_idx)]
+        # (index word, displacement, matrix) of one first letter's records
+        shard: list[tuple] = []
+        stack = [((first_idx,), mats[first_idx])]
         while stack:
-            word, m, last = stack.pop()
-            ch = _frob2(m) / 2.0
+            w, m = stack.pop()
+            ch = hyp.frob2(m) / 2.0
             if ch <= cosh_cut:
                 disp = math.acosh(max(ch, 1.0))
                 if disp <= T:
-                    shard.append(OrbitRecord(word, disp, group.abelianize(word), m))
+                    shard.append((w, disp, m))
                     if budget is not None and len(shard) > budget:
                         raise BudgetExceeded(budget)
             a, b, c, d = m
             t = 1.0 / (a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag)
             z = -(b * a.conjugate() + d * c.conjugate()) * t
             tt = t * t
-            bad = inverse_index(last)
+            bad = inverse_index(w[-1])
             for idx, q, r2, cut in shadows:
                 if idx == bad:
                     continue
                 dz = z - q
                 if dz.real * dz.real + dz.imag * dz.imag + tt - r2 > cut * t:
                     continue
-                stack.append((word + (letters[idx],), hyp.mat_mul(m, mats[idx]), idx))
-        shard.sort(key=lambda rec: (len(rec.word), word_key(rec.word)))
-        for rec in shard:
+                stack.append((w + (idx,), hyp.mat_mul(m, mats[idx])))
+        shard.sort(key=lambda rec: (len(rec[0]), rec[0]))
+        for w, disp, m in shard:
             count += 1
             if budget is not None and count > budget:
                 raise BudgetExceeded(budget)
             if emit is not None:
-                emit(rec)
+                emit(OrbitRecord(tuple(map(letters.__getitem__, w)), disp,
+                                 group._index_homology(w), m))
     return count
 
 
@@ -345,7 +342,7 @@ def enumerate_orbit_bruteforce(group: SchottkyGroup, T: float, max_len: int) -> 
     n = group.n_symbols
 
     def rec_walk(word, m, last):
-        disp = math.acosh(max(_frob2(m) / 2.0, 1.0))
+        disp = math.acosh(max(hyp.frob2(m) / 2.0, 1.0))
         if disp <= T:
             out.append(OrbitRecord(word, disp, group.abelianize(word), m))
         if len(word) >= max_len:
@@ -380,6 +377,7 @@ def primitive_classes(group: SchottkyGroup, L: float,
     group.min_cycle_step()  # validates that all admissible steps contract
     mats, disks = group._mats, group.disks
     n = group.n_symbols
+    letters = [letter_of_index(idx) for idx in range(n)]
     count = 0
     for first_idx in range(n):
         stack = [((first_idx,), mats[first_idx], 1)]
@@ -392,8 +390,8 @@ def primitive_classes(group: SchottkyGroup, L: float,
                     if budget is not None and count > budget:
                         raise BudgetExceeded(budget)
                     if emit is not None:
-                        word = tuple(letter_of_index(i) for i in w)
-                        emit(GeodesicRecord(word, length, group.abelianize(word), theta, m))
+                        emit(GeodesicRecord(tuple(map(letters.__getitem__, w)), length,
+                                            group._index_homology(w), theta, m))
             _, _, c, d = m
             ac = abs(c)
             bad = inverse_index(w[-1])

@@ -189,9 +189,6 @@ def build_matrix(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
 @dataclass
 class SpectralResult:
     s: complex
-    v: tuple
-    p: int
-    u: tuple
     lam: complex
     h: np.ndarray
     rho: Optional[np.ndarray]
@@ -279,10 +276,10 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
     is_perron = (abs(complex(s).imag) == 0.0
                  and (v is None or not np.any(np.asarray(v)))
                  and p == 0)
+    # the solver's phase is arbitrary: divide it out before taking real parts
     if is_perron:
         lam = complex(lam.real, 0.0)
-        h = np.real(h)
-        h = h / h[int(np.argmax(np.abs(h)))]
+        h = np.real(h / h[int(np.argmax(np.abs(h)))])
         if want_measure and np.min(h) <= 0:
             raise NotConverged("Perron eigenfunction is not strictly positive")
     if want_measure:
@@ -292,13 +289,11 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
             raise NotConverged(f"left eigenpair residual {resL:.3e}, "
                                f"|lambda_left - lambda| = {gap:.3e}")
         if is_perron:
-            rho = np.real(rho)
+            rho = np.real(rho / rho[int(np.argmax(np.abs(rho)))])
             rho = rho / rho.sum()  # rho(1) = 1
             h = h / float(rho @ h)  # nu = h d rho is a probability
-    vv = tuple(np.atleast_1d(v).tolist()) if v is not None else (0.0,) * spec.shift.d
-    uu = tuple(np.atleast_1d(u).tolist()) if u is not None else (0.0,) * spec.shift.d
-    return SpectralResult(s=s, v=vv, p=p, u=uu, lam=lam, h=h, rho=rho,
-                          residual=float(res), discretization=spec.grid())
+    return SpectralResult(s=s, lam=lam, h=h, rho=rho, residual=float(res),
+                          discretization=spec.grid())
 
 
 def _lead_lam_real(spec: OperatorSpec, s: float, u=None) -> float:

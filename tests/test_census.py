@@ -12,19 +12,20 @@ from covercount.census import (Prediction, checkpoints_linear,
                                holonomy_equidistribution, orbit_by_homology,
                                vector_orbit)
 from covercount.errors import InsufficientData, ValidationError
+from covercount.reporting import census_csv_rows
 
 
 @pytest.fixture(scope="module")
 def orbit_b(group_b, delta_b, surface_b):
     cps = checkpoints_linear(4.0, 10.0, 8)
-    pred = Prediction(delta=delta_b, sigma=surface_b.sigma, d=1)
+    pred = Prediction(delta=delta_b, sigma=surface_b.sigma)
     return cps, orbit_by_homology(group_b, pred, 10.0, cps)
 
 
 @pytest.fixture(scope="module")
 def geo_b(group_b, delta_b, surface_b):
     cps = checkpoints_linear(6.0, 12.0, 8)
-    pred = Prediction(delta=delta_b, sigma=surface_b.sigma, d=1)
+    pred = Prediction(delta=delta_b, sigma=surface_b.sigma)
     return cps, geodesics_by_homology(group_b, pred, 12.0, cps)
 
 
@@ -32,33 +33,28 @@ def geo_b(group_b, delta_b, surface_b):
 
 def test_fit_growth_exact_exponential():
     T = np.linspace(2.0, 10.0, 9)
-    fit = fit_growth(T, 3.7 * np.exp(2.0 * T))
-    assert abs(fit.exponent - 2.0) < 1e-6
-    assert abs(fit.log_power) < 1e-6
-    assert abs(fit.constant - 3.7) < 1e-5
+    assert abs(fit_growth(T, 3.7 * np.exp(2.0 * T), fix_log_power=0.0) - 2.0) < 1e-9
 
 
-def test_fit_growth_log_power_with_known_exponent():
+def test_fit_growth_exponent_with_known_log_power():
     T = np.linspace(3.0, 12.0, 10)
-    fit = fit_growth(T, np.exp(T) / np.sqrt(T), fix_exponent=1.0)
-    assert abs(fit.log_power + 0.5) < 0.05
+    assert abs(fit_growth(T, np.exp(T) / np.sqrt(T), fix_log_power=-0.5) - 1.0) < 1e-9
 
 
 def test_fit_growth_constant_series():
-    fit = fit_growth(np.linspace(1, 5, 6), np.full(6, 4.0), fix_log_power=0.0)
-    assert abs(fit.exponent) < 1e-9
+    assert abs(fit_growth(np.linspace(1, 5, 6), np.full(6, 4.0), fix_log_power=0.0)) < 1e-9
 
 
 def test_fit_growth_insufficient():
     with pytest.raises(InsufficientData):
-        fit_growth([1, 2, 3], [1, 2, 3])
+        fit_growth([1, 2, 3], [1, 2, 3], fix_log_power=0.0)
     with pytest.raises(InsufficientData):
-        fit_growth(np.arange(1, 7), np.zeros(6))
+        fit_growth(np.arange(1, 7), np.zeros(6), fix_log_power=0.0)
 
 
 def test_prediction_validates():
     with pytest.raises(ValidationError):
-        Prediction(delta=-1.0, sigma=1.0, d=1)
+        Prediction(delta=-1.0, sigma=1.0)
 
 
 # -- binning kernel ----------------------------------------------------------------
@@ -100,15 +96,15 @@ def test_orbit_census_past_last_checkpoint(group_b, delta_b):
     # T_max above the last checkpoint: the sink still gets every record, and a
     # class appears only with a record at or below the last checkpoint
     cps = checkpoints_linear(3.0, 6.0, 4)
-    pred = Prediction(delta=delta_b, sigma=1.0, d=1)
+    pred = Prediction(delta=delta_b, sigma=1.0)
     seen, direct = [], []
     rep = orbit_by_homology(group_b, pred, 8.0, cps, sink=seen.append)
     enumerate_orbit(group_b, 8.0, emit=direct.append)
     assert seen == direct
     near = {r.homology for r in seen if r.displacement <= cps[-1]}
-    assert set(rep.meta["all_classes"]) == near
+    assert set(rep.counts) == near
     assert any(r.homology not in near for r in seen)
-    for key, arr in rep.meta["all_classes"].items():
+    for key, arr in rep.counts.items():
         want = [sum(r.displacement <= T for r in seen if r.homology == key) for T in cps]
         assert arr.tolist() == want
     assert rep.totals.tolist() == [sum(r.displacement <= T for r in seen) for T in cps]
@@ -116,15 +112,14 @@ def test_orbit_census_past_last_checkpoint(group_b, delta_b):
 
 def test_orbit_counts_monotone_and_symmetric(orbit_b):
     cps, rep = orbit_b
-    allc = rep.meta["all_classes"]
-    for key, arr in allc.items():
+    for key, arr in rep.counts.items():
         assert np.all(np.diff(arr) >= 0)
-        assert np.array_equal(arr, allc[tuple(-x for x in key)])
+        assert np.array_equal(arr, rep.counts[tuple(-x for x in key)])
 
 
 def test_orbit_identity_at_small_T(group_b, delta_b):
     cps = checkpoints_linear(0.5, 1.0, 5)
-    pred = Prediction(delta=delta_b, sigma=1.0, d=1)
+    pred = Prediction(delta=delta_b, sigma=1.0)
     rep = orbit_by_homology(group_b, pred, 1.0, cps, classes=[(0,)])
     assert rep.counts[(0,)][0] == 1  # the identity word
     assert rep.totals[-1] == 1
@@ -132,7 +127,7 @@ def test_orbit_identity_at_small_T(group_b, delta_b):
 
 def test_orbit_marginal_consistency(orbit_b):
     cps, rep = orbit_b
-    total_by_class = sum(rep.meta["all_classes"].values())
+    total_by_class = sum(rep.counts.values())
     assert np.array_equal(total_by_class, rep.totals)
 
 
@@ -150,7 +145,7 @@ def test_orbit_requires_positive_d(group_b, delta_b):
                               [group_b.disks[sk.sym_index(i + 1)] for i in range(group_b.g)],
                               [], group_b.model)
     with pytest.raises(ValidationError):
-        orbit_by_homology(group0, Prediction(delta_b, 1.0, 0), 8.0,
+        orbit_by_homology(group0, Prediction(delta_b, 1.0), 8.0,
                           checkpoints_linear(4.0, 8.0, 6))
 
 
@@ -172,7 +167,7 @@ def test_geodesic_absolute_prediction_formula(geo_b, delta_b, surface_b):
 
 def test_geodesic_reproducible(group_b, delta_b, surface_b):
     cps = checkpoints_linear(6.0, 10.0, 5)
-    pred = Prediction(delta=delta_b, sigma=surface_b.sigma, d=1)
+    pred = Prediction(delta=delta_b, sigma=surface_b.sigma)
     r1 = geodesics_by_homology(group_b, pred, 10.0, cps)
     r2 = geodesics_by_homology(group_b, pred, 10.0, cps)
     for key in r1.counts:
@@ -198,14 +193,14 @@ def test_holonomy_requires_h3(group_b):
 # -- vector census ------------------------------------------------------------------
 
 def test_vector_below_norm_is_empty(group_b, delta_b):
-    pred = Prediction(delta=delta_b, sigma=1.0, d=1)
+    pred = Prediction(delta=delta_b, sigma=1.0)
     cps = np.array([0.3, 0.5, 0.9])
     rep = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], 0.9, cps)
     assert np.array_equal(rep.counts["vectors"], np.zeros(3, dtype=int))
 
 
 def test_vector_counts_norm_equivalence(group_b, delta_b):
-    pred = Prediction(delta=delta_b, sigma=1.0, d=1)
+    pred = Prediction(delta=delta_b, sigma=1.0)
     cps = np.exp(np.linspace(5.0, 10.0, 8))
     r_euc = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps)
     r_sup = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps, norm="sup")
@@ -216,7 +211,7 @@ def test_vector_counts_norm_equivalence(group_b, delta_b):
 
 
 def test_vector_counts_deduplicated(group_b, delta_b):
-    pred = Prediction(delta=delta_b, sigma=1.0, d=1)
+    pred = Prediction(delta=delta_b, sigma=1.0)
     cps = np.exp(np.linspace(5.0, 9.0, 6))
     rep = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps)
     assert rep.meta["stabilizer_hits"] == 0
@@ -227,7 +222,7 @@ def test_vector_counts_deduplicated(group_b, delta_b):
 def test_vector_exact_cap_matches_padded_cap(group_b, delta_b, w0, norm):
     # counts at the exact displacement cap equal those enumerated out to the
     # padded cap log(T / ||w0||) + 4 that it replaced
-    pred = Prediction(delta=delta_b, sigma=1.0, d=1)
+    pred = Prediction(delta=delta_b, sigma=1.0)
     cps = np.exp(np.linspace(6.0, 11.0, 6))
     rep = vector_orbit(group_b, pred, w0, float(cps[-1]), cps, norm=norm)
     norm_fn = {"euclidean": np.linalg.norm, "sup": lambda v: np.max(np.abs(v))}[norm]
@@ -249,24 +244,31 @@ def test_vector_exact_cap_matches_padded_cap(group_b, delta_b, w0, norm):
 
 @pytest.mark.parametrize("w0", [(1.0, 0.0, -1.0), (1.0, 2.0, 1.0)], ids=["indefinite", "degenerate"])
 def test_vector_rejects_non_definite_w0(group_b, delta_b, w0):
-    pred = Prediction(delta=delta_b, sigma=1.0, d=1)
+    pred = Prediction(delta=delta_b, sigma=1.0)
     with pytest.raises(ValidationError, match="definite"):
         vector_orbit(group_b, pred, w0, 100.0, [10.0, 100.0])
 
 
 def test_vector_requires_h2(group_d0, delta_b):
-    pred = Prediction(delta=delta_b, sigma=1.0, d=0)
+    pred = Prediction(delta=delta_b, sigma=1.0)
     with pytest.raises(ValidationError):
         vector_orbit(group_d0, pred, [1.0, 0.0, 1.0], 100.0, [10.0, 100.0])
 
 
 # -- report plumbing ------------------------------------------------------------------
 
-def test_census_table_rows(orbit_b):
+def test_census_table_rows(orbit_b, geo_b):
     _, rep = orbit_b
-    rows = rep.table_rows()
-    assert rows
-    assert set(rows[0]) == {"checkpoint", "class", "count", "predicted", "ratio"}
+    header, rows = census_csv_rows(rep)
+    assert header == ["checkpoint", "class", "count", "predicted", "ratio"]
+    assert len(rows) == len(rep.counts) * len(rep.checkpoints)
+    assert rows[0][:3] == [rep.checkpoints[0], "|".join(map(str, min(rep.counts))),
+                           float(rep.counts[min(rep.counts)][0])]
+    # geodesic classes other than the trivial one carry no prediction
+    _, rep = geo_b
+    _, rows = census_csv_rows(rep)
+    assert {r[1] for r in rows if math.isnan(r[3]) and math.isnan(r[4])} \
+        == {"|".join(map(str, k)) for k in rep.counts if k != (0,)}
 
 
 def test_checkpoints_validation():

@@ -1,6 +1,9 @@
 import json
 import math
 
+import pytest
+
+from covercount import cli
 from covercount.cli import main
 
 
@@ -199,20 +202,51 @@ def test_count_vectors_indefinite_w0_is_config_error(tmp_path, capsys):
     assert "definite" in capsys.readouterr().err
 
 
+# cheap options for every command that writes a manifest
+MANIFEST_RUNS = {
+    "delta": ["--group", "fixture:toy2"],
+    "pressure": ["--group", "fixture:toy2", "--u", "0.3"],
+    "scan": ["--group", "fixture:toy2", "--t-count", "2", "--v-count", "2"],
+    "count-orbit": ["--group", "fixture:b", "--t-min", "3", "--t-max", "5",
+                    "--checkpoints", "3"],
+    "count-geodesics": ["--group", "fixture:b", "--l-min", "5", "--l-max", "8",
+                        "--checkpoints", "3"],
+    "count-vectors": ["--group", "fixture:b", "--t-min", "100", "--t-max", "20000",
+                      "--checkpoints", "10"],
+    "holonomy": ["--group", "fixture:d0", "--l-min", "5", "--l-max", "8",
+                 "--checkpoints", "3"],
+    "clt": ["--group", "fixture:toy2", "--traj", "16", "--steps", "50", "--seed", "1"],
+    "verify-all": ["--seed", "1"],
+}
+
+
+def _manifest(out, command, args):
+    """Run one command (verify-all without its criteria) and read its manifest."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_all", lambda budget, seed, progress: [])
+        assert run(["--out", str(out), *args]) == 0, command
+    (run_dir,) = out.glob(f"{command}-*")
+    return json.loads((run_dir / "manifest.json").read_text())
+
+
 def test_census_manifest_config_is_the_options(tmp_path):
     # the manifest's config holds exactly the subcommand's options, nothing
     # the command derives while it runs
-    from covercount.cli import build_parser
-    parsers = build_parser()._command_parsers
-    runs = {"count-orbit": ["--t-min", "3", "--t-max", "5", "--checkpoints", "3"],
-            "count-geodesics": ["--l-min", "5", "--l-max", "8", "--checkpoints", "3"],
-            "count-vectors": ["--t-min", "100", "--t-max", "20000", "--checkpoints", "10"],
-            "holonomy": ["--group", "fixture:d0", "--l-min", "5", "--l-max", "8",
-                         "--checkpoints", "3"]}
-    for command, extra in runs.items():
-        group = [] if "--group" in extra else ["--group", "fixture:b"]
-        out = tmp_path / command
-        assert run(["--out", str(out), command, *group, *extra]) == 0
-        config = json.loads(next(out.glob(f"{command}-*/manifest.json")).read_text())["config"]
+    parsers = cli.build_parser()._command_parsers
+    assert set(MANIFEST_RUNS) == set(parsers) - {"validate"}
+    for command, extra in MANIFEST_RUNS.items():
+        config = _manifest(tmp_path / command, command, [command, *extra])["config"]
         dests = {a.dest for a in parsers[command]._actions if a.dest != "help"}
         assert set(config) == dests, command
+
+
+def test_manifest_config_round_trips_as_config(tmp_path):
+    # a manifest's config, fed back as --config, reproduces the run's config hash
+    for command, extra in MANIFEST_RUNS.items():
+        first = _manifest(tmp_path / command / "flags", command, [command, *extra])
+        cfg = tmp_path / command / "config.json"
+        cfg.write_text(json.dumps(first["config"]))
+        again = _manifest(tmp_path / command / "config", command,
+                          ["--config", str(cfg), command])
+        assert again["config_hash"] == first["config_hash"], command
+        assert again["config"] == first["config"], command

@@ -189,6 +189,14 @@ ORACLE_CASES = [
 ]
 
 
+def _reference_homology(group, word) -> tuple[int, ...]:
+    """The homology matrix times the word's exponent sum per generator."""
+    exps = np.zeros(group.g, dtype=np.int64)
+    for a in word:
+        exps[abs(a) - 1] += 1 if a > 0 else -1
+    return tuple(int(x) for x in group.homology_matrix @ exps)
+
+
 def _assert_matches_oracle(group, T, max_len):
     records = []
     enumerate_orbit(group, T, emit=records.append)
@@ -197,6 +205,7 @@ def _assert_matches_oracle(group, T, max_len):
     assert max(len(r.word) for r in records) < max_len
     assert set(r.word for r in records) == set(r.word for r in brute)
     assert len(records) == len(brute)
+    assert all(r.homology == _reference_homology(group, r.word) for r in records)
 
 
 @pytest.mark.parametrize("name,T,max_len", ORACLE_CASES + [
@@ -408,8 +417,8 @@ def _reference_primitive_classes(group, L, emit=None, budget=None):
                     if budget is not None and count > budget:
                         raise BudgetExceeded(budget)
                     if emit is not None:
-                        emit(sk.GeodesicRecord(word, length, group.abelianize(word),
-                                              theta, m))
+                        emit(sk.GeodesicRecord(word, length,
+                                              _reference_homology(group, word), theta, m))
             _, _, c, d = m
             bad = sk.inverse_index(last)
             for idx in range(first_idx, n):

@@ -272,6 +272,25 @@ def test_left_eigenpair_checked(toy2_spec, monkeypatch, left_shift, left_res):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("want_measure", [False, True], ids=["h", "measure"])
+def test_perron_vectors_ignore_solver_phase(spec_b, delta_b, monkeypatch, want_measure):
+    # an eigensolver's phase is arbitrary: turned by a quarter, the Perron
+    # vectors must come out the same, with no false positivity failure
+    want = leading_eigenvalue(spec_b, delta_b, want_measure=want_measure)
+    solve = tr._dominant
+
+    def rotated(M, v0=None):
+        lam, z, res = solve(M, v0)
+        return lam, 1j * z / z[np.argmax(np.abs(z))], res
+
+    monkeypatch.setattr(tr, "_dominant", rotated)
+    got = leading_eigenvalue(spec_b, delta_b, want_measure=want_measure)
+    assert not np.iscomplexobj(got.h) and np.all(got.h > 0)
+    assert_allclose(got.h, want.h, rtol=1e-14, atol=0)
+    if want_measure:
+        assert_allclose(got.rho, want.rho, rtol=1e-14, atol=0)
+
+
 # -- eigensolver paths -------------------------------------------------------------
 
 def _reference_dominant(M, v0=None):
