@@ -373,17 +373,24 @@ def primitive_classes(group: SchottkyGroup, L: float,
     Length pruning: with (c, d) the bottom row of w's matrix and D_b = disk
     (z_b, r_b), every completion u of w b has |u'(fix)| <= sup_{D_b} |w'|, as
     later letters only contract; so length(u) >= 2 log(|c z_b + d| - |c| r_b).
+
+    On H2 a class is longer than L exactly when |tr| > 2 cosh(L/2), so a
+    closing candidate past that cap (widened by 1e-12 for rounding) is
+    dropped before its trace invariants, a square root and a log, are taken.
     """
     group.min_cycle_step()  # validates that all admissible steps contract
     mats, disks = group._mats, group.disks
     n = group.n_symbols
     letters = [letter_of_index(idx) for idx in range(n)]
+    tr_cap = (2.0 * math.cosh(L / 2.0) * (1.0 + 1e-12)
+              if group.model == Model.H2 and L < 1400.0 else math.inf)  # cosh(710) overflows
     count = 0
     for first_idx in range(n):
         stack = [((first_idx,), mats[first_idx], 1)]
         while stack:
             w, m, p = stack.pop()
-            if p == len(w) and w[-1] != inverse_index(first_idx):
+            if (p == len(w) and w[-1] != inverse_index(first_idx)
+                    and abs(m[0] + m[3]) <= tr_cap):
                 length, theta = hyp.trace_invariants(m[0] + m[3], group.model)
                 if 0.0 < length <= L:
                     count += 1

@@ -14,9 +14,12 @@ The equilibrium sampler has one step kernel (_steps) for both flavours,
 which advances a whole batch of trajectories per step.  The batch sampler
 (sample_cocycle_batch) sums its increments, and the trajectory dump
 (sample_trajectory) runs it on one trajectory and records every step.  On
-Schottky codings the kernel forms all branch images as one (symbols,
-trajectories) array and evaluates the eigenfunction h there by Clenshaw
-recurrence on its per-disk Chebyshev coefficients.
+Schottky codings the step weight of branch b at a point x of disk s,
+|gamma_b'(x)|^delta h(gamma_b x), is one fixed analytic function of x per
+pair (s, b).  Its Chebyshev series on disk s's interval is computed once
+(branch_weight_series), so a step evaluates one Chebyshev basis per
+trajectory and takes all weights from one matrix product; only the picked
+branch's image and roof are formed.
 """
 
 from __future__ import annotations
@@ -286,9 +289,14 @@ _CHUNK = 1024        # steps of uniforms drawn per generator call
 
 def _uniforms(rngs, count: int):
     """count rows of uniforms, one per trajectory; trajectory i's column is
-    the stream of rngs[i], drawn _CHUNK steps at a time."""
+    the stream of rngs[i], drawn _CHUNK steps at a time into one block.  A
+    row is a view of that block, valid until the next row is drawn."""
+    block = np.empty((len(rngs), min(_CHUNK, count)))
     for lo in range(0, count, _CHUNK):
-        yield from np.stack([r.random(min(_CHUNK, count - lo)) for r in rngs], axis=1)
+        rows = block[:, :min(_CHUNK, count - lo)]
+        for row, r in zip(rows, rngs):
+            r.random(out=row)
+        yield from rows.T
 
 
 def _steps(chain: ParryChain, shift: MarkovShift, n: int, rngs, spectral, burn: int):
@@ -304,18 +312,53 @@ def _steps(chain: ParryChain, shift: MarkovShift, n: int, rngs, spectral, burn: 
 
 
 def _toy_steps(chain: ParryChain, shift: MarkovShift, n: int, rngs):
-    """The exact finite-state chain, with the 2-block tables read flat."""
+    """The exact finite-state chain, with the 2-block tables read flat.  The
+    next state counts the thresholds cum_p[state, j], j < k - 1, below u:
+    as cum_p is nondecreasing, that is the first j with u <= cum_p[state, j],
+    capped at k - 1."""
     k = shift.k
-    cum_p = np.cumsum(chain.transitions, axis=1)
+    thresholds = np.cumsum(chain.transitions, axis=1).T[:-1].copy()  # (k - 1, k)
     cum_pi = np.cumsum(chain.stationary)
     tau = shift.tau.ravel()
     f = shift.f.reshape(k * k, shift.d)
     state = np.searchsorted(cum_pi, [r.random() for r in rngs])
     for u in _uniforms(rngs, n):
-        nxt = np.minimum((cum_p[state] < u[:, None]).sum(axis=1), k - 1)
+        nxt = np.zeros(len(rngs), dtype=np.intp)
+        for column in thresholds:
+            nxt += column.take(state) < u
         pair = state * k + nxt
         yield nxt, tau.take(pair), f.take(pair, axis=0)
         state = nxt
+
+
+def branch_weight_series(shift: MarkovShift, spectral) -> np.ndarray:
+    """Chebyshev coefficients G, shape (nsym, nsym, K), of the sampler's
+    branch weights g_{s,b}(x) = |c_b x + d_b|^{-2 delta} h_b(gamma_b x) for x
+    on disk s's interval, in t = (x - z_s) / r_s.
+
+    Each weight is tabulated at 2N first-kind nodes on disk s's interval,
+    with h_b by Clenshaw on its Chebyshev coefficients, and transformed by
+    DCT-II.  Trailing coefficients at most eps times the largest one are
+    dropped, so K follows the decay.  Row (s, inverse of s) is zero: that
+    branch is not admissible after s.
+    """
+    grid = spectral.discretization
+    group = shift.group
+    nsym = shift.k
+    delta = float(complex(spectral.s).real)
+    x = grid.first_kind_nodes(2 * grid.nodes_per_disk)  # (s, node)
+    a, b, c, d = np.array([group.symbol_matrix(s) for s in range(nsym)]).real.T[..., None, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        den = c * x + d  # (b, s, node); the inverse branch may pole on disk s
+        y = (a * x + b) / den
+        hy = grid.clenshaw(grid.chebyshev_coeffs(np.real(spectral.h)),
+                           y.reshape(nsym, -1)).reshape(den.shape)
+        g = (np.abs(den) ** (-2.0 * delta) * hy).transpose(1, 0, 2).copy()
+    g[np.arange(nsym), [sk.inverse_index(s) for s in range(nsym)]] = 0.0
+    G = grid.chebyshev_coeffs(g)
+    size = np.abs(G).max(axis=(0, 1))
+    K = int(np.flatnonzero(size > np.finfo(float).eps * size.max())[-1]) + 1
+    return G[..., :K]
 
 
 def _schottky_steps(chain: ParryChain, shift: MarkovShift, n: int, rngs, spectral,
@@ -323,36 +366,52 @@ def _schottky_steps(chain: ParryChain, shift: MarkovShift, n: int, rngs, spectra
     """Backward h-weighted branch chain; Birkhoff sums read along it equal
     forward sums under the equilibrium measure.
 
-    From the point x (real: it stays on the trace of the disks) each step
-    weighs every branch b by |gamma_b'(x)|^delta h(gamma_b x) and zeroes the
-    inverse of the current symbol, with all (nsym, m) branch images at once
-    and h evaluated by Clenshaw on its per-disk Chebyshev coefficients.
+    From the point x on disk s's interval (real: it stays on the trace of
+    the disks, and s is the last symbol) each step weighs every branch b by
+    g_{s,b}(x) = |gamma_b'(x)|^delta h(gamma_b x), zero for the inverse of s.
+    The weights come from their Chebyshev series (branch_weight_series): the
+    basis T_k(t) at t = (x - z_s) / r_s, one matrix product with every
+    (s, b) series, and a flat take of each trajectory's nsym rows.  The
+    basis doubles its known rows k + 1 per pass by T_{k+i} = 2 T_k T_i -
+    T_{k-i}, i = 1..k, so it costs log2(K) passes of a few array operations,
+    not K; that keeps the one-trajectory dump cheap.  Only the picked
+    branch's image and roof are then formed, so x and the roof depend on the
+    series only through the picks.
     """
     if spectral is None:
         raise ValidationError("schottky sampling needs the spectral result at delta")
     group = shift.group
     grid = spectral.discretization
-    coeffs = grid.chebyshev_coeffs(np.real(spectral.h))
-    nsym = shift.k
-    a, b, c, d = np.array([group.symbol_matrix(s) for s in range(nsym)]).real.T[..., None]
+    G = branch_weight_series(shift, spectral)
+    nsym, K = shift.k, G.shape[2]
+    G = G.reshape(nsym * nsym, K)  # row s * nsym + b
+    a, b, c, d = np.array([group.symbol_matrix(s) for s in range(nsym)]).real.T
     f_sym = np.array([group.symbol_homology(s) for s in range(nsym)],
                      dtype=np.int64).reshape(nsym, group.d)
-    inverse = np.array([sk.inverse_index(s) for s in range(nsym)])
-    expo = -2.0 * chain.delta
-    cols = np.arange(len(rngs))
+    m = len(rngs)
+    branch_rows = np.arange(nsym)[:, None] * m + np.arange(m)  # (b, j) in a (nsym, m) block
     cum_pi = np.cumsum(chain.stationary)
     sym = np.minimum(np.searchsorted(cum_pi, [r.random() for r in rngs]), nsym - 1)
     x = grid.centers[sym]
+    T = np.empty((K, m))  # T[k] = T_k(t)
+    T[0] = 1.0
     for step, u in enumerate(_uniforms(rngs, n + burn)):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            den = c * x + d  # (nsym, m): branch b's image of every trajectory
-            # num * (1 / den) is numpy's complex quotient of real operands
-            y = (a * x + b) * (1.0 / den)
-            w = np.abs(den) ** expo * grid.clenshaw(coeffs, y)
-        w[inverse[sym], cols] = 0.0
-        cum = np.cumsum(w, axis=0)
+        t = T[1]
+        np.subtract(x, grid.centers.take(sym), out=t)
+        t /= grid.radii.take(sym)
+        known = 2
+        while known < K:  # T_{k+i} = 2 T_k T_i - T_{k-i}, i = 1..new rows
+            k, j = known - 1, min(known - 1, K - known)
+            np.multiply(T[1:j + 1], 2.0 * T[k], out=T[known:known + j])
+            T[known:known + j] -= T[k - j:k][::-1]
+            known += j
+        cum = (G @ T).ravel().take(sym * (nsym * m) + branch_rows)
+        for r in range(1, nsym):  # cumsum(axis=0) as row adds: same sums, less time
+            cum[r] += cum[r - 1]
         pick = np.minimum((cum < u * cum[-1]).sum(axis=0), nsym - 1)
+        den = c.take(pick) * x + d.take(pick)
         if step >= burn:
-            yield pick, 2.0 * np.log(np.abs(den[pick, cols])), f_sym[pick]
-        x = y[pick, cols]
+            yield pick, 2.0 * np.log(np.abs(den)), f_sym[pick]
+        # num * (1 / den) is numpy's complex quotient of real operands
+        x = (a.take(pick) * x + b.take(pick)) * (1.0 / den)
         sym = pick

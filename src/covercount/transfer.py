@@ -8,8 +8,10 @@ admissible interval strictly inside the target interval, so polynomial
 interpolation converges geometrically and the leading eigenvalue is certified
 by node doubling.  Toy shifts are the exact one-node case (logd = -tau,
 interp = 1), so both kinds share one assembly from per-transition blocks.
-Barycentric interpolation builds those blocks; node values are evaluated
-anywhere else (sampler, doubling seed) by Clenshaw on Chebyshev coefficients.
+Barycentric interpolation builds those blocks.  Off the nodes, node values
+are evaluated through their Chebyshev coefficients: on the doubled nodes by
+one DCT-III (the doubling seed), anywhere else by Clenshaw (the sampler's
+branch-weight tables).
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ class CollocationGrid:
     A vector of node values, disk after disk, stands for the per-disk
     polynomial interpolants.  interp_values gives the barycentric basis at the
     branch images once per grid, to build the interp blocks; every evaluation
-    of node values away from the nodes (the sampler's eigenfunction, the
-    doubled solve's seed, real or complex) goes through their Chebyshev
-    coefficients, chebyshev_coeffs + clenshaw.
+    of node values away from the nodes, real or complex, goes through their
+    Chebyshev coefficients: doubled_values on the 2N first-kind nodes (the
+    doubled solve's seed), chebyshev_coeffs + clenshaw anywhere else.
     """
 
     def __init__(self, group, nodes_per_disk: int):
@@ -56,11 +58,10 @@ class CollocationGrid:
         n = group.n_symbols
         N = nodes_per_disk
         k = np.arange(N)
-        ref = np.cos(np.pi * (2 * k + 1) / (2 * N))
         self.bary_w = (-1.0) ** k * np.sin(np.pi * (2 * k + 1) / (2 * N))
         self.centers = np.array([dk.center.real for dk in group.disks])
         self.radii = np.array([dk.radius for dk in group.disks])
-        self.nodes = [self.centers[a] + self.radii[a] * ref for a in range(n)]
+        self.nodes = list(self.first_kind_nodes(N))
         self.logd = np.zeros((n, n, N))
         self.interp = np.zeros((n, n, N, N))
         for a in range(n):
@@ -75,6 +76,12 @@ class CollocationGrid:
                 y = (ma[0] * x + ma[1]) / den
                 self.interp[a, b] = self.interp_values(a, y.real)
 
+    def first_kind_nodes(self, count: int) -> np.ndarray:
+        """count Chebyshev nodes of the first kind on each disk's interval,
+        shape (n_symbols, count), in decreasing order."""
+        ref = np.cos(np.pi * (2 * np.arange(count) + 1) / (2 * count))
+        return self.centers[:, None] + self.radii[:, None] * ref
+
     def interp_values(self, a: int, pts: np.ndarray) -> np.ndarray:
         """Barycentric Lagrange basis values on disk a's nodes at pts."""
         pts = np.atleast_1d(np.asarray(pts, dtype=float))
@@ -88,13 +95,23 @@ class CollocationGrid:
         return L / L.sum(axis=1, keepdims=True)
 
     def chebyshev_coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Chebyshev coefficients, shape (n_symbols, N), of each disk's
-        interpolant through node values laid out disk after disk."""
-        N = self.nodes_per_disk
-        vals = np.asarray(values).reshape(-1, N)  # complex: each part's DCT
-        coeffs = dct(vals, type=2, axis=1) / N  # first-kind nodes: DCT-II
-        coeffs[:, 0] *= 0.5
+        """Chebyshev coefficients of the interpolants through values at
+        first-kind nodes, along the last axis; node values laid out disk
+        after disk (a flat vector) give shape (n_symbols, N)."""
+        vals = np.asarray(values)  # complex: each part's DCT
+        if vals.ndim == 1:
+            vals = vals.reshape(-1, self.nodes_per_disk)
+        coeffs = dct(vals, type=2, axis=-1) / vals.shape[-1]  # first kind: DCT-II
+        coeffs[..., 0] *= 0.5
         return coeffs
+
+    def doubled_values(self, values: np.ndarray) -> np.ndarray:
+        """Each disk's interpolant through node values (disk after disk) at
+        its 2N first-kind nodes, laid out the same way: the DCT-III of the
+        zero-padded DCT-II, sum_k c_k cos(pi k (2j + 1) / 4N) at node j."""
+        N = self.nodes_per_disk
+        vals = np.asarray(values).reshape(-1, N)
+        return (dct(dct(vals, type=2, axis=1), type=3, n=2 * N, axis=1) / (2 * N)).ravel()
 
     def clenshaw(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Values at pts, shape (n_symbols, m), of the Chebyshev series in
@@ -130,7 +147,7 @@ class ExactGrid:
 @dataclass
 class OperatorSpec:
     """Shift plus its discretization, with grids cached per node count; the
-    doubling seed is a Clenshaw evaluation on the coarse grid, not cached."""
+    doubling seed is one DCT-III on the coarse grid, not cached."""
 
     shift: MarkovShift
     nodes_per_disk: Optional[int] = None
@@ -258,17 +275,15 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
     complex operators larger than 16 x 16 and after a power loop that does not
     converge, dense eig as the last resort.  For collocation the value must be
     stable under doubling nodes_per_disk; the doubled solve is seeded with h's
-    interpolant evaluated on the finer nodes by Clenshaw recurrence.
+    interpolant on the finer nodes (CollocationGrid.doubled_values).
     """
     M = build_matrix(spec, s, v, p, u)
     lam, h, res = _dominant(M)
     if not res < RESIDUAL_TOL:
         raise NotConverged(f"residual {res:.3e}")
     if spec.shift.analytic and check_stability:
-        grid, fine = spec.grid(), spec.grid(2 * spec.nodes_per_disk)
-        v0 = grid.clenshaw(grid.chebyshev_coeffs(h), np.array(fine.nodes)).ravel()
-        lam2, _, _ = _dominant(build_matrix(spec, s, v, p, u, nodes=fine.nodes_per_disk),
-                               v0=v0)
+        lam2, _, _ = _dominant(build_matrix(spec, s, v, p, u, nodes=2 * spec.nodes_per_disk),
+                               v0=spec.grid().doubled_values(h))
         if abs(lam - lam2) > DOUBLING_TOL * max(abs(lam2), 1e-12):
             raise DiscretizationUnstable(
                 f"lambda moved {abs(lam - lam2):.2e} under node doubling")

@@ -6,11 +6,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from covercount import schottky as sk
+from covercount import shift as sh
 from covercount import transfer as tr
 from covercount.errors import NotAtCriticalExponent, ValidationError
 from covercount.hyperbolic import geodesic_invariants, wrap_angle
-from covercount.shift import (MarkovShift, cycle_roof_sum, from_schottky,
-                              parry_chain, sample_cocycle_batch,
+from covercount.shift import (MarkovShift, branch_weight_series, cycle_roof_sum,
+                              from_schottky, parry_chain, sample_cocycle_batch,
                               sample_trajectory, toy_from_json, toy_full_shift)
 
 
@@ -253,8 +254,61 @@ def test_sampler_deterministic_per_trajectory(toy2, shift_b, spectral_b):
         assert not np.array_equal(f1, f3)
 
 
+def test_uniforms_follow_each_generator_across_chunks():
+    count = sh._CHUNK + 3
+    rows = [u.copy() for u in sh._uniforms([np.random.default_rng([4, i])
+                                              for i in range(3)], count)]
+    assert len(rows) == count
+    for i, column in enumerate(np.array(rows).T):
+        assert np.array_equal(column, np.random.default_rng([4, i]).random(count))
+
+
+def test_toy_batch_matches_searchsorted_loop(toy3_mixed):
+    shift = toy3_mixed
+    spec = tr.OperatorSpec(shift)
+    sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
+    chain = parry_chain(shift, sr)
+    n, m, seed = 300, 40, 13
+    tau, f = sample_cocycle_batch(chain, shift, n, m, master_seed=seed, batch=16)
+    cum_pi = np.cumsum(chain.stationary)
+    cum_p = np.cumsum(chain.transitions, axis=1)
+    for i in range(m):
+        rng = np.random.default_rng([seed, i])
+        state = int(np.searchsorted(cum_pi, rng.random()))
+        tau_ref, f_ref = 0.0, np.zeros(shift.d, dtype=np.int64)
+        for u in rng.random(n):
+            nxt = min(int(np.searchsorted(cum_p[state], u)), shift.k - 1)
+            tau_ref += shift.tau[state, nxt]
+            f_ref += shift.f[state, nxt]
+            state = nxt
+        assert tau[i] == tau_ref and np.array_equal(f[i], f_ref)
+
+
+@pytest.mark.parametrize("name", ["b", "c"])
+def test_branch_weight_series_matches_direct_formula(name, group_b, group_c):
+    group = {"b": group_b, "c": group_c}[name]
+    spec = tr.OperatorSpec(from_schottky(group), nodes_per_disk=24)
+    sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
+    grid, nsym = sr.discretization, spec.shift.k
+    delta = float(sr.s.real)
+    coeffs = grid.chebyshev_coeffs(np.real(sr.h))
+    G = branch_weight_series(spec.shift, sr)
+    t = np.random.default_rng(17).uniform(-1.0, 1.0, 200)
+    for s in range(nsym):
+        x = grid.centers[s] + grid.radii[s] * t
+        for b in range(nsym):
+            got = np.polynomial.chebyshev.chebval(t, G[s, b])
+            if b == sk.inverse_index(s):
+                assert np.all(G[s, b] == 0.0) and np.all(got == 0.0)
+                continue
+            a_, b_, c_, d_ = np.real(group.symbol_matrix(b))
+            den = c_ * x + d_
+            hy = grid.clenshaw(coeffs, np.tile((a_ * x + b_) / den, (nsym, 1)))[b]
+            assert_allclose(got, np.abs(den) ** (-2.0 * delta) * hy, rtol=1e-13, atol=0)
+
+
 # Reference samplers: the per-branch barycentric loop and the scalar dump loop
-# that the vectorized Clenshaw kernel replaced.  The kernel must reproduce
+# that the vectorized kernel replaced.  The kernel must reproduce
 # their picks exactly; x is carried as complex numbers here.
 
 def _reference_schottky_batch(chain, shift, n, rngs, spectral, burn=192):

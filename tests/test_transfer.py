@@ -329,7 +329,8 @@ def _reference_dominant(M, v0=None):
 
 
 def _doubling_seed(spec, h):
-    """The seed of the doubled solve in leading_eigenvalue."""
+    """h's interpolant on the doubled nodes by Clenshaw recurrence, the
+    reference for the DCT-III seed of the doubled solve."""
     grid, fine = spec.grid(), spec.grid(2 * spec.nodes_per_disk)
     return grid.clenshaw(grid.chebyshev_coeffs(h), np.array(fine.nodes)).ravel()
 
@@ -376,7 +377,8 @@ def test_scan_rows_match_reference_solver(shift_b, delta_b, monkeypatch):
 
 def test_doubling_seed_matches_barycentric(shift_b, delta_b, monkeypatch):
     # the doubled solve starts from h's interpolant on the 2N nodes, evaluated
-    # by Clenshaw; the barycentric basis on those nodes is the oracle
+    # by one DCT-III; Clenshaw on the same coefficients and the barycentric
+    # basis on those nodes are the oracles
     spec = OperatorSpec(shift_b, nodes_per_disk=24)
     s, v = complex(delta_b, 0.5), [3.14]
     seeds = []
@@ -385,8 +387,10 @@ def test_doubling_seed_matches_barycentric(shift_b, delta_b, monkeypatch):
                         lambda M, v0=None: seeds.append(v0) or solve(M, v0))
     h = leading_eigenvalue(spec, s, v).h
     assert seeds[0] is None and np.iscomplexobj(h) and np.any(h.imag)
-    assert np.array_equal(seeds[1], _doubling_seed(spec, h))
     grid, fine = spec.grid(), spec.grid(48)
+    assert np.array_equal(seeds[1], grid.doubled_values(h))
+    scale = np.abs(seeds[1]).max()
+    assert_allclose(seeds[1], _doubling_seed(spec, h), rtol=0, atol=4e-15 * scale)
     bary = np.concatenate([grid.interp_values(a, fine.nodes[a]) @ h[a * 24:(a + 1) * 24]
                            for a in range(4)])
     # relative to the vector's scale: entries 30x below it lose digits to
