@@ -88,10 +88,6 @@ class Workspace:
         return tr.OperatorSpec(self.shift_b, nodes_per_disk=24)
 
     @cached_property
-    def delta_b(self) -> float:
-        return tr.critical_exponent(self.spec_b)
-
-    @cached_property
     def surface_b(self):
         return tr.pressure_surface(self.spec_b)
 
@@ -102,10 +98,6 @@ class Workspace:
     @cached_property
     def spec_c(self):
         return tr.OperatorSpec(sh.from_schottky(self.group_c), nodes_per_disk=20)
-
-    @cached_property
-    def delta_c(self) -> float:
-        return tr.critical_exponent(self.spec_c)
 
     @cached_property
     def surface_c(self):
@@ -123,11 +115,10 @@ def _result(cid, name, passed, details, t0) -> CriterionResult:
 def c01_toy_closed_forms(ws: Workspace) -> CriterionResult:
     t0 = time.time()
     spec = ws.toy2_spec
-    delta = tr.critical_exponent(spec)
-    d_err = abs(delta - math.log(2.0))
+    surf = tr.pressure_surface(spec)
+    d_err = abs(surf.delta - math.log(2.0))
     p_err = max(abs(tr.pressure(spec, [u]) - math.log(2.0 * math.cosh(u)))
                 for u in np.linspace(-1.0, 1.0, 9))
-    surf = tr.pressure_surface(spec)
     s_err = abs(surf.sigma - 1.0)
     c_err = abs(surf.c0 - math.sqrt(2.0 * math.pi))
     passed = d_err < 1e-12 and p_err < 1e-10 and s_err < 1e-6 and c_err < 1e-6
@@ -165,8 +156,8 @@ def c03_two_method_delta(ws: Workspace) -> CriterionResult:
     t0 = time.time()
     details = {}
     passed = True
-    for tag, group, delta in (("b", ws.group_b, ws.delta_b),
-                              ("c", ws.group_c, ws.delta_c)):
+    for tag, group, delta in (("b", ws.group_b, ws.surface_b.delta),
+                              ("c", ws.group_c, ws.surface_c.delta)):
         T = ws.budget.slope_T
         cps, rep = _orbit_report(ws, group, delta, 1.0, T)
         half = len(cps) // 2
@@ -183,10 +174,8 @@ def c04_pressure_structure(ws: Workspace) -> CriterionResult:
     t0 = time.time()
     details = {}
     passed = True
-    for tag, spec, delta, surf in (("b", ws.spec_b, ws.delta_b, ws.surface_b),
-                                   ("c", ws.spec_c, ws.delta_c, ws.surface_c)):
-        lam = tr.leading_eigenvalue(spec, delta).lam
-        lam_err = abs(lam - 1.0)
+    for tag, spec, surf in (("b", ws.spec_b, ws.surface_b), ("c", ws.spec_c, ws.surface_c)):
+        lam_err = abs(surf.spectral.lam - 1.0)
         grad_inf = float(np.max(np.abs(surf.gradient)))
         spd = float(np.min(np.linalg.eigvalsh(surf.hessian)))
         d = spec.shift.d
@@ -227,7 +216,7 @@ def c05_spectral_gap_scan(ws: Workspace) -> CriterionResult:
 def c06_local_mixing_counts(ws: Workspace) -> CriterionResult:
     t0 = time.time()
     T = ws.budget.orbit_T
-    delta = ws.delta_b
+    delta = ws.surface_b.delta
     cps, rep = _orbit_report(ws, ws.group_b, delta, ws.surface_b.sigma, T)
     c0 = rep.counts[(0,)]
     plateau = st.plateau_deviation(c0 * np.exp(-delta * cps) * np.sqrt(cps))
@@ -242,7 +231,7 @@ def c06_local_mixing_counts(ws: Workspace) -> CriterionResult:
 def c07_prime_geodesic_theorem(ws: Workspace) -> CriterionResult:
     t0 = time.time()
     L = ws.budget.geodesic_L
-    delta, sigma = ws.delta_b, ws.surface_b.sigma
+    delta, sigma = ws.surface_b.delta, ws.surface_b.sigma
     cps = cen.checkpoints_linear(ws.budget.geodesic_lo, L,
                                  ws.budget.geodesic_checkpoints)
     pred = cen.Prediction(delta=delta, sigma=sigma)
@@ -268,9 +257,7 @@ def c07_prime_geodesic_theorem(ws: Workspace) -> CriterionResult:
 
 def c08_clt_homology_cocycle(ws: Workspace) -> CriterionResult:
     t0 = time.time()
-    spec = ws.spec_b
-    delta = ws.delta_b
-    sr = tr.leading_eigenvalue(spec, delta, want_measure=True)
+    sr = ws.surface_b.spectral
     chain = sh.parry_chain(ws.shift_b, sr)
     tau, f = sh.sample_cocycle_batch(chain, ws.shift_b, ws.budget.clt_steps,
                                      ws.budget.clt_traj, ws.seed, spectral=sr,
@@ -299,7 +286,7 @@ def c09_holonomy_equidistribution(ws: Workspace) -> CriterionResult:
 
 def c10_vector_orbit(ws: Workspace) -> CriterionResult:
     t0 = time.time()
-    delta = ws.delta_b
+    delta = ws.surface_b.delta
     cps = np.exp(np.linspace(6.0, ws.budget.vector_logT, 12))
     pred = cen.Prediction(delta=delta, sigma=1.0)
     rep = cen.vector_orbit(ws.group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps)

@@ -69,26 +69,24 @@ def cmd_delta(args) -> int:
 
 def cmd_pressure(args) -> int:
     spec = _spec_for(args.group, args.nodes)
-    surf = tr.pressure_surface(spec, fd_step=args.fd_step)
+    surf = tr.pressure_surface(spec)
     print(f"delta = {surf.delta:.12f}")
     print(f"grad P(0) = {surf.gradient.tolist()}")
     print(f"hess P(0) = {surf.hessian.tolist()}")
     print(f"sigma = {surf.sigma:.12f}   C(0) = {surf.c0:.12f}")
+    d = spec.shift.d
+    rows = [[0.0] * d + [surf.delta]]
     extras = {}
     for text in args.u:
         u = _parse_vec(text)
         extras[text] = tr.pressure(spec, u)
+        rows.append(u + [extras[text]])
         print(f"P({text}) = {extras[text]:.12f}")
     writer = ReportWriter(args.out, "pressure", vars_config(args))
-    d = spec.shift.d
-    header = [f"u_{i}" for i in range(d)] + ["P"]
-    rows = [list(k) + [v] for k, v in sorted(surf.samples.items())]
-    writer.write_csv("pressure.csv", header, rows)
+    writer.write_csv("pressure.csv", [f"u_{i}" for i in range(d)] + ["P"], rows)
     writer.write_json("summary.json", {
         "delta": surf.delta, "gradient": surf.gradient, "hessian": surf.hessian,
-        "sigma": surf.sigma, "c0": surf.c0,
-        "samples": {repr(k): v for k, v in surf.samples.items()},
-        "extra": extras})
+        "sigma": surf.sigma, "c0": surf.c0, "extra": extras})
     writer.finish({"input": spec.fingerprint()})
     return EXIT_OK
 
@@ -143,9 +141,10 @@ def _group_prediction(args, group, use_sigma: bool = False):
     """delta of the group's operator; sigma from its pressure surface when
     use_sigma, else 1 (sigma enters only the absolute geodesic law)."""
     spec = tr.OperatorSpec(sh.from_schottky(group), nodes_per_disk=args.nodes)
-    delta = tr.critical_exponent(spec)
-    sigma = tr.pressure_surface(spec).sigma if use_sigma else 1.0
-    return cen.Prediction(delta=delta, sigma=sigma)
+    if use_sigma:
+        surf = tr.pressure_surface(spec)
+        return cen.Prediction(delta=surf.delta, sigma=surf.sigma)
+    return cen.Prediction(delta=tr.critical_exponent(spec), sigma=1.0)
 
 
 def cmd_count_orbit(args) -> int:
@@ -221,9 +220,8 @@ def cmd_clt(args) -> int:
     shift = spec.shift
     if shift.d < 1:
         raise ValidationError("CLT check needs homology dimension d >= 1")
-    delta = tr.critical_exponent(spec)
     surf = tr.pressure_surface(spec)
-    sr = tr.leading_eigenvalue(spec, delta, want_measure=True)
+    delta, sr = surf.delta, surf.spectral
     chain = sh.parry_chain(shift, sr)
     tau, f = sh.sample_cocycle_batch(chain, shift, args.steps, args.traj,
                                      args.seed, spectral=sr)
@@ -302,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pressure", cmd_pressure, help="pressure surface: gradient, Hessian, sigma, C0")
     p.add_argument("--group")
     p.add_argument("--nodes", type=int, default=24)
-    p.add_argument("--fd-step", type=float, default=1e-3)
     p.add_argument("--u", action="append", default=[],
                    help="extra twist point, e.g. '0.3' or '0.3,0.1'")
 

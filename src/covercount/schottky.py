@@ -372,18 +372,21 @@ def primitive_classes(group: SchottkyGroup, L: float,
 
     Length pruning: with (c, d) the bottom row of w's matrix and D_b = disk
     (z_b, r_b), every completion u of w b has |u'(fix)| <= sup_{D_b} |w'|, as
-    later letters only contract; so length(u) >= 2 log(|c z_b + d| - |c| r_b).
+    later letters only contract; so length(u) >= 2 log(|c z_b + d| - |c| r_b),
+    and w b is dropped when |c z_b + d| - |c| r_b > exp(L/2), with no log.
 
     On H2 a class is longer than L exactly when |tr| > 2 cosh(L/2), so a
-    closing candidate past that cap (widened by 1e-12 for rounding) is
-    dropped before its trace invariants, a square root and a log, are taken.
+    closing candidate past that cap (both caps widened by 1e-12 for rounding)
+    is dropped before its trace invariants, a square root and a log, are taken.
     """
     group.min_cycle_step()  # validates that all admissible steps contract
     mats, disks = group._mats, group.disks
     n = group.n_symbols
     letters = [letter_of_index(idx) for idx in range(n)]
+    huge = L >= 1400.0  # exp(710) and cosh(710) overflow
+    gap_cap = math.inf if huge else math.exp(L / 2.0) * (1.0 + 1e-12)
     tr_cap = (2.0 * math.cosh(L / 2.0) * (1.0 + 1e-12)
-              if group.model == Model.H2 and L < 1400.0 else math.inf)  # cosh(710) overflows
+              if group.model == Model.H2 and not huge else math.inf)
     count = 0
     for first_idx in range(n):
         stack = [((first_idx,), mats[first_idx], 1)]
@@ -407,7 +410,7 @@ def primitive_classes(group: SchottkyGroup, L: float,
                 if idx == bad:
                     continue
                 dk = disks[idx]
-                if 2.0 * math.log(abs(c * dk.center + d) - ac * dk.radius) > L:
+                if abs(c * dk.center + d) - ac * dk.radius > gap_cap:
                     continue
                 stack.append((w + (idx,), hyp.mat_mul(m, mats[idx]),
                               p if idx == low else len(w) + 1))

@@ -12,6 +12,10 @@ Barycentric interpolation builds those blocks.  Off the nodes, node values
 are evaluated through their Chebyshev coefficients: on the doubled nodes by
 one DCT-III (the doubling seed), anywhere else by Clenshaw (the sampler's
 branch-weight tables).
+
+The pressure P(u) is a Brent root of lambda(s; u) = 1; its gradient and
+Hessian at 0 follow exactly from the eigentriple (lambda, h, rho) at delta by
+perturbation theory (pressure_surface), not from differences of roots.
 """
 
 from __future__ import annotations
@@ -369,56 +373,63 @@ def pressure(spec: OperatorSpec, u) -> float:
 @dataclass
 class PressureSurface:
     delta: float
-    samples: dict
     gradient: np.ndarray
     hessian: np.ndarray
     sigma: float
     c0: float
-    fd_step: float
+    spectral: SpectralResult  # the certified eigentriple at delta
 
 
-def pressure_surface(spec: OperatorSpec, fd_step: float = 1e-3) -> PressureSurface:
-    """delta, Richardson-extrapolated gradient/Hessian of P at 0, and the
-    Gaussian constants sigma = det(Hess)^{1/d}, C0 = (2 pi / sigma)^{d/2}."""
-    d = spec.shift.d
+def pressure_surface(spec: OperatorSpec) -> PressureSurface:
+    """delta, the gradient and Hessian of P at 0, and the Gaussian constants
+    sigma = det(Hess)^{1/d}, C0 = (2 pi / sigma)^{d/2}.
+
+    Exact for the discrete operator M(s, u), from its certified eigentriple
+    (lambda, h, rho) at delta, rho h = 1 (Kato, Ch. II 2).  X_p holds the
+    coefficient of s (p = 0: logd) or of u_p (f) in the exponent of each entry
+    of M (build_matrix), so M_p = X_p o M, lambda_p = rho M_p h and
+      lambda_pq = rho (X_p X_q o M) h + rho M_p h_q + rho M_q h_p,
+    where (lambda - M + h rho^T) h_p = (M_p - lambda_p) h, one dense solve.
+    Implicit differentiation of lambda(P(u), u) = 1 gives grad P and Hess P.
+
+    A cocycle cohomologous to zero leaves a Hessian of rounding size and
+    either sign (up to 2e-12 of the scale below on random toys), so
+    HessianNotPD fires at eigenvalues <= RESIDUAL_TOL times the scale
+    max_i |rho (X_i^2 o M) h / lambda_s|.
+    """
+    shift, grid = spec.shift, spec.grid()
+    n, N, d = shift.k, grid.nodes_per_disk, shift.d
     if d < 1:
         raise ValidationError("pressure surface needs homology dimension d >= 1")
-    cache: dict = {}
-
-    def P(uvec) -> float:
-        key = tuple(round(float(x), 12) for x in uvec)
-        if key not in cache:
-            cache[key] = pressure(spec, np.asarray(uvec, dtype=float))
-        return cache[key]
-
-    delta = P(np.zeros(d))
-
-    def grad_hess(h: float):
-        e = np.eye(d)
-        grad = np.array([(P(h * e[i]) - P(-h * e[i])) / (2 * h) for i in range(d)])
-        H = np.zeros((d, d))
-        for i in range(d):
-            H[i, i] = (P(h * e[i]) - 2 * delta + P(-h * e[i])) / h ** 2
-            for j in range(i + 1, d):
-                val = (P(h * (e[i] + e[j])) - P(h * (e[i] - e[j]))
-                       - P(-h * (e[i] - e[j])) + P(-h * (e[i] + e[j]))) / (4 * h ** 2)
-                H[i, j] = H[j, i] = val
-        return grad, H
-
-    g1, H1 = grad_hess(fd_step)
-    g2, H2 = grad_hess(fd_step / 2)
-    grad = (4 * g2 - g1) / 3
-    H = (4 * H2 - H1) / 3
+    delta = critical_exponent(spec)
+    sr = leading_eigenvalue(spec, delta, want_measure=True)
+    h, rho, lam, m = sr.h, sr.rho, sr.lam.real, sr.h.size
+    M = build_matrix(spec, delta).real
+    X = np.empty((d + 1, n, N, n, N))  # entry (p, b, j, a, k) of X_p
+    X[0] = grid.logd.transpose(1, 2, 0)[:, :, :, None]
+    X[1:] = shift.f.transpose(2, 1, 0)[:, :, None, :, None]
+    X = X.reshape(d + 1, m * m)
+    Mp = (X * M.ravel()).reshape(d + 1, m, m)
+    rMp = rho @ Mp
+    lam_p = rMp @ h
+    hp = np.linalg.solve(lam * np.eye(m) - M + np.outer(h, rho),
+                         (Mp @ h - lam_p[:, None] * h).T)
+    first = (X * (np.outer(rho, h) * M).ravel()) @ X.T
+    cross = rMp @ hp  # rho M_p h_q
+    lam_pq = first + cross + cross.T
+    lam_s, grad = lam_p[0], -lam_p[1:] / lam_p[0]
+    J = np.vstack([grad, np.eye(d)])  # d(s, u) / du along s = P(u)
+    H = -(J.T @ lam_pq @ J) / lam_s
     H = (H + H.T) / 2
     if np.max(np.abs(grad)) >= 1e-4:
         raise ValidationError(f"pressure gradient at 0 is {grad}, expected ~0")
     eigs = np.linalg.eigvalsh(H)
-    if eigs.min() <= 0:
+    if eigs.min() <= RESIDUAL_TOL * np.max(np.abs(np.diag(first)[1:] / lam_s)):
         raise HessianNotPD(f"Hessian eigenvalues {eigs}")
     sigma = float(np.linalg.det(H) ** (1.0 / d))
     c0 = float((2 * math.pi / sigma) ** (d / 2.0))
-    return PressureSurface(delta=delta, samples=dict(cache), gradient=grad,
-                           hessian=H, sigma=sigma, c0=c0, fd_step=fd_step)
+    return PressureSurface(delta=delta, gradient=grad, hessian=H, sigma=sigma,
+                           c0=c0, spectral=sr)
 
 
 @dataclass

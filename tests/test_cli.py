@@ -82,6 +82,22 @@ def test_clt_rerun_identical_manifest(tmp_path):
     assert m1["config_hash"] == m2["config_hash"]
 
 
+def test_pressure_report_rows(tmp_path):
+    # pressure.csv: one (u, P(u)) row for u = 0 (delta), then one per --u point
+    assert run(["--out", str(tmp_path), "pressure", "--group", "fixture:toy2",
+                "--u", "0.3", "--u", "-0.5"]) == 0
+    (run_dir,) = tmp_path.glob("pressure-*")
+    lines = (run_dir / "pressure.csv").read_text().splitlines()
+    assert lines[0] == "u_0,P"
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert [r[0] for r in rows] == [0.0, 0.3, -0.5]
+    for u, p in rows:
+        assert abs(p - math.log(2.0 * math.cosh(u))) < 1e-12
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert set(summary) == {"delta", "extra", "gradient", "hessian", "sigma", "c0"}
+    assert summary["extra"] == {"0.3": rows[1][1], "-0.5": rows[2][1]}
+
+
 def test_scan_toy_control_flagged(tmp_path, capsys):
     assert run(["--out", str(tmp_path), "scan", "--group", "fixture:toy2",
                 "--t-min", str(2 * math.pi), "--t-max", str(2 * math.pi),
@@ -123,12 +139,18 @@ def test_config_file_merged_under_flags(tmp_path, capsys):
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
+    # removed options: a config that holds one, such as the manifest config of
+    # a pressure run from before --fd-step went, exits 3 and writes nothing
+    old_pressure = {"group": "fixture:toy2", "nodes": 24, "fd_step": 1e-3, "u": ["0.3"]}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"threads": 4}))
-    assert run(["--out", str(tmp_path), "--config", str(cfg),
-                "count-orbit", "--group", "fixture:b", "--t-max", "6"]) == 3
-    assert "threads" in capsys.readouterr().err
-    assert not list(tmp_path.glob("count-orbit-*"))
+    for key, config, command in (
+            ("threads", {"threads": 4},
+             ["count-orbit", "--group", "fixture:b", "--t-max", "6"]),
+            ("fd_step", old_pressure, ["pressure"])):
+        cfg.write_text(json.dumps(config))
+        assert run(["--out", str(tmp_path), "--config", str(cfg), *command]) == 3
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob(f"{command[0]}-*"))
 
 
 def test_config_keys_of_other_commands_ignored(tmp_path):

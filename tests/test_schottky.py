@@ -464,6 +464,14 @@ def test_classes_budget_matches_reference_loop(group_b):
         assert runs[0][0] == (budget < total)
 
 
+def test_classes_past_overflowing_caps(group_b, group_d0):
+    # exp(L/2) and cosh(L/2) overflow past L = 1419: the caps turn off and the
+    # budget ends the run
+    for group in (group_b, group_d0):
+        with pytest.raises(BudgetExceeded):
+            primitive_classes(group, 1500.0, budget=50)
+
+
 def _reduced_words(n_letters, max_len):
     """Every reduced word of length 1..max_len over letters +-1..+-n_letters/2."""
     letters = [sk.letter_of_index(i) for i in range(n_letters)]

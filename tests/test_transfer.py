@@ -8,7 +8,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigs
 from covercount import transfer as tr
 from covercount.errors import (HessianNotPD, HolonomyUnavailable,
                                NotConverged, ValidationError)
-from covercount.shift import from_schottky, toy_full_shift
+from covercount.groupfile import load_group
+from covercount.shift import MarkovShift, from_schottky, toy_full_shift
 from covercount.transfer import (OperatorSpec, build_matrix, critical_exponent,
                                  leading_eigenvalue, pressure, pressure_surface,
                                  spectral_radius_scan)
@@ -98,18 +99,79 @@ def test_pressure_convexity(toy2_spec):
         assert mid <= bound + 1e-8
 
 
+def _richardson_surface(spec, step=1e-3):
+    """The finite-difference surface that the eigentriple derivatives
+    replaced, the oracle for them: central differences of Brent roots of P at
+    steps h and h/2, combined by Richardson extrapolation.  Returns the
+    gradient and the Hessian at 0."""
+    d = spec.shift.d
+    cache = {}
+
+    def P(uvec):
+        key = tuple(round(float(x), 12) for x in uvec)
+        if key not in cache:
+            cache[key] = pressure(spec, np.asarray(uvec, dtype=float))
+        return cache[key]
+
+    delta = P(np.zeros(d))
+
+    def grad_hess(h):
+        e = np.eye(d)
+        grad = np.array([(P(h * e[i]) - P(-h * e[i])) / (2 * h) for i in range(d)])
+        H = np.zeros((d, d))
+        for i in range(d):
+            H[i, i] = (P(h * e[i]) - 2 * delta + P(-h * e[i])) / h ** 2
+            for j in range(i + 1, d):
+                val = (P(h * (e[i] + e[j])) - P(h * (e[i] - e[j]))
+                       - P(-h * (e[i] - e[j])) + P(-h * (e[i] + e[j]))) / (4 * h ** 2)
+                H[i, j] = H[j, i] = val
+        return grad, H
+
+    g1, H1 = grad_hess(step)
+    g2, H2 = grad_hess(step / 2)
+    H = (4 * H2 - H1) / 3
+    return (4 * g2 - g1) / 3, (H + H.T) / 2
+
+
+@pytest.mark.parametrize("name,nodes", [("b", 24), ("c", 20)])
+def test_pressure_surface_matches_finite_differences(name, nodes):
+    spec = OperatorSpec(from_schottky(load_group(f"fixture:{name}")), nodes_per_disk=nodes)
+    surf = pressure_surface(spec)
+    grad, H = _richardson_surface(spec)
+    assert_allclose(surf.hessian, H, rtol=1e-7, atol=0)
+    d = spec.shift.d
+    assert_allclose(surf.sigma, np.linalg.det(H) ** (1.0 / d), rtol=1e-7)
+    assert_allclose(surf.gradient, grad, rtol=0, atol=1e-10)
+
+
+def test_pressure_surface_toy2_closed_form(toy2_spec):
+    surf = pressure_surface(toy2_spec)
+    assert abs(surf.hessian[0, 0] - 1.0) < 1e-13
+    assert abs(surf.sigma - 1.0) < 1e-13
+    assert abs(surf.c0 - math.sqrt(2.0 * math.pi)) < 1e-13
+
+
 def test_pressure_surface_toy_product_d2():
     spec = OperatorSpec(toy_full_shift(4, 1.0, [[1, 1], [1, -1], [-1, 1], [-1, -1]]))
     surf = pressure_surface(spec)
-    assert_allclose(surf.hessian, np.eye(2), atol=1e-6)
-    assert abs(surf.sigma - 1.0) < 1e-6
-    assert abs(surf.c0 - 2.0 * math.pi) < 1e-5
+    assert_allclose(surf.hessian, np.eye(2), rtol=0, atol=1e-13)
+    assert abs(surf.sigma - 1.0) < 1e-13
+    assert abs(surf.c0 - 2.0 * math.pi) < 1e-13
 
 
 def test_pressure_surface_rejects_degenerate_cocycle():
-    spec = OperatorSpec(toy_full_shift(2, 1.0, [[0], [0]]))
+    # f = 0, and coboundaries f(a, b) = g(b) - g(a) on a 3-symbol full shift,
+    # for which P(u) = delta for every u.  The roofs are unequal, so rounding
+    # leaves some of their Hessians above 0 and some below.
     with pytest.raises(HessianNotPD):
-        pressure_surface(spec)
+        pressure_surface(OperatorSpec(toy_full_shift(2, 1.0, [[0], [0]])))
+    roof = [[0.7, 1.1, 0.9], [1.3, 0.6, 1.7], [0.8, 1.2, 1.0]]
+    for g in ([0, 1, 2], [1, -1, 0], [3, -2, 7], [0, 0, 5], [[1, 0], [0, 1], [2, -1]]):
+        gv = np.array(g).reshape(3, -1)
+        shift = MarkovShift(k=3, transition=np.ones((3, 3), dtype=int),
+                            f=gv[None, :, :] - gv[:, None, :], tau=roof)
+        with pytest.raises(HessianNotPD):
+            pressure_surface(OperatorSpec(shift))
 
 
 def test_pressure_surface_requires_d_ge_1():
