@@ -11,6 +11,6 @@ from .schottky import (Disk, GeodesicRecord, OrbitRecord, SchottkyGroup,
 from .shift import MarkovShift, ParryChain, from_schottky, parry_chain, toy_full_shift
 from .transfer import (OperatorSpec, PressureSurface, SpectralResult,
                        critical_exponent, leading_eigenvalue, pressure,
-                       pressure_surface, spectral_radius_scan)
+                       pressure_surface, spectral_at_delta, spectral_radius_scan)
 from .census import (CensusReport, Prediction, fit_growth, geodesics_by_homology,
                      holonomy_equidistribution, orbit_by_homology, vector_orbit)

@@ -311,8 +311,8 @@ def c11_determinism(ws: Workspace, out_dir=None) -> CriterionResult:
         w = ReportWriter(f"{base}/{run}", "determinism-probe",
                          {"seed": ws.seed, "budget": ws.budget.name})
         spec = tr.OperatorSpec(load_any("fixture:toy2"))
-        delta = tr.critical_exponent(spec)
-        sr = tr.leading_eigenvalue(spec, delta, want_measure=True)
+        sr = tr.spectral_at_delta(spec, want_measure=True)
+        delta = sr.s
         chain = sh.parry_chain(load_any("fixture:toy2"), sr)
         tau, f = sh.sample_cocycle_batch(chain, load_any("fixture:toy2"),
                                          500, 64, ws.seed)

@@ -5,6 +5,7 @@ manifest; identical configs and seeds give byte-identical outputs."""
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -13,9 +14,7 @@ import numpy as np
 
 from . import census as cen
 from . import shift as sh
-from . import stats as st
 from . import transfer as tr
-from .acceptance import run_all
 from .errors import CovercountError, ValidationError
 from .groupfile import load_any, load_group
 from .hyperbolic import frob2
@@ -57,8 +56,8 @@ def cmd_validate(args) -> int:
 
 def cmd_delta(args) -> int:
     spec = _spec_for(args.group, args.nodes)
-    delta = tr.critical_exponent(spec)
-    res = tr.leading_eigenvalue(spec, delta)
+    res = tr.spectral_at_delta(spec)
+    delta = res.s
     print(f"delta = {delta:.12f}   |lambda(delta)-1| = {abs(res.lam - 1.0):.3e}")
     writer = ReportWriter(args.out, "delta", vars_config(args))
     writer.write_json("summary.json", {"delta": delta, "lambda_residual": res.residual,
@@ -216,6 +215,8 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_clt(args) -> int:
+    from . import stats as st  # scipy.special: no other command loads it
+
     spec = _spec_for(args.group, args.nodes)
     shift = spec.shift
     if shift.d < 1:
@@ -252,6 +253,8 @@ def cmd_clt(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from .acceptance import run_all  # imports stats, and with it scipy.special
+
     rows = []
 
     def show(res):
@@ -371,6 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     import json
+    # the modules imported so far live as long as the job: keep the cyclic
+    # collector's full passes, which a census's allocations trigger, off them
+    gc.freeze()
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     if "--config" in argv:

@@ -9,9 +9,10 @@ interpolation converges geometrically and the leading eigenvalue is certified
 by node doubling.  Toy shifts are the exact one-node case (logd = -tau,
 interp = 1), so both kinds share one assembly from per-transition blocks.
 Barycentric interpolation builds those blocks.  Off the nodes, node values
-are evaluated through their Chebyshev coefficients: on the doubled nodes by
-one DCT-III (the doubling seed), anywhere else by Clenshaw (the sampler's
-branch-weight tables).
+are evaluated through their Chebyshev coefficients (a DCT-II, done as a
+product with a cached cosine matrix): on the doubled nodes by one more such
+product, a DCT-III (the doubling seed), anywhere else by Clenshaw (the
+sampler's branch-weight tables).
 
 The pressure P(u) is a Brent root of lambda(s; u) = 1; its gradient and
 Hessian at 0 follow exactly from the eigentriple (lambda, h, rho) at delta by
@@ -22,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.fft import dct
-from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from . import schottky as sk
@@ -37,6 +37,19 @@ from .shift import MarkovShift
 
 RESIDUAL_TOL = 1e-8
 DOUBLING_TOL = 1e-8
+BRENT_XTOL, BRENT_RTOL, BRENT_MAXITER = 1e-14, 8.9e-16, 200
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_at_nodes(m: int, n: int) -> np.ndarray:
+    """T_k(x_j), k < n, at the m first-kind nodes x_j = cos(pi (2j + 1) / 2m) of
+    [-1, 1], shape (m, n), read-only: the cosine matrix of the DCT-II (n = m)
+    and of the zero-padded DCT-III (n < m).  The angle's integer multiple is
+    reduced mod 4m first, so every entry is a cosine of an angle in [0, 2 pi)."""
+    jk = np.outer(2 * np.arange(m) + 1, np.arange(n)) % (4 * m)
+    T = np.cos(np.pi * jk / (2 * m))
+    T.flags.writeable = False
+    return T
 
 
 class CollocationGrid:
@@ -48,8 +61,9 @@ class CollocationGrid:
     polynomial interpolants.  interp_values gives the barycentric basis at the
     branch images once per grid, to build the interp blocks; every evaluation
     of node values away from the nodes, real or complex, goes through their
-    Chebyshev coefficients: doubled_values on the 2N first-kind nodes (the
-    doubled solve's seed), chebyshev_coeffs + clenshaw anywhere else.
+    Chebyshev coefficients (chebyshev_coeffs, a DCT-II as a product with the
+    cosine matrix of its size): doubled_values on the 2N first-kind nodes
+    (the doubled solve's seed), clenshaw anywhere else.
     """
 
     def __init__(self, group, nodes_per_disk: int):
@@ -102,10 +116,11 @@ class CollocationGrid:
         """Chebyshev coefficients of the interpolants through values at
         first-kind nodes, along the last axis; node values laid out disk
         after disk (a flat vector) give shape (n_symbols, N)."""
-        vals = np.asarray(values)  # complex: each part's DCT
+        vals = np.asarray(values)  # complex or real
         if vals.ndim == 1:
             vals = vals.reshape(-1, self.nodes_per_disk)
-        coeffs = dct(vals, type=2, axis=-1) / vals.shape[-1]  # first kind: DCT-II
+        m = vals.shape[-1]
+        coeffs = vals @ _chebyshev_at_nodes(m, m) * 2 / m  # first kind: DCT-II
         coeffs[..., 0] *= 0.5
         return coeffs
 
@@ -114,8 +129,8 @@ class CollocationGrid:
         its 2N first-kind nodes, laid out the same way: the DCT-III of the
         zero-padded DCT-II, sum_k c_k cos(pi k (2j + 1) / 4N) at node j."""
         N = self.nodes_per_disk
-        vals = np.asarray(values).reshape(-1, N)
-        return (dct(dct(vals, type=2, axis=1), type=3, n=2 * N, axis=1) / (2 * N)).ravel()
+        coeffs = self.chebyshev_coeffs(values)
+        return (coeffs @ _chebyshev_at_nodes(2 * N, N).T).ravel()
 
     def clenshaw(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Values at pts, shape (n_symbols, m), of the Chebyshev series in
@@ -321,8 +336,45 @@ def _lead_lam_real(spec: OperatorSpec, s: float, u=None) -> float:
     return float(np.real(r.lam))
 
 
+def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
+    """Root of f between xpre and xcur, given fpre = f(xpre) and fcur =
+    f(xcur) of opposite signs: Brent's method (Brent 1973, Ch. 4) as in
+    scipy's brentq.c, step for step, so roots keep its bits."""
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        tol = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < tol:
+            return xcur
+        if abs(spre) > tol and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - tol):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > tol else (tol if sbis > 0 else -tol)
+        fcur = f(xcur)
+    raise NotConverged(f"pressure root after {BRENT_MAXITER} Brent iterations, "
+                       f"last s = {xcur!r}")
+
+
 def _solve_pressure_root(spec: OperatorSpec, u=None) -> float:
-    """Unique s with lambda(s; u) = 1 by bracket expansion + Brent.
+    """Unique s with lambda(s; u) = 1 by bracket expansion + Brent on
+    log lambda, started from the bracket's own eigenvalues.
 
     The lower bracket starts at 1e-3 and halves; the upper bracket stops at
     the first crossing, where the eigenvalue is O(1) and the discretization
@@ -351,17 +403,19 @@ def _solve_pressure_root(spec: OperatorSpec, u=None) -> float:
             raise BracketFailed(f"eigenvalue {lam} at s = {s} is not positive")
         return math.log(lam)
 
-    root = brentq(logf, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    return float(root)
+    return _brentq(logf, lo, hi, math.log(f_lo), math.log(f_hi))
+
+
+def spectral_at_delta(spec: OperatorSpec, want_measure: bool = False) -> SpectralResult:
+    """The leading eigenpair at delta, the root of lambda(s, 0, 0) = 1, with
+    the eigenmeasure too when want_measure; its s is delta.  One certified
+    solve at the root, which collocation checks against node doubling."""
+    return leading_eigenvalue(spec, _solve_pressure_root(spec), want_measure=want_measure)
 
 
 def critical_exponent(spec: OperatorSpec) -> float:
-    """delta: the root of lambda(s, 0, 0) = 1."""
-    delta = _solve_pressure_root(spec)
-    if spec.shift.analytic:
-        # certify the root's eigenvalue against node doubling
-        leading_eigenvalue(spec, delta)
-    return delta
+    """delta: the root of lambda(s, 0, 0) = 1, certified by spectral_at_delta."""
+    return spectral_at_delta(spec).s
 
 
 def pressure(spec: OperatorSpec, u) -> float:
@@ -401,8 +455,8 @@ def pressure_surface(spec: OperatorSpec) -> PressureSurface:
     n, N, d = shift.k, grid.nodes_per_disk, shift.d
     if d < 1:
         raise ValidationError("pressure surface needs homology dimension d >= 1")
-    delta = critical_exponent(spec)
-    sr = leading_eigenvalue(spec, delta, want_measure=True)
+    sr = spectral_at_delta(spec, want_measure=True)
+    delta = sr.s
     h, rho, lam, m = sr.h, sr.rho, sr.lam.real, sr.h.size
     M = build_matrix(spec, delta).real
     X = np.empty((d + 1, n, N, n, N))  # entry (p, b, j, a, k) of X_p

@@ -1,10 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from covercount import cli
+from covercount import acceptance, cli
+from covercount import transfer as tr
 from covercount.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -49,6 +57,31 @@ def test_delta_toy_prints_log2(tmp_path, capsys):
     assert len(run_dirs) == 1
     manifest = json.loads((run_dirs[0] / "manifest.json").read_text())
     assert "summary.json" in manifest["files"]
+
+
+def test_delta_solves_once_at_the_root(tmp_path, monkeypatch):
+    # 10 eigensolves find the root of b, then one certified solve (96 x 96,
+    # seeded 192 x 192) gives delta's report values
+    sizes = []
+    solve = tr._dominant
+    monkeypatch.setattr(tr, "_dominant",
+                        lambda M, v0=None: sizes.append(M.shape[0]) or solve(M, v0))
+    assert run(["--out", str(tmp_path), "delta", "--group", "fixture:b"]) == 0
+    assert Counter(sizes) == {96: 11, 192: 1}
+
+
+def test_cli_import_loads_neither_optimize_fft_nor_special():
+    # every job pays for the imports of cli; scipy.special is the clt
+    # check's alone, and no code calls scipy.optimize or scipy.fft
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = ("import sys, covercount.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'fft'], "
+            "['scipy', 'special'])))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_output_dir_created(tmp_path):
@@ -245,7 +278,7 @@ MANIFEST_RUNS = {
 def _manifest(out, command, args):
     """Run one command (verify-all without its criteria) and read its manifest."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "run_all", lambda budget, seed, progress: [])
+        mp.setattr(acceptance, "run_all", lambda budget, seed, progress: [])
         assert run(["--out", str(out), *args]) == 0, command
     (run_dir,) = out.glob(f"{command}-*")
     return json.loads((run_dir / "manifest.json").read_text())

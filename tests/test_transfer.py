@@ -1,14 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.fft import dct
+from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from covercount import transfer as tr
 from covercount.errors import (HessianNotPD, HolonomyUnavailable,
                                NotConverged, ValidationError)
-from covercount.groupfile import load_group
+from covercount.groupfile import load_any, load_group
 from covercount.shift import MarkovShift, from_schottky, toy_full_shift
 from covercount.transfer import (OperatorSpec, build_matrix, critical_exponent,
                                  leading_eigenvalue, pressure, pressure_surface,
@@ -272,6 +275,49 @@ def test_delta_brackets_failure_modes(toy2_spec):
     assert_allclose(delta, math.log(2.0) / 60.0, atol=1e-12)
 
 
+def _scipy_brentq(f, lo, hi, f_lo, f_hi):
+    return brentq(f, lo, hi, xtol=tr.BRENT_XTOL, rtol=tr.BRENT_RTOL,
+                  maxiter=tr.BRENT_MAXITER)
+
+
+@pytest.mark.parametrize("name,nodes,solves", [("toy2", None, 5), ("b", 24, 10),
+                                               ("b", 48, 10), ("c", 24, 9)])
+def test_brent_port_bit_equal_to_scipy(name, nodes, solves, monkeypatch):
+    # the port starts from the bracket's eigenvalues, where scipy evaluates
+    # both ends again: two eigensolves fewer per root, the same root bits
+    obj = load_any(f"fixture:{name}")
+    shift = obj if isinstance(obj, MarkovShift) else from_schottky(obj)
+    spec = OperatorSpec(shift, nodes_per_disk=nodes)
+    twists = [np.resize([0.3, -0.2], shift.d) * k for k in (1.0, -1.5)]
+    calls = []
+    lead = tr._lead_lam_real
+    monkeypatch.setattr(tr, "_lead_lam_real",
+                        lambda *a, **kw: calls.append(a[1]) or lead(*a, **kw))
+    got = [critical_exponent(spec)]
+    assert len(calls) == solves
+    got += [pressure(spec, u) for u in twists]
+    monkeypatch.setattr(tr, "_brentq", _scipy_brentq)
+    want = [critical_exponent(spec)] + [pressure(spec, u) for u in twists]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_brent_out_of_iterations_is_not_converged(toy2_spec, monkeypatch):
+    monkeypatch.setattr(tr, "BRENT_MAXITER", 1)
+    with pytest.raises(NotConverged, match="after 1 Brent iterations"):
+        critical_exponent(toy2_spec)
+
+
+def test_surface_solves_once_at_delta(spec_b, monkeypatch):
+    # 10 eigensolves find delta, then one certified eigentriple: the right
+    # solve, its seeded doubled solve and the left solve
+    sizes = []
+    solve = tr._dominant
+    monkeypatch.setattr(tr, "_dominant",
+                        lambda M, v0=None: sizes.append(M.shape[0]) or solve(M, v0))
+    pressure_surface(spec_b)
+    assert Counter(sizes) == {96: 12, 192: 1}
+
+
 def test_schottky_pressure_symmetric(spec_b):
     for u in (0.25, 0.6):
         assert abs(pressure(spec_b, [u]) - pressure(spec_b, [-u])) < 1e-8
@@ -435,6 +481,29 @@ def test_scan_rows_match_reference_solver(shift_b, delta_b, monkeypatch):
     want = spectral_radius_scan(OperatorSpec(shift_b, nodes_per_disk=24),
                                 delta_b, **grid).rows
     assert rows == want
+
+
+@pytest.mark.parametrize("N", [8, 20, 24, 48, 96])
+def test_cosine_matrix_dct_matches_scipy(group_b, N):
+    grid = tr.CollocationGrid(group_b, N)
+    rng = np.random.default_rng(N)
+    real = rng.standard_normal((4, N))
+    for vals in (real, real + 1j * rng.standard_normal((4, N))):
+        # DCT-II: coefficients of node values, disk after disk
+        want = dct(vals, type=2, axis=-1) / N
+        want[:, 0] *= 0.5
+        got = grid.chebyshev_coeffs(vals.ravel())
+        assert_allclose(got, want, rtol=0, atol=2e-14 * np.abs(want).max())
+        # DCT-III of the zero-padded DCT-II: the doubling seed
+        want = (dct(dct(vals, type=2, axis=1), type=3, n=2 * N, axis=1) / (2 * N)).ravel()
+        got = grid.doubled_values(vals.ravel())
+        assert_allclose(got, want, rtol=0, atol=2e-14 * np.abs(want).max())
+        # 2N values per row, as the sampler's branch-weight tables
+        wide = np.concatenate([vals, vals[:, ::-1] ** 2], axis=-1)
+        want = dct(wide, type=2, axis=-1) / (2 * N)
+        want[:, 0] *= 0.5
+        got = grid.chebyshev_coeffs(wide)
+        assert_allclose(got, want, rtol=0, atol=2e-14 * np.abs(want).max())
 
 
 def test_doubling_seed_matches_barycentric(shift_b, delta_b, monkeypatch):
