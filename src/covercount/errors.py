@@ -42,9 +42,12 @@ class BudgetExceeded(CovercountError):
 
 
 class NotConverged(CovercountError):
-    def __init__(self, detail):
+    """An iteration stopped short of its tolerance: the eigensolver unless
+    what names another one."""
+
+    def __init__(self, detail, what="eigensolver did not converge:"):
         self.detail = detail
-        super().__init__(f"eigensolver did not converge: {detail}")
+        super().__init__(f"{what} {detail}")
 
 
 class DiscretizationUnstable(CovercountError):

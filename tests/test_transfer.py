@@ -80,6 +80,49 @@ def test_toy_matrix_closed_form(toy3_mixed, s, v, u, p):
     assert_allclose(build_matrix(OperatorSpec(shift), s, v, p, u), W.T, rtol=1e-15, atol=0)
 
 
+def _build_matrix_by_blocks(spec, s, v=None, p=0, u=None, nodes=None):
+    """build_matrix one transition block at a time: the oracle for the
+    one-expression assembly, which must match it bit for bit."""
+    shift = spec.shift
+    grid = spec.grid(nodes)
+    n, N, d = shift.k, grid.nodes_per_disk, shift.d
+    v = np.zeros(d) if v is None else np.asarray(v, dtype=float)
+    u = np.zeros(d) if u is None else np.asarray(u, dtype=float)
+    M = np.zeros((n * N, n * N), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            if shift.transition[a, b] == 0:
+                continue
+            f = shift.f[a, b].astype(float)
+            cw = math.fsum(u * f) + 1j * float(v @ f) if d else 0.0
+            if p != 0:
+                cw += 1j * p * shift.theta[a, b]
+            wvec = np.exp(s * grid.logd[a, b] + cw)
+            M[b * N:(b + 1) * N, a * N:(a + 1) * N] = wvec[:, None] * grid.interp[a, b]
+    return M
+
+
+@pytest.mark.parametrize("name,nodes", [("b", 24), ("b", 48), ("b", 96), ("c", 20),
+                                        ("toy2", None), ("toy3", None), ("toy-d0", None)])
+def test_build_matrix_bit_identical_to_blocks(name, nodes, toy3_mixed):
+    if name == "toy3":
+        shift = toy3_mixed
+    elif name == "toy-d0":
+        shift = toy_full_shift(3, 1.0, np.zeros((3, 0), dtype=int))
+    else:
+        obj = load_any(f"fixture:{name}")
+        shift = obj if isinstance(obj, MarkovShift) else from_schottky(obj)
+    spec, d = OperatorSpec(shift, nodes_per_disk=nodes), shift.d
+    ps = [0, 1, -2] if shift.theta is not None else [0]
+    for s in (0.6024408060243397, complex(0.6, 2.3)):
+        for v in (None, np.resize([0.7, -0.3], d)):
+            for u in (None, np.resize([0.2, -0.31], d)):
+                for p in ps:
+                    got = build_matrix(spec, s, v, p, u)
+                    want = _build_matrix_by_blocks(spec, s, v, p, u)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_critical_exponent_toys(toy2_spec):
     assert abs(critical_exponent(toy2_spec) - math.log(2.0)) < 1e-12
     spec3 = OperatorSpec(toy_full_shift(3, 2.0, [[1], [0], [-1]]))
@@ -303,8 +346,11 @@ def test_brent_port_bit_equal_to_scipy(name, nodes, solves, monkeypatch):
 
 def test_brent_out_of_iterations_is_not_converged(toy2_spec, monkeypatch):
     monkeypatch.setattr(tr, "BRENT_MAXITER", 1)
-    with pytest.raises(NotConverged, match="after 1 Brent iterations"):
+    with pytest.raises(NotConverged) as err:
         critical_exponent(toy2_spec)
+    msg = str(err.value)
+    assert msg.startswith("pressure root did not converge in 1 Brent iterations, last s = ")
+    assert math.isfinite(float(msg.rsplit(" = ", 1)[1]))
 
 
 def test_surface_solves_once_at_delta(spec_b, monkeypatch):
@@ -404,7 +450,8 @@ def test_perron_vectors_ignore_solver_phase(spec_b, delta_b, monkeypatch, want_m
 def _reference_dominant(M, v0=None):
     """The eigensolver before its power step reused its product: three
     products with M per step, and the power loop before ARPACK on every
-    matrix.  The oracle for bit-identical results."""
+    matrix.  The oracle: bit-identical where the power loop converges, within
+    the kernel's tolerance where the solve reaches the Krylov-Schur kernel."""
     n = M.shape[0]
     if v0 is None:
         v0 = np.ones(n, dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, n)
@@ -449,38 +496,140 @@ def _assert_same_bits(got, want):
     assert got[2] == want[2]
 
 
-@pytest.mark.parametrize("case", ["perron-b-delta", "perron-b-half", "perron-toy2",
-                                  "seeded-doubling-b48", "cold-twisted-b48"])
-def test_dominant_bit_identical_to_reference(case, spec_b, delta_b, toy2_spec):
-    # a scan point at N = 48: the cold 192 x 192 solve leaves the power loop
-    # unconverged, the seeded 384 x 384 doubling solve converges in it
+def _reference_case(case, spec_b, delta_b, toy2_spec):
+    """(M, v0) of a named reference case.  At a scan point at N = 48 the cold
+    192 x 192 solve skips the power loop and the seeded 384 x 384 doubling
+    solve converges in it; the Perron matrix of b at delta leaves the loop
+    unconverged."""
     spec48 = OperatorSpec(spec_b.shift, nodes_per_disk=48)
     s, v = complex(delta_b, 1.0), [0.5]
-    v0 = None
     if case == "perron-b-delta":
-        M = build_matrix(spec_b, delta_b)
-    elif case == "perron-b-half":
-        M = build_matrix(spec_b, 0.5)
-    elif case == "perron-toy2":
-        M = build_matrix(toy2_spec, math.log(2.0))
-    elif case == "seeded-doubling-b48":
+        return build_matrix(spec_b, delta_b), None
+    if case == "perron-b-half":
+        return build_matrix(spec_b, 0.5), None
+    if case == "perron-toy2":
+        return build_matrix(toy2_spec, math.log(2.0)), None
+    if case == "seeded-doubling-b48":
         _, h, _ = _reference_dominant(build_matrix(spec48, s, v))
-        M = build_matrix(spec48, s, v, nodes=96)
-        v0 = _doubling_seed(spec48, h)
-    else:
-        M = build_matrix(spec48, s, v)
-        assert M.shape == (192, 192) and np.any(M.imag)
+        return build_matrix(spec48, s, v, nodes=96), _doubling_seed(spec48, h)
+    M = build_matrix(spec48, s, v)
+    assert M.shape == (192, 192) and np.any(M.imag)
+    return M, None
+
+
+def _assert_agrees_with_reference(got, want, M):
+    # the kernel and ARPACK stop at the same Ritz tolerance: lambda agreed to
+    # 1.1e-14 relative over the 400 scan matrices of b at N = 48
+    lam, z, res = got
+    assert abs(lam - want[0]) <= 1e-13 * abs(want[0])
+    assert res < 1e-10 and np.linalg.norm(M @ z - lam * z) / np.linalg.norm(z) < 1e-10
+
+
+@pytest.mark.parametrize("case", ["perron-b-half", "perron-toy2", "seeded-doubling-b48"])
+def test_dominant_bit_identical_to_reference(case, spec_b, delta_b, toy2_spec):
+    # these solves converge in the power loop and never reach the kernel
+    M, v0 = _reference_case(case, spec_b, delta_b, toy2_spec)
     _assert_same_bits(tr._dominant(M, v0), _reference_dominant(M, v0))
+
+
+@pytest.mark.parametrize("case", ["perron-b-delta", "cold-twisted-b48"])
+def test_dominant_kernel_matches_reference(case, spec_b, delta_b, toy2_spec):
+    M, v0 = _reference_case(case, spec_b, delta_b, toy2_spec)
+    _assert_agrees_with_reference(tr._dominant(M, v0), _reference_dominant(M, v0), M)
 
 
 def test_scan_rows_match_reference_solver(shift_b, delta_b, monkeypatch):
     grid = dict(t_grid=[0.5, 0.25, 0.75], v_grid=[[0.0], [3.14]])
-    rows = spectral_radius_scan(OperatorSpec(shift_b, nodes_per_disk=24),
-                                delta_b, **grid).rows
+    spec = OperatorSpec(shift_b, nodes_per_disk=24)
+    solves = []
+    solve = tr._dominant
+    monkeypatch.setattr(tr, "_dominant",
+                        lambda M, v0=None: solves.append((M, v0)) or solve(M, v0))
+    got = spectral_radius_scan(spec, delta_b, **grid).rows
     monkeypatch.setattr(tr, "_dominant", _reference_dominant)
-    want = spectral_radius_scan(OperatorSpec(shift_b, nodes_per_disk=24),
-                                delta_b, **grid).rows
-    assert rows == want
+    want = spectral_radius_scan(spec, delta_b, **grid).rows
+    assert [(r.t, r.v, r.p, r.violation) for r in got] == [(r.t, r.v, r.p, r.violation)
+                                                           for r in want]
+    assert_allclose([r.abs_lambda for r in got], [r.abs_lambda for r in want],
+                    rtol=1e-13, atol=0)
+    for M, v0 in solves:
+        _assert_agrees_with_reference(solve(M, v0), _reference_dominant(M, v0), M)
+
+
+# -- the Krylov-Schur kernel ---------------------------------------------------------
+
+def _planted(n, seed):
+    """X^-1 diag(spec) X for a random complex n x n X: the dominant eigenvalue
+    lam1, a second one of modulus 0.99 |lam1| at the same phase and the rest
+    inside |lam| < |lam1| / 2; with lam1 and a random start vector."""
+    rng = np.random.default_rng(seed)
+    lam1 = 1.3 * np.exp(0.4j)
+    spec = 0.5 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n)) * abs(lam1)
+    spec[:2] = lam1, 0.99 * lam1
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    M = np.linalg.solve(X, X * spec[:, None])
+    return M, lam1, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [17, 31, 96, 192])
+def test_krylov_schur_matches_dense_eig(n):
+    M, _, v0 = _planted(n, seed=n)
+    lam, z = tr._krylov_schur(M, v0)
+    vals = np.linalg.eigvals(M)
+    want = vals[np.argmax(np.abs(vals))]
+    assert abs(lam - want) <= 1e-12 * abs(want)
+    assert abs(np.linalg.norm(z) - 1.0) < 1e-14
+    assert np.linalg.norm(M @ z - lam * z) <= 1e-12 * np.linalg.norm(M, 2)
+
+
+@pytest.mark.parametrize("block", [1, 8])
+def test_krylov_schur_closed_space_gives_exact_pair(block):
+    # v0 in the first diagonal block: the Krylov space closes after `block`
+    # vectors, before the basis is full, and its Ritz pair is exact
+    rng = np.random.default_rng(block)
+    A = rng.standard_normal((block, block)) + 1j * rng.standard_normal((block, block))
+    B = 3.0 * (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))
+    M = np.zeros((block + 40, block + 40), dtype=complex)
+    M[:block, :block], M[block:, block:] = A, B
+    v0 = np.zeros(block + 40, dtype=complex)
+    v0[:block] = rng.standard_normal(block)
+    with np.errstate(all="raise"):
+        lam, z = tr._krylov_schur(M, v0)
+    vals = np.linalg.eigvals(A)
+    want = vals[np.argmax(np.abs(vals))]
+    assert np.isfinite(lam) and np.all(np.isfinite(z))
+    assert abs(lam - want) <= 1e-13 * abs(want)
+    assert np.linalg.norm(M @ z - lam * z) <= 1e-13 * np.linalg.norm(M, 2)
+    assert not np.any(z[block:])
+
+
+def test_krylov_schur_restart_cap_reaches_dense_path(monkeypatch):
+    M, lam1, _ = _planted(96, seed=5)
+    monkeypatch.setattr(tr, "KS_RESTARTS", 1)
+    assert tr._krylov_schur(M, np.ones(96, dtype=complex)) is None
+    dense = []
+    leading = tr._dense_leading
+    monkeypatch.setattr(tr, "_dense_leading", lambda A: dense.append(A) or leading(A))
+    lam, z, res = tr._dominant(M)  # cold and complex: straight to the kernel
+    assert len(dense) == 1 and dense[0] is M
+    assert abs(lam - lam1) <= 1e-12 * abs(lam1) and res < 1e-10
+
+
+def test_unconverged_power_loop_hands_kernel_its_last_iterate(spec_b, delta_b, monkeypatch):
+    M = build_matrix(spec_b, delta_b)
+    starts = []
+    kernel = tr._krylov_schur
+    monkeypatch.setattr(tr, "_krylov_schur", lambda A, v0: starts.append(v0) or kernel(A, v0))
+    lam, _, res = tr._dominant(M)
+    # the loop's 60 steps, replayed
+    z = np.ones(96, dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, 96)
+    z = z / np.linalg.norm(z)
+    w = M @ z
+    for _ in range(60):
+        z = w / np.linalg.norm(w)
+        w = M @ z
+    assert len(starts) == 1 and np.array_equal(starts[0], z)
+    assert abs(lam - 1.0) < 1e-12 and res < 1e-10
 
 
 @pytest.mark.parametrize("N", [8, 20, 24, 48, 96])
