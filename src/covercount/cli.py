@@ -411,10 +411,16 @@ def main(argv=None) -> int:
     if args.command in ("clt", "verify-all") and getattr(args, "seed", 1) is None:
         print("error: sampling commands require --seed", file=sys.stderr)
         return EXIT_CONFIG
-    for cap_name in ("budget_cap", "traj", "steps", "checkpoints"):
+    for cap_name in ("budget_cap", "traj", "steps", "checkpoints", "t_count", "v_count"):
         if (getattr(args, cap_name, 1) or 0) <= 0:
             print(f"error: --{cap_name.replace('_', '-')} must be positive", file=sys.stderr)
             return EXIT_CONFIG
+    if args.command == "scan" and not args.p:
+        print("error: --p needs at least one holonomy character", file=sys.stderr)
+        return EXIT_CONFIG
+    if (getattr(args, "dump_trajectory", 0) or 0) < 0:
+        print("error: --dump-trajectory must be >= 0", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return args.func(args)
     except ValidationError as e:

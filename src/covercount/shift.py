@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,7 +49,6 @@ class MarkovShift:
     theta: Optional[np.ndarray] = None         # (k, k) holonomy angles
     source: str = "Toy"              # "Toy" | "SchottkyCoding"
     group: Optional[SchottkyGroup] = None
-    aperiodicity_power: int = field(default=0, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.transition, dtype=np.int64)
@@ -62,7 +61,7 @@ class MarkovShift:
             object.__setattr__(self, "tau", tau)
         if self.theta is not None:
             object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-        object.__setattr__(self, "aperiodicity_power", _aperiodicity_power(A))
+        _aperiodicity_power(A)  # raises unless some power of A is positive
 
     @property
     def d(self) -> int:

@@ -6,10 +6,10 @@ Schottky codings in the half-plane model are discretized by Chebyshev
 collocation on the real trace of each disk; the branch maps send every
 admissible interval strictly inside the target interval, so polynomial
 interpolation converges geometrically and the leading eigenvalue is certified
-by node doubling.  Dominant eigenpairs come from power iteration or, where
-it is slow, an in-package Krylov-Schur kernel (numpy only, so importing this
-module loads no scipy).  Toy shifts are the exact one-node case (logd = -tau,
-interp = 1), so both kinds share one assembly from per-transition blocks.
+by node doubling.  Dominant eigenpairs come from an in-package Krylov-Schur
+kernel (numpy only: importing this module loads no scipy) or dense eig.  Toy
+shifts are the exact one-node case (logd = -tau, interp = 1), so both kinds
+share one assembly from per-transition blocks.
 Barycentric interpolation builds those blocks.  Off the nodes, node values
 are evaluated through their Chebyshev coefficients (a DCT-II, done as a
 product with a cached cosine matrix): on the doubled nodes by one more such
@@ -305,23 +305,18 @@ def _krylov_schur(M: np.ndarray, v0: np.ndarray):
 def _dominant(M: np.ndarray, v0: Optional[np.ndarray] = None):
     """Dominant eigenpair (lam, z, residual) of M.
 
-    Path rule: power iteration seeded by v0 (or a fixed near-constant start)
-    for real or seeded matrices; the Krylov-Schur kernel for cold complex
-    ones larger than 16 x 16, started from that same start, and after a power
-    loop that does not converge, started from the loop's last iterate; dense
-    eig when the kernel stops at its restart cap or its pair fails the
-    residual check.  A cold complex matrix is a twisted operator on the
-    critical line, where |lambda_2 / lambda_1| is close to 1 and 60 power
-    steps do not converge, so the loop is skipped there.  Each power step
-    makes one product with M and reuses it for lambda, the residual and the
-    next iterate.
+    Path rule: only a seeded solve (v0 given: the doubled-node check, from
+    h's interpolant) runs the power loop.  A cold solve, or a seeded loop that
+    does not converge, goes to the Krylov-Schur kernel from v0 or a fixed
+    near-constant start when M is larger than 16 x 16; dense eig is the last
+    resort.  Each power step makes one product with M, reused for lambda, the
+    residual and the next iterate.
     """
     n = M.shape[0]
-    z = v0
     if v0 is None:
-        z = np.ones(n, dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, n)
-    if not (v0 is None and n > 16 and np.any(M.imag)):
-        z = z / np.linalg.norm(z)
+        v0 = np.ones(n, dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, n)
+    else:
+        z = v0 / np.linalg.norm(v0)
         w = M @ z
         for _ in range(60):
             nw = np.linalg.norm(w)
@@ -334,7 +329,7 @@ def _dominant(M: np.ndarray, v0: Optional[np.ndarray] = None):
             if res < 1e-12 * max(1.0, abs(lam)):
                 return lam, z, res
     if n > 16:
-        pair = _krylov_schur(M, z)
+        pair = _krylov_schur(M, v0)
         if pair is not None:
             lam, z = pair
             res = float(np.linalg.norm(M @ z - lam * z))
@@ -350,12 +345,10 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
                        check_stability: bool = True) -> SpectralResult:
     """Dominant eigenvalue with certified residual.
 
-    The solver path follows _dominant: the power loop for real operators
-    (s real, v = 0, p = 0) and for the seeded doubling solve, the Krylov-Schur
-    kernel for cold complex operators larger than 16 x 16 and after a power
-    loop that does not converge, dense eig as the last resort.  For
-    collocation the value must be stable under doubling nodes_per_disk; the
-    doubled solve is seeded with h's interpolant on the finer nodes
+    The solver path follows _dominant: the Krylov-Schur kernel (dense eig at
+    16 x 16 and below) for cold solves, the power loop for the seeded one.
+    For collocation the value must be stable under doubling nodes_per_disk;
+    the doubled solve is seeded with h's interpolant on the finer nodes
     (CollocationGrid.doubled_values).
     """
     M = build_matrix(spec, s, v, p, u)
@@ -509,7 +502,7 @@ def pressure_surface(spec: OperatorSpec) -> PressureSurface:
     Implicit differentiation of lambda(P(u), u) = 1 gives grad P and Hess P.
 
     A cocycle cohomologous to zero leaves a Hessian of rounding size and
-    either sign (up to 2e-12 of the scale below on random toys), so
+    either sign (up to 3.6e-15 of the scale below on 288 random toys), so
     HessianNotPD fires at eigenvalues <= RESIDUAL_TOL times the scale
     max_i |rho (X_i^2 o M) h / lambda_s|.
     """

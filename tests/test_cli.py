@@ -256,6 +256,24 @@ def test_count_vectors_indefinite_w0_is_config_error(tmp_path, capsys):
     assert "definite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,config", [
+    (["scan", "--t-count", "0"], {}),
+    (["scan", "--t-count", "-3"], {}),
+    (["scan", "--v-count", "0"], {}),
+    (["scan", "--p"], {}),
+    (["clt", "--seed", "1", "--dump-trajectory", "-5"], {}),
+    (["scan"], {"t_count": 0}),
+], ids=["t-count-0", "t-count-negative", "v-count-0", "p-empty", "dump-trajectory-negative",
+        "config-t-count-0"])
+def test_empty_grid_or_negative_dump_is_config_error(tmp_path, capsys, args, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--out", str(tmp_path), "--config", str(cfg), *args,
+                "--group", "fixture:toy2"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("*-*"))
+
+
 # cheap options for every command that writes a manifest
 MANIFEST_RUNS = {
     "delta": ["--group", "fixture:toy2"],

@@ -31,7 +31,7 @@ def test_toy_full_shift_structure():
     assert np.all(s.transition == 1)
     assert np.all(s.tau == 1.0)
     assert s.f[0, 0, 0] == 1 and s.f[1, 0, 0] == -1
-    assert s.aperiodicity_power == 1
+    assert sh._aperiodicity_power(s.transition) == 1
 
 
 def test_toy_shift_rejects_bad_inputs():
@@ -59,7 +59,7 @@ def test_from_schottky_structure(group_b, shift_b):
     for a in range(4):
         for b in range(4):
             assert s.transition[a, b] == (0 if b == (a ^ 1) else 1)
-    assert s.aperiodicity_power == 2
+    assert sh._aperiodicity_power(s.transition) == 2
     # f of a transition entering letter g1 is the first homology column
     col = np.asarray(group_b.homology_matrix[:, 0])
     assert np.array_equal(s.f[sk.sym_index(1), sk.sym_index(2)], col)
