@@ -418,6 +418,9 @@ def main(argv=None) -> int:
     if args.command == "scan" and not args.p:
         print("error: --p needs at least one holonomy character", file=sys.stderr)
         return EXIT_CONFIG
+    if args.command == "count-vectors" and not args.t_min > 0:
+        print("error: --t-min must be positive (checkpoints are log-spaced)", file=sys.stderr)
+        return EXIT_CONFIG
     if (getattr(args, "dump_trajectory", 0) or 0) < 0:
         print("error: --dump-trajectory must be >= 0", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,8 +1,15 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class CovercountError(Exception):
     """Base class for all library errors."""
+
+    def __reduce__(self):
+        # rebuild from the message, not through a subclass's own __init__, so
+        # that an error raised in a worker process keeps its type and message
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ValidationError(CovercountError):

@@ -27,6 +27,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -235,33 +237,103 @@ def parry_chain(shift: MarkovShift, spectral) -> ParryChain:
                       transitions=nu_ab / nu_ab.sum(axis=1, keepdims=True), delta=delta)
 
 
+_in_worker = False  # true in a _fork_map child, which never forks again
+
+
+def _workers() -> int:
+    """Processes for independent work: the usable CPUs over the BLAS threads
+    per process, read as OpenBLAS reads them (one per CPU when unset).  Two
+    processes at 2 BLAS threads on 2 CPUs took twice as long as one."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        v = os.environ.get(var, "")
+        if v.strip().isdigit() and int(v) > 0:
+            return max(1, cpus // int(v))
+    return 1  # unset: one BLAS thread per CPU
+
+
+def _fork_map(fn, chunks: Sequence) -> list:
+    """[fn(c) for c in chunks]: chunk 0 here, each other chunk in a forked
+    child that pickles back its result or exception and leaves by os._exit,
+    flushing no output buffer twice.  The exception is raised here; every
+    child is reaped.  Serial for fewer than two chunks and inside a child."""
+    global _in_worker
+    if len(chunks) < 2 or _in_worker:
+        return [fn(c) for c in chunks]
+    kids = []  # (pid, read end of its pipe)
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    _in_worker = True
+                    try:
+                        out = (True, fn(chunk))
+                    except BaseException as e:  # the parent raises it again
+                        out = (False, e)
+                    with open(w, "wb") as fh:
+                        fh.write(pickle.dumps(out))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            kids.append((pid, r))
+        results = [fn(chunks[0])]
+        for pid, r in kids:
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            if not data:
+                raise ChildProcessError(f"worker {pid} exited without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, r in kids:
+            os.close(r)
+            os.waitpid(pid, 0)
+
+
 def sample_cocycle_batch(chain: ParryChain, shift: MarkovShift, n: int,
                          n_traj: int, master_seed: int, spectral=None,
                          batch: int = 2048) -> tuple[np.ndarray, np.ndarray]:
     """(tau_n, f_n) over n_traj trajectories of n steps each.
 
     Trajectory i draws its randomness from default_rng([master_seed, i]), so
-    results do not depend on batching or parallel schedule.  Toy shifts run
-    the exact finite-state chain.  Schottky codings run the equilibrium
-    process exactly: random inverse branches weighted by
+    results do not depend on batching or on the processes that run them: the
+    trajectories split into _workers() equal contiguous ranges, one per
+    process (_fork_map), and each range runs in batches of at most batch.
+    Toy shifts run the exact finite-state chain.  Schottky codings run the
+    equilibrium process exactly: random inverse branches weighted by
     |branch'|^delta h(branch x) / h(x) with h the RPF eigenfunction, which
     reverses to the shift with marginal nu; the roof increments are the
     analytic branch derivatives along the trajectory.  Each batch of
     trajectories runs through one step kernel (see _steps); Schottky codings
     first burn in SCHOTTKY_BURN steps from the disk centers.
     """
-    taus = np.zeros(n_traj)
-    fs = np.zeros((n_traj, shift.d), dtype=np.int64)
-    if n == 0:
+    def run(span):
+        start, stop = span
+        taus = np.zeros(stop - start)
+        fs = np.zeros((stop - start, shift.d), dtype=np.int64)
+        for lo in range(start, stop, batch):
+            hi = min(lo + batch, stop)
+            rngs = [np.random.default_rng([master_seed, i]) for i in range(lo, hi)]
+            tau_n, f_n = taus[lo - start:hi - start], fs[lo - start:hi - start]
+            for _, step_tau, step_f in _steps(chain, shift, n, rngs, spectral,
+                                              SCHOTTKY_BURN):
+                tau_n += step_tau
+                f_n += step_f
         return taus, fs
-    for lo in range(0, n_traj, batch):
-        hi = min(lo + batch, n_traj)
-        rngs = [np.random.default_rng([master_seed, i]) for i in range(lo, hi)]
-        tau_n, f_n = taus[lo:hi], fs[lo:hi]
-        for _, step_tau, step_f in _steps(chain, shift, n, rngs, spectral, SCHOTTKY_BURN):
-            tau_n += step_tau
-            f_n += step_f
-    return taus, fs
+
+    if n == 0:
+        return np.zeros(n_traj), np.zeros((n_traj, shift.d), dtype=np.int64)
+    w = max(1, min(_workers(), n_traj))
+    cuts = [n_traj * i // w for i in range(w + 1)]
+    parts = _fork_map(run, list(zip(cuts, cuts[1:])))
+    return np.concatenate([t for t, _ in parts]), np.concatenate([f for _, f in parts])
 
 
 def sample_trajectory(chain: ParryChain, shift: MarkovShift, n: int,

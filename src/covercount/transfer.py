@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import schottky as sk
+from . import shift as sh
 from .errors import (BracketFailed, DiscretizationUnstable, HessianNotPD,
                      HolonomyUnavailable, NotConverged, ValidationError)
 from .hyperbolic import Model
@@ -568,20 +569,35 @@ def spectral_radius_scan(spec: OperatorSpec, delta: float, t_grid: Sequence[floa
                          v_grid: Sequence, p_list: Sequence[int] = (0,),
                          margin: float = 1e-3) -> ScanReport:
     """|lambda(delta + i t, v, p)| over the grid; any point other than
-    (0, 0, trivial) reaching 1 - margin is flagged as a violation."""
+    (0, 0, trivial) reaching 1 - margin is flagged as a violation.
+
+    The sorted t rows are dealt out, t_i to process i mod shift._workers()
+    (shift._fork_map), after the grids at N and 2N are built for every
+    process to inherit; no row depends on the process that computes it.
+    """
     d = spec.shift.d
-    rows = []
-    for t in sorted(float(t) for t in t_grid):
-        for v in v_grid:
-            vv = tuple(np.atleast_1d(np.asarray(v, dtype=float)).tolist())
-            if len(vv) != d:
-                raise ValidationError(f"scan twist {vv} has wrong dimension")
-            for p in p_list:
-                r = leading_eigenvalue(spec, complex(delta, t), v=vv, p=p)
-                mod = float(abs(r.lam))
-                trivial = (abs(t) < 1e-15 and not any(abs(x) > 1e-15 for x in vv)
-                           and p == 0)
-                rows.append(ScanRow(t=t, v=vv, p=p, abs_lambda=mod,
-                                    violation=(not trivial) and mod > 1.0 - margin))
+    spec.grid()
+    if spec.shift.analytic:
+        spec.grid(2 * spec.nodes_per_disk)
+
+    def scan_rows(ts):
+        rows = []
+        for t in ts:
+            for v in v_grid:
+                vv = tuple(np.atleast_1d(np.asarray(v, dtype=float)).tolist())
+                if len(vv) != d:
+                    raise ValidationError(f"scan twist {vv} has wrong dimension")
+                for p in p_list:
+                    r = leading_eigenvalue(spec, complex(delta, t), v=vv, p=p)
+                    mod = float(abs(r.lam))
+                    trivial = (abs(t) < 1e-15 and not any(abs(x) > 1e-15 for x in vv)
+                               and p == 0)
+                    rows.append(ScanRow(t=t, v=vv, p=p, abs_lambda=mod,
+                                        violation=(not trivial) and mod > 1.0 - margin))
+        return rows
+
+    ts = sorted(float(t) for t in t_grid)
+    w = max(1, min(sh._workers(), len(ts)))
+    rows = [r for part in sh._fork_map(scan_rows, [ts[i::w] for i in range(w)]) for r in part]
     rows.sort(key=lambda r: (r.t, r.v, r.p))
     return ScanReport(delta=delta, margin=margin, rows=rows)

@@ -274,6 +274,46 @@ def test_empty_grid_or_negative_dump_is_config_error(tmp_path, capsys, args, con
     assert not list(tmp_path.glob("*-*"))
 
 
+@pytest.mark.parametrize("args,config", [
+    (["--t-min", "0"], {}),
+    (["--t-min", "-5"], {}),
+    ([], {"t_min": 0}),
+], ids=["t-min-0", "t-min-negative", "config-t-min-0"])
+def test_count_vectors_nonpositive_t_min_is_config_error(tmp_path, capsys, args, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--out", str(tmp_path), "--config", str(cfg), "count-vectors",
+                "--group", "fixture:b", "--t-max", "20000", *args]) == 3
+    assert capsys.readouterr().err.startswith("error: --t-min")
+    assert not list(tmp_path.glob("*-*"))
+
+
+def test_scan_and_clt_same_manifest_forked_or_serial(tmp_path):
+    # the real worker rule: one BLAS thread per process shares the work
+    # between the CPUs, as many BLAS threads as CPUs keeps it in one process
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or not hasattr(os, "fork"):
+        pytest.skip("needs fork and 2 usable CPUs")
+    jobs = {"scan": ["--t-max", "2.0", "--t-count", "6", "--v-count", "4"],
+            "clt": ["--traj", "600", "--steps", "200", "--seed", "4"]}
+    manifests = {}
+    for blas in (1, cpus):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["OPENBLAS_NUM_THREADS"] = str(blas)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        for command, extra in jobs.items():
+            out = tmp_path / f"blas{blas}"
+            proc = subprocess.run([sys.executable, "-m", "covercount.cli", "--out", str(out),
+                                   command, "--group", "fixture:b", *extra],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            (run_dir,) = out.glob(f"{command}-*")
+            manifests[blas, command] = (run_dir / "manifest.json").read_bytes()
+    for command in jobs:
+        assert manifests[1, command] == manifests[cpus, command], command
+
+
 # cheap options for every command that writes a manifest
 MANIFEST_RUNS = {
     "delta": ["--group", "fixture:toy2"],

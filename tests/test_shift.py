@@ -1,14 +1,17 @@
 import itertools
 import math
+import os
+import pickle
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from covercount import errors
 from covercount import schottky as sk
 from covercount import shift as sh
 from covercount import transfer as tr
-from covercount.errors import NotAtCriticalExponent, ValidationError
+from covercount.errors import DiscretizationUnstable, NotAtCriticalExponent, ValidationError
 from covercount.hyperbolic import geodesic_invariants, wrap_angle
 from covercount.shift import (MarkovShift, branch_weight_series, cycle_roof_sum,
                               from_schottky, parry_chain, sample_cocycle_batch,
@@ -445,3 +448,76 @@ def test_schottky_sampler_statistics(shift_b, spectral_b, surface_b):
     z = f[:, 0] / np.sqrt(tau)
     # loose 4-sigma-ish band around the Hessian variance at this sample size
     assert abs(z.var() / surface_b.sigma - 1.0) < 0.35
+
+
+# -- work shared between processes ---------------------------------------------------
+
+
+def test_fork_map_runs_other_chunks_in_children():
+    # chunk 0 stays here; a result larger than a pipe buffer comes back whole
+    out = sh._fork_map(lambda c: (os.getpid(), np.full(50_000, c)), [0, 1, 2])
+    pids = [pid for pid, _ in out]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+    for c, (_, values) in enumerate(out):
+        assert np.array_equal(values, np.full(50_000, c))
+
+
+def test_fork_map_nested_call_runs_serially():
+    inner = lambda c: sh._fork_map(lambda _: os.getpid(), [0, 1])  # noqa: E731
+    _, (pid, pid_again) = sh._fork_map(inner, [0, 1])
+    assert pid == pid_again != os.getpid()
+
+
+@pytest.mark.parametrize("raising", [0, 1], ids=["parent-chunk", "child-chunk"])
+def test_fork_map_reraises_and_reaps(raising):
+    def fn(c):
+        if c == raising:
+            raise DiscretizationUnstable("lambda moved 3.70e-05 under node doubling")
+        return c
+
+    with pytest.raises(DiscretizationUnstable) as info:
+        sh._fork_map(fn, [0, 1, 2])
+    assert type(info.value) is DiscretizationUnstable
+    assert str(info.value) == "lambda moved 3.70e-05 under node doubling"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _subclasses(cls):
+    return {cls}.union(*(_subclasses(c) for c in cls.__subclasses__()))
+
+
+def test_every_error_survives_pickling():
+    # a worker process's error reaches cli.main by pickle
+    samples = [
+        errors.CovercountError("plain"), errors.ValidationError("bad group"),
+        errors.DisksOverlap([(0, 1)]), errors.PairingBroken(2, "at 1.5"),
+        errors.RankDeficientHomology(1, 2), errors.NotLoxodromic("elliptic"),
+        errors.PoleAtPoint("z = 3"), errors.BudgetExceeded(100),
+        errors.NotConverged("residual 1.2e-03"),
+        errors.NotConverged("in 200 Brent iterations", what="pressure root did not converge"),
+        errors.DiscretizationUnstable("moved"), errors.BracketFailed("no bracket"),
+        errors.HessianNotPD("eigenvalues"), errors.NotAtCriticalExponent("lambda 2"),
+        errors.HolonomyUnavailable("no theta"), errors.InsufficientData("3 samples"),
+        errors.SingularReference("det 0"),
+    ]
+    assert {type(e) for e in samples} == _subclasses(errors.CovercountError)
+    for e in samples:
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is type(e) and str(back) == str(e)
+        assert back.__dict__ == e.__dict__
+
+
+@pytest.mark.parametrize("n_traj", [1, 7, 4096])
+def test_sampler_same_bits_in_two_processes(n_traj, toy2, shift_b, spectral_b,
+                                            monkeypatch):
+    sr = tr.leading_eigenvalue(tr.OperatorSpec(toy2), math.log(2.0), want_measure=True)
+    for shift, spectral in ((toy2, sr), (shift_b, spectral_b)):
+        chain = parry_chain(shift, spectral)
+        got = []
+        for workers in (1, 2):
+            monkeypatch.setattr(sh, "_workers", lambda: workers)
+            got.append(sample_cocycle_batch(chain, shift, 40, n_traj, master_seed=3,
+                                            spectral=spectral))
+        (t1, f1), (t2, f2) = got
+        assert np.array_equal(t1, t2) and np.array_equal(f1, f2)

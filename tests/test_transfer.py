@@ -8,6 +8,7 @@ from scipy.fft import dct
 from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
+from covercount import shift as sh
 from covercount import transfer as tr
 from covercount.errors import (HessianNotPD, HolonomyUnavailable,
                                NotConverged, ValidationError)
@@ -400,6 +401,16 @@ def test_scan_rows_sorted_and_clean_on_fixture(spec_b, delta_b):
     assert rep.max_abs_lambda() < 1.0
 
 
+def test_scan_rows_same_bits_in_two_processes(shift_b, delta_b, monkeypatch):
+    grid = dict(t_grid=[0.5, 0.25, 0.75, 1.0, 1.25], v_grid=[[0.0], [3.14]])
+    rows = []
+    for workers in (1, 2):
+        monkeypatch.setattr(sh, "_workers", lambda: workers)
+        spec = OperatorSpec(shift_b, nodes_per_disk=24)
+        rows.append(spectral_radius_scan(spec, delta_b, **grid).rows)
+    assert rows[0] == rows[1]
+
+
 def test_not_converged_message(toy2_spec, monkeypatch):
     monkeypatch.setattr(tr, "_dominant", lambda M, v0=None: (1.0 + 0j, np.ones(2), 1.2e-3))
     with pytest.raises(NotConverged) as err:
@@ -543,6 +554,7 @@ def test_scan_rows_match_reference_solver(shift_b, delta_b, monkeypatch):
     spec = OperatorSpec(shift_b, nodes_per_disk=24)
     solves = []
     solve = tr._dominant
+    monkeypatch.setattr(sh, "_workers", lambda: 1)  # a worker's solves are not recorded here
     monkeypatch.setattr(tr, "_dominant",
                         lambda M, v0=None: solves.append((M, v0)) or solve(M, v0))
     got = spectral_radius_scan(spec, delta_b, **grid).rows
