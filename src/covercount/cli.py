@@ -14,6 +14,7 @@ import numpy as np
 
 from . import census as cen
 from . import shift as sh
+from . import stats as st
 from . import transfer as tr
 from .errors import CovercountError, ValidationError
 from .groupfile import load_any, load_group
@@ -215,8 +216,6 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_clt(args) -> int:
-    from . import stats as st  # scipy.special: no other command loads it
-
     spec = _spec_for(args.group, args.nodes)
     shift = spec.shift
     if shift.d < 1:
@@ -228,19 +227,24 @@ def cmd_clt(args) -> int:
                                      args.seed, spectral=sr)
     z = f / np.sqrt(tau)[:, None]
     print(f"delta = {delta:.9f}, Cov reference = {surf.hessian.tolist()}")
+    chk = st.clt_check(z, surf.hessian) if args.traj >= 1000 else None
+    # np.cov's shape, a scalar when d = 1; undefined below 2 trajectories
+    cov = (chk.covariance.squeeze() if chk is not None
+           else np.cov(z.T) if args.traj >= 2 else None)
     summary = {
         "delta": delta, "sigma": surf.sigma, "hessian": surf.hessian,
-        "empirical_mean": z.mean(axis=0), "empirical_cov": np.cov(z.T),
+        "empirical_mean": z.mean(axis=0), "empirical_cov": cov,
         "gaussian_check": None,
         "sample_head": {"tau": tau[:8], "f": f[:8, 0]}}
-    if args.traj >= 1000:
-        chk = st.clt_check(z, surf.hessian)
+    if chk is not None:
         print(f"empirical covariance = {chk.covariance.tolist()}")
         print(f"ks_p = {chk.ks_p}, chi2_p = {chk.chi2_p:.4f}")
         summary["gaussian_check"] = {"ks_p": list(chk.ks_p), "chi2_p": chk.chi2_p}
-    else:
-        print(f"empirical covariance = {np.cov(z.T).tolist()} "
+    elif cov is not None:
+        print(f"empirical covariance = {cov.tolist()} "
               f"(too few trajectories for p-values)")
+    else:
+        print("empirical covariance undefined (fewer than 2 trajectories)")
     writer = ReportWriter(args.out, "clt", vars_config(args))
     writer.write_json("summary.json", summary)
     if args.dump_trajectory:
@@ -253,7 +257,7 @@ def cmd_clt(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    from .acceptance import run_all  # imports stats, and with it scipy.special
+    from .acceptance import run_all
 
     rows = []
 

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -70,17 +72,61 @@ def test_delta_solves_once_at_the_root(tmp_path, monkeypatch):
     assert Counter(sizes) == {96: 11, 192: 1}
 
 
-def test_cli_import_loads_neither_optimize_fft_nor_special():
-    # every job pays for the imports of cli: the eigensolver is numpy's, and
-    # scipy.special, the clt check's alone, is loaded by clt and verify-all
+def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = ("import sys, covercount.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return env
+
+
+def test_cli_import_loads_neither_optimize_fft_nor_special():
+    # every job pays for the imports of cli, which include the statistics kit
+    # and the eigensolver; both are numpy and math alone
+    code = ("import sys, covercount.cli, covercount.stats; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_clt_check_runs_with_scipy_blocked(tmp_path):
+    # scipy is a test dependency only: a finder that refuses it must not stop
+    # the acceptance suite from importing or a clt run with p-values
+    code = textwrap.dedent("""
+        import sys
+
+        class NoScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError(f"blocked: {name}")
+
+        sys.meta_path.insert(0, NoScipy())
+        import covercount.acceptance
+        from covercount.cli import main
+        code = main(sys.argv[1:])
+        try:
+            import scipy
+        except ImportError:
+            sys.exit(code)
+        sys.exit(9)  # the finder let scipy through
+    """)
+    args = ["--out", str(tmp_path), "clt", "--group", "fixture:toy2",
+            "--traj", "1000", "--steps", "400", "--seed", "1"]
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(next(tmp_path.glob("clt-*/summary.json")).read_text())
+    assert summary["gaussian_check"]["chi2_p"] >= 0.0
+
+
+def test_clt_single_trajectory_has_no_covariance(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["--out", str(tmp_path), "clt", "--group", "fixture:toy2",
+                    "--traj", "1", "--steps", "400", "--seed", "1"]) == 0
+    assert "covariance undefined" in capsys.readouterr().out
+    summary = json.loads(next(tmp_path.glob("clt-*/summary.json")).read_text())
+    assert summary["empirical_cov"] is None and summary["gaussian_check"] is None
 
 
 def test_output_dir_created(tmp_path):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 
+from covercount import stats as st
 from covercount.errors import InsufficientData, SingularReference
 from covercount.stats import (chi2_gof, chi2_sf, clt_check, ks_test, normal_cdf,
                               plateau_deviation, trend_test)
@@ -113,3 +115,68 @@ def test_p_values_monotone_in_statistic():
     p_small = ks_test(grid, lambda x: np.clip(x - 0.01, 0, 1))
     p_big = ks_test(grid, lambda x: np.clip(x - 0.08, 0, 1))
     assert p_big < p_small
+
+
+# scipy.special is the oracle for the kit's closed forms and series.  The
+# tolerances are the worst differences measured on these grids (scipy 1.17),
+# rounded up; against 40-digit mpmath the ports are the closer side each time.
+
+
+def test_kolmogorov_matches_scipy():
+    # ks_test reaches lam in (0, sqrt(n)]; the tail underflows past lam ~ 19
+    lam = np.linspace(0.02, 3.0, 2981)
+    err = [abs(st._kolmogorov(x) - special.kolmogorov(x)) for x in lam]
+    assert max(err) <= 6e-15
+    lam = np.linspace(1.0, 18.0, 1701)  # down to p ~ 1e-281
+    rel = [abs(st._kolmogorov(x) / special.kolmogorov(x) - 1.0) for x in lam]
+    assert max(rel) <= 4.5e-16
+
+
+def test_erf_matches_scipy_to_three_ulp():
+    # the whitened samples of clt_check, scaled by 1/sqrt(2) in normal_cdf
+    y = np.random.default_rng(0).normal(size=20000) * 2.0
+    ours = np.asarray(st._erf(y), dtype=float)
+    ulps = np.abs(ours.view(np.int64) - special.erf(y).view(np.int64))
+    assert ulps.max() <= 3
+    assert_allclose(normal_cdf(y, 0.5, 2.0),
+                    0.5 * (1.0 + special.erf((y - 0.5) / (2.0 * math.sqrt(2.0)))),
+                    rtol=0, atol=4e-16)
+    assert normal_cdf(0.0) == 0.5
+
+
+@pytest.mark.parametrize("df", range(1, 20))
+def test_chi2_sf_matches_scipy(df):
+    # chi2_gof reaches df = bins - 1 = 9; the clt statistics stay below 300
+    for x in np.linspace(0.0, 300.0, 1501):
+        ref = special.gammaincc(df / 2.0, x / 2.0)
+        if ref >= 1e-300:
+            assert chi2_sf(x, df) == pytest.approx(ref, rel=4e-14, abs=0)
+
+
+@pytest.mark.parametrize("df", range(1, 60))
+def test_t_tail_matches_scipy(df):
+    # trend_test's I_x(df/2, 1/2) at x = df / (df + t^2), with the small
+    # tail summed directly down to scipy's underflow
+    t = np.geomspace(1e-3, 1e4, 200)
+    for x in df / (df + t * t):
+        ref = special.betainc(df / 2.0, 0.5, x)
+        if ref >= 1e-300:
+            assert st._t_beta(df, x) == pytest.approx(ref, rel=4e-14, abs=0)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 4])
+def test_chi2_deciles_match_scipy(df):
+    for q in np.arange(1, 10) / 10.0:
+        assert st._chi2_quantile(q, df) == pytest.approx(
+            2.0 * special.gammaincinv(df / 2.0, q), rel=5e-15, abs=0)
+
+
+def test_trend_p_matches_scipy_student_t():
+    # the one-sided p of trend_test against scipy's t distribution
+    from scipy.stats import t as student_t
+    rng = np.random.default_rng(5)
+    for n in (5, 8, 12, 30):
+        y = np.sort(rng.normal(size=n))[::-1] + rng.normal(scale=2.0, size=n)
+        r = np.corrcoef(np.arange(n), np.argsort(np.argsort(y)))[0, 1]
+        t = r * math.sqrt((n - 2) / (1.0 - r * r))
+        assert trend_test(y) == pytest.approx(student_t.cdf(t, n - 2), rel=1e-12)
