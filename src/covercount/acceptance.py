@@ -260,8 +260,7 @@ def c08_clt_homology_cocycle(ws: Workspace) -> CriterionResult:
     sr = ws.surface_b.spectral
     chain = sh.parry_chain(ws.shift_b, sr)
     tau, f = sh.sample_cocycle_batch(chain, ws.shift_b, ws.budget.clt_steps,
-                                     ws.budget.clt_traj, ws.seed, spectral=sr,
-                                     batch=4096)
+                                     ws.budget.clt_traj, ws.seed, spectral=sr)
     z = f[:, 0] / np.sqrt(tau)
     sigma = ws.surface_b.sigma
     var_err = abs(float(z.var()) / sigma - 1.0)

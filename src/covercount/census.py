@@ -113,7 +113,7 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
                       sink: Optional[Callable[[sk.OrbitRecord], None]] = None) -> CensusReport:
     """N_xi(T) for the requested homology classes vs c e^{delta T} / T^{d/2},
     d = group.d.  With classes None, counts holds every class that has a
-    record <= the last checkpoint.
+    record <= the last checkpoint; a requested class must have d entries.
 
     sink, if given, receives every enumerated record, in enumeration order.
     """
@@ -122,14 +122,17 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
     cps = np.asarray(sorted(float(t) for t in checkpoints))
     if cps[-1] > T_max:
         raise ValidationError("checkpoints exceed T_max")
+    wanted = None if classes is None else [tuple(int(x) for x in c) for c in classes]
+    for c in wanted or ():
+        if len(c) != group.d:
+            raise ValidationError(f"homology class {c} has {len(c)} entries, but d = {group.d}")
     by_class, totals = _by_class(
         cps, lambda emit: sk.enumerate_orbit(group, T_max, emit=emit, budget=budget), sink)
 
     delta, d = prediction.delta, group.d
     law = lambda T: math.exp(delta * T) / T ** (d / 2.0) if T > 0 else 0.0
-    wanted = [tuple(int(x) for x in c) for c in classes] if classes is not None else sorted(by_class)
     counts, preds, ratios = {}, {}, {}
-    for key in wanted:
+    for key in sorted(by_class) if wanted is None else wanted:
         cts = by_class.get(key, np.zeros_like(totals))
         counts[key] = cts
         c = _fit_constant(cps, cts, law)
@@ -237,8 +240,11 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
     cps = np.asarray(sorted(float(t) for t in checkpoints))
     if cps[-1] > T_max * (1.0 + 1e-12):
         raise ValidationError("checkpoints exceed T_max")
-    kappa, norm_fn = {"euclidean": (math.sqrt(2.0), lambda v: float(np.linalg.norm(v))),
-                      "sup": (2.0, lambda v: float(np.max(np.abs(v))))}[norm]
+    by_norm = {"euclidean": (math.sqrt(2.0), lambda v: float(np.linalg.norm(v))),
+               "sup": (2.0, lambda v: float(np.max(np.abs(v))))}
+    if norm not in by_norm:
+        raise ValidationError(f"unknown norm {norm!r}; choose from {sorted(by_norm)}")
+    kappa, norm_fn = by_norm[norm]
     two_c = math.sqrt(-q0)
     disp_cap = (math.acosh(max(kappa * cps[-1] / two_c, 1.0))
                 + math.acosh(max(abs(w0[0] + w0[2]) / two_c, 1.0)))

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
+import json
 import math
 import os
 import sys
@@ -30,8 +32,66 @@ def _color(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-def _parse_vec(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+def _parse_vec(text: str, kind=float) -> list:
+    return [kind(x) for x in text.split(",") if x.strip() != ""]
+
+
+def _rule(name, parse, ok=lambda value: True, keep_text=False):
+    """An argparse type: parse(text), refused as "invalid <name> value" unless ok(value)."""
+    def check(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(text)
+        return text if keep_text else value
+    check.__name__ = name
+    return check
+
+
+_POSITIVE_INT = _rule("positive int", int, lambda n: n > 0)
+_NATURAL = _rule("non-negative int", int, lambda n: n >= 0)
+_POSITIVE = _rule("positive float", float, lambda x: x > 0)
+# number lists stay text, so that manifests and run directories keep their bytes
+_FLOATS = _rule("float list", _parse_vec, keep_text=True)
+_INTS = _rule("int list", lambda text: _parse_vec(text, int), keep_text=True)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises its errors and reads the --config options
+    of its own flags, through the flags' actions, before the flags: a file
+    value gets the flag's checks, and a flag overrides it."""
+    config: dict = {}
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace = namespace or argparse.Namespace()
+        for action in self._actions:
+            if action.option_strings and self.config.get(action.dest) is not None:
+                setattr(namespace, action.dest,
+                        self._from_config(action, self.config[action.dest]))
+        return super().parse_known_args(args, namespace)
+
+    def _from_config(self, action, value):
+        """value as its flag gives it: a switch takes a JSON bool, a list or
+        repeated option a JSON list, any other a JSON number or string; the
+        text of each item then gets the flag's type and choices."""
+        repeated = isinstance(action, argparse._AppendAction)
+        items = value if isinstance(value, list) else [value]
+        if action.nargs == 0:
+            want, ok = "bool", isinstance(value, bool)
+        elif repeated or action.nargs in ("*", "+"):
+            want = "non-empty list" if action.nargs == "+" else "list"
+            ok = isinstance(value, list) and (value or action.nargs != "+")
+        else:
+            want, ok = "number or string", not isinstance(value, (bool, list))
+        if not (ok and all(isinstance(x, (str, int, float)) for x in items)):
+            raise argparse.ArgumentError(action, f"expected a JSON {want}, got {json.dumps(value)}")
+        if want == "bool":
+            return value
+        texts = [x if isinstance(x, str) else repr(x) for x in items]
+        return ([self._get_values(action, [text]) for text in texts] if repeated
+                else self._get_values(action, texts))
 
 
 def _spec_for(source, nodes):
@@ -45,12 +105,9 @@ def cmd_validate(args) -> int:
     group = load_group(args.group)  # construction validates; raises on failure
     print(f"group ok: model={group.model.value} generators={group.g} d={group.d}")
     print(f"fingerprint: {group.fingerprint()}")
-    n = group.n_symbols
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(group.disks[i].center - group.disks[j].center) \
-                - group.disks[i].radius - group.disks[j].radius
-            print(f"disk gap [{i},{j}]: {gap:.6f}")
+    for i, j in itertools.combinations(range(group.n_symbols), 2):
+        a, b = group.disks[i], group.disks[j]
+        print(f"disk gap [{i},{j}]: {abs(a.center - b.center) - a.radius - b.radius:.6f}")
     print(f"min cycle step: {group.min_cycle_step():.6f}")
     return EXIT_OK
 
@@ -58,10 +115,9 @@ def cmd_validate(args) -> int:
 def cmd_delta(args) -> int:
     spec = _spec_for(args.group, args.nodes)
     res = tr.spectral_at_delta(spec)
-    delta = res.s
-    print(f"delta = {delta:.12f}   |lambda(delta)-1| = {abs(res.lam - 1.0):.3e}")
-    writer = ReportWriter(args.out, "delta", vars_config(args))
-    writer.write_json("summary.json", {"delta": delta, "lambda_residual": res.residual,
+    print(f"delta = {res.s:.12f}   |lambda(delta)-1| = {abs(res.lam - 1.0):.3e}")
+    writer = _writer(args)
+    writer.write_json("summary.json", {"delta": res.s, "lambda_residual": res.residual,
                                        "abs_lambda_err": abs(res.lam - 1.0)})
     writer.finish({"input": spec.fingerprint()})
     return EXIT_OK
@@ -82,7 +138,7 @@ def cmd_pressure(args) -> int:
         extras[text] = tr.pressure(spec, u)
         rows.append(u + [extras[text]])
         print(f"P({text}) = {extras[text]:.12f}")
-    writer = ReportWriter(args.out, "pressure", vars_config(args))
+    writer = _writer(args)
     writer.write_csv("pressure.csv", [f"u_{i}" for i in range(d)] + ["P"], rows)
     writer.write_json("summary.json", {
         "delta": surf.delta, "gradient": surf.gradient, "hessian": surf.hessian,
@@ -96,45 +152,38 @@ def cmd_scan(args) -> int:
     delta = tr.critical_exponent(spec)
     t_grid = np.linspace(args.t_min, args.t_max, args.t_count)
     d = spec.shift.d
-    if d > 0:
-        axis = np.linspace(0.0, 2.0 * math.pi, args.v_count, endpoint=False)
-        v_grid = [[x] + [0.0] * (d - 1) for x in axis]
-    else:
-        v_grid = [[]]
-    rep = tr.spectral_radius_scan(spec, delta, t_grid, v_grid,
-                                  p_list=args.p, margin=args.margin)
+    axis = np.linspace(0.0, 2.0 * math.pi, args.v_count, endpoint=False)
+    v_grid = [[x] + [0.0] * (d - 1) for x in axis] if d > 0 else [[]]
+    rep = tr.spectral_radius_scan(spec, delta, t_grid, v_grid, p_list=args.p, margin=args.margin)
     print(f"delta = {delta:.12f}; max |lambda| on grid = {rep.max_abs_lambda():.8f}")
     print(f"violations: {len(rep.violations)}")
     for r in rep.violations[:10]:
         print(f"  flagged t={r.t:.6f} v={r.v} p={r.p} |lambda|={r.abs_lambda:.8f}")
-    writer = ReportWriter(args.out, "scan", vars_config(args))
+    writer = _writer(args)
     writer.write_csv("scan.csv", *scan_csv_rows(rep))
-    writer.write_json("summary.json", {"delta": delta,
-                                       "max_abs_lambda": rep.max_abs_lambda(),
+    writer.write_json("summary.json", {"delta": delta, "max_abs_lambda": rep.max_abs_lambda(),
                                        "violations": len(rep.violations)})
     writer.finish({"input": spec.fingerprint()})
     return EXIT_OK
 
 
-def _emit_census(args, command, rep, extra=None, records=None) -> None:
+def _emit_census(args, rep, extra=None, records=None) -> None:
     """Write census.csv, summary.json and, given (header, rows), records.csv."""
-    writer = ReportWriter(args.out, command, vars_config(args))
+    writer = _writer(args)
     writer.write_csv("census.csv", *census_csv_rows(rep))
     if records is not None:
         writer.write_csv("records.csv", *records)
-    summary = {"kind": rep.kind, "checkpoints": rep.checkpoints,
-               "totals": rep.totals, "meta": rep.meta}
-    if extra:
-        summary.update(extra)
-    writer.write_json("summary.json", summary)
+    writer.write_json("summary.json", {"kind": rep.kind, "checkpoints": rep.checkpoints,
+                                       "totals": rep.totals, "meta": rep.meta, **(extra or {})})
     writer.finish({"group": rep.meta.get("group", "")})
 
 
-def vars_config(args) -> dict:
-    """The manifest config of every command: its parsed options, so that the
-    manifest's config fed back as --config reproduces the run."""
+def _writer(args) -> ReportWriter:
+    """The command's run directory.  Its manifest config is the parsed options,
+    so that the config fed back as --config reproduces the run."""
     skip = {"func", "out", "command"}  # the run directory is not configuration
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    config = {k: v for k, v in vars(args).items() if k not in skip}
+    return ReportWriter(args.out, args.command, config)
 
 
 def _group_prediction(args, group, use_sigma: bool = False):
@@ -151,7 +200,7 @@ def cmd_count_orbit(args) -> int:
     group = load_group(args.group)
     pred = _group_prediction(args, group)
     cps = cen.checkpoints_linear(args.t_min, args.t_max, args.checkpoints)
-    classes = [tuple(int(x) for x in c.split(",")) for c in args.classes] if args.classes else None
+    classes = [tuple(_parse_vec(c, int)) for c in args.classes] if args.classes else None
     records, sink = None, None
     if args.dump_records:
         rows = []
@@ -161,7 +210,7 @@ def cmd_count_orbit(args) -> int:
                                 budget=args.budget_cap, sink=sink)
     for key in sorted(rep.counts):
         print(f"class {key}: N(T_max) = {rep.counts[key][-1]}, ratio = {rep.ratios[key][-1]:.4f}")
-    _emit_census(args, "count-orbit", rep, {"delta": pred.delta}, records)
+    _emit_census(args, rep, {"delta": pred.delta}, records)
     return EXIT_OK
 
 
@@ -183,8 +232,7 @@ def cmd_count_geodesics(args) -> int:
     key = (0,) * group.d
     print(f"primitive classes <= {args.l_max}: {rep.totals[-1]}")
     print(f"trivial-class ratio to the absolute law: {rep.ratios[key][-1]:.4f}")
-    _emit_census(args, "count-geodesics", rep, {"delta": pred.delta, "sigma": pred.sigma},
-                 records)
+    _emit_census(args, rep, {"delta": pred.delta, "sigma": pred.sigma}, records)
     return EXIT_OK
 
 
@@ -199,19 +247,17 @@ def cmd_count_vectors(args) -> int:
     half = len(cps) // 2
     exponent = cen.fit_growth(np.log(cps)[half:], cts[half:], fix_log_power=-group.d / 2.0)
     print(f"fitted exponent {exponent:.4f} (delta = {pred.delta:.4f})")
-    _emit_census(args, "count-vectors", rep,
-                 {"delta": pred.delta, "fitted_exponent": exponent})
+    _emit_census(args, rep, {"delta": pred.delta, "fitted_exponent": exponent})
     return EXIT_OK
 
 
 def cmd_holonomy(args) -> int:
     group = load_group(args.group)
     cps = cen.checkpoints_linear(args.l_min, args.l_max, args.checkpoints)
-    rep = cen.holonomy_equidistribution(group, args.l_max, args.p, cps,
-                                        budget=args.budget_cap)
+    rep = cen.holonomy_equidistribution(group, args.l_max, args.p, cps, budget=args.budget_cap)
     for p in sorted(rep.ratios):
         print(f"p={p}: |char sum|/count at L_max = {rep.ratios[p][-1]:.5f}")
-    _emit_census(args, "holonomy", rep)
+    _emit_census(args, rep)
     return EXIT_OK
 
 
@@ -223,8 +269,7 @@ def cmd_clt(args) -> int:
     surf = tr.pressure_surface(spec)
     delta, sr = surf.delta, surf.spectral
     chain = sh.parry_chain(shift, sr)
-    tau, f = sh.sample_cocycle_batch(chain, shift, args.steps, args.traj,
-                                     args.seed, spectral=sr)
+    tau, f = sh.sample_cocycle_batch(chain, shift, args.steps, args.traj, args.seed, spectral=sr)
     z = f / np.sqrt(tau)[:, None]
     print(f"delta = {delta:.9f}, Cov reference = {surf.hessian.tolist()}")
     chk = st.clt_check(z, surf.hessian) if args.traj >= 1000 else None
@@ -233,23 +278,20 @@ def cmd_clt(args) -> int:
            else np.cov(z.T) if args.traj >= 2 else None)
     summary = {
         "delta": delta, "sigma": surf.sigma, "hessian": surf.hessian,
-        "empirical_mean": z.mean(axis=0), "empirical_cov": cov,
-        "gaussian_check": None,
+        "empirical_mean": z.mean(axis=0), "empirical_cov": cov, "gaussian_check": None,
         "sample_head": {"tau": tau[:8], "f": f[:8, 0]}}
     if chk is not None:
         print(f"empirical covariance = {chk.covariance.tolist()}")
         print(f"ks_p = {chk.ks_p}, chi2_p = {chk.chi2_p:.4f}")
         summary["gaussian_check"] = {"ks_p": list(chk.ks_p), "chi2_p": chk.chi2_p}
     elif cov is not None:
-        print(f"empirical covariance = {cov.tolist()} "
-              f"(too few trajectories for p-values)")
+        print(f"empirical covariance = {cov.tolist()} (too few trajectories for p-values)")
     else:
         print("empirical covariance undefined (fewer than 2 trajectories)")
-    writer = ReportWriter(args.out, "clt", vars_config(args))
+    writer = _writer(args)
     writer.write_json("summary.json", summary)
     if args.dump_trajectory:
-        rows = sh.sample_trajectory(chain, shift, args.dump_trajectory,
-                                    args.seed, spectral=sr)
+        rows = sh.sample_trajectory(chain, shift, args.dump_trajectory, args.seed, spectral=sr)
         header = ["step", "symbol", "tau_cum"] + [f"f_cum_{i}" for i in range(shift.d)]
         writer.write_csv("trajectory.csv", header, rows)
     writer.finish({"input": spec.fingerprint()})
@@ -259,22 +301,18 @@ def cmd_clt(args) -> int:
 def cmd_verify_all(args) -> int:
     from .acceptance import run_all
 
-    rows = []
-
     def show(res):
         mark = _color("PASS", "32") if res.passed else _color("FAIL", "31")
         print(f"[{mark}] {res.cid:>4} {res.name}  ({res.seconds:.1f}s)")
         for k, v in res.details.items():
             print(f"         {k} = {v}")
-        rows.append(res)
 
     results = run_all(budget=args.budget, seed=args.seed, progress=show)
     n_fail = sum(not r.passed for r in results)
-    writer = ReportWriter(args.out, "verify-all", vars_config(args))
+    writer = _writer(args)
     # timings go to stdout only; report files must be bitwise reproducible
-    writer.write_json("summary.json", [
-        {"cid": r.cid, "name": r.name, "passed": r.passed,
-         "details": r.details} for r in results])
+    writer.write_json("summary.json", [{"cid": r.cid, "name": r.name, "passed": r.passed,
+                                        "details": r.details} for r in results])
     writer.write_csv("results.csv", ["cid", "name", "passed"],
                      [[r.cid, r.name, int(r.passed)] for r in results])
     manifest = writer.finish()
@@ -283,162 +321,123 @@ def cmd_verify_all(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_ACCEPT
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="covercount",
-                                 description=__doc__.splitlines()[0])
+def build_parser(config=None) -> argparse.ArgumentParser:
+    """The CLI, reading the options of a --config file first (see _Parser)."""
+    ap = _Parser(prog="covercount", description=__doc__.splitlines()[0])
+    ap.config = config or {}
     ap.add_argument("--out", default="out", help="output directory root")
     sub = ap.add_subparsers(dest="command", required=True)
-
     ap._command_parsers = {}
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
-        p.set_defaults(func=fn)
-        ap._command_parsers[name] = p
+    shared = {"--group": dict(help="group file, or fixture:<name>"),
+              "--nodes": dict(type=int, default=24, help="collocation nodes per disk"),
+              "--checkpoints": dict(type=_POSITIVE_INT),
+              "--budget-cap": dict(type=_POSITIVE_INT, default=5_000_000),
+              "--seed": dict(type=_NATURAL),
+              "--dump-records": dict(action="store_true", help="also write records.csv")}
+    spectral, census = "--group --nodes", "--group --nodes --checkpoints --budget-cap"
+
+    def add(name, fn, help, options, **defaults):
+        """A subcommand with the named shared options, at these defaults."""
+        p = ap._command_parsers[name] = sub.add_parser(name, help=help)
+        p.config = ap.config
+        for flag in options.split():
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=fn, **defaults)
         return p
 
-    p = add("validate", cmd_validate, help="check a group definition file")
-    p.add_argument("--group")
+    add("validate", cmd_validate, "check a group definition file", "--group")
+    add("delta", cmd_delta, "critical exponent via the transfer operator", spectral)
 
-    p = add("delta", cmd_delta, help="critical exponent via the transfer operator")
-    p.add_argument("--group")
-    p.add_argument("--nodes", type=int, default=24)
-
-    p = add("pressure", cmd_pressure, help="pressure surface: gradient, Hessian, sigma, C0")
-    p.add_argument("--group")
-    p.add_argument("--nodes", type=int, default=24)
-    p.add_argument("--u", action="append", default=[],
+    p = add("pressure", cmd_pressure, "pressure surface: gradient, Hessian, sigma, C0", spectral)
+    p.add_argument("--u", action="append", default=[], type=_FLOATS,
                    help="extra twist point, e.g. '0.3' or '0.3,0.1'")
 
-    p = add("scan", cmd_scan, help="spectral radius scan on the critical line")
-    p.add_argument("--group")
-    p.add_argument("--nodes", type=int, default=48)
+    p = add("scan", cmd_scan, "spectral radius scan on the critical line", spectral, nodes=48)
     p.add_argument("--t-min", type=float, default=0.05)
     p.add_argument("--t-max", type=float, default=5.0)
-    p.add_argument("--t-count", type=int, default=25)
-    p.add_argument("--v-count", type=int, default=16)
-    p.add_argument("--p", type=int, nargs="*", default=[0])
+    p.add_argument("--t-count", type=_POSITIVE_INT, default=25)
+    p.add_argument("--v-count", type=_POSITIVE_INT, default=16)
+    p.add_argument("--p", type=int, nargs="+", default=[0])
     p.add_argument("--margin", type=float, default=1e-3)
 
-    p = add("count-orbit", cmd_count_orbit, help="orbit census by homology class")
-    p.add_argument("--group")
-    p.add_argument("--nodes", type=int, default=24)
+    p = add("count-orbit", cmd_count_orbit, "orbit census by homology class",
+            census + " --dump-records", checkpoints=12)
     p.add_argument("--t-min", type=float, default=5.0)
     p.add_argument("--t-max", type=float, default=12.0)
-    p.add_argument("--checkpoints", type=int, default=12)
-    p.add_argument("--classes", nargs="*", help="homology classes like '0' '1' '-1'")
-    p.add_argument("--budget-cap", type=int, default=5_000_000)
-    p.add_argument("--dump-records", action="store_true",
-                   help="also write the raw record stream CSV")
+    p.add_argument("--classes", nargs="*", type=_INTS,
+                   help="homology classes like '0' '1' '-1', or '1,0' when d = 2")
 
     p = add("count-geodesics", cmd_count_geodesics,
-            help="primitive closed geodesics vs the absolute law")
-    p.add_argument("--group")
-    p.add_argument("--nodes", type=int, default=24)
+            "primitive closed geodesics vs the absolute law", census + " --dump-records",
+            checkpoints=10)
     p.add_argument("--l-min", type=float, default=8.0)
     p.add_argument("--l-max", type=float, default=16.0)
-    p.add_argument("--checkpoints", type=int, default=10)
-    p.add_argument("--budget-cap", type=int, default=5_000_000)
-    p.add_argument("--dump-records", action="store_true",
-                   help="also write the raw record stream CSV")
 
-    p = add("count-vectors", cmd_count_vectors, help="vector orbit counting in R^3")
-    p.add_argument("--group")
-    p.add_argument("--nodes", type=int, default=24)
-    p.add_argument("--w0", default="1,0,1")
-    p.add_argument("--t-min", type=float, default=math.e ** 6)
+    p = add("count-vectors", cmd_count_vectors, "vector orbit counting in R^3", census,
+            checkpoints=12)
+    p.add_argument("--w0", type=_FLOATS, default="1,0,1")
+    p.add_argument("--t-min", type=_POSITIVE, default=math.e ** 6,
+                   help="first checkpoint; checkpoints are log-spaced")
     p.add_argument("--t-max", type=float, default=math.e ** 13)
-    p.add_argument("--checkpoints", type=int, default=12)
     p.add_argument("--norm", choices=["euclidean", "sup"], default="euclidean")
-    p.add_argument("--budget-cap", type=int, default=5_000_000)
 
-    p = add("holonomy", cmd_holonomy, help="holonomy character sums over classes")
-    p.add_argument("--group")
+    p = add("holonomy", cmd_holonomy, "holonomy character sums over classes",
+            "--group --checkpoints --budget-cap", checkpoints=8)
     p.add_argument("--l-min", type=float, default=9.0)
     p.add_argument("--l-max", type=float, default=17.0)
-    p.add_argument("--checkpoints", type=int, default=8)
-    p.add_argument("--p", type=int, nargs="*", default=[1, 2, 3])
-    p.add_argument("--budget-cap", type=int, default=5_000_000)
+    p.add_argument("--p", type=int, nargs="+", default=[1, 2, 3])
 
-    p = add("clt", cmd_clt, help="Gaussian check for the homology cocycle")
-    p.add_argument("--group")
-    p.add_argument("--nodes", type=int, default=24)
-    p.add_argument("--traj", type=int, default=10_000)
-    p.add_argument("--steps", type=int, default=10_000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dump-trajectory", type=int, default=0, metavar="STEPS",
+    p = add("clt", cmd_clt, "Gaussian check for the homology cocycle", spectral + " --seed")
+    p.add_argument("--traj", type=_POSITIVE_INT, default=10_000)
+    p.add_argument("--steps", type=_POSITIVE_INT, default=10_000)
+    p.add_argument("--dump-trajectory", type=_NATURAL, default=0, metavar="STEPS",
                    help="write one trajectory dump of this many steps")
 
-    p = add("verify-all", cmd_verify_all, help="run the full acceptance suite")
+    p = add("verify-all", cmd_verify_all, "run the full acceptance suite", "--seed")
     p.add_argument("--budget", choices=["small", "smoke"], default="small")
-    p.add_argument("--seed", type=int)
-
     return ap
 
 
+def _read_config(argv: list) -> dict:
+    """Take --config FILE out of argv; the file's options, keyed by dest."""
+    if "--config" not in argv:
+        return {}
+    i = argv.index("--config")
+    try:
+        with open(argv[i + 1]) as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("not a JSON object")
+    except (IndexError, OSError, ValueError) as e:
+        raise argparse.ArgumentError(None, f"bad --config: {e}")
+    del argv[i:i + 2]
+    return {k.replace("-", "_"): v for k, v in cfg.items()}
+
+
 def main(argv=None) -> int:
-    import json
     # the modules imported so far live as long as the job: keep the cyclic
     # collector's full passes, which a census's allocations trigger, off them
     gc.freeze()
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
-    if "--config" in argv:
-        i = argv.index("--config")
-        try:
-            with open(argv[i + 1]) as fh:
-                cfg = json.load(fh)
-        except (IndexError, OSError, json.JSONDecodeError) as e:
-            print(f"error: bad --config: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-        del argv[i:i + 2]
-        if not isinstance(cfg, dict):
-            print("error: bad --config: not a JSON object", file=sys.stderr)
-            return EXIT_CONFIG
-        defaults = {k.replace("-", "_"): v for k, v in cfg.items()}
-        known = {a.dest for p in (ap, *ap._command_parsers.values()) for a in p._actions}
-        unknown = sorted(set(defaults) - known)
-        if unknown:
-            print(f"error: bad --config: unknown keys {unknown}", file=sys.stderr)
-            return EXIT_CONFIG
-        # each parser takes only its own keys, so one file can serve every command
-        for p in (ap, *ap._command_parsers.values()):
-            p.set_defaults(**{k: v for k, v in defaults.items()
-                              if any(k == a.dest for a in p._actions)})
     try:
+        ap = build_parser(_read_config(argv))
+        known = {a.dest for p in (ap, *ap._command_parsers.values())
+                 for a in p._actions if a.option_strings} - {"help"}
+        if set(ap.config) - known:
+            ap.error(f"bad --config: unknown keys {sorted(set(ap.config) - known)}")
         args = ap.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
-    if getattr(args, "group", "set") is None:
-        print("error: --group is required (flag or config file)", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.command in ("clt", "verify-all") and getattr(args, "seed", 1) is None:
-        print("error: sampling commands require --seed", file=sys.stderr)
-        return EXIT_CONFIG
-    for cap_name in ("budget_cap", "traj", "steps", "checkpoints", "t_count", "v_count"):
-        if (getattr(args, cap_name, 1) or 0) <= 0:
-            print(f"error: --{cap_name.replace('_', '-')} must be positive", file=sys.stderr)
-            return EXIT_CONFIG
-    if args.command == "scan" and not args.p:
-        print("error: --p needs at least one holonomy character", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.command == "count-vectors" and not args.t_min > 0:
-        print("error: --t-min must be positive (checkpoints are log-spaced)", file=sys.stderr)
-        return EXIT_CONFIG
-    if (getattr(args, "dump_trajectory", 0) or 0) < 0:
-        print("error: --dump-trajectory must be >= 0", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        for name in ("group", "seed"):
+            if getattr(args, name, "") is None:
+                ap.error(f"--{name} is required (flag or config file)")
         return args.func(args)
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG if args.command != "validate" else EXIT_COMPUTE
-    except CovercountError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    except SystemExit as e:  # --help
+        return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
+    except (argparse.ArgumentError, CovercountError, FileNotFoundError) as e:
+        print(f"error: {str(e).removeprefix('argument ')}", file=sys.stderr)
+        compute = isinstance(e, CovercountError) and (
+            args.command == "validate" or not isinstance(e, ValidationError))
+        return EXIT_COMPUTE if compute else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -298,14 +298,14 @@ def _fork_map(fn, chunks: Sequence) -> list:
 
 
 def sample_cocycle_batch(chain: ParryChain, shift: MarkovShift, n: int,
-                         n_traj: int, master_seed: int, spectral=None,
-                         batch: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+                         n_traj: int, master_seed: int,
+                         spectral=None) -> tuple[np.ndarray, np.ndarray]:
     """(tau_n, f_n) over n_traj trajectories of n steps each.
 
     Trajectory i draws its randomness from default_rng([master_seed, i]), so
     results do not depend on batching or on the processes that run them: the
     trajectories split into _workers() equal contiguous ranges, one per
-    process (_fork_map), and each range runs in batches of at most batch.
+    process (_fork_map), and each range runs in batches of at most BATCH.
     Toy shifts run the exact finite-state chain.  Schottky codings run the
     equilibrium process exactly: random inverse branches weighted by
     |branch'|^delta h(branch x) / h(x) with h the RPF eigenfunction, which
@@ -318,8 +318,8 @@ def sample_cocycle_batch(chain: ParryChain, shift: MarkovShift, n: int,
         start, stop = span
         taus = np.zeros(stop - start)
         fs = np.zeros((stop - start, shift.d), dtype=np.int64)
-        for lo in range(start, stop, batch):
-            hi = min(lo + batch, stop)
+        for lo in range(start, stop, BATCH):
+            hi = min(lo + BATCH, stop)
             rngs = [np.random.default_rng([master_seed, i]) for i in range(lo, hi)]
             tau_n, f_n = taus[lo - start:hi - start], fs[lo - start:hi - start]
             for _, step_tau, step_f in _steps(chain, shift, n, rngs, spectral,
@@ -356,6 +356,7 @@ def sample_trajectory(chain: ParryChain, shift: MarkovShift, n: int,
 
 SCHOTTKY_BURN = 192  # steps from the disk centers to the equilibrium of x
 _CHUNK = 1024        # steps of uniforms drawn per generator call
+BATCH = 2048         # trajectories stepped together by sample_cocycle_batch
 
 
 def _uniforms(rngs, count: int):

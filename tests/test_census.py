@@ -138,6 +138,12 @@ def test_orbit_ratios_positive_where_predicted(orbit_b):
         assert np.all(ratios[preds > 0] >= 0)
 
 
+def test_orbit_class_of_wrong_dimension_is_validation_error(group_b, delta_b):
+    cps = checkpoints_linear(3.0, 5.0, 3)
+    with pytest.raises(ValidationError, match=r"class \(1, 2\).*d = 1"):
+        orbit_by_homology(group_b, Prediction(delta_b, 1.0), 5.0, cps, classes=[(0,), (1, 2)])
+
+
 def test_orbit_requires_positive_d(group_b, delta_b):
     import covercount.schottky as sk
     group0 = sk.SchottkyGroup(group_b.generators,
@@ -247,6 +253,12 @@ def test_vector_rejects_non_definite_w0(group_b, delta_b, w0):
     pred = Prediction(delta=delta_b, sigma=1.0)
     with pytest.raises(ValidationError, match="definite"):
         vector_orbit(group_b, pred, w0, 100.0, [10.0, 100.0])
+
+
+def test_vector_unknown_norm_is_validation_error(group_b, delta_b):
+    with pytest.raises(ValidationError, match="bogus"):
+        vector_orbit(group_b, Prediction(delta_b, 1.0), [1.0, 0.0, 1.0], 1e3, [1e2, 1e3],
+                     norm="bogus")
 
 
 def test_vector_requires_h2(group_d0, delta_b):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -408,3 +409,83 @@ def test_manifest_config_round_trips_as_config(tmp_path):
                           ["--config", str(cfg), command])
         assert again["config_hash"] == first["config_hash"], command
         assert again["config"] == first["config"], command
+
+
+def _as_config(args):
+    """A command line's options as a --config mapping: JSON numbers where the
+    text is one (ints stay ints, also for float options), lists for list and
+    repeated options, and the flags' dashed names as keys."""
+    parser = cli.build_parser()._command_parsers[args[0]]
+    many = {a.option_strings[-1] for a in parser._actions
+            if a.nargs in ("*", "+") or isinstance(a, argparse._AppendAction)}
+    config = {}
+    for flag, text in zip(args[1::2], args[2::2]):
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text
+        if flag in many:
+            config.setdefault(flag[2:], []).append(value)
+        else:
+            config[flag[2:]] = value
+    return config
+
+
+def test_config_and_flags_give_one_run_directory(tmp_path):
+    for command, extra in MANIFEST_RUNS.items():
+        flags = _manifest(tmp_path / command / "flags", command, [command, *extra])
+        cfg = tmp_path / command / "config.json"
+        cfg.write_text(json.dumps(_as_config([command, *extra])))
+        again = _manifest(tmp_path / command / "config", command,
+                          ["--config", str(cfg), command])
+        assert again["config_hash"] == flags["config_hash"], command
+        assert again["config"] == flags["config"], command
+
+
+@pytest.mark.parametrize("config,args", [
+    ({"dump_records": "false"}, ["count-orbit", "--group", "fixture:b", "--t-max", "6"]),
+    ({"u": "0.3"}, ["pressure", "--group", "fixture:toy2"]),
+    ({"p": 1}, ["scan", "--group", "fixture:toy2", "--t-count", "2", "--v-count", "2"]),
+    ({"p": []}, ["scan", "--group", "fixture:toy2", "--t-count", "2", "--v-count", "2"]),
+    ({"norm": "bogus", "t_max": 20000}, ["count-vectors", "--group", "fixture:b"]),
+    ({"budget": "big", "seed": 1}, ["verify-all"]),
+    ({"traj": 32.0}, ["clt", "--group", "fixture:toy2", "--seed", "1"]),
+    ({}, ["pressure", "--group", "fixture:toy2", "--u", "abc"]),
+    ({}, ["count-orbit", "--group", "fixture:b", "--classes", "x"]),
+    ({}, ["count-vectors", "--group", "fixture:b", "--w0", "a,b,c"]),
+    ({}, ["count-orbit", "--group", "fixture:b", "--t-max", "6", "--classes", "1,2"]),
+    ({}, ["clt", "--group", "fixture:toy2", "--seed", "-1"]),
+    ({}, ["holonomy", "--group", "fixture:d0", "--l-min", "5", "--l-max", "8",
+          "--checkpoints", "3", "--p"]),
+], ids=["config-switch-as-string", "config-repeated-as-string", "config-list-as-number",
+        "config-list-empty", "config-bad-choice", "config-bad-budget", "config-int-as-float",
+        "u-not-a-number", "classes-not-a-number", "w0-not-numbers", "classes-wrong-dimension",
+        "seed-negative", "holonomy-p-empty"])
+def test_bad_option_value_is_config_error(tmp_path, capsys, config, args):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--out", str(tmp_path / "out"), "--config", str(cfg), *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_class_with_leading_minus(tmp_path):
+    # on a command line the d = 2 class "-1,0" would read as an option
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"classes": ["-1,0"]}))
+    assert run(["--out", str(tmp_path), "--config", str(cfg), "count-orbit",
+                "--group", "fixture:c", "--t-max", "6"]) == 0
+    (run_dir,) = tmp_path.glob("count-orbit-*")
+    assert json.loads((run_dir / "manifest.json").read_text())["config"]["classes"] == ["-1,0"]
+    rows = (run_dir / "census.csv").read_text().splitlines()[1:]
+    assert rows and {row.split(",")[1] for row in rows} == {"-1|0"}
+
+
+@pytest.mark.parametrize("args", [["--help"], *([c, "--help"] for c in
+                                                cli.build_parser()._command_parsers)],
+                         ids=lambda args: " ".join(args))
+def test_help_prints_and_exits_zero(capsys, args):
+    # argparse formats help text only when it prints it
+    assert run(args) == 0
+    assert capsys.readouterr().out.strip()

@@ -242,15 +242,17 @@ def test_sample_cocycle_zero_drift(toy2):
     assert abs(mean) < 3 * se + 1e-12
 
 
-def test_sampler_deterministic_per_trajectory(toy2, shift_b, spectral_b):
+def test_sampler_deterministic_per_trajectory(toy2, shift_b, spectral_b, monkeypatch):
     spec = tr.OperatorSpec(toy2)
     sr = tr.leading_eigenvalue(spec, math.log(2.0), want_measure=True)
     for shift, spectral in ((toy2, sr), (shift_b, spectral_b)):
         chain = parry_chain(shift, spectral)
+        monkeypatch.setattr(sh, "BATCH", 2)
         t1, f1 = sample_cocycle_batch(chain, shift, 100, 6, master_seed=5,
-                                      spectral=spectral, batch=2)
+                                      spectral=spectral)
+        monkeypatch.setattr(sh, "BATCH", 6)
         t2, f2 = sample_cocycle_batch(chain, shift, 100, 6, master_seed=5,
-                                      spectral=spectral, batch=6)
+                                      spectral=spectral)
         assert np.array_equal(t1, t2) and np.array_equal(f1, f2)
         _, f3 = sample_cocycle_batch(chain, shift, 100, 6, master_seed=6,
                                      spectral=spectral)
@@ -266,13 +268,14 @@ def test_uniforms_follow_each_generator_across_chunks():
         assert np.array_equal(column, np.random.default_rng([4, i]).random(count))
 
 
-def test_toy_batch_matches_searchsorted_loop(toy3_mixed):
+def test_toy_batch_matches_searchsorted_loop(toy3_mixed, monkeypatch):
+    monkeypatch.setattr(sh, "BATCH", 16)
     shift = toy3_mixed
     spec = tr.OperatorSpec(shift)
     sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
     chain = parry_chain(shift, sr)
     n, m, seed = 300, 40, 13
-    tau, f = sample_cocycle_batch(chain, shift, n, m, master_seed=seed, batch=16)
+    tau, f = sample_cocycle_batch(chain, shift, n, m, master_seed=seed)
     cum_pi = np.cumsum(chain.stationary)
     cum_p = np.cumsum(chain.transitions, axis=1)
     for i in range(m):
