@@ -66,11 +66,15 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         namespace = namespace or argparse.Namespace()
-        for action in self._actions:
-            if action.option_strings and self.config.get(action.dest) is not None:
-                setattr(namespace, action.dest,
-                        self._from_config(action, self.config[action.dest]))
-        return super().parse_known_args(args, namespace)
+        filed = [(a, self._from_config(a, self.config[a.dest])) for a in self._actions
+                 if a.option_strings and self.config.get(a.dest) is not None]
+        for a, value in filed:  # a repeated flag would append to the file's list: hold it
+            setattr(namespace, a.dest, None if isinstance(a, argparse._AppendAction) else value)
+        namespace, extras = super().parse_known_args(args, namespace)
+        for a, value in filed:  # still None: no repeated flag came, so the file's list stands
+            if getattr(namespace, a.dest) is None:
+                setattr(namespace, a.dest, value)
+        return namespace, extras
 
     def _from_config(self, action, value):
         """value as its flag gives it: a switch takes a JSON bool, a list or
@@ -330,7 +334,8 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     ap._command_parsers = {}
 
     shared = {"--group": dict(help="group file, or fixture:<name>"),
-              "--nodes": dict(type=int, default=24, help="collocation nodes per disk"),
+              "--nodes": dict(type=_rule("int >= 8", int, lambda n: n >= 8), default=24,
+                              help="collocation nodes per disk"),
               "--checkpoints": dict(type=_POSITIVE_INT),
               "--budget-cap": dict(type=_POSITIVE_INT, default=5_000_000),
               "--seed": dict(type=_NATURAL),

@@ -6,15 +6,14 @@ Schottky codings in the half-plane model are discretized by Chebyshev
 collocation on the real trace of each disk; the branch maps send every
 admissible interval strictly inside the target interval, so polynomial
 interpolation converges geometrically and the leading eigenvalue is certified
-by node doubling.  Dominant eigenpairs come from an in-package Krylov-Schur
-kernel (numpy only: importing this module loads no scipy) or dense eig.  Toy
-shifts are the exact one-node case (logd = -tau, interp = 1), so both kinds
-share one assembly from per-transition blocks.
-Barycentric interpolation builds those blocks.  Off the nodes, node values
-are evaluated through their Chebyshev coefficients (a DCT-II, done as a
-product with a cached cosine matrix): on the doubled nodes by one more such
-product, a DCT-III (the doubling seed), anywhere else by Clenshaw (the
-sampler's branch-weight tables).
+by node doubling.  Toy shifts are the exact one-node case (logd = -tau,
+interp = 1), so both kinds share one assembly from per-transition blocks.
+
+Every eigensolve is a batch (numpy only: importing this module loads no
+scipy): one matrix M with a column scaling D_b per member, stepped together
+through a power loop (seeded solves), an in-package Krylov-Schur kernel and
+dense eig.  A single solve is the batch of one; the scan solves each t row's
+twists, which scale the block columns of M(delta + i t, 0, 0), as one batch.
 
 The pressure P(u) is a Brent root of lambda(s; u) = 1; its gradient and
 Hessian at 0 follow exactly from the eigentriple (lambda, h, rho) at delta by
@@ -65,7 +64,7 @@ class CollocationGrid:
     of node values away from the nodes, real or complex, goes through their
     Chebyshev coefficients (chebyshev_coeffs, a DCT-II as a product with the
     cosine matrix of its size): doubled_values on the 2N first-kind nodes
-    (the doubled solve's seed), clenshaw anywhere else.
+    (the doubled solves' seeds), clenshaw anywhere else (the sampler's tables).
     """
 
     def __init__(self, group, nodes_per_disk: int):
@@ -127,12 +126,13 @@ class CollocationGrid:
         return coeffs
 
     def doubled_values(self, values: np.ndarray) -> np.ndarray:
-        """Each disk's interpolant through node values (disk after disk) at
-        its 2N first-kind nodes, laid out the same way: the DCT-III of the
+        """Interpolants through node values (one vector, or one per row) at
+        the 2N first-kind nodes, laid out the same way: the DCT-III of the
         zero-padded DCT-II, sum_k c_k cos(pi k (2j + 1) / 4N) at node j."""
         N = self.nodes_per_disk
-        coeffs = self.chebyshev_coeffs(values)
-        return (coeffs @ _chebyshev_at_nodes(2 * N, N).T).ravel()
+        vals = np.asarray(values)
+        coeffs = self.chebyshev_coeffs(vals.reshape(vals.shape[:-1] + (-1, N)))
+        return (coeffs @ _chebyshev_at_nodes(2 * N, N).T).reshape(vals.shape[:-1] + (-1,))
 
     def clenshaw(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Values at pts, shape (n_symbols, m), of the Chebyshev series in
@@ -167,12 +167,13 @@ class ExactGrid:
 
 @dataclass
 class OperatorSpec:
-    """Shift plus its discretization, with grids cached per node count; the
-    doubling seed is one DCT-III on the coarse grid, not cached."""
+    """Shift plus its discretization, with grids cached per node count and
+    twist exponents per twist; the doubling seed is one DCT-III, not cached."""
 
     shift: MarkovShift
     nodes_per_disk: Optional[int] = None
     _grids: dict = field(default_factory=dict, repr=False)
+    _twists: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.shift.analytic:
@@ -192,6 +193,28 @@ class OperatorSpec:
                                   else ExactGrid(shift))
         return self._grids[nodes]
 
+    def twist(self, v=None, p: int = 0, u=None) -> np.ndarray:
+        """cw[a, b] = <u + iv, f[a, b]> + i p theta[a, b] on the admissible
+        transitions, one scalar at a time (math.fsum rounds <u, f> once),
+        cached per twist: a root's solves, and a scan's rows, share it."""
+        shift, d = self.shift, self.shift.d
+        if p != 0 and shift.theta is None:
+            raise HolonomyUnavailable("shift carries no holonomy data")
+        v, u = (np.zeros(d) if x is None else np.asarray(x, dtype=float) for x in (v, u))
+        if v.shape != (d,) or u.shape != (d,):
+            raise ValidationError(f"twist vectors must have dimension {d}")
+        key = (v.tobytes(), u.tobytes(), p)
+        if key not in self._twists:
+            f = shift.f.astype(float)
+            uf = u * f
+            cw = self._twists[key] = np.zeros((shift.k,) * 2, dtype=complex if d or p else float)
+            for a, b in zip(*np.nonzero(shift.transition)):
+                if d:
+                    cw[a, b] = math.fsum(uf[a, b]) + 1j * float(v @ f[a, b])
+                if p != 0:
+                    cw[a, b] += 1j * p * shift.theta[a, b]
+        return self._twists[key]
+
     def fingerprint(self) -> str:
         return self.shift.fingerprint()
 
@@ -201,25 +224,8 @@ def build_matrix(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
     """Dense matrix of L_{s,v,p} (with an optional real twist u) on node
     values, disk after disk: block (b, a) of an admissible transition (a, b)
     is exp(s logd[a,b] + <u + iv, f[a,b]> + i p theta[a,b]) interp[a,b]."""
-    shift = spec.shift
-    if p != 0 and shift.theta is None:
-        raise HolonomyUnavailable("shift carries no holonomy data")
-    grid = spec.grid(nodes)
-    n, N, d = shift.k, grid.nodes_per_disk, shift.d
-    v = np.zeros(d) if v is None else np.asarray(v, dtype=float)
-    u = np.zeros(d) if u is None else np.asarray(u, dtype=float)
-    if v.shape != (d,) or u.shape != (d,):
-        raise ValidationError(f"twist vectors must have dimension {d}")
-    # cw[a, b] = <u + iv, f[a, b]> + i p theta[a, b], one scalar at a time:
-    # math.fsum rounds <u, f> once
-    f = shift.f.astype(float)
-    uf = u * f
-    cw = np.zeros((n, n), dtype=complex if d or p else float)
-    for a, b in zip(*np.nonzero(shift.transition)):
-        if d:
-            cw[a, b] = math.fsum(uf[a, b]) + 1j * float(v @ f[a, b])
-        if p != 0:
-            cw[a, b] += 1j * p * shift.theta[a, b]
+    shift, cw, grid = spec.shift, spec.twist(v, p, u), spec.grid(nodes)
+    n, N = shift.k, grid.nodes_per_disk
     wvec = np.exp(s * grid.logd + cw[:, :, None])  # (a, b, j)
     M = np.empty((n, N, n, N), dtype=complex)  # entry (b, j, a, k)
     np.multiply(wvec.transpose(1, 2, 0)[..., None], grid.interp.transpose(1, 2, 0, 3), out=M)
@@ -243,125 +249,144 @@ def _dense_leading(M: np.ndarray):
     return vals[i], vecs[:, i]
 
 
-# Krylov-Schur basis size m, thick-restart size and restart cap.  Over the 400
-# scan matrices of fixture b at N = 48 (192 x 192 complex; 2-vCPU Intel Xeon,
-# BLAS at 1 thread), median ms per point for (m, keep) = (16, 4) 5.4,
-# (20, 6) 4.5, (24, 8) 4.3, (30, 10) 4.1 with 36.8 matvecs on average,
-# (40, 10) 4.7, and 4.4 for ARPACK (k = 3).  Each restart adds 20 matvecs;
-# 20 restarts take longer than the dense eig that follows a capped run
-# (28 ms at n = 192).
+# Krylov-Schur basis size m, thick-restart size and restart cap: median ms per point of the
+# serial scan of b at N = 48 (15 runs; 2-vCPU Intel Xeon, BLAS at 1 thread) for (m, keep) =
+# (16, 4) 2.37, (20, 6) 2.30, (24, 8) 2.44, (30, 10) 2.17 with 36.8 products per point at N,
+# (40, 10) 2.79.  20 restarts of 20 products cost more than dense eig (28 ms at n = 192).
 KS_BASIS, KS_KEEP, KS_RESTARTS = 30, 10, 20
 
 
-def _krylov_schur(M: np.ndarray, v0: np.ndarray):
-    """Dominant Ritz pair (lam, z) of M from v0 by Krylov-Schur (Stewart,
-    SIAM J. Matrix Anal. Appl. 23(3), 2001), or None after KS_RESTARTS
-    restarts.  Arnoldi with two classical Gram-Schmidt passes grows an
-    orthonormal basis, kept as the rows of V, to m vectors; a restart keeps
-    the KS_KEEP largest-modulus Ritz vectors, orthonormalized by QR, as the
-    new basis with the projected matrix S and the residual row b, so
-    M V^T = V^T H + v_m b^T holds throughout.  The stop is |b_0| <= 1e-14
-    max(1, |lam|), ARPACK's tolerance on the top Ritz estimate.  A basis that
-    closes (Arnoldi's next vector is rounding) spans an invariant subspace,
-    whose dominant Ritz pair is exact.
-    """
-    n = M.shape[0]
-    m = min(KS_BASIS, n - 1)
-    V = np.zeros((m + 1, n), dtype=complex)
-    H = np.zeros((m + 1, m), dtype=complex)
-    V[0] = v0 / np.linalg.norm(v0)
-    k = 0
-    for _ in range(KS_RESTARTS):
-        for j in range(k, m):
-            w = M @ V[j]
-            h = V[:j + 1].conj() @ w
-            w = w - h @ V[:j + 1]
-            h2 = V[:j + 1].conj() @ w
-            w -= h2 @ V[:j + 1]
-            H[:j + 1, j] = h + h2
-            beta = np.linalg.norm(w)
-            if beta <= 1e-14 * np.linalg.norm(h):
-                vals, Y = np.linalg.eig(H[:j + 1, :j + 1])
-                i = int(np.argmax(np.abs(vals)))
-                z = Y[:, i] @ V[:j + 1]
-                return vals[i], z / np.linalg.norm(z)
-            H[j + 1, j] = beta
-            V[j + 1] = w / beta
-        vals, Y = np.linalg.eig(H[:m])
-        top = np.argsort(-np.abs(vals), kind="stable")[:KS_KEEP]
-        Q, _ = np.linalg.qr(Y[:, top])
-        b = H[m, m - 1] * Q[m - 1]
-        lam = vals[top[0]]
-        if abs(b[0]) <= 1e-14 * max(1.0, abs(lam)):
-            z = Q[:, 0] @ V[:m]
-            return lam, z / np.linalg.norm(z)
-        k = KS_KEEP
-        V[:k], V[k] = Q.T @ V[:m], V[m]
-        S = Q.conj().T @ H[:m] @ Q
+def _norms(X: np.ndarray) -> np.ndarray:
+    """The 2-norms of X's rows, with the bits of np.linalg.norm."""
+    return np.sqrt(np.vecdot(X.real, X.real) + np.vecdot(X.imag, X.imag))
+
+
+def _keep(mask: np.ndarray, *arrays) -> list:
+    return [None if a is None else a[mask] for a in arrays]
+
+
+def _krylov_schur(M: np.ndarray, X0: np.ndarray, D: Optional[np.ndarray] = None) -> list:
+    """For each row x0 of X0, the dominant Ritz pair (lam, z) of M D_b (D_b =
+    diag(row b of D), or 1) from x0 by Krylov-Schur (Stewart, SIAM J. Matrix
+    Anal. Appl. 23(3), 2001), or None after KS_RESTARTS restarts.  Arnoldi (two
+    classical Gram-Schmidt passes) grows an orthonormal basis, the rows of V (C:
+    their conjugates), to m vectors; a restart keeps the KS_KEEP largest Ritz
+    vectors, orthonormalized by QR.  The stop is ARPACK's, |b_0| <= 1e-14 max(1,
+    |lam|); a basis that closes spans an invariant subspace, with an exact top
+    pair.  A step is one product of M with the live members' scaled vectors; a
+    member that stops or closes leaves the batch, which is compacted then."""
+    B, n = X0.shape
+    m, k, MT, out, live = min(KS_BASIS, n - 1), KS_KEEP, M.T, [None] * B, np.arange(B)
+    V = np.zeros((B, m + 1, n), dtype=complex)
+    C, H = np.zeros_like(V), np.zeros((B, m + 1, m), dtype=complex)
+    V[:, 0] = X0 / _norms(X0)[:, None]
+    C[:, 0] = V[:, 0].conj()
+    for r in range(KS_RESTARTS):
+        for j in range(k if r else 0, m):
+            w = (V[:, j] if D is None else D * V[:, j]) @ MT  # one row: M @ v's bits
+            h = (C[:, :j + 1] @ w[:, :, None])[:, :, 0]
+            w -= (h[:, None] @ V[:, :j + 1])[:, 0]
+            h2 = (C[:, :j + 1] @ w[:, :, None])[:, :, 0]
+            w -= (h2[:, None] @ V[:, :j + 1])[:, 0]
+            H[:, :j + 1, j] = h + h2
+            beta = _norms(w)
+            closed = beta <= 1e-14 * np.sqrt(np.vecdot(h, h).real)
+            if np.count_nonzero(closed):  # the cheapest test, at every step
+                for i in np.flatnonzero(closed):
+                    vals, Y = np.linalg.eig(H[i, :j + 1, :j + 1])
+                    z = Y[:, np.argmax(np.abs(vals))] @ V[i, :j + 1]
+                    out[live[i]] = vals[np.argmax(np.abs(vals))], z / np.linalg.norm(z)
+                live, V, C, H, w, beta, D = _keep(~closed, live, V, C, H, w, beta, D)
+                if not live.size:
+                    return out
+            H[:, j + 1, j] = beta
+            np.divide(w, beta[:, None], out=V[:, j + 1])
+            np.conjugate(V[:, j + 1], out=C[:, j + 1])
+        vals, Y = np.linalg.eig(H[:, :m])
+        top = np.argsort(-np.abs(vals), axis=1, kind="stable")[:, :k]
+        Q, _ = np.linalg.qr(Y[np.arange(len(live))[:, None], :, top].transpose(0, 2, 1))
+        b, lam = H[:, m, m - 1, None] * Q[:, m - 1], vals[np.arange(len(live)), top[:, 0]]
+        done = np.abs(b[:, 0]) <= 1e-14 * np.maximum(1.0, np.abs(lam))
+        for i in np.flatnonzero(done):
+            z = Q[i, :, 0] @ V[i, :m]
+            out[live[i]] = lam[i], z / np.linalg.norm(z)
+        if done.all():
+            return out
+        live, V, C, H, Q, b, D = _keep(~done, live, V, C, H, Q, b, D)
+        V[:, :k], V[:, k] = Q.transpose(0, 2, 1) @ V[:, :m], V[:, m]
+        C[:, :k + 1] = V[:, :k + 1].conj()
+        S = Q.conj().transpose(0, 2, 1) @ H[:, :m] @ Q
         H[:] = 0.0
-        H[:k, :k], H[k, :k] = S, b
-    return None
+        H[:, :k, :k], H[:, k, :k] = S, b
+    return out
 
 
-def _dominant(M: np.ndarray, v0: Optional[np.ndarray] = None):
-    """Dominant eigenpair (lam, z, residual) of M.
-
-    Path rule: only a seeded solve (v0 given: the doubled-node check, from
-    h's interpolant) runs the power loop.  A cold solve, or a seeded loop that
-    does not converge, goes to the Krylov-Schur kernel from v0 or a fixed
-    near-constant start when M is larger than 16 x 16; dense eig is the last
-    resort.  Each power step makes one product with M, reused for lambda, the
-    residual and the next iterate.
-    """
-    n = M.shape[0]
-    if v0 is None:
-        v0 = np.ones(n, dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, n)
+def _dominant(M: np.ndarray, X0: Optional[np.ndarray] = None,
+              D: Optional[np.ndarray] = None) -> list:
+    """Dominant eigenpairs [(lam, z, residual)] of M D_b for the rows D_b of
+    the column scalings D (None: M alone, a batch of one), from the rows of X0.
+    Path rule, per member: only a seeded solve (X0 given: the doubled-node
+    check) runs the power loop, one product of M with the live iterates per
+    step.  A cold solve, or a seed that does not converge, goes to the kernel
+    when M is larger than 16 x 16 (cold: from a fixed near-constant start);
+    dense eig is the last resort."""
+    n, MT, todo = M.shape[0], M.T, np.arange(1 if D is None else len(D))
+    out = [None] * len(todo)
+    if X0 is None:
+        X0 = np.ones((len(out), n), dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, n)
     else:
-        z = v0 / np.linalg.norm(v0)
-        w = M @ z
+        Z, Dz = X0 / _norms(X0)[:, None], D
+        W = (Z if D is None else D * Z) @ MT
         for _ in range(60):
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0 + 0j, z, 0.0
-            z = w / nw
-            w = M @ z
-            lam = np.vdot(z, w)
-            res = float(np.linalg.norm(w - lam * z))
-            if res < 1e-12 * max(1.0, abs(lam)):
-                return lam, z, res
-    if n > 16:
-        pair = _krylov_schur(M, v0)
+            nw = _norms(W)
+            Zn = W / np.where(nw == 0.0, 1.0, nw)[:, None]
+            W = (Zn if Dz is None else Dz * Zn) @ MT
+            lam = np.vecdot(Zn, W)  # np.vdot per row, with its bits
+            res = _norms(W - lam[:, None] * Zn)
+            done = (nw == 0.0) | (res < 1e-12 * np.maximum(1.0, np.abs(lam)))
+            for i in np.flatnonzero(done):  # M D z = 0: eigenvalue 0, eigenvector z
+                out[todo[i]] = (lam[i], Zn[i], float(res[i])) if nw[i] else (0j, Z[i], 0.0)
+            if done.all():
+                return out
+            todo, Z, W, Dz = _keep(~done, todo, Zn, W, Dz)
+    pairs = _krylov_schur(M, X0[todo], _keep(todo, D)[0]) if n > 16 else [None] * len(todo)
+    for i, pair in zip(todo, pairs):
+        A = M if D is None else M * D[i]
         if pair is not None:
             lam, z = pair
-            res = float(np.linalg.norm(M @ z - lam * z))
+            res = float(np.linalg.norm(A @ z - lam * z))
             if res < 1e-10 * max(1.0, abs(lam)):
-                return lam, z, res
-    lam, z = _dense_leading(M)
-    res = float(np.linalg.norm(M @ z - lam * z) / np.linalg.norm(z))
-    return lam, z, res
+                out[i] = lam, z, res
+                continue
+        lam, z = _dense_leading(A)
+        out[i] = lam, z, float(np.linalg.norm(A @ z - lam * z) / np.linalg.norm(z))
+    return out
+
+
+def _certified(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
+               phases: Optional[np.ndarray] = None, check_stability: bool = True):
+    """M = M(s, v, p, u) and _dominant's eigenpairs (lam, h, res) of M D_b, D_b
+    scaling block column a by phases[b, a] (None: M alone), each res < RESIDUAL_TOL
+    and, with collocation, lam stable under node doubling (seeded with h)."""
+    N, M = spec.grid().nodes_per_disk, build_matrix(spec, s, v, p, u)
+    pairs = _dominant(M, None, None if phases is None else np.repeat(phases, N, axis=1))
+    if bad := [res for _, _, res in pairs if not res < RESIDUAL_TOL]:
+        raise NotConverged(f"residual {bad[0]:.3e}")
+    if spec.shift.analytic and check_stability:
+        fine = _dominant(build_matrix(spec, s, v, p, u, nodes=2 * N),
+                         spec.grid().doubled_values(np.array([h for _, h, _ in pairs])),
+                         None if phases is None else np.repeat(phases, 2 * N, axis=1))
+        for (lam, _, _), (lam2, _, _) in zip(pairs, fine):
+            if (moved := abs(lam - lam2)) > DOUBLING_TOL * max(abs(lam2), 1e-12):
+                raise DiscretizationUnstable(f"lambda moved {moved:.2e} under node doubling")
+    return M, pairs
 
 
 def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
                        u=None, want_measure: bool = False,
                        check_stability: bool = True) -> SpectralResult:
-    """Dominant eigenvalue with certified residual.
-
-    The solver path follows _dominant: the Krylov-Schur kernel (dense eig at
-    16 x 16 and below) for cold solves, the power loop for the seeded one.
-    For collocation the value must be stable under doubling nodes_per_disk;
-    the doubled solve is seeded with h's interpolant on the finer nodes
-    (CollocationGrid.doubled_values).
-    """
-    M = build_matrix(spec, s, v, p, u)
-    lam, h, res = _dominant(M)
-    if not res < RESIDUAL_TOL:
-        raise NotConverged(f"residual {res:.3e}")
-    if spec.shift.analytic and check_stability:
-        lam2, _, _ = _dominant(build_matrix(spec, s, v, p, u, nodes=2 * spec.nodes_per_disk),
-                               v0=spec.grid().doubled_values(h))
-        if abs(lam - lam2) > DOUBLING_TOL * max(abs(lam2), 1e-12):
-            raise DiscretizationUnstable(
-                f"lambda moved {abs(lam - lam2):.2e} under node doubling")
+    """Dominant eigenvalue with certified residual: _certified's batch of one."""
+    M, [(lam, h, res)] = _certified(spec, s, v, p, u, check_stability=check_stability)
     rho = None
     is_perron = (abs(complex(s).imag) == 0.0
                  and (v is None or not np.any(np.asarray(v)))
@@ -373,7 +398,7 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
         if want_measure and np.min(h) <= 0:
             raise NotConverged("Perron eigenfunction is not strictly positive")
     if want_measure:
-        lamL, rho, resL = _dominant(M.T)
+        [(lamL, rho, resL)] = _dominant(M.T)
         gap = abs(lamL - lam)
         if not (resL < RESIDUAL_TOL and gap <= RESIDUAL_TOL * max(1.0, abs(lam))):
             raise NotConverged(f"left eigenpair residual {resL:.3e}, "
@@ -565,35 +590,48 @@ class ScanReport:
         return max(r.abs_lambda for r in self.rows)
 
 
+def _column_phases(spec: OperatorSpec, v, p: int) -> Optional[np.ndarray]:
+    """e^{cw[a, b]} (spec.twist) per symbol a if it is the same for every
+    admissible b, so M(s, v, p) = M(s, 0, 0) D, D scaling block column a by it; else None."""
+    cw, A = spec.twist(v, p), spec.shift.transition != 0
+    first = cw[np.arange(spec.shift.k), A.argmax(axis=1)]
+    return None if np.any(A & (cw != first[:, None])) else np.exp(first)
+
+
 def spectral_radius_scan(spec: OperatorSpec, delta: float, t_grid: Sequence[float],
                          v_grid: Sequence, p_list: Sequence[int] = (0,),
                          margin: float = 1e-3) -> ScanReport:
     """|lambda(delta + i t, v, p)| over the grid; any point other than
     (0, 0, trivial) reaching 1 - margin is flagged as a violation.
 
-    The sorted t rows are dealt out, t_i to process i mod shift._workers()
-    (shift._fork_map), after the grids at N and 2N are built for every
-    process to inherit; no row depends on the process that computes it.
-    """
-    d = spec.shift.d
+    A twist whose phase depends on a transition's first symbol alone (every
+    twist of a Schottky coding; _column_phases) scales the block columns of
+    M(delta + i t, 0, 0): each t row builds that matrix at N nodes per disk and
+    at 2N and solves those twists as one batch; any other twist solves its own
+    matrices.  Row t_i goes to process i mod shift._workers() (shift._fork_map),
+    which inherits the grids built here; no row depends on its process."""
+    shift, points = spec.shift, []
+    for v in v_grid:
+        vv = tuple(np.atleast_1d(np.asarray(v, dtype=float)).tolist())
+        if len(vv) != shift.d:
+            raise ValidationError(f"scan twist {vv} has wrong dimension")
+        points += [(vv, p, _column_phases(spec, vv, p)) for p in p_list]
+    P = np.array([ph for _, _, ph in points if ph is not None])
     spec.grid()
-    if spec.shift.analytic:
+    if shift.analytic:
         spec.grid(2 * spec.nodes_per_disk)
 
     def scan_rows(ts):
         rows = []
         for t in ts:
-            for v in v_grid:
-                vv = tuple(np.atleast_1d(np.asarray(v, dtype=float)).tolist())
-                if len(vv) != d:
-                    raise ValidationError(f"scan twist {vv} has wrong dimension")
-                for p in p_list:
-                    r = leading_eigenvalue(spec, complex(delta, t), v=vv, p=p)
-                    mod = float(abs(r.lam))
-                    trivial = (abs(t) < 1e-15 and not any(abs(x) > 1e-15 for x in vv)
-                               and p == 0)
-                    rows.append(ScanRow(t=t, v=vv, p=p, abs_lambda=mod,
-                                        violation=(not trivial) and mod > 1.0 - margin))
+            s = complex(delta, t)
+            batch = iter(_certified(spec, s, phases=P)[1] if len(P) else [])
+            for vv, p, ph in points:
+                lam = (next(batch) if ph is not None else _certified(spec, s, vv, p)[1][0])[0]
+                mod = float(abs(lam))
+                trivial = abs(t) < 1e-15 and not any(abs(x) > 1e-15 for x in vv) and p == 0
+                rows.append(ScanRow(t=t, v=vv, p=p, abs_lambda=mod,
+                                    violation=(not trivial) and mod > 1.0 - margin))
         return rows
 
     ts = sorted(float(t) for t in t_grid)

@@ -68,7 +68,7 @@ def test_delta_solves_once_at_the_root(tmp_path, monkeypatch):
     sizes = []
     solve = tr._dominant
     monkeypatch.setattr(tr, "_dominant",
-                        lambda M, v0=None: sizes.append(M.shape[0]) or solve(M, v0))
+                        lambda M, X0=None, D=None: sizes.append(M.shape[0]) or solve(M, X0, D))
     assert run(["--out", str(tmp_path), "delta", "--group", "fixture:b"]) == 0
     assert Counter(sizes) == {96: 11, 192: 1}
 
@@ -480,6 +480,39 @@ def test_config_class_with_leading_minus(tmp_path):
     assert json.loads((run_dir / "manifest.json").read_text())["config"]["classes"] == ["-1,0"]
     rows = (run_dir / "census.csv").read_text().splitlines()[1:]
     assert rows and {row.split(",")[1] for row in rows} == {"-1|0"}
+
+
+def test_u_flag_replaces_config_list(tmp_path, capsys):
+    # as every other option: the flag's points replace the file's list
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"u": [0.3]}))
+    assert run(["--out", str(tmp_path), "--config", str(cfg), "pressure",
+                "--group", "fixture:toy2", "--u", "-0.5"]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("P(")]
+    assert printed == [f"P(-0.5) = {math.log(2.0 * math.cosh(0.5)):.12f}"]
+    (run_dir,) = tmp_path.glob("pressure-*")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["config"]["u"] == ["-0.5"]
+    assert run(["--out", str(tmp_path), "--config", str(cfg), "pressure",
+                "--group", "fixture:toy2"]) == 0
+    assert "P(0.3) = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args,config", [
+    (["--nodes", "0"], {}),
+    (["--nodes", "7"], {}),
+    ([], {"nodes": 0}),
+], ids=["nodes-0", "nodes-7", "config-nodes-0"])
+def test_nodes_below_8_is_config_error(tmp_path, capsys, args, config):
+    # the rule sits on the declaration, so it holds for toy shifts too, which
+    # take no collocation nodes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--out", str(tmp_path), "--config", str(cfg), "delta",
+                "--group", "fixture:toy2", *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --nodes: ") and len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("*-*"))
 
 
 @pytest.mark.parametrize("args", [["--help"], *([c, "--help"] for c in

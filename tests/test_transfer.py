@@ -10,7 +10,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from covercount import shift as sh
 from covercount import transfer as tr
-from covercount.errors import (HessianNotPD, HolonomyUnavailable,
+from covercount.errors import (DiscretizationUnstable, HessianNotPD, HolonomyUnavailable,
                                NotConverged, ValidationError)
 from covercount.groupfile import load_any, load_group
 from covercount.shift import MarkovShift, from_schottky, toy_full_shift
@@ -360,7 +360,7 @@ def test_surface_solves_once_at_delta(spec_b, monkeypatch):
     sizes = []
     solve = tr._dominant
     monkeypatch.setattr(tr, "_dominant",
-                        lambda M, v0=None: sizes.append(M.shape[0]) or solve(M, v0))
+                        lambda M, X0=None, D=None: sizes.append(M.shape[0]) or solve(M, X0, D))
     pressure_surface(spec_b)
     assert Counter(sizes) == {96: 12, 192: 1}
 
@@ -411,8 +411,42 @@ def test_scan_rows_same_bits_in_two_processes(shift_b, delta_b, monkeypatch):
     assert rows[0] == rows[1]
 
 
+def test_scan_batches_only_column_scaling_twists(toy3_mixed, monkeypatch):
+    # toy3's f depends on a transition's first symbol alone and its theta does
+    # not: the p = 0 twists scale M's columns and go as one batch per t row,
+    # every p != 0 twist keeps its own matrix, a batch of one
+    spec = OperatorSpec(toy3_mixed)
+    v_grid, p_list = [[0.0, 0.0], [0.7, -0.3], [2.0, 1.0]], [0, 1, -2]
+    assert tr._column_phases(spec, [0.7, -0.3], 0) is not None
+    assert tr._column_phases(spec, [0.7, -0.3], 1) is None
+    sizes = []
+    solve = tr._dominant
+    monkeypatch.setattr(sh, "_workers", lambda: 1)
+    monkeypatch.setattr(tr, "_dominant", lambda M, X0=None, D=None:
+                        sizes.append(0 if D is None else len(D)) or solve(M, X0, D))
+    rows = spectral_radius_scan(spec, 0.4, [1.3, 0.0], v_grid, p_list).rows
+    assert Counter(sizes) == {3: 2, 0: 2 * 6}
+    for r in rows:
+        want = abs(leading_eigenvalue(spec, complex(0.4, r.t), r.v, r.p).lam)
+        assert abs(r.abs_lambda - want) <= (1e-14 * want if r.p == 0 else 0.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "forked"])
+def test_scan_batch_keeps_the_doubling_check(shift_b, delta_b, monkeypatch, workers):
+    # at N = 24, lambda at twist 2 pi / 16 of the default grid's fifth t row
+    # moves by 7.57e-9 under node doubling, above DOUBLING_TOL relative to it;
+    # forked, that row is the child's
+    monkeypatch.setattr(sh, "_workers", lambda: workers)
+    spec = OperatorSpec(shift_b, nodes_per_disk=24)
+    t_grid = np.linspace(0.05, 5.0, 25)[[0, 4]]
+    v_grid = [[x] for x in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
+    with pytest.raises(DiscretizationUnstable, match="lambda moved 7.57e-09 under node doubling"):
+        spectral_radius_scan(spec, delta_b, t_grid, v_grid)
+
+
 def test_not_converged_message(toy2_spec, monkeypatch):
-    monkeypatch.setattr(tr, "_dominant", lambda M, v0=None: (1.0 + 0j, np.ones(2), 1.2e-3))
+    monkeypatch.setattr(tr, "_dominant",
+                        lambda M, X0=None, D=None: [(1.0 + 0j, np.ones(2), 1.2e-3)])
     with pytest.raises(NotConverged) as err:
         leading_eigenvalue(toy2_spec, math.log(2.0))
     assert str(err.value) == "eigensolver did not converge: residual 1.200e-03"
@@ -424,12 +458,12 @@ def test_left_eigenpair_checked(toy2_spec, monkeypatch, left_shift, left_res):
     # the right solve is exact; the left one (the second call) is perturbed
     solve, calls = tr._dominant, []
 
-    def perturbed(M, v0=None):
-        lam, z, res = solve(M, v0)
+    def perturbed(M, X0=None, D=None):
+        [(lam, z, res)] = solve(M, X0, D)
         calls.append(M)
         if len(calls) == 2:
-            return lam + left_shift, z, res + left_res
-        return lam, z, res
+            return [(lam + left_shift, z, res + left_res)]
+        return [(lam, z, res)]
 
     monkeypatch.setattr(tr, "_dominant", perturbed)
     with pytest.raises(NotConverged, match="left eigenpair"):
@@ -444,9 +478,8 @@ def test_perron_vectors_ignore_solver_phase(spec_b, delta_b, monkeypatch, want_m
     want = leading_eigenvalue(spec_b, delta_b, want_measure=want_measure)
     solve = tr._dominant
 
-    def rotated(M, v0=None):
-        lam, z, res = solve(M, v0)
-        return lam, 1j * z / z[np.argmax(np.abs(z))], res
+    def rotated(M, X0=None, D=None):
+        return [(lam, 1j * z / z[np.argmax(np.abs(z))], res) for lam, z, res in solve(M, X0, D)]
 
     monkeypatch.setattr(tr, "_dominant", rotated)
     got = leading_eigenvalue(spec_b, delta_b, want_measure=want_measure)
@@ -494,6 +527,12 @@ def _reference_dominant(M, v0=None):
     return lam, z, float(np.linalg.norm(M @ z - lam * z) / np.linalg.norm(z))
 
 
+def _solve_one(M, v0=None):
+    """tr._dominant on M alone from v0 (None: cold), the batch of one."""
+    [pair] = tr._dominant(M, None if v0 is None else v0[None])
+    return pair
+
+
 def _doubling_seed(spec, h):
     """h's interpolant on the doubled nodes by Clenshaw recurrence, the
     reference for the DCT-III seed of the doubled solve."""
@@ -539,33 +578,42 @@ def _assert_agrees_with_reference(got, want, M):
 def test_dominant_bit_identical_to_reference(case, spec_b, delta_b, toy2_spec):
     # a seeded solve that converges in the power loop never reaches the kernel
     M, v0 = _reference_case(case, spec_b, delta_b, toy2_spec)
-    _assert_same_bits(tr._dominant(M, v0), _reference_dominant(M, v0))
+    _assert_same_bits(_solve_one(M, v0), _reference_dominant(M, v0))
 
 
 @pytest.mark.parametrize("case", ["perron-b-delta", "perron-b-half", "perron-toy2",
                                   "cold-twisted-b48"])
 def test_dominant_kernel_matches_reference(case, spec_b, delta_b, toy2_spec):
     M, v0 = _reference_case(case, spec_b, delta_b, toy2_spec)
-    _assert_agrees_with_reference(tr._dominant(M, v0), _reference_dominant(M, v0), M)
+    _assert_agrees_with_reference(_solve_one(M, v0), _reference_dominant(M, v0), M)
 
 
 def test_scan_rows_match_reference_solver(shift_b, delta_b, monkeypatch):
+    # the oracle builds each point's own matrix M(delta + it, v) and solves it
+    # with the reference solver; the scan builds M(delta + it, 0) once per t row
+    # and node count, and solves the row's twists as its column scalings
     grid = dict(t_grid=[0.5, 0.25, 0.75], v_grid=[[0.0], [3.14]])
     spec = OperatorSpec(shift_b, nodes_per_disk=24)
-    solves = []
-    solve = tr._dominant
-    monkeypatch.setattr(sh, "_workers", lambda: 1)  # a worker's solves are not recorded here
+    solves, builds = [], []
+    solve, build = tr._dominant, tr.build_matrix
+    monkeypatch.setattr(sh, "_workers", lambda: 1)  # a worker's calls are not recorded here
     monkeypatch.setattr(tr, "_dominant",
-                        lambda M, v0=None: solves.append((M, v0)) or solve(M, v0))
+                        lambda M, X0=None, D=None: solves.append((M, X0, D)) or solve(M, X0, D))
+    monkeypatch.setattr(tr, "build_matrix", lambda *a, **kw: builds.append(a) or build(*a, **kw))
     got = spectral_radius_scan(spec, delta_b, **grid).rows
-    monkeypatch.setattr(tr, "_dominant", _reference_dominant)
-    want = spectral_radius_scan(spec, delta_b, **grid).rows
-    assert [(r.t, r.v, r.p, r.violation) for r in got] == [(r.t, r.v, r.p, r.violation)
-                                                           for r in want]
-    assert_allclose([r.abs_lambda for r in got], [r.abs_lambda for r in want],
-                    rtol=1e-13, atol=0)
-    for M, v0 in solves:
-        _assert_agrees_with_reference(solve(M, v0), _reference_dominant(M, v0), M)
+    assert len(builds) == len(solves) == 2 * 3  # at N and at 2N, per t row
+    want = [(t, (v,), 0, abs(_reference_dominant(build(spec, complex(delta_b, t), [v]))[0]))
+            for t in sorted(grid["t_grid"]) for v in (0.0, 3.14)]
+    assert [(r.t, r.v, r.p) for r in got] == [w[:3] for w in want]
+    # no trivial point (t > 0): a violation is |lambda| above 1 - margin
+    assert [r.violation for r in got] == [w[3] > 1.0 - 1e-3 for w in want]
+    assert_allclose([r.abs_lambda for r in got], [w[3] for w in want], rtol=1e-13, atol=0)
+    for M, X0, D in solves:
+        assert D.shape == (2, M.shape[0])
+        for i, pair in enumerate(solve(M, X0, D)):
+            A = M * D[i]
+            _assert_agrees_with_reference(
+                pair, _reference_dominant(A, None if X0 is None else X0[i]), A)
 
 
 # -- the Krylov-Schur kernel ---------------------------------------------------------
@@ -586,7 +634,7 @@ def _planted(n, seed):
 @pytest.mark.parametrize("n", [17, 31, 96, 192])
 def test_krylov_schur_matches_dense_eig(n):
     M, _, v0 = _planted(n, seed=n)
-    lam, z = tr._krylov_schur(M, v0)
+    (lam, z), = tr._krylov_schur(M, v0[None])
     vals = np.linalg.eigvals(M)
     want = vals[np.argmax(np.abs(vals))]
     assert abs(lam - want) <= 1e-12 * abs(want)
@@ -606,7 +654,7 @@ def test_krylov_schur_closed_space_gives_exact_pair(block):
     v0 = np.zeros(block + 40, dtype=complex)
     v0[:block] = rng.standard_normal(block)
     with np.errstate(all="raise"):
-        lam, z = tr._krylov_schur(M, v0)
+        (lam, z), = tr._krylov_schur(M, v0[None])
     vals = np.linalg.eigvals(A)
     want = vals[np.argmax(np.abs(vals))]
     assert np.isfinite(lam) and np.all(np.isfinite(z))
@@ -618,13 +666,67 @@ def test_krylov_schur_closed_space_gives_exact_pair(block):
 def test_krylov_schur_restart_cap_reaches_dense_path(monkeypatch):
     M, lam1, _ = _planted(96, seed=5)
     monkeypatch.setattr(tr, "KS_RESTARTS", 1)
-    assert tr._krylov_schur(M, np.ones(96, dtype=complex)) is None
+    assert tr._krylov_schur(M, np.ones((1, 96), dtype=complex)) == [None]
     dense = []
     leading = tr._dense_leading
     monkeypatch.setattr(tr, "_dense_leading", lambda A: dense.append(A) or leading(A))
-    lam, z, res = tr._dominant(M)  # cold: straight to the kernel
+    lam, z, res = _solve_one(M)  # cold: straight to the kernel
     assert len(dense) == 1 and dense[0] is M
     assert abs(lam - lam1) <= 1e-12 * abs(lam1) and res < 1e-10
+
+
+@pytest.mark.parametrize("restarts", [20, 1])
+def test_krylov_schur_batch_matches_dense_eig(restarts, monkeypatch):
+    # one M = diag(P1, P2) of two planted blocks and, per member, its own
+    # start and column scaling D_b; each member must agree with dense eig of
+    # M D_b.  Member 0 starts inside the first block, so its Krylov space
+    # closes after 8 vectors and it leaves the batch mid-cycle.  Member 1's
+    # scaling leaves P2's pair at ratio 0.99 on top, so at KS_RESTARTS = 1 it
+    # hits the cap and reaches dense eig.  Member 2 turns every column by its
+    # own phase, as the scan's twists do.
+    P1, P2 = _planted(8, seed=8)[0], _planted(88, seed=88)[0]
+    M = np.zeros((96, 96), dtype=complex)
+    M[:8, :8], M[8:, 8:] = P1, P2
+    rng = np.random.default_rng(96)
+    D = np.ones((3, 96), dtype=complex)
+    D[0, :8], D[0, 8:] = np.exp(0.7j), 0.4
+    D[1, :8], D[1, 8:] = 0.1, np.exp(-1.1j)
+    D[2] = np.exp(2j * np.pi * rng.random(96))
+    X0 = rng.standard_normal((3, 96)) + 1j * rng.standard_normal((3, 96))
+    X0[0, 8:] = 0.0
+    monkeypatch.setattr(tr, "KS_RESTARTS", restarts)
+    pairs = tr._krylov_schur(M, X0, D)
+    assert pairs[0] is not None and not np.any(pairs[0][1][8:])
+    assert (pairs[1] is None) == (restarts == 1) and pairs[2] is not None
+    dense = []
+    leading = tr._dense_leading
+    monkeypatch.setattr(tr, "_dense_leading", lambda A: dense.append(A) or leading(A))
+    for b, (lam, z, res) in enumerate(tr._dominant(M, X0, D)):
+        A = M * D[b]
+        vals = np.linalg.eigvals(A)
+        want = vals[np.argmax(np.abs(vals))]
+        assert abs(lam - want) <= 1e-12 * abs(want)
+        assert np.linalg.norm(A @ z - lam * z) <= 1e-12 * np.linalg.norm(A, 2) * np.linalg.norm(z)
+    assert len(dense) == (restarts == 1)
+    assert all(np.array_equal(A, M * D[1]) for A in dense)
+
+
+def test_seeded_batch_members_converge_at_their_own_step(monkeypatch):
+    # the power loop drops a member once it converges and steps the rest with
+    # their own scalings: member 0 starts at its eigenvector, member 1 (the
+    # same matrix turned by a constant phase) some steps away from it
+    rng = np.random.default_rng(40)
+    X = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    M = np.linalg.solve(X, X * np.r_[1.3, 0.4 * rng.random(39)][:, None])
+    top = np.linalg.solve(X, np.eye(40)[0])
+    D = np.ones((2, 40), dtype=complex)
+    D[1] = np.exp(0.9j)
+    X0 = np.stack([top, top + 1e-3 * np.linalg.norm(top) * rng.standard_normal(40)])
+    monkeypatch.setattr(tr, "_krylov_schur", None)  # both converge in the power loop
+    pairs = tr._dominant(M, X0, D)
+    # the loop stops at a residual of 1e-12 |lam|; X is not unitary
+    for (lam, z, res), want in zip(pairs, (1.3, 1.3 * np.exp(0.9j))):
+        assert abs(lam - want) <= 1e-10 * abs(want) and res < 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("case", ["perron-b-half", "perron-toy2", "seeded-doubling-b48"])
@@ -635,24 +737,28 @@ def test_dominant_path_rule(case, spec_b, delta_b, toy2_spec, monkeypatch):
     M, v0 = _reference_case(case, spec_b, delta_b, toy2_spec)
     starts, dense = [], []
     kernel, leading = tr._krylov_schur, tr._dense_leading
-    monkeypatch.setattr(tr, "_krylov_schur", lambda A, v: starts.append(v) or kernel(A, v))
+    monkeypatch.setattr(tr, "_krylov_schur",
+                        lambda A, X, D=None: starts.append(X) or kernel(A, X, D))
     monkeypatch.setattr(tr, "_dense_leading", lambda A: dense.append(A) or leading(A))
-    tr._dominant(M, v0)
+    _solve_one(M, v0)
     n = M.shape[0]
     if case == "perron-b-half":
-        assert n == 96 and len(starts) == 1 and not dense
-        assert np.array_equal(starts[0], np.ones(n) + 1e-3 * np.linspace(0.0, 1.0, n))
+        assert n == 96 and len(starts) == 1 and starts[0].shape == (1, n) and not dense
+        assert np.array_equal(starts[0][0], np.ones(n) + 1e-3 * np.linspace(0.0, 1.0, n))
     elif case == "perron-toy2":
         assert n <= 16 and not starts and len(dense) == 1 and dense[0] is M
     else:
         assert v0 is not None and not starts and not dense
 
 
-def _dense_dominant(M, v0=None):
-    vals, vecs = np.linalg.eig(M)
-    i = int(np.argmax(np.abs(vals)))
-    lam, z = vals[i], vecs[:, i]
-    return lam, z, float(np.linalg.norm(M @ z - lam * z))
+def _dense_dominant(M, X0=None, D=None):
+    out = []
+    for A in ([M] if D is None else [M * d for d in D]):
+        vals, vecs = np.linalg.eig(A)
+        i = int(np.argmax(np.abs(vals)))
+        lam, z = vals[i], vecs[:, i]
+        out.append((lam, z, float(np.linalg.norm(A @ z - lam * z))))
+    return out
 
 
 @pytest.mark.parametrize("name,nodes", [("b", 24), ("c", 20), ("c", 24)])
@@ -682,6 +788,10 @@ def test_cosine_matrix_dct_matches_scipy(group_b, N):
         want = (dct(dct(vals, type=2, axis=1), type=3, n=2 * N, axis=1) / (2 * N)).ravel()
         got = grid.doubled_values(vals.ravel())
         assert_allclose(got, want, rtol=0, atol=2e-14 * np.abs(want).max())
+        # one vector per row, as the scan's batched seeds, row by row the same
+        stack = grid.doubled_values(np.stack([vals.ravel(), vals.ravel()[::-1]]))
+        assert np.array_equal(stack[0], got)
+        assert np.array_equal(stack[1], grid.doubled_values(vals.ravel()[::-1]))
         # 2N values per row, as the sampler's branch-weight tables
         wide = np.concatenate([vals, vals[:, ::-1] ** 2], axis=-1)
         want = dct(wide, type=2, axis=-1) / (2 * N)
@@ -699,15 +809,17 @@ def test_doubling_seed_matches_barycentric(shift_b, delta_b, monkeypatch):
     seeds = []
     solve = tr._dominant
     monkeypatch.setattr(tr, "_dominant",
-                        lambda M, v0=None: seeds.append(v0) or solve(M, v0))
+                        lambda M, X0=None, D=None: seeds.append(X0) or solve(M, X0, D))
     h = leading_eigenvalue(spec, s, v).h
     assert seeds[0] is None and np.iscomplexobj(h) and np.any(h.imag)
     grid, fine = spec.grid(), spec.grid(48)
-    assert np.array_equal(seeds[1], grid.doubled_values(h))
-    scale = np.abs(seeds[1]).max()
-    assert_allclose(seeds[1], _doubling_seed(spec, h), rtol=0, atol=4e-15 * scale)
+    assert seeds[1].shape == (1, 192)  # the batch of one
+    seed = seeds[1][0]
+    assert np.array_equal(seed, grid.doubled_values(h))
+    scale = np.abs(seed).max()
+    assert_allclose(seed, _doubling_seed(spec, h), rtol=0, atol=4e-15 * scale)
     bary = np.concatenate([grid.interp_values(a, fine.nodes[a]) @ h[a * 24:(a + 1) * 24]
                            for a in range(4)])
     # relative to the vector's scale: entries 30x below it lose digits to
     # cancellation in either evaluator
-    assert_allclose(seeds[1], bary, rtol=1e-13, atol=1e-13 * np.abs(bary).max())
+    assert_allclose(seed, bary, rtol=1e-13, atol=1e-13 * np.abs(bary).max())
