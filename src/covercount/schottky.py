@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import hashlib
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -356,6 +357,27 @@ def enumerate_orbit_bruteforce(group: SchottkyGroup, T: float, max_len: int) -> 
     return out
 
 
+class _Split(NamedTuple):
+    """Complex arrays as float pairs, combined in CPython's order for one
+    complex: hyp.mat_mul over them keeps its bits, numpy's complex does not."""
+
+    real: np.ndarray
+    imag: np.ndarray
+
+    def __mul__(self, o):
+        return _Split(self.real * o.real - self.imag * o.imag,
+                      self.real * o.imag + self.imag * o.real)
+
+    def __add__(self, o):
+        return _Split(self.real + o.real, self.imag + o.imag)
+
+    def __abs__(self):
+        return np.hypot(self.real, self.imag)  # C hypot, as complex.__abs__
+
+
+CLASS_BLOCK = 4096  # most words per class-walk block: 2048 is 11% slower, 8192 adds 2 MB RSS
+
+
 def primitive_classes(group: SchottkyGroup, L: float,
                       emit: Optional[Callable[[GeodesicRecord], None]] = None,
                       budget: Optional[int] = None) -> int:
@@ -374,44 +396,63 @@ def primitive_classes(group: SchottkyGroup, L: float,
     (z_b, r_b), every completion u of w b has |u'(fix)| <= sup_{D_b} |w'|, as
     later letters only contract; so length(u) >= 2 log(|c z_b + d| - |c| r_b),
     and w b is dropped when |c z_b + d| - |c| r_b > exp(L/2), with no log.
+    As |tr| <= |lam| + 1/|lam| = 2 cosh(length/2) for multiplier lam, a
+    candidate with |tr| > 2 cosh(L/2) is dropped before its trace invariants
+    are taken (exact on H2, one-sided on H3).  Both caps are widened by 1e-12.
 
-    On H2 a class is longer than L exactly when |tr| > 2 cosh(L/2), so a
-    closing candidate past that cap (both caps widened by 1e-12 for rounding)
-    is dropped before its trace invariants, a square root and a log, are taken.
+    The walk is depth-first over numpy blocks of <= CLASS_BLOCK words of one
+    length.  A step keeps the top block's classes and pushes its pruned
+    children parent by parent, letters descending, so the top block starts
+    with the least unvisited word in the order of a walk of single words
+    (first letter ascending, later ones descending, a prefix first).  A class
+    waits until it precedes that word, so records, their order and those
+    emitted before BudgetExceeded are that walk's; _Split keeps its bits.
     """
     group.min_cycle_step()  # validates that all admissible steps contract
-    mats, disks = group._mats, group.disks
-    n = group.n_symbols
+    n, model = group.n_symbols, group.model
     letters = [letter_of_index(idx) for idx in range(n)]
     huge = L >= 1400.0  # exp(710) and cosh(710) overflow
     gap_cap = math.inf if huge else math.exp(L / 2.0) * (1.0 + 1e-12)
-    tr_cap = (2.0 * math.cosh(L / 2.0) * (1.0 + 1e-12)
-              if group.model == Model.H2 and not huge else math.inf)
+    tr_cap = math.inf if huge else 2.0 * math.cosh(L / 2.0) * (1.0 + 1e-12)
+    gens = np.array(group._mats).view(float).T  # rows: re, im of a, b, c, d
+    q = np.array([[dk.center] for dk in group.disks])
+    centers, radii = _Split(q.real, q.imag), np.array([[dk.radius] for dk in group.disks])
+    idx = np.arange(n, dtype=np.uint8)[:, None]
+    flip = bytes(n - 1 - x if x < n else x for x in range(256))
+    key = lambda w: w[:1] + w[1:].translate(flip)  # visiting order of index words
+    entries = lambda m: [_Split(m[i], m[i + 1]) for i in range(0, 8, 2)]
+    stack = [(idx.copy(), gens, np.ones(n, dtype=np.int64))]  # (words, matrices, p)
+    pending: list = []  # heap of found classes: (key, length, holonomy, matrix)
     count = 0
-    for first_idx in range(n):
-        stack = [((first_idx,), mats[first_idx], 1)]
-        while stack:
-            w, m, p = stack.pop()
-            if (p == len(w) and w[-1] != inverse_index(first_idx)
-                    and abs(m[0] + m[3]) <= tr_cap):
-                length, theta = hyp.trace_invariants(m[0] + m[3], group.model)
-                if 0.0 < length <= L:
-                    count += 1
-                    if budget is not None and count > budget:
-                        raise BudgetExceeded(budget)
-                    if emit is not None:
-                        emit(GeodesicRecord(tuple(map(letters.__getitem__, w)), length,
-                                            group._index_homology(w), theta, m))
-            _, _, c, d = m
-            ac = abs(c)
-            bad = inverse_index(w[-1])
-            low = w[-p]  # = w[k - p]
-            for idx in range(low, n):
-                if idx == bad:
-                    continue
-                dk = disks[idx]
-                if abs(c * dk.center + d) - ac * dk.radius > gap_cap:
-                    continue
-                stack.append((w + (idx,), hyp.mat_mul(m, mats[idx]),
-                              p if idx == low else len(w) + 1))
+    while stack:
+        W, M, p = stack.pop()
+        k = W.shape[1]
+        a, _, c, d = entries(M)
+        tr = a + d
+        cand = np.flatnonzero((p == k) & (W[:, -1] != W[:, 0] ^ 1) & (abs(tr) <= tr_cap))
+        for j, x, y in zip(cand.tolist(), tr.real[cand].tolist(), tr.imag[cand].tolist()):
+            length, theta = hyp.trace_invariants(complex(x, y), model)
+            if 0.0 < length <= L:
+                heapq.heappush(pending, (key(W[j].tobytes()), length, theta, M[:, j].tobytes()))
+        gap = abs(c * centers + d) - abs(c) * radii  # rows: letters, columns: words
+        low = W[np.arange(len(W)), k - p]
+        keep = ~(gap > gap_cap) & (idx >= low) & (idx != W[:, -1] ^ 1)
+        par, col = np.nonzero(keep[::-1].T)
+        let = (n - 1 - col).astype(np.uint8)
+        CW = np.concatenate([W[par], let[:, None]], axis=1)
+        CM = np.array(hyp.mat_mul(entries(M[:, par]), entries(gens[:, let]))).reshape(8, -1)
+        cp = np.where(let == low[par], p[par], k + 1)
+        for s in range((len(par) - 1) // CLASS_BLOCK * CLASS_BLOCK, -1, -CLASS_BLOCK):
+            stack.append((CW[s:s + CLASS_BLOCK], CM[:, s:s + CLASS_BLOCK], cp[s:s + CLASS_BLOCK]))
+        top = key(stack[-1][0][0].tobytes()) if stack else None
+        while pending and (top is None or pending[0][0] < top):
+            kw, length, theta, m = heapq.heappop(pending)
+            w = key(kw)  # key() is its own inverse
+            count += 1
+            if budget is not None and count > budget:
+                raise BudgetExceeded(budget)
+            if emit is not None:
+                emit(GeodesicRecord(tuple(map(letters.__getitem__, w)), length,
+                                    group._index_homology(w), theta,
+                                    tuple(np.frombuffer(m, complex).tolist())))
     return count

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from numpy.testing import assert_allclose
 from covercount.errors import NotLoxodromic, PoleAtPoint
 from covercount.hyperbolic import (ElementClass, Model, MoebiusMap, adjoint_so21,
                                    apply_boundary, classify, compose, displacement,
-                                   geodesic_invariants, inverse, so21_form)
+                                   geodesic_invariants, inverse, so21_form,
+                                   trace_invariants, wrap_angle)
 
 
 # Constructors, comparisons and derivatives that only the tests use.
@@ -254,6 +256,27 @@ def test_invariants_power_law(rng):
 def test_invariants_reject_elliptic():
     with pytest.raises(NotLoxodromic):
         geodesic_invariants(rotation(0.7))
+
+
+@pytest.mark.parametrize("R", [1e16, 1e20, 1e30])
+def test_trace_invariants_of_large_traces(R):
+    # past |tr| ~ 1/eps one root of lam^2 - tr lam + 1 is all cancellation and
+    # can still have modulus >= 1; the multiplier is the other root
+    for k in range(64):
+        lam = R * cmath.exp(2j * math.pi * k / 64)
+        length, theta = trace_invariants(lam + 1 / lam, Model.H3)
+        assert_allclose(length, 2 * math.log(R), rtol=1e-14)
+        assert abs(wrap_angle(theta - 4 * math.pi * k / 64)) < 1e-12
+
+
+def test_trace_invariants_of_a_long_d0_class(group_d0):
+    # 95 letters, tr = -9.7e42 - 5.6e43i: the cancelled root gave length 123.38
+    m = group_d0.evaluate((1,) + (-2,) * 88 + (-1, 2, 2, -1, -2, -2))
+    lam = max(np.linalg.eigvals(np.array(m.entries).reshape(2, 2)), key=abs)
+    length, theta = trace_invariants(m.trace(), Model.H3)
+    assert_allclose(length, 2 * math.log(abs(lam)), rtol=1e-12)
+    assert length > 200.0
+    assert abs(wrap_angle(theta - 2 * cmath.phase(lam))) < 1e-9
 
 
 # -- boundary derivative ---------------------------------------------------------

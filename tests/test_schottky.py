@@ -472,6 +472,94 @@ def test_classes_past_overflowing_caps(group_b, group_d0):
             primitive_classes(group, 1500.0, budget=50)
 
 
+# The scalar depth-first loop that the block walk replaced: one word and one
+# Python complex product per node, records counted and emitted as visited.
+# The block walk must give its records bit for bit and in its order, and raise
+# BudgetExceeded after the same records.
+
+def _scalar_primitive_classes(group, L, emit=None, budget=None):
+    group.min_cycle_step()
+    mats, disks = group._mats, group.disks
+    n = group.n_symbols
+    letters = [sk.letter_of_index(idx) for idx in range(n)]
+    huge = L >= 1400.0
+    gap_cap = math.inf if huge else math.exp(L / 2.0) * (1.0 + 1e-12)
+    tr_cap = (2.0 * math.cosh(L / 2.0) * (1.0 + 1e-12)
+              if group.model == Model.H2 and not huge else math.inf)
+    count = 0
+    for first_idx in range(n):
+        stack = [((first_idx,), mats[first_idx], 1)]
+        while stack:
+            w, m, p = stack.pop()
+            if (p == len(w) and w[-1] != sk.inverse_index(first_idx)
+                    and abs(m[0] + m[3]) <= tr_cap):
+                length, theta = trace_invariants(m[0] + m[3], group.model)
+                if 0.0 < length <= L:
+                    count += 1
+                    if budget is not None and count > budget:
+                        raise BudgetExceeded(budget)
+                    if emit is not None:
+                        emit(sk.GeodesicRecord(tuple(map(letters.__getitem__, w)), length,
+                                               group._index_homology(w), theta, m))
+            _, _, c, d = m
+            ac = abs(c)
+            bad = sk.inverse_index(w[-1])
+            low = w[-p]  # = w[k - p]
+            for idx in range(low, n):
+                if idx == bad:
+                    continue
+                dk = disks[idx]
+                if abs(c * dk.center + d) - ac * dk.radius > gap_cap:
+                    continue
+                stack.append((w + (idx,), mat_mul(m, mats[idx]),
+                              p if idx == low else len(w) + 1))
+    return count
+
+
+def _run_classes(fn, group, L, budget=None):
+    """(count or "budget", records as reprs: every float to the last bit)."""
+    records = []
+    try:
+        out = fn(group, L, emit=records.append, budget=budget)
+    except BudgetExceeded:
+        out = "budget"
+    return out, [repr(r) for r in records]
+
+
+@pytest.mark.parametrize("name,L", [("b", 18.5), ("c", 16.0), ("d0", 17.0), ("d1", 15.0)],
+                         ids=["b", "c", "d0", "d1"])
+def test_classes_match_scalar_loop(request, name, L):
+    # the census sizes; on H3 the loop has no trace cap, so this also checks
+    # that the cap drops no class
+    group = request.getfixturevalue(f"group_{name}")
+    new = _run_classes(primitive_classes, group, L)
+    assert new == _run_classes(_scalar_primitive_classes, group, L)
+    assert new[0] > 3000
+
+
+@pytest.mark.parametrize("name", ["b", "d0"])
+def test_classes_budget_at_large_length_matches_scalar_loop(request, name):
+    # whole levels up to L = 40 would hold about e^24 words; the depth-first
+    # block walk meets the budget after a few blocks, as the loop does
+    group = request.getfixturevalue(f"group_{name}")
+    new = _run_classes(primitive_classes, group, 40.0, budget=1000)
+    assert new == _run_classes(_scalar_primitive_classes, group, 40.0, budget=1000)
+    assert new[0] == "budget" and len(new[1]) == 1000
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 100])
+@pytest.mark.parametrize("name,L", [("b", 12.0), ("d0", 11.0)], ids=["b", "d0"])
+def test_small_class_blocks_match_scalar_loop(request, monkeypatch, name, L, block):
+    # small blocks split every level, so classes wait behind many blocks
+    group = request.getfixturevalue(f"group_{name}")
+    monkeypatch.setattr(sk, "CLASS_BLOCK", block)
+    ref = _run_classes(_scalar_primitive_classes, group, L)
+    assert _run_classes(primitive_classes, group, L) == ref
+    for budget in (0, 1, ref[0] // 3, ref[0] - 1):
+        assert (_run_classes(primitive_classes, group, L, budget) ==
+                _run_classes(_scalar_primitive_classes, group, L, budget))
+
+
 def _reduced_words(n_letters, max_len):
     """Every reduced word of length 1..max_len over letters +-1..+-n_letters/2."""
     letters = [sk.letter_of_index(i) for i in range(n_letters)]
