@@ -58,7 +58,9 @@ class NotConverged(CovercountError):
 
 
 class DiscretizationUnstable(CovercountError):
-    """Leading eigenvalue moved under node doubling; refine the discretization."""
+    """The eigenfunction's interpolant misses the eigenvalue equation off the
+    collocation nodes (off-node residual above OFF_NODE_TOL); refine the
+    discretization."""
 
 
 class BracketFailed(CovercountError):

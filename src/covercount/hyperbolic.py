@@ -154,10 +154,14 @@ def wrap_angle(theta: float) -> float:
 def trace_invariants(tr: complex, model: Model) -> tuple[float, float]:
     """(length, holonomy) solving tr = +-2 cosh((l + i theta)/2) for a det-1
     matrix with trace tr; theta = 0 in the H2 model.  The multiplier is the
-    root of larger modulus (past |tr| ~ 1/eps the other is all cancellation).
-    Non-loxodromic traces give length 0."""
-    disc = cmath.sqrt(tr * tr - 4.0)
-    lam = max((tr + disc) / 2.0, (tr - disc) / 2.0, key=abs)
+    root of larger modulus (past |tr| ~ 1/eps the other is all cancellation),
+    and tr itself past |tr| = 1e150, where tr * tr nears overflow and 1/lam in
+    tr = lam + 1/lam is below rounding.  Non-loxodromic traces give length 0."""
+    if abs(tr) > 1e150:
+        lam = tr
+    else:
+        disc = cmath.sqrt(tr * tr - 4.0)
+        lam = max((tr + disc) / 2.0, (tr - disc) / 2.0, key=abs)
     length = 2.0 * math.log(max(abs(lam), 1.0))
     if model == Model.H2:
         return length, 0.0

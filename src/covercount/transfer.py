@@ -5,15 +5,18 @@ scans on the critical line.
 Schottky codings in the half-plane model are discretized by Chebyshev
 collocation on the real trace of each disk; the branch maps send every
 admissible interval strictly inside the target interval, so polynomial
-interpolation converges geometrically and the leading eigenvalue is certified
-by node doubling.  Toy shifts are the exact one-node case (logd = -tau,
-interp = 1), so both kinds share one assembly from per-transition blocks.
+interpolation converges geometrically (Trefethen, Approximation Theory and
+Approximation Practice, Thm 8.1) and the leading eigenvalue is certified by an
+off-node residual: the eigenfunction's interpolant must be an eigenfunction at
+the 2N first-kind nodes too, one rectangular product, no second solve.  Toy
+shifts are the exact one-node case (logd = -tau, interp = 1), so both kinds
+share one assembly from per-transition blocks.
 
 Every eigensolve is a batch (numpy only: importing this module loads no
 scipy): one matrix M with a column scaling D_b per member, stepped together
-through a power loop (seeded solves), an in-package Krylov-Schur kernel and
-dense eig.  A single solve is the batch of one; the scan solves each t row's
-twists, which scale the block columns of M(delta + i t, 0, 0), as one batch.
+through an in-package Krylov-Schur kernel, with dense eig as the fallback.  A
+single solve is the batch of one; the scan solves each t row's twists, which
+scale the block columns of M(delta + i t, 0, 0), as one batch.
 
 The pressure P(u) is a Brent root of lambda(s; u) = 1; its gradient and
 Hessian at 0 follow exactly from the eigentriple (lambda, h, rho) at delta by
@@ -37,17 +40,16 @@ from .hyperbolic import Model
 from .shift import MarkovShift
 
 RESIDUAL_TOL = 1e-8
-DOUBLING_TOL = 1e-8
+OFF_NODE_TOL = 1e-8
 BRENT_XTOL, BRENT_RTOL, BRENT_MAXITER = 1e-14, 8.9e-16, 200
 
 
 @lru_cache(maxsize=None)
-def _chebyshev_at_nodes(m: int, n: int) -> np.ndarray:
-    """T_k(x_j), k < n, at the m first-kind nodes x_j = cos(pi (2j + 1) / 2m) of
-    [-1, 1], shape (m, n), read-only: the cosine matrix of the DCT-II (n = m)
-    and of the zero-padded DCT-III (n < m).  The angle's integer multiple is
-    reduced mod 4m first, so every entry is a cosine of an angle in [0, 2 pi)."""
-    jk = np.outer(2 * np.arange(m) + 1, np.arange(n)) % (4 * m)
+def _chebyshev_at_nodes(m: int) -> np.ndarray:
+    """T_k(x_j) at the m first-kind nodes x_j = cos(pi (2j + 1) / 2m) of [-1, 1],
+    k < m, read-only: the cosine matrix of the DCT-II.  The angle's integer
+    multiple is reduced mod 4m first, so every angle lies in [0, 2 pi)."""
+    jk = np.outer(2 * np.arange(m) + 1, np.arange(m)) % (4 * m)
     T = np.cos(np.pi * jk / (2 * m))
     T.flags.writeable = False
     return T
@@ -56,15 +58,16 @@ def _chebyshev_at_nodes(m: int, n: int) -> np.ndarray:
 class CollocationGrid:
     """Chebyshev nodes (first kind) on each disk's real interval, with the
     log-derivatives logd, shape (n, n, N), and interpolation blocks interp,
-    shape (n, n, N, N), of the branch images precomputed per transition.
+    shape (n, n, N, N), of the branch images precomputed per transition.  The
+    off_* blocks, for the off-node check, are the same at disk b's 2N
+    first-kind nodes x (off_interp: disk a's N-node basis at the branch image
+    of x, shape (n, n, 2N, N)); off_eye, shape (n, 2N, N), is disk b's own.
 
     A vector of node values, disk after disk, stands for the per-disk
-    polynomial interpolants.  interp_values gives the barycentric basis at the
-    branch images once per grid, to build the interp blocks; every evaluation
-    of node values away from the nodes, real or complex, goes through their
-    Chebyshev coefficients (chebyshev_coeffs, a DCT-II as a product with the
-    cosine matrix of its size): doubled_values on the 2N first-kind nodes
-    (the doubled solves' seeds), clenshaw anywhere else (the sampler's tables).
+    polynomial interpolants.  interp_values gives the barycentric basis, to
+    build the blocks once per grid; any other evaluation away from the nodes,
+    real or complex, goes through Chebyshev coefficients (chebyshev_coeffs, a
+    DCT-II as a product with the cosine matrix of its size) and clenshaw.
     """
 
     def __init__(self, group, nodes_per_disk: int):
@@ -81,19 +84,22 @@ class CollocationGrid:
         self.centers = np.array([dk.center.real for dk in group.disks])
         self.radii = np.array([dk.radius for dk in group.disks])
         self.nodes = list(self.first_kind_nodes(N))
-        self.logd = np.zeros((n, n, N))
-        self.interp = np.zeros((n, n, N, N))
+        off = self.first_kind_nodes(2 * N)
+        self.logd, self.off_logd = np.zeros((n, n, N)), np.zeros((n, n, 2 * N))
+        self.interp, self.off_interp = np.zeros((n, n, N, N)), np.zeros((n, n, 2 * N, N))
+        self.off_eye = np.array([self.interp_values(b, off[b]) for b in range(n)])
         for a in range(n):
             ma = group.symbol_matrix(a)
             ca, da = ma[2], ma[3]
             for b in range(n):
                 if b == sk.inverse_index(a):
                     continue
-                x = self.nodes[b]
-                den = ca * x + da
-                self.logd[a, b] = -2.0 * np.log(np.abs(den))
-                y = (ma[0] * x + ma[1]) / den
-                self.interp[a, b] = self.interp_values(a, y.real)
+                for x, logd, interp in ((self.nodes[b], self.logd, self.interp),
+                                        (off[b], self.off_logd, self.off_interp)):
+                    den = ca * x + da
+                    logd[a, b] = -2.0 * np.log(np.abs(den))
+                    y = (ma[0] * x + ma[1]) / den
+                    interp[a, b] = self.interp_values(a, y.real)
 
     def first_kind_nodes(self, count: int) -> np.ndarray:
         """count Chebyshev nodes of the first kind on each disk's interval,
@@ -121,18 +127,9 @@ class CollocationGrid:
         if vals.ndim == 1:
             vals = vals.reshape(-1, self.nodes_per_disk)
         m = vals.shape[-1]
-        coeffs = vals @ _chebyshev_at_nodes(m, m) * 2 / m  # first kind: DCT-II
+        coeffs = vals @ _chebyshev_at_nodes(m) * 2 / m  # first kind: DCT-II
         coeffs[..., 0] *= 0.5
         return coeffs
-
-    def doubled_values(self, values: np.ndarray) -> np.ndarray:
-        """Interpolants through node values (one vector, or one per row) at
-        the 2N first-kind nodes, laid out the same way: the DCT-III of the
-        zero-padded DCT-II, sum_k c_k cos(pi k (2j + 1) / 4N) at node j."""
-        N = self.nodes_per_disk
-        vals = np.asarray(values)
-        coeffs = self.chebyshev_coeffs(vals.reshape(vals.shape[:-1] + (-1, N)))
-        return (coeffs @ _chebyshev_at_nodes(2 * N, N).T).reshape(vals.shape[:-1] + (-1,))
 
     def clenshaw(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Values at pts, shape (n_symbols, m), of the Chebyshev series in
@@ -167,12 +164,12 @@ class ExactGrid:
 
 @dataclass
 class OperatorSpec:
-    """Shift plus its discretization, with grids cached per node count and
-    twist exponents per twist; the doubling seed is one DCT-III, not cached."""
+    """Shift plus its discretization, built on first use with the off-node
+    check blocks (CollocationGrid), and twist exponents cached per twist."""
 
     shift: MarkovShift
     nodes_per_disk: Optional[int] = None
-    _grids: dict = field(default_factory=dict, repr=False)
+    _grid: object = field(default=None, repr=False)
     _twists: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -184,14 +181,12 @@ class OperatorSpec:
         elif self.nodes_per_disk is not None:
             raise ValidationError("exact toy operators take no collocation nodes")
 
-    def grid(self, nodes: Optional[int] = None):
-        """CollocationGrid with nodes per disk, or a toy shift's ExactGrid."""
-        nodes = nodes or self.nodes_per_disk
-        if nodes not in self._grids:
-            shift = self.shift
-            self._grids[nodes] = (CollocationGrid(shift.group, nodes) if shift.analytic
-                                  else ExactGrid(shift))
-        return self._grids[nodes]
+    def grid(self):
+        """The CollocationGrid at nodes_per_disk, or a toy shift's ExactGrid."""
+        if self._grid is None:
+            self._grid = (CollocationGrid(self.shift.group, self.nodes_per_disk)
+                          if self.shift.analytic else ExactGrid(self.shift))
+        return self._grid
 
     def twist(self, v=None, p: int = 0, u=None) -> np.ndarray:
         """cw[a, b] = <u + iv, f[a, b]> + i p theta[a, b] on the admissible
@@ -219,18 +214,24 @@ class OperatorSpec:
         return self.shift.fingerprint()
 
 
-def build_matrix(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
-                 nodes: Optional[int] = None) -> np.ndarray:
+def build_matrix(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None) -> np.ndarray:
     """Dense matrix of L_{s,v,p} (with an optional real twist u) on node
     values, disk after disk: block (b, a) of an admissible transition (a, b)
     is exp(s logd[a,b] + <u + iv, f[a,b]> + i p theta[a,b]) interp[a,b]."""
-    shift, cw, grid = spec.shift, spec.twist(v, p, u), spec.grid(nodes)
-    n, N = shift.k, grid.nodes_per_disk
-    wvec = np.exp(s * grid.logd + cw[:, :, None])  # (a, b, j)
-    M = np.empty((n, N, n, N), dtype=complex)  # entry (b, j, a, k)
-    np.multiply(wvec.transpose(1, 2, 0)[..., None], grid.interp.transpose(1, 2, 0, 3), out=M)
-    M.transpose(0, 2, 1, 3)[shift.transition.T == 0] = 0.0
-    return M.reshape(n * N, n * N)
+    grid = spec.grid()
+    return _assemble(spec, s, spec.twist(v, p, u), grid.logd, grid.interp)
+
+
+def _assemble(spec: OperatorSpec, s: complex, cw: np.ndarray, logd: np.ndarray,
+              interp: np.ndarray) -> np.ndarray:
+    """build_matrix from the blocks logd (n, n, J) and interp (n, n, J, K):
+    the rows are the J points of each target disk, the columns its K nodes."""
+    n, J, K = spec.shift.k, logd.shape[-1], interp.shape[-1]
+    wvec = np.exp(s * logd + cw[:, :, None])  # (a, b, j)
+    M = np.empty((n, J, n, K), dtype=complex)  # entry (b, j, a, k)
+    np.multiply(wvec.transpose(1, 2, 0)[..., None], interp.transpose(1, 2, 0, 3), out=M)
+    M.transpose(0, 2, 1, 3)[spec.shift.transition.T == 0] = 0.0
+    return M.reshape(n * J, n * K)
 
 
 @dataclass
@@ -265,8 +266,8 @@ def _keep(mask: np.ndarray, *arrays) -> list:
     return [None if a is None else a[mask] for a in arrays]
 
 
-def _krylov_schur(M: np.ndarray, X0: np.ndarray, D: Optional[np.ndarray] = None) -> list:
-    """For each row x0 of X0, the dominant Ritz pair (lam, z) of M D_b (D_b =
+def _krylov_schur(M: np.ndarray, starts: np.ndarray, D: Optional[np.ndarray] = None) -> list:
+    """For each row x0 of starts, the dominant Ritz pair (lam, z) of M D_b (D_b =
     diag(row b of D), or 1) from x0 by Krylov-Schur (Stewart, SIAM J. Matrix
     Anal. Appl. 23(3), 2001), or None after KS_RESTARTS restarts.  Arnoldi (two
     classical Gram-Schmidt passes) grows an orthonormal basis, the rows of V (C:
@@ -275,11 +276,11 @@ def _krylov_schur(M: np.ndarray, X0: np.ndarray, D: Optional[np.ndarray] = None)
     |lam|); a basis that closes spans an invariant subspace, with an exact top
     pair.  A step is one product of M with the live members' scaled vectors; a
     member that stops or closes leaves the batch, which is compacted then."""
-    B, n = X0.shape
+    B, n = starts.shape
     m, k, MT, out, live = min(KS_BASIS, n - 1), KS_KEEP, M.T, [None] * B, np.arange(B)
     V = np.zeros((B, m + 1, n), dtype=complex)
     C, H = np.zeros_like(V), np.zeros((B, m + 1, m), dtype=complex)
-    V[:, 0] = X0 / _norms(X0)[:, None]
+    V[:, 0] = starts / _norms(starts)[:, None]
     C[:, 0] = V[:, 0].conj()
     for r in range(KS_RESTARTS):
         for j in range(k if r else 0, m):
@@ -321,64 +322,55 @@ def _krylov_schur(M: np.ndarray, X0: np.ndarray, D: Optional[np.ndarray] = None)
     return out
 
 
-def _dominant(M: np.ndarray, X0: Optional[np.ndarray] = None,
-              D: Optional[np.ndarray] = None) -> list:
+def _dominant(M: np.ndarray, D: Optional[np.ndarray] = None) -> list:
     """Dominant eigenpairs [(lam, z, residual)] of M D_b for the rows D_b of
-    the column scalings D (None: M alone, a batch of one), from the rows of X0.
-    Path rule, per member: only a seeded solve (X0 given: the doubled-node
-    check) runs the power loop, one product of M with the live iterates per
-    step.  A cold solve, or a seed that does not converge, goes to the kernel
-    when M is larger than 16 x 16 (cold: from a fixed near-constant start);
-    dense eig is the last resort."""
-    n, MT, todo = M.shape[0], M.T, np.arange(1 if D is None else len(D))
-    out = [None] * len(todo)
-    if X0 is None:
-        X0 = np.ones((len(out), n), dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, n)
-    else:
-        Z, Dz = X0 / _norms(X0)[:, None], D
-        W = (Z if D is None else D * Z) @ MT
-        for _ in range(60):
-            nw = _norms(W)
-            Zn = W / np.where(nw == 0.0, 1.0, nw)[:, None]
-            W = (Zn if Dz is None else Dz * Zn) @ MT
-            lam = np.vecdot(Zn, W)  # np.vdot per row, with its bits
-            res = _norms(W - lam[:, None] * Zn)
-            done = (nw == 0.0) | (res < 1e-12 * np.maximum(1.0, np.abs(lam)))
-            for i in np.flatnonzero(done):  # M D z = 0: eigenvalue 0, eigenvector z
-                out[todo[i]] = (lam[i], Zn[i], float(res[i])) if nw[i] else (0j, Z[i], 0.0)
-            if done.all():
-                return out
-            todo, Z, W, Dz = _keep(~done, todo, Zn, W, Dz)
-    pairs = _krylov_schur(M, X0[todo], _keep(todo, D)[0]) if n > 16 else [None] * len(todo)
-    for i, pair in zip(todo, pairs):
+    the column scalings D (None: M alone, a batch of one).  Path rule, per
+    member: the kernel from a fixed near-constant start when M is larger than
+    16 x 16; dense eig when M is smaller or the kernel's pair misses 1e-10."""
+    n, B = M.shape[0], 1 if D is None else len(D)
+    starts = np.ones((B, n), dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, n)
+    out = []
+    for i, pair in enumerate(_krylov_schur(M, starts, D) if n > 16 else [None] * B):
         A = M if D is None else M * D[i]
         if pair is not None:
             lam, z = pair
             res = float(np.linalg.norm(A @ z - lam * z))
             if res < 1e-10 * max(1.0, abs(lam)):
-                out[i] = lam, z, res
+                out.append((lam, z, res))
                 continue
         lam, z = _dense_leading(A)
-        out[i] = lam, z, float(np.linalg.norm(A @ z - lam * z) / np.linalg.norm(z))
+        out.append((lam, z, float(np.linalg.norm(A @ z - lam * z) / np.linalg.norm(z))))
     return out
+
+
+def _off_node_residuals(spec: OperatorSpec, s: complex, v, p: int, u,
+                        D: Optional[np.ndarray], pairs: list) -> np.ndarray:
+    """r = |(R D_b - lam E) h| / (|lam| |E h|) per eigenpair (lam, h) of M D_b:
+    R = M(s, v, p, u) evaluated at the 2N first-kind nodes of each disk (n 2N x
+    n N, from CollocationGrid's off_* blocks), E h the interpolant of h there.
+    Every member in one product; r ~ rounding when h resolves the eigenfunction."""
+    grid = spec.grid()
+    lam, H = np.array([lam for lam, _, _ in pairs]), np.array([h for _, h, _ in pairs])
+    R = _assemble(spec, s, spec.twist(v, p, u), grid.off_logd, grid.off_interp)
+    Eh = (grid.off_eye @ H.reshape(len(H), -1, grid.nodes_per_disk, 1)).reshape(len(H), -1)
+    RDh = (H if D is None else D * H) @ R.T
+    return _norms(RDh - lam[:, None] * Eh) / (np.abs(lam) * _norms(Eh))
 
 
 def _certified(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
                phases: Optional[np.ndarray] = None, check_stability: bool = True):
     """M = M(s, v, p, u) and _dominant's eigenpairs (lam, h, res) of M D_b, D_b
     scaling block column a by phases[b, a] (None: M alone), each res < RESIDUAL_TOL
-    and, with collocation, lam stable under node doubling (seeded with h)."""
+    and, with collocation, each off-node residual r <= OFF_NODE_TOL."""
     N, M = spec.grid().nodes_per_disk, build_matrix(spec, s, v, p, u)
-    pairs = _dominant(M, None, None if phases is None else np.repeat(phases, N, axis=1))
+    D = None if phases is None else np.repeat(phases, N, axis=1)
+    pairs = _dominant(M, D)
     if bad := [res for _, _, res in pairs if not res < RESIDUAL_TOL]:
         raise NotConverged(f"residual {bad[0]:.3e}")
     if spec.shift.analytic and check_stability:
-        fine = _dominant(build_matrix(spec, s, v, p, u, nodes=2 * N),
-                         spec.grid().doubled_values(np.array([h for _, h, _ in pairs])),
-                         None if phases is None else np.repeat(phases, 2 * N, axis=1))
-        for (lam, _, _), (lam2, _, _) in zip(pairs, fine):
-            if (moved := abs(lam - lam2)) > DOUBLING_TOL * max(abs(lam2), 1e-12):
-                raise DiscretizationUnstable(f"lambda moved {moved:.2e} under node doubling")
+        r = _off_node_residuals(spec, s, v, p, u, D, pairs)
+        if bad := [x for x in r if not x <= OFF_NODE_TOL]:
+            raise DiscretizationUnstable(f"off-node residual {bad[0]:.2e} > {OFF_NODE_TOL:g}")
     return M, pairs
 
 
@@ -490,7 +482,7 @@ def _solve_pressure_root(spec: OperatorSpec, u=None) -> float:
 def spectral_at_delta(spec: OperatorSpec, want_measure: bool = False) -> SpectralResult:
     """The leading eigenpair at delta, the root of lambda(s, 0, 0) = 1, with
     the eigenmeasure too when want_measure; its s is delta.  One certified
-    solve at the root, which collocation checks against node doubling."""
+    solve at the root, which collocation checks by its off-node residual."""
     return leading_eigenvalue(spec, _solve_pressure_root(spec), want_measure=want_measure)
 
 
@@ -606,10 +598,11 @@ def spectral_radius_scan(spec: OperatorSpec, delta: float, t_grid: Sequence[floa
 
     A twist whose phase depends on a transition's first symbol alone (every
     twist of a Schottky coding; _column_phases) scales the block columns of
-    M(delta + i t, 0, 0): each t row builds that matrix at N nodes per disk and
-    at 2N and solves those twists as one batch; any other twist solves its own
-    matrices.  Row t_i goes to process i mod shift._workers() (shift._fork_map),
-    which inherits the grids built here; no row depends on its process."""
+    M(delta + i t, 0, 0): each t row builds that matrix, solves those twists as
+    one batch and checks their off-node residuals in one product; any other
+    twist solves its own matrix.  Row t_i goes to process i mod
+    shift._workers() (shift._fork_map), which inherits the grid and its check
+    blocks built here; no row depends on its process."""
     shift, points = spec.shift, []
     for v in v_grid:
         vv = tuple(np.atleast_1d(np.asarray(v, dtype=float)).tolist())
@@ -618,8 +611,6 @@ def spectral_radius_scan(spec: OperatorSpec, delta: float, t_grid: Sequence[floa
         points += [(vv, p, _column_phases(spec, vv, p)) for p in p_list]
     P = np.array([ph for _, _, ph in points if ph is not None])
     spec.grid()
-    if shift.analytic:
-        spec.grid(2 * spec.nodes_per_disk)
 
     def scan_rows(ts):
         rows = []

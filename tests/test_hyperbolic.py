@@ -269,6 +269,20 @@ def test_trace_invariants_of_large_traces(R):
         assert abs(wrap_angle(theta - 4 * math.pi * k / 64)) < 1e-12
 
 
+@pytest.mark.parametrize("model", [Model.H2, Model.H3])
+@pytest.mark.parametrize("tr", [1e160, -3e170, 1e300, 1e200 + 1e199j])
+def test_trace_invariants_past_the_square_overflow(tr, model):
+    # tr * tr overflows past |tr| ~ 1.3e154 (length ~ 709), which gave (inf,
+    # nan) or (nan, nan); up there the multiplier is tr to the last bit
+    length, theta = trace_invariants(tr, model)
+    assert length == 2 * math.log(abs(tr))
+    assert math.isfinite(theta)
+    if model == Model.H3:
+        assert abs(wrap_angle(theta - 2 * cmath.phase(tr))) < 1e-15
+    else:
+        assert theta == 0.0
+
+
 def test_trace_invariants_of_a_long_d0_class(group_d0):
     # 95 letters, tr = -9.7e42 - 5.6e43i: the cancelled root gave length 123.38
     m = group_d0.evaluate((1,) + (-2,) * 88 + (-1, 2, 2, -1, -2, -2))

@@ -475,13 +475,13 @@ def test_fork_map_nested_call_runs_serially():
 def test_fork_map_reraises_and_reaps(raising):
     def fn(c):
         if c == raising:
-            raise DiscretizationUnstable("lambda moved 3.70e-05 under node doubling")
+            raise DiscretizationUnstable("off-node residual 3.70e-05 > 1e-08")
         return c
 
     with pytest.raises(DiscretizationUnstable) as info:
         sh._fork_map(fn, [0, 1, 2])
     assert type(info.value) is DiscretizationUnstable
-    assert str(info.value) == "lambda moved 3.70e-05 under node doubling"
+    assert str(info.value) == "off-node residual 3.70e-05 > 1e-08"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

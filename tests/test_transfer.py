@@ -81,11 +81,11 @@ def test_toy_matrix_closed_form(toy3_mixed, s, v, u, p):
     assert_allclose(build_matrix(OperatorSpec(shift), s, v, p, u), W.T, rtol=1e-15, atol=0)
 
 
-def _build_matrix_by_blocks(spec, s, v=None, p=0, u=None, nodes=None):
+def _build_matrix_by_blocks(spec, s, v=None, p=0, u=None):
     """build_matrix one transition block at a time: the oracle for the
     one-expression assembly, which must match it bit for bit."""
     shift = spec.shift
-    grid = spec.grid(nodes)
+    grid = spec.grid()
     n, N, d = shift.k, grid.nodes_per_disk, shift.d
     v = np.zeros(d) if v is None else np.asarray(v, dtype=float)
     u = np.zeros(d) if u is None else np.asarray(u, dtype=float)
@@ -356,13 +356,13 @@ def test_brent_out_of_iterations_is_not_converged(toy2_spec, monkeypatch):
 
 def test_surface_solves_once_at_delta(spec_b, monkeypatch):
     # 10 eigensolves find delta, then one certified eigentriple: the right
-    # solve, its seeded doubled solve and the left solve
+    # solve and the left solve; the off-node check solves nothing
     sizes = []
     solve = tr._dominant
     monkeypatch.setattr(tr, "_dominant",
-                        lambda M, X0=None, D=None: sizes.append(M.shape[0]) or solve(M, X0, D))
+                        lambda M, D=None: sizes.append(M.shape[0]) or solve(M, D))
     pressure_surface(spec_b)
-    assert Counter(sizes) == {96: 12, 192: 1}
+    assert Counter(sizes) == {96: 12}
 
 
 def test_schottky_pressure_symmetric(spec_b):
@@ -402,11 +402,13 @@ def test_scan_rows_sorted_and_clean_on_fixture(spec_b, delta_b):
 
 
 def test_scan_rows_same_bits_in_two_processes(shift_b, delta_b, monkeypatch):
+    # at the scan's default of 48 nodes; at 24 the rows t = 1.0 and 1.25 fail
+    # the off-node check (test_scan_rejects_an_unresolved_row_at_24_nodes)
     grid = dict(t_grid=[0.5, 0.25, 0.75, 1.0, 1.25], v_grid=[[0.0], [3.14]])
     rows = []
     for workers in (1, 2):
         monkeypatch.setattr(sh, "_workers", lambda: workers)
-        spec = OperatorSpec(shift_b, nodes_per_disk=24)
+        spec = OperatorSpec(shift_b, nodes_per_disk=48)
         rows.append(spectral_radius_scan(spec, delta_b, **grid).rows)
     assert rows[0] == rows[1]
 
@@ -422,8 +424,8 @@ def test_scan_batches_only_column_scaling_twists(toy3_mixed, monkeypatch):
     sizes = []
     solve = tr._dominant
     monkeypatch.setattr(sh, "_workers", lambda: 1)
-    monkeypatch.setattr(tr, "_dominant", lambda M, X0=None, D=None:
-                        sizes.append(0 if D is None else len(D)) or solve(M, X0, D))
+    monkeypatch.setattr(tr, "_dominant", lambda M, D=None:
+                        sizes.append(0 if D is None else len(D)) or solve(M, D))
     rows = spectral_radius_scan(spec, 0.4, [1.3, 0.0], v_grid, p_list).rows
     assert Counter(sizes) == {3: 2, 0: 2 * 6}
     for r in rows:
@@ -433,20 +435,31 @@ def test_scan_batches_only_column_scaling_twists(toy3_mixed, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "forked"])
 def test_scan_batch_keeps_the_doubling_check(shift_b, delta_b, monkeypatch, workers):
-    # at N = 24, lambda at twist 2 pi / 16 of the default grid's fifth t row
-    # moves by 7.57e-9 under node doubling, above DOUBLING_TOL relative to it;
-    # forked, that row is the child's
+    # at N = 24, the eigenfunction at twist 2 pi / 16 of the default grid's
+    # fifth t row has off-node residual 1.18e-8, above OFF_NODE_TOL; forked,
+    # that row is the child's
     monkeypatch.setattr(sh, "_workers", lambda: workers)
     spec = OperatorSpec(shift_b, nodes_per_disk=24)
     t_grid = np.linspace(0.05, 5.0, 25)[[0, 4]]
     v_grid = [[x] for x in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
-    with pytest.raises(DiscretizationUnstable, match="lambda moved 7.57e-09 under node doubling"):
+    with pytest.raises(DiscretizationUnstable, match=r"^off-node residual 1\.18e-08 > 1e-08$"):
         spectral_radius_scan(spec, delta_b, t_grid, v_grid)
 
 
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "forked"])
+def test_scan_rejects_an_unresolved_row_at_24_nodes(shift_b, delta_b, monkeypatch, workers):
+    # the row t = 1.25, v = 0 at N = 24: off-node residual 1.34e-8, where
+    # doubling moved lambda by less than 1e-8 and passed it.  The residual is
+    # the stricter check; forked, the row is the child's
+    monkeypatch.setattr(sh, "_workers", lambda: workers)
+    spec = OperatorSpec(shift_b, nodes_per_disk=24)
+    assert spectral_radius_scan(spec, delta_b, [0.5], [[0.0]]).rows
+    with pytest.raises(DiscretizationUnstable, match=r"^off-node residual 1\.34e-08 > 1e-08$"):
+        spectral_radius_scan(spec, delta_b, [0.5, 1.25], [[0.0]])
+
+
 def test_not_converged_message(toy2_spec, monkeypatch):
-    monkeypatch.setattr(tr, "_dominant",
-                        lambda M, X0=None, D=None: [(1.0 + 0j, np.ones(2), 1.2e-3)])
+    monkeypatch.setattr(tr, "_dominant", lambda M, D=None: [(1.0 + 0j, np.ones(2), 1.2e-3)])
     with pytest.raises(NotConverged) as err:
         leading_eigenvalue(toy2_spec, math.log(2.0))
     assert str(err.value) == "eigensolver did not converge: residual 1.200e-03"
@@ -458,8 +471,8 @@ def test_left_eigenpair_checked(toy2_spec, monkeypatch, left_shift, left_res):
     # the right solve is exact; the left one (the second call) is perturbed
     solve, calls = tr._dominant, []
 
-    def perturbed(M, X0=None, D=None):
-        [(lam, z, res)] = solve(M, X0, D)
+    def perturbed(M, D=None):
+        [(lam, z, res)] = solve(M, D)
         calls.append(M)
         if len(calls) == 2:
             return [(lam + left_shift, z, res + left_res)]
@@ -478,8 +491,8 @@ def test_perron_vectors_ignore_solver_phase(spec_b, delta_b, monkeypatch, want_m
     want = leading_eigenvalue(spec_b, delta_b, want_measure=want_measure)
     solve = tr._dominant
 
-    def rotated(M, X0=None, D=None):
-        return [(lam, 1j * z / z[np.argmax(np.abs(z))], res) for lam, z, res in solve(M, X0, D)]
+    def rotated(M, D=None):
+        return [(lam, 1j * z / z[np.argmax(np.abs(z))], res) for lam, z, res in solve(M, D)]
 
     monkeypatch.setattr(tr, "_dominant", rotated)
     got = leading_eigenvalue(spec_b, delta_b, want_measure=want_measure)
@@ -491,14 +504,13 @@ def test_perron_vectors_ignore_solver_phase(spec_b, delta_b, monkeypatch, want_m
 
 # -- eigensolver paths -------------------------------------------------------------
 
-def _reference_dominant(M, v0=None):
+def _reference_dominant(M):
     """The eigensolver before its power step reused its product: three
     products with M per step, and the power loop before ARPACK on every
-    matrix.  The oracle: bit-identical where a seeded power loop converges,
-    within the kernel's tolerance on every other solve."""
+    matrix, from the cold start.  The oracle: every solve agrees with it within
+    the kernel's tolerance."""
     n = M.shape[0]
-    if v0 is None:
-        v0 = np.ones(n, dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, n)
+    v0 = np.ones(n, dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, n)
     z = v0 / np.linalg.norm(v0)
     for _ in range(60):
         w = M @ z
@@ -527,43 +539,23 @@ def _reference_dominant(M, v0=None):
     return lam, z, float(np.linalg.norm(M @ z - lam * z) / np.linalg.norm(z))
 
 
-def _solve_one(M, v0=None):
-    """tr._dominant on M alone from v0 (None: cold), the batch of one."""
-    [pair] = tr._dominant(M, None if v0 is None else v0[None])
+def _solve_one(M):
+    """tr._dominant on M alone, the batch of one."""
+    [pair] = tr._dominant(M)
     return pair
 
 
-def _doubling_seed(spec, h):
-    """h's interpolant on the doubled nodes by Clenshaw recurrence, the
-    reference for the DCT-III seed of the doubled solve."""
-    grid, fine = spec.grid(), spec.grid(2 * spec.nodes_per_disk)
-    return grid.clenshaw(grid.chebyshev_coeffs(h), np.array(fine.nodes)).ravel()
-
-
-def _assert_same_bits(got, want):
-    assert got[0] == want[0]
-    assert np.array_equal(got[1], want[1])
-    assert got[2] == want[2]
-
-
 def _reference_case(case, spec_b, delta_b, toy2_spec):
-    """(M, v0) of a named reference case.  At a scan point at N = 48 the seeded
-    384 x 384 doubling solve converges in the power loop; every other case is
-    a cold solve, which skips the loop."""
-    spec48 = OperatorSpec(spec_b.shift, nodes_per_disk=48)
-    s, v = complex(delta_b, 1.0), [0.5]
+    """The matrix of a named reference case."""
     if case == "perron-b-delta":
-        return build_matrix(spec_b, delta_b), None
+        return build_matrix(spec_b, delta_b)
     if case == "perron-b-half":
-        return build_matrix(spec_b, 0.5), None
+        return build_matrix(spec_b, 0.5)
     if case == "perron-toy2":
-        return build_matrix(toy2_spec, math.log(2.0)), None
-    if case == "seeded-doubling-b48":
-        _, h, _ = _reference_dominant(build_matrix(spec48, s, v))
-        return build_matrix(spec48, s, v, nodes=96), _doubling_seed(spec48, h)
-    M = build_matrix(spec48, s, v)
+        return build_matrix(toy2_spec, math.log(2.0))
+    M = build_matrix(OperatorSpec(spec_b.shift, nodes_per_disk=48), complex(delta_b, 1.0), [0.5])
     assert M.shape == (192, 192) and np.any(M.imag)
-    return M, None
+    return M
 
 
 def _assert_agrees_with_reference(got, want, M):
@@ -574,46 +566,37 @@ def _assert_agrees_with_reference(got, want, M):
     assert res < 1e-10 and np.linalg.norm(M @ z - lam * z) / np.linalg.norm(z) < 1e-10
 
 
-@pytest.mark.parametrize("case", ["seeded-doubling-b48"])
-def test_dominant_bit_identical_to_reference(case, spec_b, delta_b, toy2_spec):
-    # a seeded solve that converges in the power loop never reaches the kernel
-    M, v0 = _reference_case(case, spec_b, delta_b, toy2_spec)
-    _assert_same_bits(_solve_one(M, v0), _reference_dominant(M, v0))
-
-
 @pytest.mark.parametrize("case", ["perron-b-delta", "perron-b-half", "perron-toy2",
                                   "cold-twisted-b48"])
 def test_dominant_kernel_matches_reference(case, spec_b, delta_b, toy2_spec):
-    M, v0 = _reference_case(case, spec_b, delta_b, toy2_spec)
-    _assert_agrees_with_reference(_solve_one(M, v0), _reference_dominant(M, v0), M)
+    M = _reference_case(case, spec_b, delta_b, toy2_spec)
+    _assert_agrees_with_reference(_solve_one(M), _reference_dominant(M), M)
 
 
 def test_scan_rows_match_reference_solver(shift_b, delta_b, monkeypatch):
     # the oracle builds each point's own matrix M(delta + it, v) and solves it
     # with the reference solver; the scan builds M(delta + it, 0) once per t row
-    # and node count, and solves the row's twists as its column scalings
+    # and solves the row's twists as its column scalings
     grid = dict(t_grid=[0.5, 0.25, 0.75], v_grid=[[0.0], [3.14]])
     spec = OperatorSpec(shift_b, nodes_per_disk=24)
     solves, builds = [], []
     solve, build = tr._dominant, tr.build_matrix
     monkeypatch.setattr(sh, "_workers", lambda: 1)  # a worker's calls are not recorded here
-    monkeypatch.setattr(tr, "_dominant",
-                        lambda M, X0=None, D=None: solves.append((M, X0, D)) or solve(M, X0, D))
+    monkeypatch.setattr(tr, "_dominant", lambda M, D=None: solves.append((M, D)) or solve(M, D))
     monkeypatch.setattr(tr, "build_matrix", lambda *a, **kw: builds.append(a) or build(*a, **kw))
     got = spectral_radius_scan(spec, delta_b, **grid).rows
-    assert len(builds) == len(solves) == 2 * 3  # at N and at 2N, per t row
+    assert len(builds) == len(solves) == 3  # one per t row
     want = [(t, (v,), 0, abs(_reference_dominant(build(spec, complex(delta_b, t), [v]))[0]))
             for t in sorted(grid["t_grid"]) for v in (0.0, 3.14)]
     assert [(r.t, r.v, r.p) for r in got] == [w[:3] for w in want]
     # no trivial point (t > 0): a violation is |lambda| above 1 - margin
     assert [r.violation for r in got] == [w[3] > 1.0 - 1e-3 for w in want]
     assert_allclose([r.abs_lambda for r in got], [w[3] for w in want], rtol=1e-13, atol=0)
-    for M, X0, D in solves:
+    for M, D in solves:
         assert D.shape == (2, M.shape[0])
-        for i, pair in enumerate(solve(M, X0, D)):
+        for i, pair in enumerate(solve(M, D)):
             A = M * D[i]
-            _assert_agrees_with_reference(
-                pair, _reference_dominant(A, None if X0 is None else X0[i]), A)
+            _assert_agrees_with_reference(pair, _reference_dominant(A), A)
 
 
 # -- the Krylov-Schur kernel ---------------------------------------------------------
@@ -682,8 +665,9 @@ def test_krylov_schur_batch_matches_dense_eig(restarts, monkeypatch):
     # M D_b.  Member 0 starts inside the first block, so its Krylov space
     # closes after 8 vectors and it leaves the batch mid-cycle.  Member 1's
     # scaling leaves P2's pair at ratio 0.99 on top, so at KS_RESTARTS = 1 it
-    # hits the cap and reaches dense eig.  Member 2 turns every column by its
-    # own phase, as the scan's twists do.
+    # hits the cap and reaches dense eig, from its own start and from
+    # _dominant's cold one.  Member 2 turns every column by its own phase, as
+    # the scan's twists do.
     P1, P2 = _planted(8, seed=8)[0], _planted(88, seed=88)[0]
     M = np.zeros((96, 96), dtype=complex)
     M[:8, :8], M[8:, 8:] = P1, P2
@@ -701,7 +685,7 @@ def test_krylov_schur_batch_matches_dense_eig(restarts, monkeypatch):
     dense = []
     leading = tr._dense_leading
     monkeypatch.setattr(tr, "_dense_leading", lambda A: dense.append(A) or leading(A))
-    for b, (lam, z, res) in enumerate(tr._dominant(M, X0, D)):
+    for b, (lam, z, res) in enumerate(tr._dominant(M, D)):
         A = M * D[b]
         vals = np.linalg.eigvals(A)
         want = vals[np.argmax(np.abs(vals))]
@@ -711,47 +695,26 @@ def test_krylov_schur_batch_matches_dense_eig(restarts, monkeypatch):
     assert all(np.array_equal(A, M * D[1]) for A in dense)
 
 
-def test_seeded_batch_members_converge_at_their_own_step(monkeypatch):
-    # the power loop drops a member once it converges and steps the rest with
-    # their own scalings: member 0 starts at its eigenvector, member 1 (the
-    # same matrix turned by a constant phase) some steps away from it
-    rng = np.random.default_rng(40)
-    X = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    M = np.linalg.solve(X, X * np.r_[1.3, 0.4 * rng.random(39)][:, None])
-    top = np.linalg.solve(X, np.eye(40)[0])
-    D = np.ones((2, 40), dtype=complex)
-    D[1] = np.exp(0.9j)
-    X0 = np.stack([top, top + 1e-3 * np.linalg.norm(top) * rng.standard_normal(40)])
-    monkeypatch.setattr(tr, "_krylov_schur", None)  # both converge in the power loop
-    pairs = tr._dominant(M, X0, D)
-    # the loop stops at a residual of 1e-12 |lam|; X is not unitary
-    for (lam, z, res), want in zip(pairs, (1.3, 1.3 * np.exp(0.9j))):
-        assert abs(lam - want) <= 1e-10 * abs(want) and res < 1e-12 * abs(want)
-
-
-@pytest.mark.parametrize("case", ["perron-b-half", "perron-toy2", "seeded-doubling-b48"])
+@pytest.mark.parametrize("case", ["perron-b-half", "perron-toy2"])
 def test_dominant_path_rule(case, spec_b, delta_b, toy2_spec, monkeypatch):
-    # a cold solve goes straight to the kernel from the fixed start (dense eig
-    # at 16 x 16 and below); the seeded doubling solve converges in the power
-    # loop and reaches neither
-    M, v0 = _reference_case(case, spec_b, delta_b, toy2_spec)
+    # every solve goes straight to the kernel from the fixed start, or to
+    # dense eig at 16 x 16 and below
+    M = _reference_case(case, spec_b, delta_b, toy2_spec)
     starts, dense = [], []
     kernel, leading = tr._krylov_schur, tr._dense_leading
     monkeypatch.setattr(tr, "_krylov_schur",
                         lambda A, X, D=None: starts.append(X) or kernel(A, X, D))
     monkeypatch.setattr(tr, "_dense_leading", lambda A: dense.append(A) or leading(A))
-    _solve_one(M, v0)
+    _solve_one(M)
     n = M.shape[0]
     if case == "perron-b-half":
         assert n == 96 and len(starts) == 1 and starts[0].shape == (1, n) and not dense
         assert np.array_equal(starts[0][0], np.ones(n) + 1e-3 * np.linspace(0.0, 1.0, n))
-    elif case == "perron-toy2":
-        assert n <= 16 and not starts and len(dense) == 1 and dense[0] is M
     else:
-        assert v0 is not None and not starts and not dense
+        assert n <= 16 and not starts and len(dense) == 1 and dense[0] is M
 
 
-def _dense_dominant(M, X0=None, D=None):
+def _dense_dominant(M, D=None):
     out = []
     for A in ([M] if D is None else [M * d for d in D]):
         vals, vecs = np.linalg.eig(A)
@@ -784,14 +747,6 @@ def test_cosine_matrix_dct_matches_scipy(group_b, N):
         want[:, 0] *= 0.5
         got = grid.chebyshev_coeffs(vals.ravel())
         assert_allclose(got, want, rtol=0, atol=2e-14 * np.abs(want).max())
-        # DCT-III of the zero-padded DCT-II: the doubling seed
-        want = (dct(dct(vals, type=2, axis=1), type=3, n=2 * N, axis=1) / (2 * N)).ravel()
-        got = grid.doubled_values(vals.ravel())
-        assert_allclose(got, want, rtol=0, atol=2e-14 * np.abs(want).max())
-        # one vector per row, as the scan's batched seeds, row by row the same
-        stack = grid.doubled_values(np.stack([vals.ravel(), vals.ravel()[::-1]]))
-        assert np.array_equal(stack[0], got)
-        assert np.array_equal(stack[1], grid.doubled_values(vals.ravel()[::-1]))
         # 2N values per row, as the sampler's branch-weight tables
         wide = np.concatenate([vals, vals[:, ::-1] ** 2], axis=-1)
         want = dct(wide, type=2, axis=-1) / (2 * N)
@@ -800,26 +755,115 @@ def test_cosine_matrix_dct_matches_scipy(group_b, N):
         assert_allclose(got, want, rtol=0, atol=2e-14 * np.abs(want).max())
 
 
-def test_doubling_seed_matches_barycentric(shift_b, delta_b, monkeypatch):
-    # the doubled solve starts from h's interpolant on the 2N nodes, evaluated
-    # by one DCT-III; Clenshaw on the same coefficients and the barycentric
-    # basis on those nodes are the oracles
-    spec = OperatorSpec(shift_b, nodes_per_disk=24)
-    s, v = complex(delta_b, 0.5), [3.14]
-    seeds = []
-    solve = tr._dominant
-    monkeypatch.setattr(tr, "_dominant",
-                        lambda M, X0=None, D=None: seeds.append(X0) or solve(M, X0, D))
-    h = leading_eigenvalue(spec, s, v).h
-    assert seeds[0] is None and np.iscomplexobj(h) and np.any(h.imag)
-    grid, fine = spec.grid(), spec.grid(48)
-    assert seeds[1].shape == (1, 192)  # the batch of one
-    seed = seeds[1][0]
-    assert np.array_equal(seed, grid.doubled_values(h))
-    scale = np.abs(seed).max()
-    assert_allclose(seed, _doubling_seed(spec, h), rtol=0, atol=4e-15 * scale)
-    bary = np.concatenate([grid.interp_values(a, fine.nodes[a]) @ h[a * 24:(a + 1) * 24]
-                           for a in range(4)])
-    # relative to the vector's scale: entries 30x below it lose digits to
-    # cancellation in either evaluator
-    assert_allclose(seed, bary, rtol=1e-13, atol=1e-13 * np.abs(bary).max())
+
+
+# -- the off-node residual -------------------------------------------------------
+
+def test_off_node_blocks_match_clenshaw_and_branch_sum(group_b, spec_b, spectral_b):
+    # at disk b's 2N first-kind nodes x, off_eye gives h's interpolant (Clenshaw
+    # on h's coefficients is the oracle) and the off_* blocks give the
+    # operator applied to it, the direct sum over branches of |den|^-2s
+    # times the interpolant of disk a at the branch image
+    import covercount.schottky as sk
+    grid, N, s = spec_b.grid(), spec_b.nodes_per_disk, 0.75
+    h = np.real(spectral_b.h)
+    coeffs = grid.chebyshev_coeffs(h)
+    x = grid.first_kind_nodes(2 * N)
+    Eh = (grid.off_eye @ h.reshape(4, N, 1))[..., 0]
+    assert_allclose(Eh, grid.clenshaw(coeffs, x), rtol=1e-13)
+    R = tr._assemble(spec_b, s, spec_b.twist(), grid.off_logd, grid.off_interp)
+    assert R.shape == (4 * 2 * N, 4 * N)
+    direct = np.zeros((4, 2 * N))
+    for b in range(4):
+        for a in range(4):
+            if a != sk.inverse_index(b):
+                ma = group_b.symbol_matrix(a)
+                den = ma[2] * x[b] + ma[3]
+                y = ((ma[0] * x[b] + ma[1]) / den).real
+                direct[b] += np.abs(den) ** (-2 * s) * grid.clenshaw(coeffs, np.tile(y, (4, 1)))[a]
+    assert_allclose((R @ h).reshape(4, 2 * N), direct, rtol=1e-12)
+
+
+def _verdicts(spec, s, phases=None):
+    """(residual accepts, doubling accepts) per member of the certified solve
+    at s, one member per row of phases (None: the untwisted operator).  The
+    oracle is the retired certificate: lambda from a cold solve at 2N nodes
+    per disk must agree with lambda at N to within 1e-8 of its modulus."""
+    D = None if phases is None else np.repeat(phases, spec.nodes_per_disk, axis=1)
+    _, pairs = tr._certified(spec, s, phases=phases, check_stability=False)
+    r = tr._off_node_residuals(spec, s, None, 0, None, D, pairs)
+    fine = OperatorSpec(spec.shift, nodes_per_disk=2 * spec.nodes_per_disk)
+    D2 = None if phases is None else np.repeat(phases, 2 * spec.nodes_per_disk, axis=1)
+    lam2 = np.array([lam for lam, _, _ in tr._dominant(build_matrix(fine, s), D2)])
+    lam = np.array([lam for lam, _, _ in pairs])
+    return r <= tr.OFF_NODE_TOL, np.abs(lam - lam2) <= 1e-8 * np.maximum(np.abs(lam2), 1e-12)
+
+
+def _scan_verdicts(spec, t_grid, v_count=16):
+    delta = critical_exponent(spec)
+    axis = np.linspace(0.0, 2.0 * math.pi, v_count, endpoint=False)
+    P = np.array([tr._column_phases(spec, [v], 0) for v in axis])
+    rows = [_verdicts(spec, complex(delta, t), P) for t in t_grid]
+    return np.concatenate([r for r, _ in rows]), np.concatenate([d for _, d in rows])
+
+
+def _bench_scan_grid(seed):
+    """The t grid of the benchmark's scan-b job at seed (bench/workloads.py)."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # its dataclasses look their module up
+    [argv] = [job.argv for job in workloads.numerics(seed) if job.name == "scan-b"]
+    t_min, t_max = (float(argv[argv.index(flag) + 1]) for flag in ("--t-min", "--t-max"))
+    return np.linspace(t_min, t_max, 25)
+
+
+C5_T_GRID = np.linspace(0.05, 5.0, 25)
+
+
+@pytest.mark.parametrize("case", ["delta-b24", "delta-b48", "delta-c20", "delta-c24",
+                                  "c5-b48", "bench-scan-b48-seed1"])
+def test_off_node_residual_agrees_with_doubling(case):
+    # every shipped configuration: the residual and the doubled solve accept
+    # the same points (all of them)
+    name, N = ("b", 48) if case.startswith(("c5", "bench")) else (case[6], int(case[7:]))
+    spec = OperatorSpec(from_schottky(load_group(f"fixture:{name}")), nodes_per_disk=N)
+    if case.startswith("delta"):
+        residual, doubling = _verdicts(spec, tr._solve_pressure_root(spec))
+    else:
+        t_grid = C5_T_GRID if case == "c5-b48" else _bench_scan_grid(1)
+        residual, doubling = _scan_verdicts(spec, t_grid)
+        assert residual.size == 400
+    assert residual.all() and doubling.all()
+
+
+def test_off_node_residual_no_looser_than_doubling(shift_b):
+    # off the shipped configurations the residual is the stricter check: on
+    # the C5 grid at N = 24 it accepts no point that doubling rejects (and
+    # rejects 25 that doubling accepts); at N = 20, delta of b fails it with
+    # r = 2.71e-8 where doubling moved lambda by 1.75e-9
+    residual, doubling = _scan_verdicts(OperatorSpec(shift_b, nodes_per_disk=24), C5_T_GRID)
+    assert not np.any(residual & ~doubling)
+    assert np.count_nonzero(doubling & ~residual) == 25
+    spec20 = OperatorSpec(shift_b, nodes_per_disk=20)
+    [residual], [doubling] = _verdicts(spec20, tr._solve_pressure_root(spec20))
+    assert doubling and not residual
+    with pytest.raises(DiscretizationUnstable, match=r"^off-node residual 2\.71e-08 > 1e-08$"):
+        critical_exponent(spec20)
+
+
+def test_scan_row_solves_once_at_n_nodes(shift_b, delta_b, monkeypatch):
+    # a C5-size row (N = 48, 16 twists) is one batched solve of the n N x n N
+    # matrix; its off-node check solves nothing
+    spec = OperatorSpec(shift_b, nodes_per_disk=48)
+    solves, dense, solve = [], [], tr._dominant
+    monkeypatch.setattr(sh, "_workers", lambda: 1)
+    monkeypatch.setattr(tr, "_dominant", lambda M, D=None: solves.append((M, D)) or solve(M, D))
+    monkeypatch.setattr(tr, "_dense_leading", lambda A: dense.append(A))
+    v_grid = [[x] for x in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
+    assert len(spectral_radius_scan(spec, delta_b, [1.0], v_grid).rows) == 16
+    [(M, D)] = solves
+    assert M.shape == (192, 192) and D.shape == (16, 192) and not dense
