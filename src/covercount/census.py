@@ -152,11 +152,14 @@ def geodesics_by_homology(group: SchottkyGroup, prediction: Prediction, L_max: f
     """Primitive-class counts: the trivial class against the absolute law
     e^{delta L} / ((2 pi sigma)^{d/2} delta L^{d/2+1}), d = group.d, with
     every class that has a record <= the last checkpoint in counts; for
-    d = 0 the total count against e^{delta L} / (delta L).
+    d = 0 the total count against e^{delta L} / (delta L).  Classes are
+    enumerated up to the last checkpoint, which must not exceed L_max.
 
     sink, if given, receives every enumerated record, in enumeration order.
     """
     cps = np.asarray(sorted(float(t) for t in checkpoints))
+    if cps[-1] > L_max:
+        raise ValidationError("checkpoints exceed L_max")
     by_class, totals = _by_class(
         cps, lambda emit: sk.primitive_classes(group, float(cps[-1]), emit=emit,
                                                budget=budget), sink)
@@ -183,10 +186,14 @@ def holonomy_equidistribution(group: SchottkyGroup, L_max: float,
                               checkpoints: Sequence[float],
                               budget: Optional[int] = None) -> CensusReport:
     """Normalized character sums |sum e^{i p theta_C}| / #classes per
-    checkpoint; class functions with zero mean must equidistribute to 0."""
+    checkpoint; class functions with zero mean must equidistribute to 0.
+    Classes are enumerated up to the last checkpoint, which must not exceed
+    L_max."""
     if group.model != hyp.Model.H3:
         raise ValidationError("holonomy census needs the H3 model")
     cps = np.asarray(sorted(float(t) for t in checkpoints))
+    if cps[-1] > L_max:
+        raise ValidationError("checkpoints exceed L_max")
     lengths, theta = [], []
 
     def take(rec: sk.GeodesicRecord):

@@ -7,16 +7,17 @@ is represented by its Lyndon word (its least rotation), and enumeration order
 is deterministic.  Disk j of letter a is the disk the letter maps INTO:
 letter a sends the exterior of disk(-a) onto the interior of disk(a).
 
-Both enumerators walk index words (tuples of symbol indices, see word_key) and
-turn a word into letters once, when they emit its record; a record's
-homology class is the sum of its symbols' columns (_index_homology).
+Both enumerators walk index words (tuples of symbol indices, see word_key),
+collect their records in one list and raise BudgetExceeded as soon as it
+holds more than budget, so a walk over its budget emits nothing.  Otherwise
+they sort the list once and emit it, turning each word into letters then; a
+record's homology class is the sum of its symbols' columns (_index_homology).
 """
 
 from __future__ import annotations
 
 import cmath
 import hashlib
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -277,62 +278,52 @@ def enumerate_orbit(group: SchottkyGroup, T: float,
     which is (|z'|^2 + 1 - r'^2) / (2 r') for the image circle (z', r') =
     w(D_b).  The child is dropped before its matrix product when this exceeds
     sinh T, with the relative slack SHADOW_SLACK so that rounding never cuts a
-    record at exactly T.  A word is emitted when its reported displacement
+    record at exactly T.  A word is a record when its reported displacement
     acosh(||w||_F^2 / 2) is <= T; the cosh pre-test carries the same slack,
     because cosh(acosh(x)) can round below x.
 
-    The walk carries index words; a record gets its letter word and class
-    when it is emitted.  Records of one first letter are emitted in
-    (length, index word) order, which is (length, word_key) of the letters.
+    The walk starts from the empty word, collects (index word, displacement,
+    matrix) and raises BudgetExceeded as soon as it holds more than budget
+    records, so a run that exceeds its budget emits nothing.  Otherwise the
+    records are emitted in (first letter, length, index word) order, the
+    empty word first; a record gets its letter word and class then.
     """
     cosh_cut = math.cosh(T) * (1.0 + SHADOW_SLACK)
     sinh_cut = math.sinh(T) * (1.0 + SHADOW_SLACK)
-    count = 0
-    zero = (0,) * group.d
-    if emit is not None:
-        emit(OrbitRecord((), 0.0, zero, IDENTITY))
-    count += 1
     mats = group._mats
     letters = [letter_of_index(idx) for idx in range(group.n_symbols)]
     # per letter: its disk's center q and r^2, and 2 r sinh T with the slack
     shadows = [(idx, dk.center, dk.radius * dk.radius, 2.0 * dk.radius * sinh_cut)
                for idx, dk in enumerate(group.disks)]
-    for first_idx, q, r2, cut in shadows:
-        if abs(q) ** 2 + 1.0 - r2 > cut:  # w empty: p = o = (0, 1)
-            continue
-        # (index word, displacement, matrix) of one first letter's records
-        shard: list[tuple] = []
-        stack = [((first_idx,), mats[first_idx])]
-        while stack:
-            w, m = stack.pop()
-            ch = hyp.frob2(m) / 2.0
-            if ch <= cosh_cut:
-                disp = math.acosh(max(ch, 1.0))
-                if disp <= T:
-                    shard.append((w, disp, m))
-                    if budget is not None and len(shard) > budget:
-                        raise BudgetExceeded(budget)
-            a, b, c, d = m
-            t = 1.0 / (a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag)
-            z = -(b * a.conjugate() + d * c.conjugate()) * t
-            tt = t * t
-            bad = inverse_index(w[-1])
-            for idx, q, r2, cut in shadows:
-                if idx == bad:
-                    continue
-                dz = z - q
-                if dz.real * dz.real + dz.imag * dz.imag + tt - r2 > cut * t:
-                    continue
-                stack.append((w + (idx,), hyp.mat_mul(m, mats[idx])))
-        shard.sort(key=lambda rec: (len(rec[0]), rec[0]))
-        for w, disp, m in shard:
-            count += 1
-            if budget is not None and count > budget:
-                raise BudgetExceeded(budget)
-            if emit is not None:
-                emit(OrbitRecord(tuple(map(letters.__getitem__, w)), disp,
-                                 group._index_homology(w), m))
-    return count
+    found: list[tuple] = []  # (index word, displacement, matrix) per record
+    stack = [((), IDENTITY)]
+    while stack:
+        w, m = stack.pop()
+        ch = hyp.frob2(m) / 2.0
+        if ch <= cosh_cut:
+            disp = math.acosh(max(ch, 1.0))
+            if disp <= T:
+                found.append((w, disp, m))
+                if budget is not None and len(found) > budget:
+                    raise BudgetExceeded(budget)
+        a, b, c, d = m
+        t = 1.0 / (a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag)
+        z = -(b * a.conjugate() + d * c.conjugate()) * t
+        tt = t * t
+        bad = inverse_index(w[-1]) if w else None
+        for idx, q, r2, cut in shadows:
+            if idx == bad:
+                continue
+            dz = z - q
+            if dz.real * dz.real + dz.imag * dz.imag + tt - r2 > cut * t:
+                continue
+            stack.append((w + (idx,), hyp.mat_mul(m, mats[idx])))
+    if emit is not None:
+        found.sort(key=lambda rec: (rec[0][:1], len(rec[0]), rec[0]))
+        for w, disp, m in found:
+            emit(OrbitRecord(tuple(map(letters.__getitem__, w)), disp,
+                             group._index_homology(w), m))
+    return len(found)
 
 
 def enumerate_orbit_bruteforce(group: SchottkyGroup, T: float, max_len: int) -> list[OrbitRecord]:
@@ -398,22 +389,22 @@ def primitive_classes(group: SchottkyGroup, L: float,
     and w b is dropped when |c z_b + d| - |c| r_b > exp(L/2), with no log.
     As |tr| <= |lam| + 1/|lam| = 2 cosh(length/2) for multiplier lam, a
     candidate with |tr| > 2 cosh(L/2) is dropped before its trace invariants
-    are taken (exact on H2, one-sided on H3).  Both caps are widened by 1e-12.
+    are taken (exact on H2, one-sided on H3).  Both caps are widened by 1e-12
+    and are inf past L ~ 1419, where they overflow.
 
     The walk is depth-first over numpy blocks of <= CLASS_BLOCK words of one
-    length.  A step keeps the top block's classes and pushes its pruned
-    children parent by parent, letters descending, so the top block starts
-    with the least unvisited word in the order of a walk of single words
-    (first letter ascending, later ones descending, a prefix first).  A class
-    waits until it precedes that word, so records, their order and those
-    emitted before BudgetExceeded are that walk's; _Split keeps its bits.
+    length; _Split keeps the bits of a walk of single words.  It collects the
+    classes and raises BudgetExceeded as soon as it holds more than budget,
+    so a run that exceeds its budget emits nothing.  Otherwise the classes
+    are emitted in the order of a walk of single words: first letter
+    ascending, later ones descending, a prefix first.
     """
     group.min_cycle_step()  # validates that all admissible steps contract
     n, model = group.n_symbols, group.model
     letters = [letter_of_index(idx) for idx in range(n)]
-    huge = L >= 1400.0  # exp(710) and cosh(710) overflow
-    gap_cap = math.inf if huge else math.exp(L / 2.0) * (1.0 + 1e-12)
-    tr_cap = math.inf if huge else 2.0 * math.cosh(L / 2.0) * (1.0 + 1e-12)
+    with np.errstate(over="ignore"):
+        gap_cap = np.exp(L / 2.0) * (1.0 + 1e-12)
+        tr_cap = 2.0 * np.cosh(L / 2.0) * (1.0 + 1e-12)
     gens = np.array(group._mats).view(float).T  # rows: re, im of a, b, c, d
     q = np.array([[dk.center] for dk in group.disks])
     centers, radii = _Split(q.real, q.imag), np.array([[dk.radius] for dk in group.disks])
@@ -422,8 +413,7 @@ def primitive_classes(group: SchottkyGroup, L: float,
     key = lambda w: w[:1] + w[1:].translate(flip)  # visiting order of index words
     entries = lambda m: [_Split(m[i], m[i + 1]) for i in range(0, 8, 2)]
     stack = [(idx.copy(), gens, np.ones(n, dtype=np.int64))]  # (words, matrices, p)
-    pending: list = []  # heap of found classes: (key, length, holonomy, matrix)
-    count = 0
+    found: list = []  # (index word, length, holonomy, matrix) per class
     while stack:
         W, M, p = stack.pop()
         k = W.shape[1]
@@ -433,26 +423,23 @@ def primitive_classes(group: SchottkyGroup, L: float,
         for j, x, y in zip(cand.tolist(), tr.real[cand].tolist(), tr.imag[cand].tolist()):
             length, theta = hyp.trace_invariants(complex(x, y), model)
             if 0.0 < length <= L:
-                heapq.heappush(pending, (key(W[j].tobytes()), length, theta, M[:, j].tobytes()))
+                found.append((W[j].tobytes(), length, theta, M[:, j].tobytes()))
+                if budget is not None and len(found) > budget:
+                    raise BudgetExceeded(budget)
         gap = abs(c * centers + d) - abs(c) * radii  # rows: letters, columns: words
         low = W[np.arange(len(W)), k - p]
         keep = ~(gap > gap_cap) & (idx >= low) & (idx != W[:, -1] ^ 1)
-        par, col = np.nonzero(keep[::-1].T)
-        let = (n - 1 - col).astype(np.uint8)
+        let, par = np.nonzero(keep)
+        let = let.astype(np.uint8)
         CW = np.concatenate([W[par], let[:, None]], axis=1)
         CM = np.array(hyp.mat_mul(entries(M[:, par]), entries(gens[:, let]))).reshape(8, -1)
         cp = np.where(let == low[par], p[par], k + 1)
-        for s in range((len(par) - 1) // CLASS_BLOCK * CLASS_BLOCK, -1, -CLASS_BLOCK):
+        for s in range(0, len(par), CLASS_BLOCK):
             stack.append((CW[s:s + CLASS_BLOCK], CM[:, s:s + CLASS_BLOCK], cp[s:s + CLASS_BLOCK]))
-        top = key(stack[-1][0][0].tobytes()) if stack else None
-        while pending and (top is None or pending[0][0] < top):
-            kw, length, theta, m = heapq.heappop(pending)
-            w = key(kw)  # key() is its own inverse
-            count += 1
-            if budget is not None and count > budget:
-                raise BudgetExceeded(budget)
-            if emit is not None:
-                emit(GeodesicRecord(tuple(map(letters.__getitem__, w)), length,
-                                    group._index_homology(w), theta,
-                                    tuple(np.frombuffer(m, complex).tolist())))
-    return count
+    if emit is not None:
+        found.sort(key=lambda rec: key(rec[0]))
+        for w, length, theta, m in found:
+            emit(GeodesicRecord(tuple(map(letters.__getitem__, w)), length,
+                                group._index_homology(w), theta,
+                                tuple(np.frombuffer(m, complex).tolist())))
+    return len(found)

@@ -196,6 +196,15 @@ def test_holonomy_requires_h3(group_b):
         holonomy_equidistribution(group_b, 8.0, [1], checkpoints_linear(4, 8, 5))
 
 
+def test_class_censuses_reject_checkpoints_past_l_max(group_b, group_d0, delta_b, surface_b):
+    cps = checkpoints_linear(4.0, 10.0, 5)
+    pred = Prediction(delta=delta_b, sigma=surface_b.sigma)
+    with pytest.raises(ValidationError, match="checkpoints exceed L_max"):
+        geodesics_by_homology(group_b, pred, 5.0, cps)
+    with pytest.raises(ValidationError, match="checkpoints exceed L_max"):
+        holonomy_equidistribution(group_d0, 5.0, [1], cps)
+
+
 # -- vector census ------------------------------------------------------------------
 
 def test_vector_below_norm_is_empty(group_b, delta_b):

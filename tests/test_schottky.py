@@ -301,10 +301,12 @@ def test_enumerate_matches_reference_walk(request, name, T):
 
 def test_records_carry_evaluated_matrix(group_b, group_d0):
     for group in (group_b, group_d0):
-        records = []
-        enumerate_orbit(group, 7.0, emit=records.append)
-        primitive_classes(group, 7.0, emit=records.append)
-        for rec in records:
+        orbits, classes = [], []
+        enumerate_orbit(group, 7.0, emit=orbits.append)
+        primitive_classes(group, 7.0, emit=classes.append)
+        for rec in orbits:  # to the last bit, signs of zeros included
+            assert repr(rec.matrix) == repr(group.evaluate(rec.word).entries)
+        for rec in classes:
             assert rec.matrix == group.evaluate(rec.word).entries
 
 
@@ -329,6 +331,33 @@ def test_enumerate_budget():
     g = simple_group()
     with pytest.raises(BudgetExceeded):
         enumerate_orbit(g, 12.0, budget=5)
+
+
+def test_enumerate_identity_is_an_ordinary_record(group_b):
+    # displacement 0 is above T < 0, and the identity counts against the budget
+    records = []
+    assert enumerate_orbit(group_b, -1.0, emit=records.append) == 0
+    assert records == []
+    with pytest.raises(BudgetExceeded):
+        enumerate_orbit(group_b, 0.0, budget=0)
+    assert enumerate_orbit(group_b, 0.0, emit=records.append, budget=1) == 1
+    assert records == [sk.OrbitRecord((), 0.0, (0,), sk.IDENTITY)]
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_orbit, primitive_classes],
+                         ids=["orbit", "classes"])
+@pytest.mark.parametrize("name", ["b", "d0"])
+def test_budget_raises_iff_exceeded_and_then_emits_nothing(request, enumerate_, name):
+    group = request.getfixturevalue(f"group_{name}")
+    total = enumerate_(group, 9.0)
+    for budget in (0, 1, total - 1, total, total + 1):
+        records = []
+        try:
+            assert enumerate_(group, 9.0, emit=records.append, budget=budget) == total
+        except BudgetExceeded:
+            assert total > budget and records == []
+        else:
+            assert total <= budget and len(records) == total
 
 
 # -- primitive classes -----------------------------------------------------------
@@ -449,19 +478,18 @@ def test_classes_match_reference_loop(request, name, L):
 
 
 def test_classes_budget_matches_reference_loop(group_b):
-    total = primitive_classes(group_b, 10.0)
+    # over its budget the walk raises and emits nothing; within it, it
+    # emits the loop's records
+    ref = []
+    total = _reference_primitive_classes(group_b, 10.0, emit=ref.append)
     for budget in (0, 1, total // 2, total - 1, total):
-        runs = []
-        for fn in (primitive_classes, _reference_primitive_classes):
-            records = []
-            try:
-                fn(group_b, 10.0, emit=records.append, budget=budget)
-                raised = False
-            except BudgetExceeded:
-                raised = True
-            runs.append((raised, records))
-        assert runs[0] == runs[1]
-        assert runs[0][0] == (budget < total)
+        records = []
+        try:
+            primitive_classes(group_b, 10.0, emit=records.append, budget=budget)
+        except BudgetExceeded:
+            assert budget < total and records == []
+        else:
+            assert budget == total and records == ref
 
 
 def test_classes_past_overflowing_caps(group_b, group_d0):
@@ -474,8 +502,8 @@ def test_classes_past_overflowing_caps(group_b, group_d0):
 
 # The scalar depth-first loop that the block walk replaced: one word and one
 # Python complex product per node, records counted and emitted as visited.
-# The block walk must give its records bit for bit and in its order, and raise
-# BudgetExceeded after the same records.
+# The block walk must give its records bit for bit and in its order; over a
+# budget it raises, as the loop does, but emits nothing.
 
 def _scalar_primitive_classes(group, L, emit=None, budget=None):
     group.min_cycle_step()
@@ -542,22 +570,20 @@ def test_classes_budget_at_large_length_matches_scalar_loop(request, name):
     # whole levels up to L = 40 would hold about e^24 words; the depth-first
     # block walk meets the budget after a few blocks, as the loop does
     group = request.getfixturevalue(f"group_{name}")
-    new = _run_classes(primitive_classes, group, 40.0, budget=1000)
-    assert new == _run_classes(_scalar_primitive_classes, group, 40.0, budget=1000)
-    assert new[0] == "budget" and len(new[1]) == 1000
+    assert _run_classes(primitive_classes, group, 40.0, budget=1000) == ("budget", [])
+    assert _run_classes(_scalar_primitive_classes, group, 40.0, budget=1000)[0] == "budget"
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
 @pytest.mark.parametrize("name,L", [("b", 12.0), ("d0", 11.0)], ids=["b", "d0"])
 def test_small_class_blocks_match_scalar_loop(request, monkeypatch, name, L, block):
-    # small blocks split every level, so classes wait behind many blocks
+    # small blocks split every level into many stack entries
     group = request.getfixturevalue(f"group_{name}")
     monkeypatch.setattr(sk, "CLASS_BLOCK", block)
     ref = _run_classes(_scalar_primitive_classes, group, L)
     assert _run_classes(primitive_classes, group, L) == ref
     for budget in (0, 1, ref[0] // 3, ref[0] - 1):
-        assert (_run_classes(primitive_classes, group, L, budget) ==
-                _run_classes(_scalar_primitive_classes, group, L, budget))
+        assert _run_classes(primitive_classes, group, L, budget) == ("budget", [])
 
 
 def _reduced_words(n_letters, max_len):
