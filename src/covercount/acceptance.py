@@ -34,9 +34,8 @@ class CriterionResult:
 
 @dataclass
 class Budget:
-    """Run sizes; 'small' is the reference scale the criteria are stated at."""
+    """Run sizes: the reference scale the criteria are stated at."""
 
-    name: str = "small"
     orbit_T: float = 13.0
     slope_T: float = 12.5
     geodesic_lo: float = 6.0
@@ -47,17 +46,6 @@ class Budget:
     clt_traj: int = 10_000
     clt_steps: int = 10_000
     coding_len: int = 8
-
-    @classmethod
-    def preset(cls, name: str) -> "Budget":
-        if name == "small":
-            return cls()
-        if name == "smoke":  # development only; NOT the acceptance scale
-            return cls(name="smoke", orbit_T=10.0, slope_T=10.0, geodesic_lo=5.0,
-                       geodesic_L=14.0, geodesic_checkpoints=10,
-                       holonomy_L=14.0, vector_logT=11.0, clt_traj=1200,
-                       clt_steps=2000, coding_len=5)
-        raise ValueError(f"unknown budget {name!r}")
 
 
 class Workspace:
@@ -308,7 +296,7 @@ def c11_determinism(ws: Workspace, out_dir=None) -> CriterionResult:
     hashes = []
     for run in ("run1", "run2"):
         w = ReportWriter(f"{base}/{run}", "determinism-probe",
-                         {"seed": ws.seed, "budget": ws.budget.name})
+                         {"seed": ws.seed})
         spec = tr.OperatorSpec(load_any("fixture:toy2"))
         sr = tr.spectral_at_delta(spec, want_measure=True)
         delta = sr.s
@@ -348,11 +336,11 @@ ALL_CRITERIA: list[Callable[[Workspace], CriterionResult]] = [
 ]
 
 
-def run_all(budget: str = "small", seed: int = 1,
-            progress: Optional[Callable[[CriterionResult], None]] = None) -> list[CriterionResult]:
+def run_all(seed: int = 1, progress: Optional[Callable[[CriterionResult], None]] = None
+            ) -> list[CriterionResult]:
     """Run every criterion; an exception fails that criterion, not the suite."""
     from .errors import CovercountError
-    ws = Workspace(Budget.preset(budget), seed=seed)
+    ws = Workspace(Budget(), seed=seed)
     results = []
     for i, fn in enumerate(ALL_CRITERIA, 1):
         t0 = time.time()

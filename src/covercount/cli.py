@@ -311,7 +311,7 @@ def cmd_verify_all(args) -> int:
         for k, v in res.details.items():
             print(f"         {k} = {v}")
 
-    results = run_all(budget=args.budget, seed=args.seed, progress=show)
+    results = run_all(seed=args.seed, progress=show)
     n_fail = sum(not r.passed for r in results)
     writer = _writer(args)
     # timings go to stdout only; report files must be bitwise reproducible
@@ -399,8 +399,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--dump-trajectory", type=_NATURAL, default=0, metavar="STEPS",
                    help="write one trajectory dump of this many steps")
 
-    p = add("verify-all", cmd_verify_all, "run the full acceptance suite", "--seed")
-    p.add_argument("--budget", choices=["small", "smoke"], default="small")
+    add("verify-all", cmd_verify_all, "run the full acceptance suite", "--seed")
     return ap
 
 

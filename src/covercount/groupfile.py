@@ -68,11 +68,29 @@ def _read_source(source: Union[str, Path, dict]) -> dict:
         return source
     text = str(source)
     if text.startswith("fixture:"):
-        return json.loads(fixture_text(text.split(":", 1)[1]))
-    path = Path(text)
-    if not path.exists():
-        raise FileNotFoundError(f"input file {path} does not exist")
-    return json.loads(path.read_text())
+        body = fixture_text(text.split(":", 1)[1])
+    else:
+        path = Path(text)
+        if not path.is_file():
+            raise FileNotFoundError(f"input file {path} does not exist or is not a file")
+        body = path.read_bytes()
+    try:
+        data = json.loads(body)
+    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError of the bytes
+        raise ValidationError(f"input {text} is not JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"input {text} is a JSON {type(data).__name__}, not an object")
+    return data
+
+
+def _build(make, data: dict):
+    """make(data), a missing or malformed field raised as ValidationError."""
+    try:
+        return make(data)
+    except KeyError as e:
+        raise ValidationError(f"input lacks field {e}") from None
+    except (IndexError, TypeError, ValueError) as e:
+        raise ValidationError(f"bad input field: {e}") from None
 
 
 def load_group(source: Union[str, Path, dict]) -> SchottkyGroup:
@@ -80,16 +98,14 @@ def load_group(source: Union[str, Path, dict]) -> SchottkyGroup:
     data = _read_source(source)
     if "model" not in data:
         raise ValidationError("not a group file (no model tag)")
-    return group_from_dict(data)
+    return _build(group_from_dict, data)
 
 
 def load_any(source: Union[str, Path, dict]):
     """Group or toy-shift input, distinguished by schema."""
     from .shift import toy_from_json
     data = _read_source(source)
-    if "transition" in data:
-        return toy_from_json(data)
-    return group_from_dict(data)
+    return _build(toy_from_json if "transition" in data else group_from_dict, data)
 
 
 def fixture_text(name: str) -> str:

@@ -74,9 +74,6 @@ class MoebiusMap:
     def trace(self) -> complex:
         return self.a + self.d
 
-    def __call__(self, x: complex) -> complex:
-        return apply_boundary(self, x)
-
 
 def mat_mul(m, n) -> tuple[complex, complex, complex, complex]:
     """Product m @ n of 2x2 matrices given as raw (a, b, c, d) tuples."""

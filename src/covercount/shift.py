@@ -17,9 +17,10 @@ which advances a whole batch of trajectories per step.  The batch sampler
 Schottky codings the step weight of branch b at a point x of disk s,
 |gamma_b'(x)|^delta h(gamma_b x), is one fixed analytic function of x per
 pair (s, b).  Its Chebyshev series on disk s's interval is computed once
-(branch_weight_series), so a step evaluates one Chebyshev basis per
-trajectory and takes all weights from one matrix product; only the picked
-branch's image and roof are formed.
+(branch_weight_series) from its values at the 2N first-kind nodes, which the
+collocation grid's off-node blocks already hold, so a step evaluates one
+Chebyshev basis per trajectory and takes all weights from one matrix
+product; only the picked branch's image and roof are formed.
 """
 
 from __future__ import annotations
@@ -56,10 +57,17 @@ class MarkovShift:
         A = np.asarray(self.transition, dtype=np.int64)
         object.__setattr__(self, "transition", A)
         object.__setattr__(self, "f", np.asarray(self.f, dtype=np.int64))
+        k = self.k
+        for name in ("transition", "f", "tau", "theta"):
+            table, ndim = getattr(self, name), 3 if name == "f" else 2
+            if table is not None and (np.ndim(table) != ndim or np.shape(table)[:2] != (k, k)):
+                raise ValidationError(f"{name} has shape {np.shape(table)}, "
+                                      f"not ({k}, {k}{', d' if ndim == 3 else ''})")
         if self.tau is not None:
             tau = np.asarray(self.tau, dtype=float)
-            if np.min(tau[A > 0]) <= 0:
-                raise ValidationError("roof must be positive on admissible transitions")
+            roof = tau[A > 0]
+            if not np.all(np.isfinite(roof) & (roof > 0)):
+                raise ValidationError("roof must be positive and finite on admissible transitions")
             object.__setattr__(self, "tau", tau)
         if self.theta is not None:
             object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
@@ -129,11 +137,8 @@ def toy_from_json(data: dict) -> MarkovShift:
     k = A.shape[0]
     tau = np.asarray(data["tau"], dtype=float)
     f = np.asarray(data["f"], dtype=np.int64)
-    if f.ndim == 2:  # per-symbol table
-        full = np.zeros((k, k, f.shape[1]), dtype=np.int64)
-        for a in range(k):
-            full[a, :, :] = f[a]
-        f = full
+    if f.ndim == 2:  # per-symbol table: row a is every transition (a, b)'s
+        f = np.repeat(f[:, None, :], k, axis=1)
     theta = np.asarray(data["theta"], dtype=float) if data.get("theta") is not None else None
     return MarkovShift(k=k, transition=A, f=f, tau=tau, theta=theta, source="Toy")
 
@@ -404,30 +409,23 @@ def _toy_steps(chain: ParryChain, shift: MarkovShift, n: int, rngs):
 
 
 def branch_weight_series(shift: MarkovShift, spectral) -> np.ndarray:
-    """Chebyshev coefficients G, shape (nsym, nsym, K), of the sampler's
-    branch weights g_{s,b}(x) = |c_b x + d_b|^{-2 delta} h_b(gamma_b x) for x
-    on disk s's interval, in t = (x - z_s) / r_s.
+    """Chebyshev coefficients G, shape (n, n, K), of the sampler's branch
+    weights g_{s,b}(x) = |c_b x + d_b|^{-2 delta} h_b(gamma_b x) for x on
+    disk s's interval, in t = (x - z_s) / r_s.
 
-    Each weight is tabulated at 2N first-kind nodes on disk s's interval,
-    with h_b by Clenshaw on its Chebyshev coefficients, and transformed by
-    DCT-II.  Trailing coefficients at most eps times the largest one are
-    dropped, so K follows the decay.  Row (s, inverse of s) is zero: that
-    branch is not admissible after s.
+    Each weight is read at disk s's 2N first-kind nodes from the grid's
+    off-node blocks, exp(delta off_logd[b, s]) off_interp[b, s] h_b (the
+    blocks the off-node residual uses), and transformed by DCT-II.  Trailing
+    coefficients at most eps times the largest one are dropped, so K follows
+    the decay.  Row (s, inverse of s) is zero, as the grid leaves the block
+    of that inadmissible branch.
     """
     grid = spectral.discretization
-    group = shift.group
-    nsym = shift.k
+    n, N = shift.k, grid.nodes_per_disk
     delta = float(complex(spectral.s).real)
-    x = grid.first_kind_nodes(2 * grid.nodes_per_disk)  # (s, node)
-    a, b, c, d = np.array([group.symbol_matrix(s) for s in range(nsym)]).real.T[..., None, None]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        den = c * x + d  # (b, s, node); the inverse branch may pole on disk s
-        y = (a * x + b) / den
-        hy = grid.clenshaw(grid.chebyshev_coeffs(np.real(spectral.h)),
-                           y.reshape(nsym, -1)).reshape(den.shape)
-        g = (np.abs(den) ** (-2.0 * delta) * hy).transpose(1, 0, 2).copy()
-    g[np.arange(nsym), [sk.inverse_index(s) for s in range(nsym)]] = 0.0
-    G = grid.chebyshev_coeffs(g)
+    h = np.real(spectral.h).reshape(n, 1, N, 1)
+    g = np.exp(delta * grid.off_logd) * (grid.off_interp @ h)[..., 0]  # (b, s, node)
+    G = grid.chebyshev_coeffs(g.transpose(1, 0, 2))
     size = np.abs(G).max(axis=(0, 1))
     K = int(np.flatnonzero(size > np.finfo(float).eps * size.max())[-1]) + 1
     return G[..., :K]

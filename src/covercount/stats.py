@@ -151,10 +151,7 @@ def plateau_deviation(values: Sequence[float], last: int = 3) -> float:
 
 @dataclass
 class GaussianCheck:
-    count: int
-    mean: np.ndarray
     covariance: np.ndarray
-    reference: np.ndarray
     ks_p: tuple
     chi2_p: float
 
@@ -185,8 +182,7 @@ def clt_check(samples, reference) -> GaussianCheck:
     edges = np.array([_chi2_quantile(q / 10.0, d) for q in range(1, 10)])
     counts = np.histogram(maha, bins=np.concatenate(([0.0], edges, [np.inf])))[0]
     stat, chi2_p = chi2_gof(counts, np.full(10, n / 10.0))
-    return GaussianCheck(count=n, mean=z.mean(axis=0), covariance=np.cov(z.T).reshape(d, d),
-                         reference=ref, ks_p=ks_ps, chi2_p=chi2_p)
+    return GaussianCheck(covariance=np.cov(z.T).reshape(d, d), ks_p=ks_ps, chi2_p=chi2_p)
 
 
 def _chi2_quantile(q: float, df: int) -> float:

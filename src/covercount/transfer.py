@@ -8,9 +8,11 @@ admissible interval strictly inside the target interval, so polynomial
 interpolation converges geometrically (Trefethen, Approximation Theory and
 Approximation Practice, Thm 8.1) and the leading eigenvalue is certified by an
 off-node residual: the eigenfunction's interpolant must be an eigenfunction at
-the 2N first-kind nodes too, one rectangular product, no second solve.  Toy
-shifts are the exact one-node case (logd = -tau, interp = 1), so both kinds
-share one assembly from per-transition blocks.
+the 2N first-kind nodes too, one rectangular product, no second solve.  The
+grid builds the blocks for those 2N nodes once, and the equilibrium sampler
+tabulates its branch weights from the same blocks.  Toy shifts are the exact
+one-node case (logd = -tau, interp = 1), so both kinds share one assembly
+from per-transition blocks.
 
 Every eigensolve is a batch (numpy only: importing this module loads no
 scipy): one matrix M with a column scaling D_b per member, stepped together
@@ -59,15 +61,19 @@ class CollocationGrid:
     """Chebyshev nodes (first kind) on each disk's real interval, with the
     log-derivatives logd, shape (n, n, N), and interpolation blocks interp,
     shape (n, n, N, N), of the branch images precomputed per transition.  The
-    off_* blocks, for the off-node check, are the same at disk b's 2N
-    first-kind nodes x (off_interp: disk a's N-node basis at the branch image
-    of x, shape (n, n, 2N, N)); off_eye, shape (n, 2N, N), is disk b's own.
+    off_* blocks are the same at disk b's 2N first-kind nodes x (off_interp:
+    disk a's N-node basis at the branch image of x, shape (n, n, 2N, N));
+    off_eye, shape (n, 2N, N), is disk b's own.  They serve the off-node
+    residual and tabulate the sampler's branch weights
+    (shift.branch_weight_series).  The blocks of an inadmissible transition
+    stay zero.
 
     A vector of node values, disk after disk, stands for the per-disk
     polynomial interpolants.  interp_values gives the barycentric basis, to
-    build the blocks once per grid; any other evaluation away from the nodes,
-    real or complex, goes through Chebyshev coefficients (chebyshev_coeffs, a
-    DCT-II as a product with the cosine matrix of its size) and clenshaw.
+    build the blocks once per grid, so every evaluation away from the nodes
+    is one of these blocks.  chebyshev_coeffs (a DCT-II as a product with the
+    cosine matrix of its size) turns values at first-kind nodes into the
+    Chebyshev series the sampler steps with.
     """
 
     def __init__(self, group, nodes_per_disk: int):
@@ -130,25 +136,6 @@ class CollocationGrid:
         coeffs = vals @ _chebyshev_at_nodes(m) * 2 / m  # first kind: DCT-II
         coeffs[..., 0] *= 0.5
         return coeffs
-
-    def clenshaw(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Values at pts, shape (n_symbols, m), of the Chebyshev series in
-        coeffs: row b is evaluated on disk b's interval.  pts is one point set
-        for every disk, shape (m,), or one per disk, shape (n_symbols, m)."""
-        t = (pts - self.centers[:, None]) / self.radii[:, None]
-        t2 = t + t
-        b1 = np.zeros(t.shape, dtype=coeffs.dtype)
-        b2 = np.zeros_like(b1)
-        tmp = np.empty_like(b1)
-        for ck in coeffs.T[:0:-1, :, None]:  # k = N-1, ..., 1
-            np.multiply(t2, b1, out=tmp)  # b_k = c_k + 2t b_{k+1} - b_{k+2}
-            tmp -= b2
-            tmp += ck
-            b1, b2, tmp = tmp, b1, b2
-        b1 *= t
-        b1 -= b2
-        b1 += coeffs[:, :1]
-        return b1
 
 
 class ExactGrid:
@@ -571,7 +558,6 @@ class ScanRow:
 @dataclass
 class ScanReport:
     delta: float
-    margin: float
     rows: list
 
     @property
@@ -629,4 +615,4 @@ def spectral_radius_scan(spec: OperatorSpec, delta: float, t_grid: Sequence[floa
     w = max(1, min(sh._workers(), len(ts)))
     rows = [r for part in sh._fork_map(scan_rows, [ts[i::w] for i in range(w)]) for r in part]
     rows.sort(key=lambda r: (r.t, r.v, r.p))
-    return ScanReport(delta=delta, margin=margin, rows=rows)
+    return ScanReport(delta=delta, rows=rows)

@@ -17,7 +17,7 @@ RUNTIME_BOUNDS = {  # seconds, where the criterion states one
 
 @pytest.fixture(scope="module")
 def workspace():
-    return Workspace(Budget.preset("small"), seed=1)
+    return Workspace(Budget(), seed=1)
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA,

@@ -44,8 +44,9 @@ def test_validate_bad_group_reports(tmp_path, capsys):
     assert "overlap" in capsys.readouterr().err
 
 
-def test_missing_file_is_config_error(capsys):
+def test_missing_file_is_config_error(tmp_path, capsys):
     assert run(["validate", "--group", "/nonexistent/g.json"]) == 3
+    assert run(["validate", "--group", str(tmp_path)]) == 3  # a directory
 
 
 def test_bad_arguments_config_error():
@@ -255,6 +256,35 @@ def test_bad_config_file(tmp_path):
         assert run(["--config", str(bad), "validate", "--group", "fixture:b"]) == 3
 
 
+_TOY = {"transition": [[1, 1], [1, 1]], "tau": [[1.0, 1.0], [1.0, 1.0]], "f": [[1], [-1]]}
+_DISK = {"minus": {"center": [-3.0, 0.0], "radius": 1.0},
+         "plus": {"center": [3.0, 0.0], "radius": 1.0}}
+
+
+@pytest.mark.parametrize("text", [
+    "{nope",
+    b"\xff\xfe{",
+    json.dumps({"model": "H2"}),
+    json.dumps({"model": "H4", "disks": [_DISK]}),
+    json.dumps({"model": "H2", "disks": [{**_DISK, "plus": {"center": [3.0, 0.0],
+                                                             "radius": "abc"}}]}),
+    json.dumps([1, 2]),
+    json.dumps({k: v for k, v in _TOY.items() if k != "tau"}),
+    json.dumps({**_TOY, "tau": [1.0, 1.0]}),
+    json.dumps({**_TOY, "f": [[1], [-1], [0]]}),
+    json.dumps({**_TOY, "tau": [[float("nan"), 1.0], [1.0, 1.0]]}),
+], ids=["not-json", "not-utf8", "no-disks", "model-h4", "radius-not-a-number", "json-list",
+        "toy-no-tau", "toy-tau-1d", "toy-extra-cocycle-row", "toy-tau-nan"])
+@pytest.mark.parametrize("command,code", [("delta", 3), ("validate", 1)])
+def test_malformed_input_file_is_one_error_line(tmp_path, capsys, text, command, code):
+    bad = tmp_path / "input.json"
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert run(["--out", str(tmp_path / "out"), command, "--group", str(bad)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_dump_records_enumerates_once(tmp_path, monkeypatch):
     from covercount import schottky as sk
     calls = {"enumerate_orbit": 0, "primitive_classes": 0}
@@ -382,7 +412,7 @@ MANIFEST_RUNS = {
 def _manifest(out, command, args):
     """Run one command (verify-all without its criteria) and read its manifest."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(acceptance, "run_all", lambda budget, seed, progress: [])
+        mp.setattr(acceptance, "run_all", lambda seed, progress: [])
         assert run(["--out", str(out), *args]) == 0, command
     (run_dir,) = out.glob(f"{command}-*")
     return json.loads((run_dir / "manifest.json").read_text())
@@ -448,7 +478,7 @@ def test_config_and_flags_give_one_run_directory(tmp_path):
     ({"p": 1}, ["scan", "--group", "fixture:toy2", "--t-count", "2", "--v-count", "2"]),
     ({"p": []}, ["scan", "--group", "fixture:toy2", "--t-count", "2", "--v-count", "2"]),
     ({"norm": "bogus", "t_max": 20000}, ["count-vectors", "--group", "fixture:b"]),
-    ({"budget": "big", "seed": 1}, ["verify-all"]),
+    ({"seed": 1.5}, ["verify-all"]),
     ({"traj": 32.0}, ["clt", "--group", "fixture:toy2", "--seed", "1"]),
     ({}, ["pressure", "--group", "fixture:toy2", "--u", "abc"]),
     ({}, ["count-orbit", "--group", "fixture:b", "--classes", "x"]),
@@ -458,7 +488,7 @@ def test_config_and_flags_give_one_run_directory(tmp_path):
     ({}, ["holonomy", "--group", "fixture:d0", "--l-min", "5", "--l-max", "8",
           "--checkpoints", "3", "--p"]),
 ], ids=["config-switch-as-string", "config-repeated-as-string", "config-list-as-number",
-        "config-list-empty", "config-bad-choice", "config-bad-budget", "config-int-as-float",
+        "config-list-empty", "config-bad-choice", "config-seed-not-int", "config-int-as-float",
         "u-not-a-number", "classes-not-a-number", "w0-not-numbers", "classes-wrong-dimension",
         "seed-negative", "holonomy-p-empty"])
 def test_bad_option_value_is_config_error(tmp_path, capsys, config, args):

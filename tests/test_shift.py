@@ -44,6 +44,16 @@ def test_toy_shift_rejects_bad_inputs():
         toy_full_shift(2, -1.0, [[1], [-1]])
 
 
+@pytest.mark.parametrize("field,value", [
+    ("transition", np.ones((2, 3))), ("f", np.zeros((3, 2, 1))), ("f", np.zeros((2, 2))),
+    ("tau", np.ones(2)), ("theta", np.zeros((2, 3)))])
+def test_markov_shift_rejects_tables_of_another_k(field, value):
+    tables = {"transition": np.ones((2, 2)), "f": np.zeros((2, 2, 1)), "tau": np.ones((2, 2)),
+              "theta": np.zeros((2, 2)), field: value}
+    with pytest.raises(ValidationError, match=f"^{field} has shape"):
+        MarkovShift(k=2, **tables)
+
+
 def test_toy_json_roundtrip():
     s = toy_full_shift(3, 0.5, [[1, 0], [0, 1], [-1, -1]])
     back = toy_from_json(toy_to_json(s))
@@ -290,10 +300,12 @@ def test_toy_batch_matches_searchsorted_loop(toy3_mixed, monkeypatch):
         assert tau[i] == tau_ref and np.array_equal(f[i], f_ref)
 
 
-@pytest.mark.parametrize("name", ["b", "c"])
-def test_branch_weight_series_matches_direct_formula(name, group_b, group_c):
+@pytest.mark.parametrize("name,N", [("b", 24), ("c", 24), ("b", 48)], ids=["b", "c", "b-48"])
+def test_branch_weight_series_matches_direct_formula(name, N, group_b, group_c):
+    # oracle: |den|^-2delta times h's interpolant on disk b at the branch image,
+    # summed by numpy's chebval from h's Chebyshev coefficients
     group = {"b": group_b, "c": group_c}[name]
-    spec = tr.OperatorSpec(from_schottky(group), nodes_per_disk=24)
+    spec = tr.OperatorSpec(from_schottky(group), nodes_per_disk=N)
     sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
     grid, nsym = sr.discretization, spec.shift.k
     delta = float(sr.s.real)
@@ -309,7 +321,8 @@ def test_branch_weight_series_matches_direct_formula(name, group_b, group_c):
                 continue
             a_, b_, c_, d_ = np.real(group.symbol_matrix(b))
             den = c_ * x + d_
-            hy = grid.clenshaw(coeffs, np.tile((a_ * x + b_) / den, (nsym, 1)))[b]
+            y = (a_ * x + b_) / den
+            hy = np.polynomial.chebyshev.chebval((y - grid.centers[b]) / grid.radii[b], coeffs[b])
             assert_allclose(got, np.abs(den) ** (-2.0 * delta) * hy, rtol=1e-13, atol=0)
 
 

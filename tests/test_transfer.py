@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from numpy.testing import assert_allclose
 from scipy.fft import dct
 from scipy.optimize import brentq
@@ -255,24 +256,27 @@ def test_collocation_rejects_small_grid(shift_b):
         OperatorSpec(shift_b, nodes_per_disk=4).grid()
 
 
-def test_clenshaw_matches_barycentric_interpolant(spec_b, spectral_b):
+def test_chebyshev_coeffs_and_chebval_match_interp_values(spec_b, spectral_b):
+    # the series of node values, summed by numpy's chebval in t = (x - z_b) / r_b,
+    # is the barycentric interpolant on disk b: at the nodes and between them
     grid = spec_b.grid()
     h = np.real(spectral_b.h)
     N = grid.nodes_per_disk
     coeffs = grid.chebyshev_coeffs(h)
     assert coeffs.shape == (4, N)
-    assert_allclose(grid.clenshaw(coeffs, np.array(grid.nodes)), h.reshape(4, N),
-                    rtol=1e-13)
+    t = (np.array(grid.nodes) - grid.centers[:, None]) / grid.radii[:, None]
+    at_nodes = [chebval(t[b], coeffs[b]) for b in range(4)]
+    assert_allclose(at_nodes, h.reshape(4, N), rtol=1e-13)
     u = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 50))
     pts = grid.centers[:, None] + grid.radii[:, None] * u
     bary = [grid.interp_values(b, pts[b]) @ h[b * N:(b + 1) * N] for b in range(4)]
-    assert_allclose(grid.clenshaw(coeffs, pts), np.array(bary), rtol=1e-13)
+    assert_allclose([chebval(u[b], coeffs[b]) for b in range(4)], bary, rtol=1e-13)
     # complex node values keep their imaginary part through both steps
     hc = h * np.exp(1j * np.linspace(0.0, 3.0, h.size))
     cc = grid.chebyshev_coeffs(hc)
     assert cc.dtype == complex
     bary = [grid.interp_values(b, pts[b]) @ hc[b * N:(b + 1) * N] for b in range(4)]
-    assert_allclose(grid.clenshaw(cc, pts), np.array(bary), rtol=1e-13)
+    assert_allclose([chebval(u[b], cc[b]) for b in range(4)], bary, rtol=1e-13)
 
 
 def test_collocation_apply_matches_branch_sum(group_b, spec_b):
@@ -759,18 +763,22 @@ def test_cosine_matrix_dct_matches_scipy(group_b, N):
 
 # -- the off-node residual -------------------------------------------------------
 
-def test_off_node_blocks_match_clenshaw_and_branch_sum(group_b, spec_b, spectral_b):
-    # at disk b's 2N first-kind nodes x, off_eye gives h's interpolant (Clenshaw
-    # on h's coefficients is the oracle) and the off_* blocks give the
+def test_off_node_blocks_match_chebval_and_branch_sum(group_b, spec_b, spectral_b):
+    # at disk b's 2N first-kind nodes x, off_eye gives h's interpolant (numpy's
+    # chebval on h's coefficients is the oracle) and the off_* blocks give the
     # operator applied to it, the direct sum over branches of |den|^-2s
     # times the interpolant of disk a at the branch image
     import covercount.schottky as sk
     grid, N, s = spec_b.grid(), spec_b.nodes_per_disk, 0.75
     h = np.real(spectral_b.h)
     coeffs = grid.chebyshev_coeffs(h)
+
+    def interpolant(a, pts):  # h's interpolant on disk a at pts
+        return chebval((pts - grid.centers[a]) / grid.radii[a], coeffs[a])
+
     x = grid.first_kind_nodes(2 * N)
     Eh = (grid.off_eye @ h.reshape(4, N, 1))[..., 0]
-    assert_allclose(Eh, grid.clenshaw(coeffs, x), rtol=1e-13)
+    assert_allclose(Eh, [interpolant(b, x[b]) for b in range(4)], rtol=1e-13)
     R = tr._assemble(spec_b, s, spec_b.twist(), grid.off_logd, grid.off_interp)
     assert R.shape == (4 * 2 * N, 4 * N)
     direct = np.zeros((4, 2 * N))
@@ -780,7 +788,7 @@ def test_off_node_blocks_match_clenshaw_and_branch_sum(group_b, spec_b, spectral
                 ma = group_b.symbol_matrix(a)
                 den = ma[2] * x[b] + ma[3]
                 y = ((ma[0] * x[b] + ma[1]) / den).real
-                direct[b] += np.abs(den) ** (-2 * s) * grid.clenshaw(coeffs, np.tile(y, (4, 1)))[a]
+                direct[b] += np.abs(den) ** (-2 * s) * interpolant(a, y)
     assert_allclose((R @ h).reshape(4, 2 * N), direct, rtol=1e-12)
 
 
