@@ -10,7 +10,7 @@ y0, and the roof at y is log |(branch_{y0}^{-1})'| at the coded point.
 The Parry chain (parry_chain) has one formula for both flavours: it reads
 the transfer operator's per-transition blocks, one node per toy symbol.
 
-The equilibrium sampler has one step kernel (_steps) for both flavours,
+The equilibrium sampler has one step kernel (_kernel) for both flavours,
 which advances a whole batch of trajectories per step.  The batch sampler
 (sample_cocycle_batch) sums its increments, and the trajectory dump
 (sample_trajectory) runs it on one trajectory and records every step.  On
@@ -18,9 +18,12 @@ Schottky codings the step weight of branch b at a point x of disk s,
 |gamma_b'(x)|^delta h(gamma_b x), is one fixed analytic function of x per
 pair (s, b).  Its Chebyshev series on disk s's interval is computed once
 (branch_weight_series) from its values at the 2N first-kind nodes, which the
-collocation grid's off-node blocks already hold, so a step evaluates one
-Chebyshev basis per trajectory and takes all weights from one matrix
-product; only the picked branch's image and roof are formed.
+collocation grid's off-node blocks already hold.  From the series, a table
+built once per run (_pick_table) bounds every branch threshold on each of
+CELLS cells per disk, so a step picks its branch by a lookup; only where the
+bounds straddle the step's uniform does it sum the series, by elementwise
+products (_series_cum).  No step calls BLAS, and only the picked branch's
+image and roof are formed.
 """
 
 from __future__ import annotations
@@ -245,13 +248,20 @@ def parry_chain(shift: MarkovShift, spectral) -> ParryChain:
 _in_worker = False  # true in a _fork_map child, which never forks again
 
 
-def _workers() -> int:
-    """Processes for independent work: the usable CPUs over the BLAS threads
-    per process, read as OpenBLAS reads them (one per CPU when unset).  Two
-    processes at 2 BLAS threads on 2 CPUs took twice as long as one."""
+def _cpus() -> int:
+    """Processes for independent work that makes no BLAS call (the sampler's
+    steps): the usable CPUs, or 1 without os.fork."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    cpus = len(os.sched_getaffinity(0))
+    return len(os.sched_getaffinity(0))
+
+
+def _workers() -> int:
+    """Processes for independent work that calls BLAS (the scan's solves):
+    _cpus() over the BLAS threads per process, read as OpenBLAS reads them
+    (one per CPU when unset).  Two processes at 2 BLAS threads on 2 CPUs
+    took twice as long as one."""
+    cpus = _cpus()
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         v = os.environ.get(var, "")
         if v.strip().isdigit() and int(v) > 0:
@@ -309,15 +319,17 @@ def sample_cocycle_batch(chain: ParryChain, shift: MarkovShift, n: int,
 
     Trajectory i draws its randomness from default_rng([master_seed, i]), so
     results do not depend on batching or on the processes that run them: the
-    trajectories split into _workers() equal contiguous ranges, one per
-    process (_fork_map), and each range runs in batches of at most BATCH.
+    trajectories split into equal contiguous ranges, one per process
+    (_fork_map), and each range runs in batches of at most BATCH.
     Toy shifts run the exact finite-state chain.  Schottky codings run the
     equilibrium process exactly: random inverse branches weighted by
     |branch'|^delta h(branch x) / h(x) with h the RPF eigenfunction, which
     reverses to the shift with marginal nu; the roof increments are the
     analytic branch derivatives along the trajectory.  Each batch of
-    trajectories runs through one step kernel (see _steps); Schottky codings
-    first burn in SCHOTTKY_BURN steps from the disk centers.
+    trajectories runs through one step kernel (see _kernel), built once here
+    before any process forks; Schottky codings first burn in SCHOTTKY_BURN
+    steps from the disk centers.  The step makes no BLAS call, so the
+    ranges go to _cpus() processes whatever the BLAS thread count.
     """
     def run(span):
         start, stop = span
@@ -327,15 +339,15 @@ def sample_cocycle_batch(chain: ParryChain, shift: MarkovShift, n: int,
             hi = min(lo + BATCH, stop)
             rngs = [np.random.default_rng([master_seed, i]) for i in range(lo, hi)]
             tau_n, f_n = taus[lo - start:hi - start], fs[lo - start:hi - start]
-            for _, step_tau, step_f in _steps(chain, shift, n, rngs, spectral,
-                                              SCHOTTKY_BURN):
+            for _, step_tau, step_f in steps(n, rngs, SCHOTTKY_BURN):
                 tau_n += step_tau
                 f_n += step_f
         return taus, fs
 
     if n == 0:
         return np.zeros(n_traj), np.zeros((n_traj, shift.d), dtype=np.int64)
-    w = max(1, min(_workers(), n_traj))
+    steps = _kernel(chain, shift, spectral)
+    w = max(1, min(_cpus(), n_traj))
     cuts = [n_traj * i // w for i in range(w + 1)]
     parts = _fork_map(run, list(zip(cuts, cuts[1:])))
     return np.concatenate([t for t, _ in parts]), np.concatenate([f for _, f in parts])
@@ -351,8 +363,8 @@ def sample_trajectory(chain: ParryChain, shift: MarkovShift, n: int,
     tau_cum = 0.0
     f_cum = np.zeros(shift.d, dtype=np.int64)
     rngs = [np.random.default_rng([rng_seed, 0])]
-    for step, (sym, step_tau, step_f) in enumerate(_steps(chain, shift, n, rngs,
-                                                             spectral, burn=0)):
+    steps = _kernel(chain, shift, spectral)
+    for step, (sym, step_tau, step_f) in enumerate(steps(n, rngs, burn=0)):
         tau_cum += float(step_tau[0])
         f_cum += step_f[0]
         rows.append((step, label(int(sym[0])), tau_cum, *f_cum.tolist()))
@@ -360,7 +372,7 @@ def sample_trajectory(chain: ParryChain, shift: MarkovShift, n: int,
 
 
 SCHOTTKY_BURN = 192  # steps from the disk centers to the equilibrium of x
-_CHUNK = 1024        # steps of uniforms drawn per generator call
+_CHUNK = 256         # steps of uniforms drawn per generator call
 BATCH = 2048         # trajectories stepped together by sample_cocycle_batch
 
 
@@ -376,16 +388,17 @@ def _uniforms(rngs, count: int):
         yield from rows.T
 
 
-def _steps(chain: ParryChain, shift: MarkovShift, n: int, rngs, spectral, burn: int):
-    """The sampler kernel: n steps of all len(rngs) trajectories at once,
-    yielding per step (symbol, roof increment, cocycle increment) arrays.
+def _kernel(chain: ParryChain, shift: MarkovShift, spectral):
+    """The sampler kernel of one run: a function steps(n, rngs, burn) whose
+    generator runs n steps of all len(rngs) trajectories at once, yielding
+    per step (symbol, roof increment, cocycle increment) arrays.
 
     Each trajectory first draws its start symbol from the stationary law,
     then one uniform per step (burn-in included).
     """
     if shift.analytic:
-        return _schottky_steps(chain, shift, n, rngs, spectral, burn)
-    return _toy_steps(chain, shift, n, rngs)
+        return _schottky_kernel(chain, shift, spectral)
+    return lambda n, rngs, burn: _toy_steps(chain, shift, n, rngs)
 
 
 def _toy_steps(chain: ParryChain, shift: MarkovShift, n: int, rngs):
@@ -431,57 +444,141 @@ def branch_weight_series(shift: MarkovShift, spectral) -> np.ndarray:
     return G[..., :K]
 
 
-def _schottky_steps(chain: ParryChain, shift: MarkovShift, n: int, rngs, spectral,
-                    burn: int):
+def _schottky_kernel(chain: ParryChain, shift: MarkovShift, spectral):
     """Backward h-weighted branch chain; Birkhoff sums read along it equal
     forward sums under the equilibrium measure.
 
     From the point x on disk s's interval (real: it stays on the trace of
     the disks, and s is the last symbol) each step weighs every branch b by
-    g_{s,b}(x) = |gamma_b'(x)|^delta h(gamma_b x), zero for the inverse of s.
-    The weights come from their Chebyshev series (branch_weight_series): the
-    basis T_k(t) at t = (x - z_s) / r_s, one matrix product with every
-    (s, b) series, and a flat take of each trajectory's nsym rows.  The
-    basis doubles its known rows k + 1 per pass by T_{k+i} = 2 T_k T_i -
-    T_{k-i}, i = 1..k, so it costs log2(K) passes of a few array operations,
-    not K; that keeps the one-trajectory dump cheap.  Only the picked
-    branch's image and roof are then formed, so x and the roof depend on the
-    series only through the picks.
+    g_{s,b}(x) = |gamma_b'(x)|^delta h(gamma_b x), zero for the inverse of s,
+    and picks the number of running sums C_r = sum_{b <= r} g_{s,b}, r <
+    nsym, below u S, S = C_{nsym-1}.  A certified table (_pick_table), built
+    here once, bounds each C_r / S on the cell of t = (x - z_s) / r_s and
+    decides every r whose bounds do not straddle u: the squeeze principle
+    (Devroye, Non-Uniform Random Variate Generation, 1986, II.5).  Only the
+    trajectories where some r straddles u, or where t left [-1, 1], sum the
+    weights' Chebyshev series (_series_cum), so a step makes no BLAS call.
+    Only the picked branch's image and roof are then formed, so x and the
+    roof depend on the weights only through the picks.
     """
     if spectral is None:
         raise ValidationError("schottky sampling needs the spectral result at delta")
     group = shift.group
     grid = spectral.discretization
     G = branch_weight_series(shift, spectral)
-    nsym, K = shift.k, G.shape[2]
-    G = G.reshape(nsym * nsym, K)  # row s * nsym + b
+    table = _pick_table(G)
+    nsym = shift.k
     a, b, c, d = np.array([group.symbol_matrix(s) for s in range(nsym)]).real.T
     f_sym = np.array([group.symbol_homology(s) for s in range(nsym)],
                      dtype=np.int64).reshape(nsym, group.d)
-    m = len(rngs)
-    branch_rows = np.arange(nsym)[:, None] * m + np.arange(m)  # (b, j) in a (nsym, m) block
     cum_pi = np.cumsum(chain.stationary)
-    sym = np.minimum(np.searchsorted(cum_pi, [r.random() for r in rngs]), nsym - 1)
-    x = grid.centers[sym]
-    T = np.empty((K, m))  # T[k] = T_k(t)
-    T[0] = 1.0
-    for step, u in enumerate(_uniforms(rngs, n + burn)):
-        t = T[1]
-        np.subtract(x, grid.centers.take(sym), out=t)
-        t /= grid.radii.take(sym)
-        known = 2
-        while known < K:  # T_{k+i} = 2 T_k T_i - T_{k-i}, i = 1..new rows
-            k, j = known - 1, min(known - 1, K - known)
-            np.multiply(T[1:j + 1], 2.0 * T[k], out=T[known:known + j])
-            T[known:known + j] -= T[k - j:k][::-1]
-            known += j
-        cum = (G @ T).ravel().take(sym * (nsym * m) + branch_rows)
-        for r in range(1, nsym):  # cumsum(axis=0) as row adds: same sums, less time
-            cum[r] += cum[r - 1]
-        pick = np.minimum((cum < u * cum[-1]).sum(axis=0), nsym - 1)
-        den = c.take(pick) * x + d.take(pick)
-        if step >= burn:
-            yield pick, 2.0 * np.log(np.abs(den)), f_sym[pick]
-        # num * (1 / den) is numpy's complex quotient of real operands
-        x = (a.take(pick) * x + b.take(pick)) * (1.0 / den)
-        sym = pick
+
+    def steps(n: int, rngs, burn: int):
+        sym = np.minimum(np.searchsorted(cum_pi, [r.random() for r in rngs]), nsym - 1)
+        x = grid.centers[sym]
+        for step, u in enumerate(_uniforms(rngs, n + burn)):
+            u = u.copy()  # contiguous: the table compare reads u 2 (nsym - 1) times
+            t = (x - grid.centers.take(sym)) / grid.radii.take(sym)
+            pick, unsure = _table_picks(table, sym, t, u)
+            if unsure.any():
+                i = np.flatnonzero(unsure)
+                cum = _series_cum(G, sym[i], t[i])
+                pick[i] = np.minimum((cum < u[i] * cum[-1]).sum(axis=0), nsym - 1)
+            den = c.take(pick) * x + d.take(pick)
+            if step >= burn:
+                yield pick, 2.0 * np.log(np.abs(den)), f_sym.take(pick, axis=0)
+            # num * (1 / den) is numpy's complex quotient of real operands
+            x = (a.take(pick) * x + b.take(pick)) * (1.0 / den)
+            sym = pick
+
+    return steps
+
+
+# Table cells per disk.  The share of trajectory-steps that sum the series
+# falls as 1 / CELLS, while the table (2 nsym (nsym - 1) (CELLS + 2) floats)
+# and its build grow with it.  Measured on b (N = 24) and c (N = 20), BLAS at
+# 1 thread, 2-vCPU Intel Xeon: the share over 2048 trajectories x 792 steps,
+# seeds 1-3, and the median of seeds 1-8 for a batch of 2048 x 1192 steps:
+#   CELLS   share b / c       table b / c     build b / c   median batch b / c
+#    4096   1.9e-4 / 3.0e-4   0.8 / 2.0 MB     1 / 1.5 ms   0.246 / 0.266 s
+#    8192   1.0e-4 / 1.4e-4   1.6 / 3.9 MB     3.5 / 3 ms   0.246 / 0.268 s
+#   16384   5.0e-5 / 7.1e-5   3.1 / 7.9 MB     7 / 10 ms    0.241 / 0.283 s
+# The batch times tie within the host's noise; 8192 keeps the share near 1e-4.
+CELLS = 8192
+
+
+def _pick_table(G: np.ndarray) -> np.ndarray:
+    """Bounds LO_r <= C_r / S <= HI_r, r < nsym - 1, on each of CELLS equal
+    cells of t in [-1, 1] per disk s, from the series G of branch_weight_series:
+    shape (2, nsym - 1, nsym * (CELLS + 2)), LO then HI.  Disk s's cell j is
+    column s * (CELLS + 2) + 1 + j; columns s * (CELLS + 2) and s * (CELLS +
+    2) + CELLS + 1 pad t outside [-1, 1] with LO = -inf and HI = inf, which
+    every u straddles.
+
+    C_r and S are Chebyshev series, the running sums of G over b, so each
+    is evaluated at the CELLS + 1 cell edges by one product per disk.  On a
+    cell of width w, F = u S - C_r stays above min(F(t_j), F(t_j+1)) -
+    w^2/8 max|F''| for every u in [0, 1], and V. Markov's inequality gives
+    max|p''| <= sum |c_k| k^2 (k^2 - 1) / 3 on [-1, 1].  So HI = max_j (C_r +
+    E) / S and LO = min_j (C_r - E) / S, where E adds that term to a rounding
+    slack.  The slack covers the step's own evaluation of the series (its
+    basis by doubling, a sum of K terms and the running adds), the table's,
+    and a t whose cell index rounds across an edge: 64 eps sum_k (k^2 + K +
+    nsym) sum_b |G_{s,b,k}|, far below the Markov term.  A cell where S is
+    not positive at both edges keeps the padding's bounds.
+    """
+    nsym, _, K = G.shape
+    k = np.arange(K, dtype=float)
+    C = np.cumsum(G, axis=1)  # C[s, r] is C_r's series, C[s, -1] is S's
+    bend = np.abs(C) @ (k * k * (k * k - 1.0) / 3.0)  # (s, r): bound on max |C_r''|
+    slack = 64 * np.finfo(float).eps * (np.abs(G).sum(axis=1) @ (k * k + K + nsym))
+    width = 2.0 / CELLS
+    E = width * width / 8.0 * (bend[:, :-1] + bend[:, -1:]) + slack[:, None]
+    basis = _chebyshev_basis(-1.0 + np.arange(CELLS + 1) * width, K)  # at the cell edges
+    table = np.empty((2, nsym - 1, nsym, CELLS + 2))
+    table[0], table[1] = -np.inf, np.inf
+    for s in range(nsym):
+        V = C[s] @ basis  # C_r at the edges, S last
+        S, e = V[-1], E[s][:, None]
+        ok = np.minimum(S[:-1], S[1:]) > 0.0
+        S = np.where(S > 0.0, S, 1.0)
+        lo, hi = (V[:-1] - e) / S, (V[:-1] + e) / S
+        table[0, :, s, 1:-1] = np.where(ok, np.minimum(lo[:, :-1], lo[:, 1:]), -np.inf)
+        table[1, :, s, 1:-1] = np.where(ok, np.maximum(hi[:, :-1], hi[:, 1:]), np.inf)
+    return table.reshape(2, nsym - 1, nsym * (CELLS + 2))
+
+
+def _table_picks(table: np.ndarray, sym: np.ndarray, t: np.ndarray, u: np.ndarray):
+    """(pick, unsure) from the table of _pick_table for trajectories on disks
+    sym at t: pick counts the r with HI_r < u, and unsure marks where that
+    count differs from the count of LO_r < u, which a t outside [-1, 1] (a
+    padding column) always makes it.  Where unsure is false, pick is the
+    series' pick."""
+    half = CELLS / 2
+    cell = np.clip(t * half + (half + 1.0), 0.0, CELLS + 1.0).astype(np.intp)
+    cell += sym * (CELLS + 2)
+    below = (table.take(cell, axis=2) < u).view(np.uint8).sum(axis=1, dtype=np.uint8)
+    return below[1].astype(np.intp), below[0] != below[1]
+
+
+def _series_cum(G: np.ndarray, sym: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The running sums C_r, shape (nsym, len(t)), of the branch weights of
+    disks sym at t, from their Chebyshev series by elementwise products and
+    a sum."""
+    T = _chebyshev_basis(t, G.shape[2])
+    return np.cumsum((G[sym] * T.T[:, None, :]).sum(axis=2), axis=1).T
+
+
+def _chebyshev_basis(t: np.ndarray, K: int) -> np.ndarray:
+    """T_k(t), k < K, shape (K, len(t)), for any real t.  The known rows k + 1
+    double per pass by T_{k+i} = 2 T_k T_i - T_{k-i}, i = 1..k, so the basis
+    costs log2(K) passes, not K."""
+    T = np.empty((K, len(t)))
+    T[0], T[1] = 1.0, t
+    known = 2
+    while known < K:
+        k, j = known - 1, min(known - 1, K - known)
+        np.multiply(T[1:j + 1], 2.0 * T[k], out=T[known:known + j])
+        T[known:known + j] -= T[k - j:k][::-1]
+        known += j
+    return T

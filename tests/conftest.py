@@ -73,5 +73,16 @@ def spectral_b(spec_b, delta_b):
 
 
 @pytest.fixture(scope="session")
+def shift_c(group_c):
+    return sh.from_schottky(group_c)
+
+
+@pytest.fixture(scope="session")
+def spectral_c(shift_c):
+    spec = tr.OperatorSpec(shift_c, nodes_per_disk=20)
+    return tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260808)

@@ -2,6 +2,8 @@ import itertools
 import math
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -414,16 +416,61 @@ def _reference_schottky_dump(chain, shift, n, rng_seed, spectral):
     return rows
 
 
-@pytest.mark.parametrize("seed", [7, 20260808])
-def test_schottky_kernel_matches_reference_loop(shift_b, spectral_b, seed):
-    chain = parry_chain(shift_b, spectral_b)
+@pytest.mark.parametrize("name,seed", [("b", 7), ("b", 20260808), ("c", 7), ("c", 20260808)],
+                         ids=["7", "20260808", "c-7", "c-20260808"])
+def test_schottky_kernel_matches_reference_loop(name, seed, request):
+    shift = request.getfixturevalue(f"shift_{name}")
+    spectral = request.getfixturevalue(f"spectral_{name}")
+    chain = parry_chain(shift, spectral)
     n, m = 300, 64
-    tau, f = sample_cocycle_batch(chain, shift_b, n, m, master_seed=seed,
-                                  spectral=spectral_b)
+    tau, f = sample_cocycle_batch(chain, shift, n, m, master_seed=seed,
+                                  spectral=spectral)
     rngs = [np.random.default_rng([seed, i]) for i in range(m)]
-    tau_ref, f_ref = _reference_schottky_batch(chain, shift_b, n, rngs, spectral_b)
+    tau_ref, f_ref = _reference_schottky_batch(chain, shift, n, rngs, spectral)
     assert np.array_equal(tau, tau_ref)
     assert np.array_equal(f, f_ref)
+
+
+@pytest.mark.parametrize("name", ["b", "c"])
+def test_pick_table_bounds_the_series_on_every_cell(name, request):
+    # every cell's [LO_r, HI_r] holds C_r / S of the exact path at 64 points inside it
+    shift = request.getfixturevalue(f"shift_{name}")
+    G = branch_weight_series(shift, request.getfixturevalue(f"spectral_{name}"))
+    nsym, cells = shift.k, sh.CELLS
+    lo, hi = sh._pick_table(G).reshape(2, nsym - 1, nsym, cells + 2)[..., 1:-1]
+    inside = (np.arange(64) + 0.5) / 64
+    for s in range(nsym):
+        for js in np.array_split(np.arange(cells), 512):
+            t = (-1.0 + (js[:, None] + inside) * (2.0 / cells)).ravel()
+            cum = sh._series_cum(G, np.full(len(t), s), t)
+            theta = (cum[:-1] / cum[-1]).reshape(nsym - 1, len(js), 64)
+            assert np.all(lo[:, s, js, None] <= theta) and np.all(theta <= hi[:, s, js, None])
+
+
+@pytest.mark.parametrize("name", ["b", "c"])
+def test_table_picks_match_the_series(name, request):
+    # random (state, t, u); the first 1000 have u within 1e-15 of a computed
+    # C_r / S and the next 200 a t a few ulps outside [-1, 1]: all of those
+    # must go to the series
+    shift = request.getfixturevalue(f"shift_{name}")
+    G = branch_weight_series(shift, request.getfixturevalue(f"spectral_{name}"))
+    table, nsym = sh._pick_table(G), shift.k
+    rng = np.random.default_rng(23)
+    m, near, out = 50_000, 1000, 200
+    sym = rng.integers(0, nsym, m)
+    t = rng.uniform(-1.0, 1.0, m)
+    u = rng.random(m)
+    cum = sh._series_cum(G, sym[:near], t[:near])
+    theta = cum[rng.integers(0, nsym - 1, near), np.arange(near)] / cum[-1]
+    u[:near] = np.maximum(theta + rng.uniform(-1e-15, 1e-15, near), 0.0)
+    side = rng.choice([-1.0, 1.0], out)
+    t[near:near + out] = side * (1.0 + rng.integers(1, 5, out) * np.finfo(float).eps)
+    pick, unsure = sh._table_picks(table, sym, t, u)
+    cum = sh._series_cum(G, sym, t)
+    exact = np.minimum((cum < u * cum[-1]).sum(axis=0), nsym - 1)
+    assert np.all(unsure[:near + out])
+    assert unsure[near + out:].mean() < 1e-2
+    assert np.array_equal(pick[~unsure], exact[~unsure])
 
 
 def test_schottky_dump_matches_reference_loop(shift_b, spectral_b):
@@ -522,6 +569,37 @@ def test_every_error_survives_pickling():
         back = pickle.loads(pickle.dumps(e))
         assert type(back) is type(e) and str(back) == str(e)
         assert back.__dict__ == e.__dict__
+
+
+@pytest.mark.skipif(sh._cpus() < 2, reason="needs two usable CPUs")
+def test_sampler_forks_at_the_default_blas_threads():
+    # with no BLAS thread variable set the scan stays in one process, while
+    # the sampler, whose steps call no BLAS, takes every usable CPU
+    script = """if True:
+        import hashlib
+        from covercount import shift as sh, transfer as tr
+        from covercount.groupfile import load_group
+        chunks, fork_map = [], sh._fork_map
+        sh._fork_map = lambda fn, parts: chunks.append(len(parts)) or fork_map(fn, parts)
+        shift = sh.from_schottky(load_group("fixture:b"))
+        spec = tr.OperatorSpec(shift, nodes_per_disk=24)
+        sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
+        chain = sh.parry_chain(shift, sr)
+        print(sh._workers())
+        for cpus in (sh._cpus(), 1):
+            sh._cpus = lambda: cpus
+            tau, f = sh.sample_cocycle_batch(chain, shift, 300, 1000, 3, spectral=sr)
+            print(chunks[-1], hashlib.sha256(tau.tobytes() + f.tobytes()).hexdigest())
+    """
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(sh.__file__))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    (blas_workers,), (forked, bits), (serial, serial_bits) = map(str.split,
+                                                                  done.stdout.splitlines())
+    assert int(forked) == sh._cpus() and int(serial) == 1 and int(blas_workers) == 1
+    assert bits == serial_bits
 
 
 @pytest.mark.parametrize("n_traj", [1, 7, 4096])
