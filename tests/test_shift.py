@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -571,35 +572,39 @@ def test_every_error_survives_pickling():
         assert back.__dict__ == e.__dict__
 
 
+def test_scan_stays_in_one_process_without_a_blas_variable(monkeypatch):
+    # unset, OpenBLAS runs one thread per CPU, so the scan's solves take them all
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(sh, "_cpus", lambda: 4)
+    assert sh._workers() == 1
+
+
 @pytest.mark.skipif(sh._cpus() < 2, reason="needs two usable CPUs")
-def test_sampler_forks_at_the_default_blas_threads():
-    # with no BLAS thread variable set the scan stays in one process, while
-    # the sampler, whose steps call no BLAS, takes every usable CPU
+def test_sampler_forks_at_the_default_blas_threads(shift_b, spectral_b, monkeypatch):
+    # a process whose OpenBLAS started one thread per CPU forks the sampler,
+    # whose steps call no BLAS, over every usable CPU, with one process's bits
+    chain = parry_chain(shift_b, spectral_b)
     script = """if True:
-        import hashlib
-        from covercount import shift as sh, transfer as tr
-        from covercount.groupfile import load_group
+        import hashlib, pickle, sys
+        from covercount import shift as sh
+        chain, shift, spectral = pickle.load(sys.stdin.buffer)
         chunks, fork_map = [], sh._fork_map
         sh._fork_map = lambda fn, parts: chunks.append(len(parts)) or fork_map(fn, parts)
-        shift = sh.from_schottky(load_group("fixture:b"))
-        spec = tr.OperatorSpec(shift, nodes_per_disk=24)
-        sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
-        chain = sh.parry_chain(shift, sr)
-        print(sh._workers())
-        for cpus in (sh._cpus(), 1):
-            sh._cpus = lambda: cpus
-            tau, f = sh.sample_cocycle_batch(chain, shift, 300, 1000, 3, spectral=sr)
-            print(chunks[-1], hashlib.sha256(tau.tobytes() + f.tobytes()).hexdigest())
+        tau, f = sh.sample_cocycle_batch(chain, shift, 300, 1000, 3, spectral=spectral)
+        print(chunks[0], hashlib.sha256(tau.tobytes() + f.tobytes()).hexdigest())
     """
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(sh.__file__))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
-    (blas_workers,), (forked, bits), (serial, serial_bits) = map(str.split,
-                                                                  done.stdout.splitlines())
-    assert int(forked) == sh._cpus() and int(serial) == 1 and int(blas_workers) == 1
-    assert bits == serial_bits
+                          input=pickle.dumps((chain, shift_b, spectral_b)),
+                          timeout=300, check=True)
+    forked, bits = done.stdout.decode().split()
+    assert int(forked) == sh._cpus()
+    monkeypatch.setattr(sh, "_cpus", lambda: 1)
+    tau, f = sample_cocycle_batch(chain, shift_b, 300, 1000, 3, spectral=spectral_b)
+    assert bits == hashlib.sha256(tau.tobytes() + f.tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("n_traj", [1, 7, 4096])
@@ -610,7 +615,7 @@ def test_sampler_same_bits_in_two_processes(n_traj, toy2, shift_b, spectral_b,
         chain = parry_chain(shift, spectral)
         got = []
         for workers in (1, 2):
-            monkeypatch.setattr(sh, "_workers", lambda: workers)
+            monkeypatch.setattr(sh, "_cpus", lambda: workers)
             got.append(sample_cocycle_batch(chain, shift, 40, n_traj, master_seed=3,
                                             spectral=spectral))
         (t1, f1), (t2, f2) = got
