@@ -8,7 +8,7 @@ from .hyperbolic import (ElementClass, GeodesicInvariants, MoebiusMap, Model,
                          classify, compose, displacement, geodesic_invariants)
 from .schottky import (Disk, GeodesicRecord, OrbitRecord, SchottkyGroup,
                        enumerate_orbit, primitive_classes)
-from .shift import MarkovShift, ParryChain, from_schottky, parry_chain, toy_full_shift
+from .shift import MarkovShift, ParryChain, from_schottky, parry_chain
 from .transfer import (OperatorSpec, PressureSurface, SpectralResult,
                        critical_exponent, leading_eigenvalue, pressure,
                        pressure_surface, spectral_at_delta, spectral_radius_scan)

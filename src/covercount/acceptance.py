@@ -1,6 +1,6 @@
-"""The acceptance suite: one named check per criterion, each returning a
-result record with pass/fail, measured values, and elapsed time.  Both the
-pytest suite and `covercount verify-all` run these."""
+"""The acceptance suite: one named check per criterion, each returning its
+id, name, pass/fail and measured values; run_criterion times it into a
+result record.  Both the pytest suite and `covercount verify-all` run these."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from . import schottky as sk
 from . import shift as sh
 from . import stats as st
 from . import transfer as tr
+from .errors import CovercountError
 from .groupfile import load_any, load_group
 from .hyperbolic import geodesic_invariants
 from .reporting import ReportWriter
@@ -32,27 +33,10 @@ class CriterionResult:
     seconds: float
 
 
-@dataclass
-class Budget:
-    """Run sizes: the reference scale the criteria are stated at."""
-
-    orbit_T: float = 13.0
-    slope_T: float = 12.5
-    geodesic_lo: float = 6.0
-    geodesic_L: float = 18.5
-    geodesic_checkpoints: int = 16
-    holonomy_L: float = 17.0
-    vector_logT: float = 13.5
-    clt_traj: int = 10_000
-    clt_steps: int = 10_000
-    coding_len: int = 8
-
-
 class Workspace:
     """Lazy shared fixture data (groups, shifts, spectra) for the criteria."""
 
-    def __init__(self, budget: Budget, seed: int = 1):
-        self.budget = budget
+    def __init__(self, seed: int = 1):
         self.seed = seed
 
     @cached_property
@@ -96,12 +80,7 @@ class Workspace:
         return load_group("fixture:d0")
 
 
-def _result(cid, name, passed, details, t0) -> CriterionResult:
-    return CriterionResult(cid, name, bool(passed), details, round(time.time() - t0, 3))
-
-
-def c01_toy_closed_forms(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+def c01_toy_closed_forms(ws: Workspace) -> tuple:
     spec = ws.toy2_spec
     surf = tr.pressure_surface(spec)
     d_err = abs(surf.delta - math.log(2.0))
@@ -110,17 +89,16 @@ def c01_toy_closed_forms(ws: Workspace) -> CriterionResult:
     s_err = abs(surf.sigma - 1.0)
     c_err = abs(surf.c0 - math.sqrt(2.0 * math.pi))
     passed = d_err < 1e-12 and p_err < 1e-10 and s_err < 1e-6 and c_err < 1e-6
-    return _result("C1", "toy closed forms (delta, P, sigma, C0)", passed,
-                   {"delta_err": d_err, "pressure_err": p_err,
-                    "sigma_err": s_err, "c0_err": c_err}, t0)
+    return ("C1", "toy closed forms (delta, P, sigma, C0)", passed,
+            {"delta_err": d_err, "pressure_err": p_err,
+             "sigma_err": s_err, "c0_err": c_err})
 
 
-def c02_coding_correctness(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+def c02_coding_correctness(ws: Workspace) -> tuple:
     group = ws.group_b
     letters = [sk.letter_of_index(i) for i in range(group.n_symbols)]
-    worst, n_classes = 0.0, 0
-    for n in range(1, ws.budget.coding_len + 1):
+    worst, n_classes, max_len = 0.0, 0, 8
+    for n in range(1, max_len + 1):
         for word in itertools.product(letters, repeat=n):
             if not sk.is_cyclically_reduced(word):
                 continue
@@ -129,25 +107,23 @@ def c02_coding_correctness(ws: Workspace) -> CriterionResult:
             n_classes += 1
             ell = geodesic_invariants(group.evaluate(word)).length
             worst = max(worst, abs(sh.cycle_roof_sum(group, word).real - ell))
-    return _result("C2", "roof sums equal translation lengths", worst < 1e-6,
-                   {"max_error": worst, "classes_checked": n_classes,
-                    "max_word_length": ws.budget.coding_len}, t0)
+    return ("C2", "roof sums equal translation lengths", worst < 1e-6,
+            {"max_error": worst, "classes_checked": n_classes,
+             "max_word_length": max_len})
 
 
-def _orbit_report(ws: Workspace, group, delta, sigma, T):
+def _orbit_report(group, delta, sigma, T):
     cps = cen.checkpoints_linear(5.0, T, 12)
     pred = cen.Prediction(delta=delta, sigma=sigma)
     return cps, cen.orbit_by_homology(group, pred, T, cps)
 
 
-def c03_two_method_delta(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+def c03_two_method_delta(ws: Workspace) -> tuple:
     details = {}
     passed = True
     for tag, group, delta in (("b", ws.group_b, ws.surface_b.delta),
                               ("c", ws.group_c, ws.surface_c.delta)):
-        T = ws.budget.slope_T
-        cps, rep = _orbit_report(ws, group, delta, 1.0, T)
+        cps, rep = _orbit_report(group, delta, 1.0, 12.5)
         half = len(cps) // 2
         slope = cen.fit_growth(cps[half:], rep.totals[half:], fix_log_power=0.0)
         err = abs(slope - delta)
@@ -155,11 +131,10 @@ def c03_two_method_delta(ws: Workspace) -> CriterionResult:
         details[f"slope_{tag}"] = slope
         details[f"err_{tag}"] = err
         passed = passed and err < 2e-2
-    return _result("C3", "transfer delta vs orbit-growth slope", passed, details, t0)
+    return ("C3", "transfer delta vs orbit-growth slope", passed, details)
 
 
-def c04_pressure_structure(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+def c04_pressure_structure(ws: Workspace) -> tuple:
     details = {}
     passed = True
     for tag, spec, surf in (("b", ws.spec_b, ws.surface_b), ("c", ws.spec_c, ws.surface_c)):
@@ -178,11 +153,10 @@ def c04_pressure_structure(ws: Workspace) -> CriterionResult:
                         "hessian_min_eig": spd, "pressure_symmetry_err": sym_err,
                         "sigma": surf.sigma}
         passed = passed and ok
-    return _result("C4", "pressure surface structure and symmetry", passed, details, t0)
+    return ("C4", "pressure surface structure and symmetry", passed, details)
 
 
-def c05_spectral_gap_scan(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+def c05_spectral_gap_scan(ws: Workspace) -> tuple:
     spec48 = tr.OperatorSpec(ws.shift_b, nodes_per_disk=48)
     delta = tr.critical_exponent(spec48)
     t_grid = np.linspace(0.05, 5.0, 25)
@@ -194,34 +168,29 @@ def c05_spectral_gap_scan(ws: Workspace) -> CriterionResult:
     control = tr.spectral_radius_scan(ws.toy2_spec, toy_delta,
                                       [2.0 * math.pi], [[0.0]], p_list=[0])
     flagged = any(abs(r.t - 2.0 * math.pi) < 1e-12 and r.violation for r in control.rows)
-    return _result("C5", "spectral gap scan + arithmetic control",
-                   gap_ok and flagged,
-                   {"max_abs_lambda": rep.max_abs_lambda(),
-                    "violations": len(rep.violations),
-                    "control_flagged": flagged}, t0)
+    return ("C5", "spectral gap scan + arithmetic control", gap_ok and flagged,
+            {"max_abs_lambda": rep.max_abs_lambda(),
+             "violations": len(rep.violations),
+             "control_flagged": flagged})
 
 
-def c06_local_mixing_counts(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
-    T = ws.budget.orbit_T
+def c06_local_mixing_counts(ws: Workspace) -> tuple:
+    T = 13.0
     delta = ws.surface_b.delta
-    cps, rep = _orbit_report(ws, ws.group_b, delta, ws.surface_b.sigma, T)
+    cps, rep = _orbit_report(ws.group_b, delta, ws.surface_b.sigma, T)
     c0 = rep.counts[(0,)]
     plateau = st.plateau_deviation(c0 * np.exp(-delta * cps) * np.sqrt(cps))
     symmetric = all(np.array_equal(cts, rep.counts[tuple(-x for x in key)])
                     for key, cts in rep.counts.items())
-    return _result("C6", "local-mixing orbit law and count symmetry",
-                   plateau < 0.10 and symmetric,
-                   {"plateau": plateau, "symmetric": symmetric,
-                    "N0_top": int(c0[-1]), "T_max": T}, t0)
+    return ("C6", "local-mixing orbit law and count symmetry", plateau < 0.10 and symmetric,
+            {"plateau": plateau, "symmetric": symmetric,
+             "N0_top": int(c0[-1]), "T_max": T})
 
 
-def c07_prime_geodesic_theorem(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
-    L = ws.budget.geodesic_L
+def c07_prime_geodesic_theorem(ws: Workspace) -> tuple:
+    L = 18.5
     delta, sigma = ws.surface_b.delta, ws.surface_b.sigma
-    cps = cen.checkpoints_linear(ws.budget.geodesic_lo, L,
-                                 ws.budget.geodesic_checkpoints)
+    cps = cen.checkpoints_linear(6.0, L, 16)
     pred = cen.Prediction(delta=delta, sigma=sigma)
     rep = cen.geodesics_by_homology(ws.group_b, pred, L, cps)
     ratios = rep.ratios[(0,)]
@@ -236,45 +205,41 @@ def c07_prime_geodesic_theorem(ws: Workspace) -> CriterionResult:
     control = float(rep0.ratios[()][-1])
     control_ok = 0.7 <= control <= 1.3
     passed = top_ok and trend_p < 0.05 and control_ok
-    return _result("C7", "prime geodesic theorem with homology (absolute constant)",
-                   passed,
-                   {"top_ratio": float(ratios[-1]), "trend_p": float(trend_p),
-                    "d0_control_ratio": control, "N0_top": int(rep.counts[(0,)][-1]),
-                    "sigma": sigma, "L_max": L}, t0)
+    return ("C7", "prime geodesic theorem with homology (absolute constant)", passed,
+            {"top_ratio": float(ratios[-1]), "trend_p": float(trend_p),
+             "d0_control_ratio": control, "N0_top": int(rep.counts[(0,)][-1]),
+             "sigma": sigma, "L_max": L})
 
 
-def c08_clt_homology_cocycle(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+def c08_clt_homology_cocycle(ws: Workspace) -> tuple:
     sr = ws.surface_b.spectral
     chain = sh.parry_chain(ws.shift_b, sr)
-    tau, f = sh.sample_cocycle_batch(chain, ws.shift_b, ws.budget.clt_steps,
-                                     ws.budget.clt_traj, ws.seed, spectral=sr)
+    n_traj, steps = 10_000, 10_000
+    tau, f = sh.sample_cocycle_batch(chain, ws.shift_b, steps, n_traj, ws.seed, spectral=sr)
     z = f[:, 0] / np.sqrt(tau)
     sigma = ws.surface_b.sigma
     var_err = abs(float(z.var()) / sigma - 1.0)
     chk = st.clt_check(z, np.array([[sigma]]))
     passed = var_err < 0.10 and chk.min_ks_p() > 0.01
-    return _result("C8", "CLT for the homology cocycle", passed,
-                   {"var_rel_err": var_err, "ks_p": chk.min_ks_p(),
-                    "chi2_p": chk.chi2_p, "trajectories": ws.budget.clt_traj,
-                    "steps": ws.budget.clt_steps, "sigma": sigma}, t0)
+    return ("C8", "CLT for the homology cocycle", passed,
+            {"var_rel_err": var_err, "ks_p": chk.min_ks_p(),
+             "chi2_p": chk.chi2_p, "trajectories": n_traj,
+             "steps": steps, "sigma": sigma})
 
 
-def c09_holonomy_equidistribution(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
-    L = ws.budget.holonomy_L
+def c09_holonomy_equidistribution(ws: Workspace) -> tuple:
+    L = 17.0
     cps = cen.checkpoints_linear(9.0, L, 8)
     rep = cen.holonomy_equidistribution(ws.group_d0, L, [1, 2, 3], cps)
     tops = {p: float(rep.ratios[p][-1]) for p in (1, 2, 3)}
     passed = all(v < 0.1 for v in tops.values())
-    return _result("C9", "holonomy character sums equidistribute", passed,
-                   {"top_ratios": tops, "classes": int(rep.totals[-1]), "L_max": L}, t0)
+    return ("C9", "holonomy character sums equidistribute", passed,
+            {"top_ratios": tops, "classes": int(rep.totals[-1]), "L_max": L})
 
 
-def c10_vector_orbit(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+def c10_vector_orbit(ws: Workspace) -> tuple:
     delta = ws.surface_b.delta
-    cps = np.exp(np.linspace(6.0, ws.budget.vector_logT, 12))
+    cps = np.exp(np.linspace(6.0, 13.5, 12))
     pred = cen.Prediction(delta=delta, sigma=1.0)
     rep = cen.vector_orbit(ws.group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps)
     cts = rep.counts["vectors"]
@@ -283,15 +248,14 @@ def c10_vector_orbit(ws: Workspace) -> CriterionResult:
     exp_err = abs(exponent - delta)
     plateau = st.plateau_deviation(cts * cps ** (-delta) * np.sqrt(np.log(cps)))
     passed = exp_err < 0.05 and plateau < 0.15
-    return _result("C10", "vector-orbit counting exponent and plateau", passed,
-                   {"exponent": exponent, "exponent_err": exp_err,
-                    "plateau": plateau, "top_count": int(cts[-1]),
-                    "stabilizer_hits": rep.meta["stabilizer_hits"]}, t0)
+    return ("C10", "vector-orbit counting exponent and plateau", passed,
+            {"exponent": exponent, "exponent_err": exp_err,
+             "plateau": plateau, "top_count": int(cts[-1]),
+             "stabilizer_hits": rep.meta["stabilizer_hits"]})
 
 
-def c11_determinism(ws: Workspace, out_dir=None) -> CriterionResult:
+def c11_determinism(ws: Workspace, out_dir=None) -> tuple:
     import tempfile
-    t0 = time.time()
     base = out_dir or tempfile.mkdtemp(prefix="covercount-det-")
     hashes = []
     for run in ("run1", "run2"):
@@ -317,11 +281,10 @@ def c11_determinism(ws: Workspace, out_dir=None) -> CriterionResult:
         manifest = w.finish({"group": group.fingerprint()})
         hashes.append(manifest["manifest_sha256"])
     passed = hashes[0] == hashes[1]
-    return _result("C11", "byte-identical report manifests across reruns", passed,
-                   {"hashes": hashes}, t0)
+    return ("C11", "byte-identical report manifests across reruns", passed, {"hashes": hashes})
 
 
-ALL_CRITERIA: list[Callable[[Workspace], CriterionResult]] = [
+ALL_CRITERIA: list[Callable[[Workspace], tuple]] = [
     c01_toy_closed_forms,
     c02_coding_correctness,
     c03_two_method_delta,
@@ -336,21 +299,25 @@ ALL_CRITERIA: list[Callable[[Workspace], CriterionResult]] = [
 ]
 
 
+def run_criterion(fn: Callable[[Workspace], tuple], ws: Workspace) -> CriterionResult:
+    """fn(ws), timed; a CovercountError fails the criterion, not its caller."""
+    t0 = time.time()
+    try:
+        cid, name, passed, details = fn(ws)
+    except CovercountError as exc:
+        cid, name, passed = f"C{ALL_CRITERIA.index(fn) + 1}", fn.__name__, False
+        details = {"error": f"{type(exc).__name__}: {exc}"}
+    # bool: a numpy bool would not encode in the report files
+    return CriterionResult(cid, name, bool(passed), details, round(time.time() - t0, 3))
+
+
 def run_all(seed: int = 1, progress: Optional[Callable[[CriterionResult], None]] = None
             ) -> list[CriterionResult]:
     """Run every criterion; an exception fails that criterion, not the suite."""
-    from .errors import CovercountError
-    ws = Workspace(Budget(), seed=seed)
+    ws = Workspace(seed=seed)
     results = []
-    for i, fn in enumerate(ALL_CRITERIA, 1):
-        t0 = time.time()
-        try:
-            res = fn(ws)
-        except CovercountError as exc:
-            res = CriterionResult(f"C{i}", fn.__name__, False,
-                                  {"error": f"{type(exc).__name__}: {exc}"},
-                                  round(time.time() - t0, 3))
-        results.append(res)
+    for fn in ALL_CRITERIA:
+        results.append(run_criterion(fn, ws))
         if progress is not None:
-            progress(res)
+            progress(results[-1])
     return results

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,9 +38,16 @@ class CensusReport:
     checkpoints: np.ndarray
     counts: dict                      # class key -> cumulative counts
     predictions: dict                 # class key -> predicted reals
-    ratios: dict                      # class key -> observed / predicted
     totals: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    @cached_property
+    def ratios(self) -> dict:
+        """Class key -> observed / predicted, for every predicted class; a
+        class without records counts 0."""
+        zeros = np.zeros_like(self.totals)
+        return {key: _safe_ratio(self.counts.get(key, zeros), pr)
+                for key, pr in self.predictions.items()}
 
 
 def checkpoints_linear(t_min: float, t_max: float, count: int) -> np.ndarray:
@@ -131,17 +139,14 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
 
     delta, d = prediction.delta, group.d
     law = lambda T: math.exp(delta * T) / T ** (d / 2.0) if T > 0 else 0.0
-    counts, preds, ratios = {}, {}, {}
+    counts, preds = {}, {}
     for key in sorted(by_class) if wanted is None else wanted:
-        cts = by_class.get(key, np.zeros_like(totals))
-        counts[key] = cts
+        cts = counts[key] = by_class.get(key, np.zeros_like(totals))
         c = _fit_constant(cps, cts, law)
-        pr = np.array([c * law(T) for T in cps])
-        preds[key] = pr
-        ratios[key] = _safe_ratio(cts, pr)
+        preds[key] = np.array([c * law(T) for T in cps])
     meta = {"delta": delta, "d": d, "constant_mode": "UpToConstant",
             "group": group.fingerprint()}
-    return CensusReport("OrbitByHomology", cps, counts, preds, ratios, totals, meta)
+    return CensusReport("OrbitByHomology", cps, counts, preds, totals, meta)
 
 
 def geodesics_by_homology(group: SchottkyGroup, prediction: Prediction, L_max: float,
@@ -167,18 +172,15 @@ def geodesics_by_homology(group: SchottkyGroup, prediction: Prediction, L_max: f
     delta, sigma, d = prediction.delta, prediction.sigma, group.d
     if d == 0:
         law = lambda L: math.exp(delta * L) / (delta * L)
-        zero_counts = totals.copy()
     else:
         coef = (2.0 * math.pi * sigma) ** (d / 2.0)
         law = lambda L: math.exp(delta * L) / (coef * delta * L ** (d / 2.0 + 1.0))
-        zero_counts = by_class.get((0,) * d, np.zeros_like(totals))
     key = (0,) * d
     preds = {key: np.array([law(L) for L in cps])}
-    counts = dict(by_class) if d else {key: zero_counts}
-    ratios = {key: _safe_ratio(zero_counts, preds[key])}
+    counts = dict(by_class) if d else {key: totals.copy()}
     meta = {"delta": delta, "sigma": sigma, "d": d, "constant_mode": "Absolute",
             "group": group.fingerprint()}
-    return CensusReport("GeodesicByHomology", cps, counts, preds, ratios, totals, meta)
+    return CensusReport("GeodesicByHomology", cps, counts, preds, totals, meta)
 
 
 def holonomy_equidistribution(group: SchottkyGroup, L_max: float,
@@ -203,14 +205,12 @@ def holonomy_equidistribution(group: SchottkyGroup, L_max: float,
     sk.primitive_classes(group, float(cps[-1]), emit=take, budget=budget)
     theta = np.array(theta, dtype=float)
     totals = _tally(cps, lengths)
-    counts, preds, ratios = {}, {}, {}
+    counts, preds = {}, {}
     for p in sorted({int(p) for p in p_list}):
-        csum = _tally(cps, lengths, np.exp(1j * p * theta))
-        counts[p] = np.abs(csum)
+        counts[p] = np.abs(_tally(cps, lengths, np.exp(1j * p * theta)))
         preds[p] = totals.astype(float)
-        ratios[p] = _safe_ratio(np.abs(csum), totals.astype(float))
     meta = {"group": group.fingerprint(), "p_list": sorted(int(p) for p in p_list)}
-    return CensusReport("HolonomyHistogram", cps, counts, preds, ratios, totals, meta)
+    return CensusReport("HolonomyHistogram", cps, counts, preds, totals, meta)
 
 
 def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[float],
@@ -285,12 +285,10 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
         c = 0.0  # nothing in range (e.g. all checkpoints below ||w0||)
     key = "vectors"
     preds = {key: np.array([c * law(T) for T in cps])}
-    ratios = {key: _safe_ratio(counts_arr, preds[key])}
     meta = {"delta": delta, "d": d, "norm": norm, "w0": w0.tolist(),
             "disp_cap": disp_cap, "stabilizer_hits": hits,
             "constant_mode": "UpToConstant", "group": group.fingerprint()}
-    return CensusReport("VectorNorm", cps, {key: counts_arr}, preds, ratios,
-                        counts_arr, meta)
+    return CensusReport("VectorNorm", cps, {key: counts_arr}, preds, counts_arr, meta)
 
 
 def fit_growth(xs: Sequence[float], counts: Sequence[float],

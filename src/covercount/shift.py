@@ -109,32 +109,6 @@ def _aperiodicity_power(A: np.ndarray) -> int:
     raise ValidationError("transition matrix is not aperiodic")
 
 
-def toy_full_shift(k: int, c: float, f_values: Sequence[Sequence[int]],
-                   theta_values: Optional[Sequence[float]] = None) -> MarkovShift:
-    """Full shift on k symbols, constant roof c, per-symbol cocycle values."""
-    if k < 2:
-        raise ValidationError("toy full shift needs k >= 2")
-    if c <= 0:
-        raise ValidationError("roof constant must be positive")
-    fv = np.asarray(f_values, dtype=np.int64)
-    if fv.ndim == 1:
-        fv = fv[:, None]
-    if fv.shape[0] != k:
-        raise ValidationError("need one cocycle value per symbol")
-    d = fv.shape[1]
-    A = np.ones((k, k), dtype=np.int64)
-    tau = np.full((k, k), float(c))
-    f = np.zeros((k, k, d), dtype=np.int64)
-    for a in range(k):
-        f[a, :, :] = fv[a]
-    theta = None
-    if theta_values is not None:
-        theta = np.zeros((k, k))
-        for a in range(k):
-            theta[a, :] = theta_values[a]
-    return MarkovShift(k=k, transition=A, f=f, tau=tau, theta=theta, source="Toy")
-
-
 def toy_from_json(data: dict) -> MarkovShift:
     A = np.asarray(data["transition"], dtype=np.int64)
     k = A.shape[0]
@@ -411,7 +385,7 @@ def _toy_steps(chain: ParryChain, shift: MarkovShift, n: int, rngs):
     cum_pi = np.cumsum(chain.stationary)
     tau = shift.tau.ravel()
     f = shift.f.reshape(k * k, shift.d)
-    state = np.searchsorted(cum_pi, [r.random() for r in rngs])
+    state = np.minimum(np.searchsorted(cum_pi, [r.random() for r in rngs]), k - 1)
     for u in _uniforms(rngs, n):
         nxt = np.zeros(len(rngs), dtype=np.intp)
         for column in thresholds:

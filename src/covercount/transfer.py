@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,15 +45,12 @@ OFF_NODE_TOL = 1e-8
 BRENT_XTOL, BRENT_RTOL, BRENT_MAXITER = 1e-14, 8.9e-16, 200
 
 
-@lru_cache(maxsize=None)
 def _chebyshev_at_nodes(m: int) -> np.ndarray:
     """T_k(x_j) at the m first-kind nodes x_j = cos(pi (2j + 1) / 2m) of [-1, 1],
-    k < m, read-only: the cosine matrix of the DCT-II.  The angle's integer
-    multiple is reduced mod 4m first, so every angle lies in [0, 2 pi)."""
+    k < m: the cosine matrix of the DCT-II.  The angle's integer multiple is
+    reduced mod 4m first, so every angle lies in [0, 2 pi)."""
     jk = np.outer(2 * np.arange(m) + 1, np.arange(m)) % (4 * m)
-    T = np.cos(np.pi * jk / (2 * m))
-    T.flags.writeable = False
-    return T
+    return np.cos(np.pi * jk / (2 * m))
 
 
 class CollocationGrid:

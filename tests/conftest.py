@@ -6,6 +6,15 @@ from covercount import transfer as tr
 from covercount.groupfile import load_any, load_group
 
 
+def toy_full_shift(k, c, f_values, theta_values=None):
+    """Full shift on k symbols with constant roof c and per-symbol cocycle
+    values (and holonomy angles), through toy_from_json."""
+    theta = (None if theta_values is None
+             else np.repeat(np.asarray(theta_values, dtype=float)[:, None], k, axis=1))
+    return sh.toy_from_json({"transition": np.ones((k, k)), "tau": np.full((k, k), float(c)),
+                             "f": np.asarray(f_values, dtype=np.int64), "theta": theta})
+
+
 @pytest.fixture(scope="session")
 def group_b():
     return load_group("fixture:b")

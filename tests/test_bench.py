@@ -78,3 +78,15 @@ def test_pass_metrics_fills_every_metric(traced_jobs):
     for name in ("transfer.grid_build.calls", "shift.traj_steps_per_s", "shift.dump_steps_per_s",
                  "schottky.enumerate_orbit.records", "schottky.enumerate_orbit.records_per_s"):
         assert m[name] > 0, name
+
+
+def test_reference_oracle_check_runs(monkeypatch):
+    # make_reference.py cross-checks enumerate_orbit against the brute-force
+    # oracle before it writes the reference; run that check on small cases, so
+    # a change to the records it reads fails here, not at the next recording
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # it imports run, workloads
+    make_reference = _bench_module("make_reference")
+    monkeypatch.setattr(make_reference, "ORACLE_CASES", (("b", 4.0, 8), ("d0", 4.0, 7)))
+    rows = make_reference.oracle_check()
+    assert [r["group"] for r in rows] == ["b", "d0"]
+    assert all(0 < r["longest_word"] < r["max_len"] and r["records"] > 0 for r in rows), rows

@@ -18,7 +18,9 @@ from covercount.errors import DiscretizationUnstable, NotAtCriticalExponent, Val
 from covercount.hyperbolic import geodesic_invariants, wrap_angle
 from covercount.shift import (MarkovShift, branch_weight_series, cycle_roof_sum,
                               from_schottky, parry_chain, sample_cocycle_batch,
-                              sample_trajectory, toy_from_json, toy_full_shift)
+                              sample_trajectory, toy_from_json)
+
+from conftest import toy_full_shift
 
 
 def toy_to_json(shift: MarkovShift) -> dict:
@@ -41,8 +43,6 @@ def test_toy_full_shift_structure():
 
 
 def test_toy_shift_rejects_bad_inputs():
-    with pytest.raises(ValidationError):
-        toy_full_shift(1, 1.0, [[1]])
     with pytest.raises(ValidationError):
         toy_full_shift(2, -1.0, [[1], [-1]])
 
@@ -301,6 +301,23 @@ def test_toy_batch_matches_searchsorted_loop(toy3_mixed, monkeypatch):
             f_ref += shift.f[state, nxt]
             state = nxt
         assert tau[i] == tau_ref and np.array_equal(f[i], f_ref)
+
+
+def test_toy_start_state_above_the_last_cumulative_weight(toy2):
+    # the stationary law sums to 1 - 2^-52, within ParryChain's tolerance, and
+    # the start uniform 1 - 2^-53 lies above it: the start is the last state
+    chain = sh.ParryChain(stationary=np.array([0.5, 0.5 - 2.0 ** -52]),
+                          transitions=np.full((2, 2), 0.5), delta=math.log(2.0))
+
+    class LastUniform:
+        def random(self, out=None):
+            if out is None:
+                return 1.0 - 2.0 ** -53
+            out[:] = 1.0 - 2.0 ** -53
+
+    (sym, tau, f), = sh._kernel(chain, toy2, None)(1, [LastUniform()], 0)
+    assert sym.tolist() == [1] and tau.tolist() == [1.0]
+    assert f.tolist() == [[-1]]  # f[a, b] is symbol a's: the start state was 1
 
 
 @pytest.mark.parametrize("name,N", [("b", 24), ("c", 24), ("b", 48)], ids=["b", "c", "b-48"])

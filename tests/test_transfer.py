@@ -14,10 +14,12 @@ from covercount import transfer as tr
 from covercount.errors import (DiscretizationUnstable, HessianNotPD, HolonomyUnavailable,
                                NotConverged, ValidationError)
 from covercount.groupfile import load_any, load_group
-from covercount.shift import MarkovShift, from_schottky, toy_full_shift
+from covercount.shift import MarkovShift, from_schottky
 from covercount.transfer import (OperatorSpec, build_matrix, critical_exponent,
                                  leading_eigenvalue, pressure, pressure_surface,
                                  spectral_radius_scan)
+
+from conftest import toy_full_shift
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +381,53 @@ def test_surface_invariants_on_fixture(spec_b, delta_b, surface_b):
     assert np.max(np.abs(surface_b.gradient)) < 1e-4
     assert np.linalg.eigvalsh(surface_b.hessian).min() > 0
     assert surface_b.sigma > 0 and surface_b.c0 > 0
+
+
+def _periodic_sums(group, n_max, s, v):
+    """{n: sum over the cyclically reduced words w of length n of e^{i <v,
+    hom w>} e^{-s l(w)} / (1 - e^{-l(w)})}, n <= n_max, with l(w) the
+    translation length of w's matrix.  By the trace formula for expanding
+    analytic maps (Ruelle, Invent. Math. 34, 1976) this is tr L^n of the
+    twisted transfer operator: the coding's points of period n are these
+    words.  Words grow letter by letter as arrays of their first and last
+    letters, matrices and homology sums."""
+    n = group.n_symbols
+    mats = np.array([np.reshape(group.symbol_matrix(a), (2, 2)).real for a in range(n)])
+    hom = np.array([group.symbol_homology(a) for a in range(n)], dtype=float)
+    first, last, M, H = np.arange(n), np.arange(n), mats, hom
+    sums = {}
+    for length in range(1, n_max + 1):
+        if length > 1:
+            word, b = np.divmod(np.arange(len(last) * n), n)
+            reduced = b != (last[word] ^ 1)  # ^ 1: the index of the inverse letter
+            word, b = word[reduced], b[reduced]
+            first, last, M, H = first[word], b, M[word] @ mats[b], H[word] + hom[b]
+        cyclic = last != (first ^ 1)
+        tr_w = np.abs(np.trace(M[cyclic], axis1=1, axis2=2))  # det 1
+        ell = 2.0 * np.log((tr_w + np.sqrt(tr_w * tr_w - 4.0)) / 2.0)
+        sums[length] = np.sum(np.exp(1j * (H[cyclic] @ v) - s * ell) / (1.0 - np.exp(-ell)))
+    return sums
+
+
+@pytest.mark.parametrize("name,N,delta,tol", [("b", 48, 0.6024, 1e-9), ("c", 32, 0.6918, 1e-7)])
+def test_trace_formula_matches_build_matrix(name, N, delta, tol):
+    # The assembled matrix, twists included, against the group's words alone,
+    # at s near delta (no solve, so no other check sees the matrix first).
+    # Collocation resolves the top of the spectrum, not its tail, so tr M^n
+    # matches only once the short words' terms have decayed and only at
+    # enough nodes: over n = 4-7, b at N = 48 is within 3.2e-11 relative, c at
+    # N = 24 only within 1.2e-6 (s = delta + 2i) and at N = 32 within 4.4e-9.
+    group = load_group(f"fixture:{name}")
+    spec = OperatorSpec(from_schottky(group), nodes_per_disk=N)
+    twist = np.linspace(0.7, -0.3, group.d)
+    for s, v in ((delta, np.zeros(group.d)), (delta + 2j, np.zeros(group.d)), (delta, twist)):
+        sums = _periodic_sums(group, 7, s, v)
+        M = build_matrix(spec, s, v=v)
+        P = M @ M @ M
+        for n in range(4, 8):
+            P = P @ M
+            err = abs(np.trace(P) - sums[n]) / abs(sums[n])
+            assert err < tol, (s, v, n, err)
 
 
 # -- scans -----------------------------------------------------------------------
