@@ -32,7 +32,7 @@ def main():
     delta = critical_exponent(spec)
     cps = checkpoints_linear(args.t_min, args.t_max, args.checkpoints)
     pred = Prediction(delta=delta, sigma=1.0)
-    rep = orbit_by_homology(group, pred, args.t_max, cps)
+    rep = orbit_by_homology(group, pred, cps)
 
     half = min(len(cps) // 2, len(cps) - 5)  # top half, at least 5 points
     slope = fit_growth(cps[half:], rep.totals[half:], fix_log_power=0.0)

@@ -115,7 +115,7 @@ def c02_coding_correctness(ws: Workspace) -> tuple:
 def _orbit_report(group, delta, sigma, T):
     cps = cen.checkpoints_linear(5.0, T, 12)
     pred = cen.Prediction(delta=delta, sigma=sigma)
-    return cps, cen.orbit_by_homology(group, pred, T, cps)
+    return cps, cen.orbit_by_homology(group, pred, cps)
 
 
 def c03_two_method_delta(ws: Workspace) -> tuple:
@@ -192,7 +192,7 @@ def c07_prime_geodesic_theorem(ws: Workspace) -> tuple:
     delta, sigma = ws.surface_b.delta, ws.surface_b.sigma
     cps = cen.checkpoints_linear(6.0, L, 16)
     pred = cen.Prediction(delta=delta, sigma=sigma)
-    rep = cen.geodesics_by_homology(ws.group_b, pred, L, cps)
+    rep = cen.geodesics_by_homology(ws.group_b, pred, cps)
     ratios = rep.ratios[(0,)]
     top_ok = 0.7 <= ratios[-1] <= 1.3
     trend_p = st.trend_test(np.abs(ratios - 1.0))
@@ -201,7 +201,7 @@ def c07_prime_geodesic_theorem(ws: Workspace) -> tuple:
                               [ws.group_b.disks[sk.sym_index(-(i + 1))] for i in range(ws.group_b.g)],
                               [ws.group_b.disks[sk.sym_index(i + 1)] for i in range(ws.group_b.g)],
                               [], ws.group_b.model)
-    rep0 = cen.geodesics_by_homology(group0, cen.Prediction(delta=delta, sigma=1.0), L, cps)
+    rep0 = cen.geodesics_by_homology(group0, cen.Prediction(delta=delta, sigma=1.0), cps)
     control = float(rep0.ratios[()][-1])
     control_ok = 0.7 <= control <= 1.3
     passed = top_ok and trend_p < 0.05 and control_ok
@@ -212,10 +212,8 @@ def c07_prime_geodesic_theorem(ws: Workspace) -> tuple:
 
 
 def c08_clt_homology_cocycle(ws: Workspace) -> tuple:
-    sr = ws.surface_b.spectral
-    chain = sh.parry_chain(ws.shift_b, sr)
     n_traj, steps = 10_000, 10_000
-    tau, f = sh.sample_cocycle_batch(chain, ws.shift_b, steps, n_traj, ws.seed, spectral=sr)
+    tau, f = sh.sample_cocycle_batch(ws.surface_b.spectral, steps, n_traj, ws.seed)
     z = f[:, 0] / np.sqrt(tau)
     sigma = ws.surface_b.sigma
     var_err = abs(float(z.var()) / sigma - 1.0)
@@ -230,7 +228,7 @@ def c08_clt_homology_cocycle(ws: Workspace) -> tuple:
 def c09_holonomy_equidistribution(ws: Workspace) -> tuple:
     L = 17.0
     cps = cen.checkpoints_linear(9.0, L, 8)
-    rep = cen.holonomy_equidistribution(ws.group_d0, L, [1, 2, 3], cps)
+    rep = cen.holonomy_equidistribution(ws.group_d0, [1, 2, 3], cps)
     tops = {p: float(rep.ratios[p][-1]) for p in (1, 2, 3)}
     passed = all(v < 0.1 for v in tops.values())
     return ("C9", "holonomy character sums equidistribute", passed,
@@ -241,7 +239,7 @@ def c10_vector_orbit(ws: Workspace) -> tuple:
     delta = ws.surface_b.delta
     cps = np.exp(np.linspace(6.0, 13.5, 12))
     pred = cen.Prediction(delta=delta, sigma=1.0)
-    rep = cen.vector_orbit(ws.group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps)
+    rep = cen.vector_orbit(ws.group_b, pred, [1.0, 0.0, 1.0], cps)
     cts = rep.counts["vectors"]
     half = len(cps) // 2
     exponent = cen.fit_growth(np.log(cps)[half:], cts[half:], fix_log_power=-0.5)
@@ -264,12 +262,10 @@ def c11_determinism(ws: Workspace, out_dir=None) -> tuple:
         spec = tr.OperatorSpec(load_any("fixture:toy2"))
         sr = tr.spectral_at_delta(spec, want_measure=True)
         delta = sr.s
-        chain = sh.parry_chain(load_any("fixture:toy2"), sr)
-        tau, f = sh.sample_cocycle_batch(chain, load_any("fixture:toy2"),
-                                         500, 64, ws.seed)
+        tau, f = sh.sample_cocycle_batch(sr, 500, 64, ws.seed)
         group = load_group("fixture:b")
         cps = cen.checkpoints_linear(4.0, 8.0, 6)
-        rep = cen.orbit_by_homology(group, cen.Prediction(delta, 1.0), 8.0, cps)
+        rep = cen.orbit_by_homology(group, cen.Prediction(delta, 1.0), cps)
         w.write_json("summary.json", {
             "delta": delta,
             "tau_head": tau[:8].tolist(),

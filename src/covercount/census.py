@@ -1,9 +1,10 @@
 """Censuses: binned orbit/geodesic statistics compared against the predicted
 asymptotics (local-mixing orbit law, prime geodesic theorem with homology,
-holonomy equidistribution, vector-orbit counting).  Each census bins one
-schottky enumerator's record values at its checkpoints (_tally); the orbit and
-geodesic censuses share their per-class core (_by_class).  Laws take d from
-the group."""
+holonomy equidistribution, vector-orbit counting).  Each census enumerates up
+to its last checkpoint (_checkpoints sorts and checks them) and bins one
+schottky enumerator's record values there (_tally); the orbit and geodesic
+censuses share their per-class core (_by_class).  Laws take d from the
+group."""
 
 from __future__ import annotations
 
@@ -52,9 +53,17 @@ class CensusReport:
 
 def checkpoints_linear(t_min: float, t_max: float, count: int) -> np.ndarray:
     """Equal steps in T, i.e. geometric spacing of the expected counts e^T."""
-    if count < 2 or t_max <= t_min:
-        raise ValidationError("need at least two increasing checkpoints")
+    if count < 2 or not -math.inf < t_min < t_max < math.inf:
+        raise ValidationError("need at least two increasing checkpoints, all finite")
     return np.linspace(t_min, t_max, count)
+
+
+def _checkpoints(checkpoints: Sequence[float]) -> np.ndarray:
+    """The checkpoints, sorted; the last is the census's cut-off."""
+    cps = np.sort(np.asarray(checkpoints, dtype=float))
+    if not (cps.size and np.isfinite(cps).all()):
+        raise ValidationError(f"need finite checkpoints, got {cps.tolist()}")
+    return cps
 
 
 def _safe_ratio(counts, preds):
@@ -78,11 +87,11 @@ def _tally(cps, values, weights=None):
     return out
 
 
-def _by_class(cps, enumerate_with, sink):
-    """Per-class cumulative counts of one enumerator's records at the sorted
-    checkpoints cps, and their total.  enumerate_with(emit) runs the
-    enumerator; sink, if given, receives every record, in enumeration order.
-    A class is kept only when some record of it is <= cps[-1]."""
+def _by_class(cps, enumerate_, group, budget, sink):
+    """Per-class cumulative counts at the sorted checkpoints cps, and their
+    total, of the records that the schottky enumerator enumerate_ emits on
+    group up to cps[-1].  sink, if given, receives every record, in
+    enumeration order."""
     values: dict = {}  # class -> record values, in record order
 
     def take(rec):
@@ -91,9 +100,8 @@ def _by_class(cps, enumerate_with, sink):
         # field 1 is the record's value: an orbit displacement or a class length
         values.setdefault(rec.homology, []).append(rec[1])
 
-    enumerate_with(take)
-    tallies = {key: _tally(cps, v) for key, v in values.items()}
-    by_class = {key: t for key, t in tallies.items() if t[-1]}
+    enumerate_(group, float(cps[-1]), emit=take, budget=budget)
+    by_class = {key: _tally(cps, v) for key, v in values.items()}
     return by_class, sum(by_class.values(), np.zeros(len(cps), dtype=np.int64))
 
 
@@ -114,28 +122,26 @@ def _fit_constant(checkpoints, counts, law) -> float:
     return math.exp(sum(logs) / len(logs))
 
 
-def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float,
+def orbit_by_homology(group: SchottkyGroup, prediction: Prediction,
                       checkpoints: Sequence[float],
                       classes: Optional[Sequence[tuple]] = None,
                       budget: Optional[int] = None,
                       sink: Optional[Callable[[sk.OrbitRecord], None]] = None) -> CensusReport:
     """N_xi(T) for the requested homology classes vs c e^{delta T} / T^{d/2},
-    d = group.d.  With classes None, counts holds every class that has a
-    record <= the last checkpoint; a requested class must have d entries.
+    d = group.d, with the orbit enumerated up to the last checkpoint.  With
+    classes None, counts holds every class that has a record; a requested
+    class must have d entries.
 
     sink, if given, receives every enumerated record, in enumeration order.
     """
     if group.d < 1:
         raise ValidationError("orbit census by homology needs d >= 1")
-    cps = np.asarray(sorted(float(t) for t in checkpoints))
-    if cps[-1] > T_max:
-        raise ValidationError("checkpoints exceed T_max")
+    cps = _checkpoints(checkpoints)
     wanted = None if classes is None else [tuple(int(x) for x in c) for c in classes]
     for c in wanted or ():
         if len(c) != group.d:
             raise ValidationError(f"homology class {c} has {len(c)} entries, but d = {group.d}")
-    by_class, totals = _by_class(
-        cps, lambda emit: sk.enumerate_orbit(group, T_max, emit=emit, budget=budget), sink)
+    by_class, totals = _by_class(cps, sk.enumerate_orbit, group, budget, sink)
 
     delta, d = prediction.delta, group.d
     law = lambda T: math.exp(delta * T) / T ** (d / 2.0) if T > 0 else 0.0
@@ -149,25 +155,21 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction, T_max: float
     return CensusReport("OrbitByHomology", cps, counts, preds, totals, meta)
 
 
-def geodesics_by_homology(group: SchottkyGroup, prediction: Prediction, L_max: float,
+def geodesics_by_homology(group: SchottkyGroup, prediction: Prediction,
                           checkpoints: Sequence[float],
                           budget: Optional[int] = None,
                           sink: Optional[Callable[[sk.GeodesicRecord], None]] = None
                           ) -> CensusReport:
     """Primitive-class counts: the trivial class against the absolute law
     e^{delta L} / ((2 pi sigma)^{d/2} delta L^{d/2+1}), d = group.d, with
-    every class that has a record <= the last checkpoint in counts; for
-    d = 0 the total count against e^{delta L} / (delta L).  Classes are
-    enumerated up to the last checkpoint, which must not exceed L_max.
+    every class that has a record in counts; for d = 0 the total count
+    against e^{delta L} / (delta L).  Classes are enumerated up to the last
+    checkpoint.
 
     sink, if given, receives every enumerated record, in enumeration order.
     """
-    cps = np.asarray(sorted(float(t) for t in checkpoints))
-    if cps[-1] > L_max:
-        raise ValidationError("checkpoints exceed L_max")
-    by_class, totals = _by_class(
-        cps, lambda emit: sk.primitive_classes(group, float(cps[-1]), emit=emit,
-                                               budget=budget), sink)
+    cps = _checkpoints(checkpoints)
+    by_class, totals = _by_class(cps, sk.primitive_classes, group, budget, sink)
 
     delta, sigma, d = prediction.delta, prediction.sigma, group.d
     if d == 0:
@@ -183,19 +185,15 @@ def geodesics_by_homology(group: SchottkyGroup, prediction: Prediction, L_max: f
     return CensusReport("GeodesicByHomology", cps, counts, preds, totals, meta)
 
 
-def holonomy_equidistribution(group: SchottkyGroup, L_max: float,
-                              p_list: Sequence[int],
+def holonomy_equidistribution(group: SchottkyGroup, p_list: Sequence[int],
                               checkpoints: Sequence[float],
                               budget: Optional[int] = None) -> CensusReport:
     """Normalized character sums |sum e^{i p theta_C}| / #classes per
     checkpoint; class functions with zero mean must equidistribute to 0.
-    Classes are enumerated up to the last checkpoint, which must not exceed
-    L_max."""
+    Classes are enumerated up to the last checkpoint."""
     if group.model != hyp.Model.H3:
         raise ValidationError("holonomy census needs the H3 model")
-    cps = np.asarray(sorted(float(t) for t in checkpoints))
-    if cps[-1] > L_max:
-        raise ValidationError("checkpoints exceed L_max")
+    cps = _checkpoints(checkpoints)
     lengths, theta = [], []
 
     def take(rec: sk.GeodesicRecord):
@@ -214,8 +212,7 @@ def holonomy_equidistribution(group: SchottkyGroup, L_max: float,
 
 
 def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[float],
-                 T_max: float, checkpoints: Sequence[float],
-                 norm: str = "euclidean",
+                 checkpoints: Sequence[float], norm: str = "euclidean",
                  budget: Optional[int] = None) -> CensusReport:
     """#{v in w0 Gamma : ||v|| <= T} for the kernel subgroup (f = 0 words)
     under the adjoint SO(2,1) action, vs c T^delta / (log T)^{d/2}, d = group.d.
@@ -244,9 +241,7 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
     q0 = hyp.so21_form(w0)
     if not q0 < 0.0:
         raise ValidationError(f"w0 must be a definite form (v1^2 - 4 v0 v2 < 0), got {q0}")
-    cps = np.asarray(sorted(float(t) for t in checkpoints))
-    if cps[-1] > T_max * (1.0 + 1e-12):
-        raise ValidationError("checkpoints exceed T_max")
+    cps = _checkpoints(checkpoints)
     by_norm = {"euclidean": (math.sqrt(2.0), lambda v: float(np.linalg.norm(v))),
                "sup": (2.0, lambda v: float(np.max(np.abs(v))))}
     if norm not in by_norm:

@@ -49,9 +49,10 @@ def _rule(name, parse, ok=lambda value: True, keep_text=False):
 
 _POSITIVE_INT = _rule("positive int", int, lambda n: n > 0)
 _NATURAL = _rule("non-negative int", int, lambda n: n >= 0)
-_POSITIVE = _rule("positive float", float, lambda x: x > 0)
+_FINITE = _rule("finite float", float, math.isfinite)
+_POSITIVE = _rule("positive finite float", float, lambda x: 0 < x < math.inf)
 # number lists stay text, so that manifests and run directories keep their bytes
-_FLOATS = _rule("float list", _parse_vec, keep_text=True)
+_FLOATS = _rule("finite float list", _parse_vec, lambda v: np.isfinite(v).all(), keep_text=True)
 _INTS = _rule("int list", lambda text: _parse_vec(text, int), keep_text=True)
 
 
@@ -123,7 +124,7 @@ def cmd_delta(args) -> int:
     writer = _writer(args)
     writer.write_json("summary.json", {"delta": res.s, "lambda_residual": res.residual,
                                        "abs_lambda_err": abs(res.lam - 1.0)})
-    writer.finish({"input": spec.fingerprint()})
+    writer.finish({"input": spec.shift.fingerprint()})
     return EXIT_OK
 
 
@@ -147,7 +148,7 @@ def cmd_pressure(args) -> int:
     writer.write_json("summary.json", {
         "delta": surf.delta, "gradient": surf.gradient, "hessian": surf.hessian,
         "sigma": surf.sigma, "c0": surf.c0, "extra": extras})
-    writer.finish({"input": spec.fingerprint()})
+    writer.finish({"input": spec.shift.fingerprint()})
     return EXIT_OK
 
 
@@ -167,7 +168,7 @@ def cmd_scan(args) -> int:
     writer.write_csv("scan.csv", *scan_csv_rows(rep))
     writer.write_json("summary.json", {"delta": delta, "max_abs_lambda": rep.max_abs_lambda(),
                                        "violations": len(rep.violations)})
-    writer.finish({"input": spec.fingerprint()})
+    writer.finish({"input": spec.shift.fingerprint()})
     return EXIT_OK
 
 
@@ -202,16 +203,16 @@ def _group_prediction(args, group, use_sigma: bool = False):
 
 def cmd_count_orbit(args) -> int:
     group = load_group(args.group)
-    pred = _group_prediction(args, group)
     cps = cen.checkpoints_linear(args.t_min, args.t_max, args.checkpoints)
+    pred = _group_prediction(args, group)
     classes = [tuple(_parse_vec(c, int)) for c in args.classes] if args.classes else None
     records, sink = None, None
     if args.dump_records:
         rows = []
         records = (["word_len", "displacement"] + [f"xi_{i}" for i in range(group.d)], rows)
         sink = lambda r: rows.append([len(r.word), r.displacement, *r.homology])
-    rep = cen.orbit_by_homology(group, pred, args.t_max, cps, classes=classes,
-                                budget=args.budget_cap, sink=sink)
+    rep = cen.orbit_by_homology(group, pred, cps, classes=classes, budget=args.budget_cap,
+                                sink=sink)
     for key in sorted(rep.counts):
         print(f"class {key}: N(T_max) = {rep.counts[key][-1]}, ratio = {rep.ratios[key][-1]:.4f}")
     _emit_census(args, rep, {"delta": pred.delta}, records)
@@ -220,8 +221,8 @@ def cmd_count_orbit(args) -> int:
 
 def cmd_count_geodesics(args) -> int:
     group = load_group(args.group)
-    pred = _group_prediction(args, group, use_sigma=group.d >= 1)
     cps = cen.checkpoints_linear(args.l_min, args.l_max, args.checkpoints)
+    pred = _group_prediction(args, group, use_sigma=group.d >= 1)
     records, sink = None, None
     if args.dump_records:
         rows = []
@@ -231,8 +232,7 @@ def cmd_count_geodesics(args) -> int:
         def sink(r):
             disp = math.acosh(max(frob2(r.matrix) / 2.0, 1.0))  # d(o, g o) of the record
             rows.append([len(r.word), disp, *r.homology, r.length, r.holonomy])
-    rep = cen.geodesics_by_homology(group, pred, args.l_max, cps, budget=args.budget_cap,
-                                    sink=sink)
+    rep = cen.geodesics_by_homology(group, pred, cps, budget=args.budget_cap, sink=sink)
     key = (0,) * group.d
     print(f"primitive classes <= {args.l_max}: {rep.totals[-1]}")
     print(f"trivial-class ratio to the absolute law: {rep.ratios[key][-1]:.4f}")
@@ -242,10 +242,11 @@ def cmd_count_geodesics(args) -> int:
 
 def cmd_count_vectors(args) -> int:
     group = load_group(args.group)
+    cps = np.exp(cen.checkpoints_linear(math.log(args.t_min), math.log(args.t_max),
+                                        args.checkpoints))
     pred = _group_prediction(args, group)
-    cps = np.exp(np.linspace(math.log(args.t_min), math.log(args.t_max), args.checkpoints))
-    rep = cen.vector_orbit(group, pred, _parse_vec(args.w0), args.t_max, cps,
-                           norm=args.norm, budget=args.budget_cap)
+    rep = cen.vector_orbit(group, pred, _parse_vec(args.w0), cps, norm=args.norm,
+                           budget=args.budget_cap)
     cts = rep.counts["vectors"]
     print(f"vectors with norm <= {args.t_max:.3e}: {cts[-1]}")
     half = len(cps) // 2
@@ -258,7 +259,7 @@ def cmd_count_vectors(args) -> int:
 def cmd_holonomy(args) -> int:
     group = load_group(args.group)
     cps = cen.checkpoints_linear(args.l_min, args.l_max, args.checkpoints)
-    rep = cen.holonomy_equidistribution(group, args.l_max, args.p, cps, budget=args.budget_cap)
+    rep = cen.holonomy_equidistribution(group, args.p, cps, budget=args.budget_cap)
     for p in sorted(rep.ratios):
         print(f"p={p}: |char sum|/count at L_max = {rep.ratios[p][-1]:.5f}")
     _emit_census(args, rep)
@@ -272,8 +273,7 @@ def cmd_clt(args) -> int:
         raise ValidationError("CLT check needs homology dimension d >= 1")
     surf = tr.pressure_surface(spec)
     delta, sr = surf.delta, surf.spectral
-    chain = sh.parry_chain(shift, sr)
-    tau, f = sh.sample_cocycle_batch(chain, shift, args.steps, args.traj, args.seed, spectral=sr)
+    tau, f = sh.sample_cocycle_batch(sr, args.steps, args.traj, args.seed)
     z = f / np.sqrt(tau)[:, None]
     print(f"delta = {delta:.9f}, Cov reference = {surf.hessian.tolist()}")
     chk = st.clt_check(z, surf.hessian) if args.traj >= 1000 else None
@@ -295,10 +295,10 @@ def cmd_clt(args) -> int:
     writer = _writer(args)
     writer.write_json("summary.json", summary)
     if args.dump_trajectory:
-        rows = sh.sample_trajectory(chain, shift, args.dump_trajectory, args.seed, spectral=sr)
+        rows = sh.sample_trajectory(sr, args.dump_trajectory, args.seed)
         header = ["step", "symbol", "tau_cum"] + [f"f_cum_{i}" for i in range(shift.d)]
         writer.write_csv("trajectory.csv", header, rows)
-    writer.finish({"input": spec.fingerprint()})
+    writer.finish({"input": spec.shift.fingerprint()})
     return EXIT_OK
 
 
@@ -359,38 +359,38 @@ def build_parser(config=None) -> argparse.ArgumentParser:
                    help="extra twist point, e.g. '0.3' or '0.3,0.1'")
 
     p = add("scan", cmd_scan, "spectral radius scan on the critical line", spectral, nodes=48)
-    p.add_argument("--t-min", type=float, default=0.05)
-    p.add_argument("--t-max", type=float, default=5.0)
+    p.add_argument("--t-min", type=_FINITE, default=0.05)
+    p.add_argument("--t-max", type=_FINITE, default=5.0)
     p.add_argument("--t-count", type=_POSITIVE_INT, default=25)
     p.add_argument("--v-count", type=_POSITIVE_INT, default=16)
     p.add_argument("--p", type=int, nargs="+", default=[0])
-    p.add_argument("--margin", type=float, default=1e-3)
+    p.add_argument("--margin", type=_FINITE, default=1e-3)
 
     p = add("count-orbit", cmd_count_orbit, "orbit census by homology class",
             census + " --dump-records", checkpoints=12)
-    p.add_argument("--t-min", type=float, default=5.0)
-    p.add_argument("--t-max", type=float, default=12.0)
+    p.add_argument("--t-min", type=_FINITE, default=5.0)
+    p.add_argument("--t-max", type=_FINITE, default=12.0)
     p.add_argument("--classes", nargs="*", type=_INTS,
                    help="homology classes like '0' '1' '-1', or '1,0' when d = 2")
 
     p = add("count-geodesics", cmd_count_geodesics,
             "primitive closed geodesics vs the absolute law", census + " --dump-records",
             checkpoints=10)
-    p.add_argument("--l-min", type=float, default=8.0)
-    p.add_argument("--l-max", type=float, default=16.0)
+    p.add_argument("--l-min", type=_FINITE, default=8.0)
+    p.add_argument("--l-max", type=_FINITE, default=16.0)
 
     p = add("count-vectors", cmd_count_vectors, "vector orbit counting in R^3", census,
             checkpoints=12)
     p.add_argument("--w0", type=_FLOATS, default="1,0,1")
     p.add_argument("--t-min", type=_POSITIVE, default=math.e ** 6,
                    help="first checkpoint; checkpoints are log-spaced")
-    p.add_argument("--t-max", type=float, default=math.e ** 13)
+    p.add_argument("--t-max", type=_POSITIVE, default=math.e ** 13)
     p.add_argument("--norm", choices=["euclidean", "sup"], default="euclidean")
 
     p = add("holonomy", cmd_holonomy, "holonomy character sums over classes",
             "--group --checkpoints --budget-cap", checkpoints=8)
-    p.add_argument("--l-min", type=float, default=9.0)
-    p.add_argument("--l-max", type=float, default=17.0)
+    p.add_argument("--l-min", type=_FINITE, default=9.0)
+    p.add_argument("--l-max", type=_FINITE, default=17.0)
     p.add_argument("--p", type=int, nargs="+", default=[1, 2, 3])
 
     p = add("clt", cmd_clt, "Gaussian check for the homology cocycle", spectral + " --seed")

@@ -63,6 +63,10 @@ def group_from_dict(data: dict) -> SchottkyGroup:
     return SchottkyGroup(gens, disks_minus, disks_plus, hom, model)
 
 
+def _refuse_constant(name: str):  # strict JSON: json reads NaN and Infinity as numbers
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _read_source(source: Union[str, Path, dict]) -> dict:
     if isinstance(source, dict):
         return source
@@ -75,7 +79,7 @@ def _read_source(source: Union[str, Path, dict]) -> dict:
             raise FileNotFoundError(f"input file {path} does not exist or is not a file")
         body = path.read_bytes()
     try:
-        data = json.loads(body)
+        data = json.loads(body, parse_constant=_refuse_constant)
     except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError of the bytes
         raise ValidationError(f"input {text} is not JSON: {e}") from None
     if not isinstance(data, dict):

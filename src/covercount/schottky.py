@@ -288,6 +288,8 @@ def enumerate_orbit(group: SchottkyGroup, T: float,
     records are emitted in (first letter, length, index word) order, the
     empty word first; a record gets its letter word and class then.
     """
+    if math.isnan(T):
+        raise ValidationError("orbit cut-off T is NaN")
     cosh_cut = math.cosh(T) * (1.0 + SHADOW_SLACK)
     sinh_cut = math.sinh(T) * (1.0 + SHADOW_SLACK)
     mats = group._mats
@@ -399,6 +401,8 @@ def primitive_classes(group: SchottkyGroup, L: float,
     are emitted in the order of a walk of single words: first letter
     ascending, later ones descending, a prefix first.
     """
+    if math.isnan(L):
+        raise ValidationError("class cut-off L is NaN")
     group.min_cycle_step()  # validates that all admissible steps contract
     n, model = group.n_symbols, group.model
     letters = [letter_of_index(idx) for idx in range(n)]

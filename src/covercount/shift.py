@@ -13,17 +13,18 @@ the transfer operator's per-transition blocks, one node per toy symbol.
 The equilibrium sampler has one step kernel (_kernel) for both flavours,
 which advances a whole batch of trajectories per step.  The batch sampler
 (sample_cocycle_batch) sums its increments, and the trajectory dump
-(sample_trajectory) runs it on one trajectory and records every step.  On
-Schottky codings the step weight of branch b at a point x of disk s,
-|gamma_b'(x)|^delta h(gamma_b x), is one fixed analytic function of x per
-pair (s, b).  Its Chebyshev series on disk s's interval is computed once
-(branch_weight_series) from its values at the 2N first-kind nodes, which the
-collocation grid's off-node blocks already hold.  From the series, a table
-built once per run (_pick_table) bounds every branch threshold on each of
-CELLS cells per disk, so a step picks its branch by a lookup; only where the
-bounds straddle the step's uniform does it sum the series, by elementwise
-products (_series_cum).  No step calls BLAS, and only the picked branch's
-image and roof are formed.
+(sample_trajectory) runs it on one trajectory and records every step.  Each
+takes the spectral result at delta alone, which fixes the shift, the grid
+and the Parry chain.  On Schottky codings the step weight of branch b at a
+point x of disk s, |gamma_b'(x)|^delta h(gamma_b x), is one fixed analytic
+function of x per pair (s, b).  Its Chebyshev series on disk s's interval is
+computed once (branch_weight_series) from its values at the 2N first-kind
+nodes, which the collocation grid's off-node blocks already hold.  From the
+series, a table built once per run (_pick_table) bounds every branch
+threshold on each of CELLS cells per disk, so a step picks its branch by a
+lookup; only where the bounds straddle the step's uniform does it sum the
+series, by elementwise products (_series_cum).  No step calls BLAS, and only
+the picked branch's image and roof are formed.
 """
 
 from __future__ import annotations
@@ -48,12 +49,10 @@ from .schottky import SchottkyGroup
 class MarkovShift:
     """Aperiodic SFT with 2-block roof/cocycle/holonomy data."""
 
-    k: int
     transition: np.ndarray           # (k, k) 0/1
     f: np.ndarray                    # (k, k, d) integer cocycle increments
     tau: Optional[np.ndarray] = None           # (k, k) roof; None for analytic
     theta: Optional[np.ndarray] = None         # (k, k) holonomy angles
-    source: str = "Toy"              # "Toy" | "SchottkyCoding"
     group: Optional[SchottkyGroup] = None
 
     def __post_init__(self):
@@ -77,6 +76,10 @@ class MarkovShift:
         _aperiodicity_power(A)  # raises unless some power of A is positive
 
     @property
+    def k(self) -> int:
+        return len(self.transition)
+
+    @property
     def d(self) -> int:
         return self.f.shape[2]
 
@@ -91,7 +94,7 @@ class MarkovShift:
             "f": self.f.tolist(),
             "tau": None if self.tau is None else self.tau.tolist(),
             "theta": None if self.theta is None else self.theta.tolist(),
-            "source": self.source,
+            "source": "Toy" if self.group is None else "SchottkyCoding",
             "group": None if self.group is None else self.group.fingerprint(),
         }
         return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
@@ -117,7 +120,7 @@ def toy_from_json(data: dict) -> MarkovShift:
     if f.ndim == 2:  # per-symbol table: row a is every transition (a, b)'s
         f = np.repeat(f[:, None, :], k, axis=1)
     theta = np.asarray(data["theta"], dtype=float) if data.get("theta") is not None else None
-    return MarkovShift(k=k, transition=A, f=f, tau=tau, theta=theta, source="Toy")
+    return MarkovShift(transition=A, f=f, tau=tau, theta=theta)
 
 
 def from_schottky(group: SchottkyGroup) -> MarkovShift:
@@ -131,9 +134,8 @@ def from_schottky(group: SchottkyGroup) -> MarkovShift:
     f = np.zeros((n, n, d), dtype=np.int64)
     for a in range(n):
         f[a, :, :] = np.asarray(group.symbol_homology(a), dtype=np.int64)
-    theta = None  # analytic holonomy lives on the group, queried per point
-    return MarkovShift(k=n, transition=A, f=f, tau=None, theta=theta,
-                       source="SchottkyCoding", group=group)
+    # analytic holonomy lives on the group, queried per point: no theta table
+    return MarkovShift(transition=A, f=f, group=group)
 
 
 # -- periodic data of the coding -------------------------------------------
@@ -179,7 +181,6 @@ class ParryChain:
 
     stationary: np.ndarray
     transitions: np.ndarray
-    delta: float
 
     def __post_init__(self):
         P = np.asarray(self.transitions, dtype=float)
@@ -190,17 +191,17 @@ class ParryChain:
             raise ValidationError("stationary vector fails pi P = pi")
 
 
-def parry_chain(shift: MarkovShift, spectral) -> ParryChain:
+def parry_chain(spectral) -> ParryChain:
     """Markov chain p(a -> b) = nu([ab]) / nu([a]) of nu = h d rho at
     s = delta, with nu([ab]) = sum rho_b exp(delta logd[a,b]) interp[a,b] h_a
-    and nu([a]) = sum rho_a h_a over the nodes of the operator blocks.  On a
-    toy shift (one node) this is B[a,b] rho_b / (lambda rho_a)."""
+    and nu([a]) = sum rho_a h_a over the nodes of the blocks of spectral's
+    operator.  On a toy shift (one node) this is B[a,b] rho_b / (lambda rho_a)."""
     lam = spectral.lam
     if abs(lam - 1.0) > 1e-8 or abs(complex(lam).imag) > 1e-8:
         raise NotAtCriticalExponent(f"leading eigenvalue {lam} != 1")
     if spectral.rho is None:
         raise ValidationError("parry_chain needs rho: leading_eigenvalue(want_measure=True)")
-    grid = spectral.discretization
+    shift, grid = spectral.spec.shift, spectral.spec.grid()
     h = np.real(spectral.h)
     rho = np.real(spectral.rho)
     n, N = shift.k, grid.nodes_per_disk
@@ -216,7 +217,7 @@ def parry_chain(shift: MarkovShift, spectral) -> ParryChain:
             hvals = grid.interp[a, b] @ h[a * N:(a + 1) * N]
             nu_ab[a, b] = float(np.dot(rho[b * N:(b + 1) * N], w * hvals))
     return ParryChain(stationary=nu_a / nu_a.sum(),
-                      transitions=nu_ab / nu_ab.sum(axis=1, keepdims=True), delta=delta)
+                      transitions=nu_ab / nu_ab.sum(axis=1, keepdims=True))
 
 
 _in_worker = False  # true in a _fork_map child, which never forks again
@@ -286,10 +287,10 @@ def _fork_map(fn, chunks: Sequence) -> list:
             os.waitpid(pid, 0)
 
 
-def sample_cocycle_batch(chain: ParryChain, shift: MarkovShift, n: int,
-                         n_traj: int, master_seed: int,
-                         spectral=None) -> tuple[np.ndarray, np.ndarray]:
-    """(tau_n, f_n) over n_traj trajectories of n steps each.
+def sample_cocycle_batch(spectral, n: int, n_traj: int,
+                         master_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tau_n, f_n) over n_traj trajectories of n steps each of the
+    equilibrium state of spectral, the eigentriple at delta.
 
     Trajectory i draws its randomness from default_rng([master_seed, i]), so
     results do not depend on batching or on the processes that run them: the
@@ -300,10 +301,11 @@ def sample_cocycle_batch(chain: ParryChain, shift: MarkovShift, n: int,
     |branch'|^delta h(branch x) / h(x) with h the RPF eigenfunction, which
     reverses to the shift with marginal nu; the roof increments are the
     analytic branch derivatives along the trajectory.  Each batch of
-    trajectories runs through one step kernel (see _kernel), built once here
-    before any process forks; Schottky codings first burn in SCHOTTKY_BURN
-    steps from the disk centers.  The step makes no BLAS call, so the
-    ranges go to _cpus() processes whatever the BLAS thread count.
+    trajectories runs through one step kernel (see _kernel), built once here,
+    with its Parry chain, before any process forks; Schottky codings first
+    burn in SCHOTTKY_BURN steps from the disk centers.  The step makes no
+    BLAS call, so the ranges go to _cpus() processes whatever the BLAS
+    thread count.
     """
     def run(span):
         start, stop = span
@@ -318,26 +320,27 @@ def sample_cocycle_batch(chain: ParryChain, shift: MarkovShift, n: int,
                 f_n += step_f
         return taus, fs
 
+    shift = spectral.spec.shift
     if n == 0:
         return np.zeros(n_traj), np.zeros((n_traj, shift.d), dtype=np.int64)
-    steps = _kernel(chain, shift, spectral)
+    steps = _kernel(parry_chain(spectral), shift, spectral)
     w = max(1, min(_cpus(), n_traj))
     cuts = [n_traj * i // w for i in range(w + 1)]
     parts = _fork_map(run, list(zip(cuts, cuts[1:])))
     return np.concatenate([t for t, _ in parts]), np.concatenate([f for _, f in parts])
 
 
-def sample_trajectory(chain: ParryChain, shift: MarkovShift, n: int,
-                      rng_seed: int, spectral=None) -> list[tuple]:
+def sample_trajectory(spectral, n: int, rng_seed: int) -> list[tuple]:
     """Per-step dump rows (step, symbol, tau_cum, f_cum...) of trajectory 0
     of seed rng_seed, run through the batch kernel with no burn-in.  Schottky
     symbols are letters (1, -1, 2, ...), toy symbols state indices."""
+    shift = spectral.spec.shift
     label = sk.letter_of_index if shift.analytic else int
     rows = []
     tau_cum = 0.0
     f_cum = np.zeros(shift.d, dtype=np.int64)
     rngs = [np.random.default_rng([rng_seed, 0])]
-    steps = _kernel(chain, shift, spectral)
+    steps = _kernel(parry_chain(spectral), shift, spectral)
     for step, (sym, step_tau, step_f) in enumerate(steps(n, rngs, burn=0)):
         tau_cum += float(step_tau[0])
         f_cum += step_f[0]
@@ -395,7 +398,7 @@ def _toy_steps(chain: ParryChain, shift: MarkovShift, n: int, rngs):
         state = nxt
 
 
-def branch_weight_series(shift: MarkovShift, spectral) -> np.ndarray:
+def branch_weight_series(spectral) -> np.ndarray:
     """Chebyshev coefficients G, shape (n, n, K), of the sampler's branch
     weights g_{s,b}(x) = |c_b x + d_b|^{-2 delta} h_b(gamma_b x) for x on
     disk s's interval, in t = (x - z_s) / r_s.
@@ -407,8 +410,8 @@ def branch_weight_series(shift: MarkovShift, spectral) -> np.ndarray:
     the decay.  Row (s, inverse of s) is zero, as the grid leaves the block
     of that inadmissible branch.
     """
-    grid = spectral.discretization
-    n, N = shift.k, grid.nodes_per_disk
+    grid = spectral.spec.grid()
+    n, N = spectral.spec.shift.k, grid.nodes_per_disk
     delta = float(complex(spectral.s).real)
     h = np.real(spectral.h).reshape(n, 1, N, 1)
     g = np.exp(delta * grid.off_logd) * (grid.off_interp @ h)[..., 0]  # (b, s, node)
@@ -435,11 +438,9 @@ def _schottky_kernel(chain: ParryChain, shift: MarkovShift, spectral):
     Only the picked branch's image and roof are then formed, so x and the
     roof depend on the weights only through the picks.
     """
-    if spectral is None:
-        raise ValidationError("schottky sampling needs the spectral result at delta")
     group = shift.group
-    grid = spectral.discretization
-    G = branch_weight_series(shift, spectral)
+    grid = spectral.spec.grid()
+    G = branch_weight_series(spectral)
     table = _pick_table(G)
     nsym = shift.k
     a, b, c, d = np.array([group.symbol_matrix(s) for s in range(nsym)]).real.T

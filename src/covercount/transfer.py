@@ -193,9 +193,6 @@ class OperatorSpec:
                     cw[a, b] += 1j * p * shift.theta[a, b]
         return self._twists[key]
 
-    def fingerprint(self) -> str:
-        return self.shift.fingerprint()
-
 
 def build_matrix(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None) -> np.ndarray:
     """Dense matrix of L_{s,v,p} (with an optional real twist u) on node
@@ -219,12 +216,15 @@ def _assemble(spec: OperatorSpec, s: complex, cw: np.ndarray, logd: np.ndarray,
 
 @dataclass
 class SpectralResult:
+    """Leading eigentriple of spec's operator at s; at delta, with rho, it
+    fixes the equilibrium state that shift.sample_cocycle_batch samples."""
+
     s: complex
     lam: complex
     h: np.ndarray
     rho: Optional[np.ndarray]
     residual: float
-    discretization: object = None  # CollocationGrid, or a toy shift's ExactGrid
+    spec: OperatorSpec
 
 
 def _dense_leading(M: np.ndarray):
@@ -382,8 +382,7 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
             rho = np.real(rho / rho[int(np.argmax(np.abs(rho)))])
             rho = rho / rho.sum()  # rho(1) = 1
             h = h / float(rho @ h)  # nu = h d rho is a probability
-    return SpectralResult(s=s, lam=lam, h=h, rho=rho, residual=float(res),
-                          discretization=spec.grid())
+    return SpectralResult(s=s, lam=lam, h=h, rho=rho, residual=float(res), spec=spec)
 
 
 def _lead_lam_real(spec: OperatorSpec, s: float, u=None) -> float:

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from covercount import hyperbolic as hyp
 from covercount import shift as sh
 from covercount import transfer as tr
 from covercount.groupfile import load_any, load_group
@@ -13,6 +16,21 @@ def toy_full_shift(k, c, f_values, theta_values=None):
              else np.repeat(np.asarray(theta_values, dtype=float)[:, None], k, axis=1))
     return sh.toy_from_json({"transition": np.ones((k, k)), "tau": np.full((k, k), float(c)),
                              "f": np.asarray(f_values, dtype=np.int64), "theta": theta})
+
+
+@pytest.fixture
+def capped_walks(monkeypatch):
+    """Both enumerators fail after 100 matrix products.  A walk to a NaN
+    cut-off prunes nothing and admits no record, so no budget would end it,
+    and its stack grew by 0.7 GB a second on a 2-vCPU Xeon: this ends it first."""
+    real, products = hyp.mat_mul, itertools.count()
+
+    def mat_mul(*args):
+        if next(products) >= 100:
+            raise RuntimeError("the walk went on past 100 matrix products")
+        return real(*args)
+
+    monkeypatch.setattr(hyp, "mat_mul", mat_mul)
 
 
 @pytest.fixture(scope="session")

@@ -19,14 +19,14 @@ from covercount.reporting import census_csv_rows
 def orbit_b(group_b, delta_b, surface_b):
     cps = checkpoints_linear(4.0, 10.0, 8)
     pred = Prediction(delta=delta_b, sigma=surface_b.sigma)
-    return cps, orbit_by_homology(group_b, pred, 10.0, cps)
+    return cps, orbit_by_homology(group_b, pred, cps)
 
 
 @pytest.fixture(scope="module")
 def geo_b(group_b, delta_b, surface_b):
     cps = checkpoints_linear(6.0, 12.0, 8)
     pred = Prediction(delta=delta_b, sigma=surface_b.sigma)
-    return cps, geodesics_by_homology(group_b, pred, 12.0, cps)
+    return cps, geodesics_by_homology(group_b, pred, cps)
 
 
 # -- fit_growth ------------------------------------------------------------------
@@ -93,17 +93,17 @@ def test_tally_matches_per_record_reference():
 # -- orbit census ------------------------------------------------------------------
 
 def test_orbit_census_past_last_checkpoint(group_b, delta_b):
-    # T_max above the last checkpoint: the sink still gets every record, and a
-    # class appears only with a record at or below the last checkpoint
+    # the census enumerates to its last checkpoint: the sink gets exactly the
+    # records of a longer walk at or below it, in order, and counts every
+    # class among them
     cps = checkpoints_linear(3.0, 6.0, 4)
     pred = Prediction(delta=delta_b, sigma=1.0)
     seen, direct = [], []
-    rep = orbit_by_homology(group_b, pred, 8.0, cps, sink=seen.append)
+    rep = orbit_by_homology(group_b, pred, cps, sink=seen.append)
     enumerate_orbit(group_b, 8.0, emit=direct.append)
-    assert seen == direct
-    near = {r.homology for r in seen if r.displacement <= cps[-1]}
-    assert set(rep.counts) == near
-    assert any(r.homology not in near for r in seen)
+    assert seen == [r for r in direct if r.displacement <= cps[-1]]
+    assert len(seen) < len(direct)
+    assert set(rep.counts) == {r.homology for r in seen}
     for key, arr in rep.counts.items():
         want = [sum(r.displacement <= T for r in seen if r.homology == key) for T in cps]
         assert arr.tolist() == want
@@ -120,7 +120,7 @@ def test_orbit_counts_monotone_and_symmetric(orbit_b):
 def test_orbit_identity_at_small_T(group_b, delta_b):
     cps = checkpoints_linear(0.5, 1.0, 5)
     pred = Prediction(delta=delta_b, sigma=1.0)
-    rep = orbit_by_homology(group_b, pred, 1.0, cps, classes=[(0,)])
+    rep = orbit_by_homology(group_b, pred, cps, classes=[(0,)])
     assert rep.counts[(0,)][0] == 1  # the identity word
     assert rep.totals[-1] == 1
 
@@ -141,7 +141,7 @@ def test_orbit_ratios_positive_where_predicted(orbit_b):
 def test_orbit_class_of_wrong_dimension_is_validation_error(group_b, delta_b):
     cps = checkpoints_linear(3.0, 5.0, 3)
     with pytest.raises(ValidationError, match=r"class \(1, 2\).*d = 1"):
-        orbit_by_homology(group_b, Prediction(delta_b, 1.0), 5.0, cps, classes=[(0,), (1, 2)])
+        orbit_by_homology(group_b, Prediction(delta_b, 1.0), cps, classes=[(0,), (1, 2)])
 
 
 def test_orbit_requires_positive_d(group_b, delta_b):
@@ -151,8 +151,7 @@ def test_orbit_requires_positive_d(group_b, delta_b):
                               [group_b.disks[sk.sym_index(i + 1)] for i in range(group_b.g)],
                               [], group_b.model)
     with pytest.raises(ValidationError):
-        orbit_by_homology(group0, Prediction(delta_b, 1.0), 8.0,
-                          checkpoints_linear(4.0, 8.0, 6))
+        orbit_by_homology(group0, Prediction(delta_b, 1.0), checkpoints_linear(4.0, 8.0, 6))
 
 
 # -- geodesic census ------------------------------------------------------------------
@@ -174,8 +173,8 @@ def test_geodesic_absolute_prediction_formula(geo_b, delta_b, surface_b):
 def test_geodesic_reproducible(group_b, delta_b, surface_b):
     cps = checkpoints_linear(6.0, 10.0, 5)
     pred = Prediction(delta=delta_b, sigma=surface_b.sigma)
-    r1 = geodesics_by_homology(group_b, pred, 10.0, cps)
-    r2 = geodesics_by_homology(group_b, pred, 10.0, cps)
+    r1 = geodesics_by_homology(group_b, pred, cps)
+    r2 = geodesics_by_homology(group_b, pred, cps)
     for key in r1.counts:
         assert np.array_equal(r1.counts[key], r2.counts[key])
     assert np.array_equal(r1.totals, r2.totals)
@@ -185,7 +184,7 @@ def test_geodesic_reproducible(group_b, delta_b, surface_b):
 
 def test_holonomy_p0_ratio_is_one(group_d0):
     cps = checkpoints_linear(6.0, 10.0, 5)
-    rep = holonomy_equidistribution(group_d0, 10.0, [0, 1, -1], cps)
+    rep = holonomy_equidistribution(group_d0, [0, 1, -1], cps)
     assert_allclose(rep.ratios[0], np.ones(len(cps)), atol=1e-12)
     # p and -p give conjugate sums, equal moduli
     assert_allclose(rep.ratios[1], rep.ratios[-1], atol=1e-12)
@@ -193,16 +192,19 @@ def test_holonomy_p0_ratio_is_one(group_d0):
 
 def test_holonomy_requires_h3(group_b):
     with pytest.raises(ValidationError):
-        holonomy_equidistribution(group_b, 8.0, [1], checkpoints_linear(4, 8, 5))
+        holonomy_equidistribution(group_b, [1], checkpoints_linear(4, 8, 5))
 
 
-def test_class_censuses_reject_checkpoints_past_l_max(group_b, group_d0, delta_b, surface_b):
-    cps = checkpoints_linear(4.0, 10.0, 5)
-    pred = Prediction(delta=delta_b, sigma=surface_b.sigma)
-    with pytest.raises(ValidationError, match="checkpoints exceed L_max"):
-        geodesics_by_homology(group_b, pred, 5.0, cps)
-    with pytest.raises(ValidationError, match="checkpoints exceed L_max"):
-        holonomy_equidistribution(group_d0, 5.0, [1], cps)
+def test_censuses_reject_non_finite_checkpoints(group_b, group_d0, delta_b, capped_walks):
+    # the last checkpoint is the walk's cut-off
+    pred = Prediction(delta=delta_b, sigma=1.0)
+    for cps in ([4.0, math.nan], [4.0, math.inf], [-math.inf, 4.0], []):
+        for census in (lambda: orbit_by_homology(group_b, pred, cps),
+                       lambda: geodesics_by_homology(group_b, pred, cps),
+                       lambda: holonomy_equidistribution(group_d0, [1], cps),
+                       lambda: vector_orbit(group_b, pred, [1.0, 0.0, 1.0], cps)):
+            with pytest.raises(ValidationError, match="finite checkpoints"):
+                census()
 
 
 # -- vector census ------------------------------------------------------------------
@@ -210,15 +212,15 @@ def test_class_censuses_reject_checkpoints_past_l_max(group_b, group_d0, delta_b
 def test_vector_below_norm_is_empty(group_b, delta_b):
     pred = Prediction(delta=delta_b, sigma=1.0)
     cps = np.array([0.3, 0.5, 0.9])
-    rep = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], 0.9, cps)
+    rep = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], cps)
     assert np.array_equal(rep.counts["vectors"], np.zeros(3, dtype=int))
 
 
 def test_vector_counts_norm_equivalence(group_b, delta_b):
     pred = Prediction(delta=delta_b, sigma=1.0)
     cps = np.exp(np.linspace(5.0, 10.0, 8))
-    r_euc = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps)
-    r_sup = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps, norm="sup")
+    r_euc = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], cps)
+    r_sup = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], cps, norm="sup")
     tail = slice(3, None)
     ratio = r_sup.counts["vectors"][tail] / r_euc.counts["vectors"][tail]
     lo, hi = 3.0 ** -delta_b, 3.0 ** delta_b
@@ -228,7 +230,7 @@ def test_vector_counts_norm_equivalence(group_b, delta_b):
 def test_vector_counts_deduplicated(group_b, delta_b):
     pred = Prediction(delta=delta_b, sigma=1.0)
     cps = np.exp(np.linspace(5.0, 9.0, 6))
-    rep = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], float(cps[-1]), cps)
+    rep = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], cps)
     assert rep.meta["stabilizer_hits"] == 0
 
 
@@ -239,7 +241,7 @@ def test_vector_exact_cap_matches_padded_cap(group_b, delta_b, w0, norm):
     # padded cap log(T / ||w0||) + 4 that it replaced
     pred = Prediction(delta=delta_b, sigma=1.0)
     cps = np.exp(np.linspace(6.0, 11.0, 6))
-    rep = vector_orbit(group_b, pred, w0, float(cps[-1]), cps, norm=norm)
+    rep = vector_orbit(group_b, pred, w0, cps, norm=norm)
     norm_fn = {"euclidean": np.linalg.norm, "sup": lambda v: np.max(np.abs(v))}[norm]
     padded = math.log(cps[-1] / norm_fn(np.array(w0))) + 4.0
     assert rep.meta["disp_cap"] < padded - 2.0
@@ -261,19 +263,19 @@ def test_vector_exact_cap_matches_padded_cap(group_b, delta_b, w0, norm):
 def test_vector_rejects_non_definite_w0(group_b, delta_b, w0):
     pred = Prediction(delta=delta_b, sigma=1.0)
     with pytest.raises(ValidationError, match="definite"):
-        vector_orbit(group_b, pred, w0, 100.0, [10.0, 100.0])
+        vector_orbit(group_b, pred, w0, [10.0, 100.0])
 
 
 def test_vector_unknown_norm_is_validation_error(group_b, delta_b):
     with pytest.raises(ValidationError, match="bogus"):
-        vector_orbit(group_b, Prediction(delta_b, 1.0), [1.0, 0.0, 1.0], 1e3, [1e2, 1e3],
+        vector_orbit(group_b, Prediction(delta_b, 1.0), [1.0, 0.0, 1.0], [1e2, 1e3],
                      norm="bogus")
 
 
 def test_vector_requires_h2(group_d0, delta_b):
     pred = Prediction(delta=delta_b, sigma=1.0)
     with pytest.raises(ValidationError):
-        vector_orbit(group_d0, pred, [1.0, 0.0, 1.0], 100.0, [10.0, 100.0])
+        vector_orbit(group_d0, pred, [1.0, 0.0, 1.0], [10.0, 100.0])
 
 
 # -- report plumbing ------------------------------------------------------------------
@@ -293,5 +295,8 @@ def test_census_table_rows(orbit_b, geo_b):
 
 
 def test_checkpoints_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="two increasing"):
         checkpoints_linear(5.0, 4.0, 6)
+    for bad in ((math.nan, 4.0), (5.0, math.nan), (5.0, math.inf), (-math.inf, 4.0)):
+        with pytest.raises(ValidationError, match="finite"):
+            checkpoints_linear(*bad, 6)

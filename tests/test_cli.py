@@ -273,9 +273,15 @@ _DISK = {"minus": {"center": [-3.0, 0.0], "radius": 1.0},
     json.dumps({**_TOY, "tau": [1.0, 1.0]}),
     json.dumps({**_TOY, "f": [[1], [-1], [0]]}),
     json.dumps({**_TOY, "tau": [[float("nan"), 1.0], [1.0, 1.0]]}),
+    json.dumps({"model": "H2", "homology_matrix": [[1, 0]], "disks": [
+        {**_DISK, "plus": {"center": [3.0, 0.0], "radius": float("nan")}},
+        {"minus": {"center": [-9.0, 0.0], "radius": 1.0},
+         "plus": {"center": [9.0, 0.0], "radius": 1.0}}]}),
+    json.dumps({**_TOY, "theta": [[float("inf"), 0.0], [0.0, 0.0]]}),
 ], ids=["not-json", "not-utf8", "no-disks", "model-h4", "radius-not-a-number", "json-list",
-        "toy-no-tau", "toy-tau-1d", "toy-extra-cocycle-row", "toy-tau-nan"])
-@pytest.mark.parametrize("command,code", [("delta", 3), ("validate", 1)])
+        "toy-no-tau", "toy-tau-1d", "toy-extra-cocycle-row", "toy-tau-nan", "radius-nan",
+        "toy-theta-infinity"])
+@pytest.mark.parametrize("command,code", [("delta", 3), ("validate", 1), ("count-geodesics", 3)])
 def test_malformed_input_file_is_one_error_line(tmp_path, capsys, text, command, code):
     bad = tmp_path / "input.json"
     bad.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -363,6 +369,69 @@ def test_count_vectors_nonpositive_t_min_is_config_error(tmp_path, capsys, args,
                 "--group", "fixture:b", "--t-max", "20000", *args]) == 3
     assert capsys.readouterr().err.startswith("error: --t-min")
     assert not list(tmp_path.glob("*-*"))
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--t-max", "0"], "error: --t-max: "),
+    (["--t-max", "-5"], "error: --t-max: "),
+    (["--t-min", "500", "--t-max", "400"], "error: need at least two increasing checkpoints"),
+    (["--t-min", "500", "--t-max", "500"], "error: need at least two increasing checkpoints"),
+], ids=["t-max-0", "t-max-negative", "t-min-above-t-max", "t-min-at-t-max"])
+def test_count_vectors_range_is_config_error(tmp_path, capsys, args, message):
+    assert run(["--out", str(tmp_path), "count-vectors", "--group", "fixture:b", *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(message) and len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("*-*"))
+
+
+def _float_options():
+    """(command, flag, dest, repeated) of every option whose type takes a
+    float: it accepts "0.5", which no int option does."""
+    found = []
+    for command, p in cli.build_parser()._command_parsers.items():
+        for a in p._actions:
+            if a.option_strings and callable(a.type):
+                try:
+                    a.type("0.5")
+                except ValueError:
+                    continue
+                found.append((command, a.option_strings[0], a.dest,
+                              isinstance(a, argparse._AppendAction)))
+    return found
+
+
+FLOAT_OPTIONS = _float_options()
+
+
+def test_float_options_are_all_found():
+    assert {(c, f) for c, f, _, _ in FLOAT_OPTIONS} == {
+        ("pressure", "--u"), ("scan", "--t-min"), ("scan", "--t-max"), ("scan", "--margin"),
+        ("count-orbit", "--t-min"), ("count-orbit", "--t-max"),
+        ("count-geodesics", "--l-min"), ("count-geodesics", "--l-max"),
+        ("count-vectors", "--w0"), ("count-vectors", "--t-min"), ("count-vectors", "--t-max"),
+        ("holonomy", "--l-min"), ("holonomy", "--l-max")}
+
+
+@pytest.mark.parametrize("command,flag,dest,repeated", FLOAT_OPTIONS,
+                         ids=[f"{c} {f}" for c, f, _, _ in FLOAT_OPTIONS])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_float_option_must_be_finite(tmp_path, capsys, monkeypatch, command, flag, dest,
+                                     repeated, value):
+    # by flag and by --config file: one error line naming the flag, and the
+    # command never starts (count-geodesics --l-max nan used to run until killed)
+    for name in list(vars(cli)):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: pytest.fail(f"{args.command} ran"))
+    group = "fixture:d0" if command == "holonomy" else "fixture:b"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({dest: [value] if repeated else value}))  # NaN, Infinity
+    out = str(tmp_path / "out")
+    for argv in (["--out", out, command, f"{flag}={value}", "--group", group],
+                 ["--out", out, "--config", str(cfg), command, "--group", group]):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 def test_scan_and_clt_same_manifest_forked_or_serial(tmp_path):

@@ -360,6 +360,13 @@ def test_budget_raises_iff_exceeded_and_then_emits_nothing(request, enumerate_, 
             assert total <= budget and len(records) == total
 
 
+@pytest.mark.parametrize("enumerate_", [enumerate_orbit, primitive_classes],
+                         ids=["orbit", "classes"])
+def test_nan_cut_off_is_validation_error(group_b, enumerate_, capped_walks):
+    with pytest.raises(ValidationError, match="NaN"):
+        enumerate_(group_b, math.nan, budget=50)
+
+
 # -- primitive classes -----------------------------------------------------------
 
 def test_classes_below_min_length_empty(group_b):

@@ -54,7 +54,7 @@ def test_markov_shift_rejects_tables_of_another_k(field, value):
     tables = {"transition": np.ones((2, 2)), "f": np.zeros((2, 2, 1)), "tau": np.ones((2, 2)),
               "theta": np.zeros((2, 2)), field: value}
     with pytest.raises(ValidationError, match=f"^{field} has shape"):
-        MarkovShift(k=2, **tables)
+        MarkovShift(**tables)
 
 
 def test_toy_json_roundtrip():
@@ -69,7 +69,7 @@ def test_toy_json_roundtrip():
 def test_from_schottky_structure(group_b, shift_b):
     s = shift_b
     assert s.k == 4
-    assert s.source == "SchottkyCoding"
+    assert s.group is group_b
     assert s.analytic
     # zeros exactly on the letter-followed-by-inverse entries
     for a in range(4):
@@ -85,8 +85,7 @@ def test_from_schottky_structure(group_b, shift_b):
 def test_aperiodicity_rejects_reducible():
     A = np.array([[1, 0], [0, 1]])
     with pytest.raises(ValidationError):
-        MarkovShift(k=2, transition=A, f=np.zeros((2, 2, 0), dtype=int),
-                    tau=np.ones((2, 2)))
+        MarkovShift(transition=A, f=np.zeros((2, 2, 0), dtype=int), tau=np.ones((2, 2)))
 
 
 def test_cycle_roof_sums_match_translation_lengths(group_b):
@@ -134,7 +133,7 @@ def test_parry_chain_toy_uniform():
         s = toy_full_shift(k, 1.0, [[1]] + [[-1]] * (k - 1))
         spec = tr.OperatorSpec(s)
         sr = tr.leading_eigenvalue(spec, math.log(k), want_measure=True)
-        chain = parry_chain(s, sr)
+        chain = parry_chain(sr)
         assert_allclose(chain.transitions, np.full((k, k), 1.0 / k), atol=1e-10)
         assert_allclose(chain.stationary, np.full(k, 1.0 / k), atol=1e-10)
 
@@ -143,12 +142,12 @@ def test_parry_chain_requires_critical_exponent(toy2):
     spec = tr.OperatorSpec(toy2)
     sr = tr.leading_eigenvalue(spec, 0.5, want_measure=True)
     with pytest.raises(NotAtCriticalExponent):
-        parry_chain(toy2, sr)
+        parry_chain(sr)
 
 
-def test_parry_chain_respects_disk_symmetry(shift_b, spectral_b):
+def test_parry_chain_respects_disk_symmetry(spectral_b):
     # z -> -z swaps each generator with its inverse: p(a -> b) = p(abar -> bbar)
-    chain = parry_chain(shift_b, spectral_b)
+    chain = parry_chain(spectral_b)
     P = chain.transitions
     for a in range(4):
         for b in range(4):
@@ -158,21 +157,21 @@ def test_parry_chain_respects_disk_symmetry(shift_b, spectral_b):
 
 
 @pytest.mark.parametrize("kind", ["toy", "schottky"])
-def test_parry_chain_requires_eigenmeasure(kind, toy2, shift_b, spec_b, delta_b):
+def test_parry_chain_requires_eigenmeasure(kind, toy2, spec_b, delta_b):
     if kind == "toy":
-        shift, sr = toy2, tr.leading_eigenvalue(tr.OperatorSpec(toy2), math.log(2.0))
+        sr = tr.leading_eigenvalue(tr.OperatorSpec(toy2), math.log(2.0))
     else:
-        shift, sr = shift_b, tr.leading_eigenvalue(spec_b, delta_b)
+        sr = tr.leading_eigenvalue(spec_b, delta_b)
     assert sr.rho is None
     with pytest.raises(ValidationError, match="want_measure"):
-        parry_chain(shift, sr)
+        parry_chain(sr)
 
 
 def _reference_symbol_chain(shift, spectral):
     """The collocation chain before toy and Schottky shifts shared one
     formula: cylinder masses nu([a]) and nu([ab]) of nu = h d rho, with each
     branch's log-derivative and interpolation block formed from the group."""
-    disc = spectral.discretization
+    disc = spectral.spec.grid()
     group = shift.group
     h = np.real(spectral.h)
     ell = np.real(spectral.rho)  # quadrature weights of the eigenmeasure
@@ -201,7 +200,7 @@ def test_parry_chain_matches_reference_loop(name, nodes, group_b, group_c):
     shift = from_schottky({"b": group_b, "c": group_c}[name])
     spec = tr.OperatorSpec(shift, nodes_per_disk=nodes)
     sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
-    chain = parry_chain(shift, sr)
+    chain = parry_chain(sr)
     pi, P = _reference_symbol_chain(shift, sr)
     assert_allclose(chain.stationary, pi, rtol=0, atol=1e-14)
     assert_allclose(chain.transitions, P, rtol=0, atol=1e-14)
@@ -213,7 +212,7 @@ def test_parry_chain_toy_closed_form(toy3_mixed):
     spec = tr.OperatorSpec(shift)
     delta = tr.critical_exponent(spec)
     sr = tr.leading_eigenvalue(spec, delta, want_measure=True)
-    chain = parry_chain(shift, sr)
+    chain = parry_chain(sr)
     B = shift.transition * np.exp(-delta * shift.tau)
     rho, h, lam = np.real(sr.rho), np.real(sr.h), sr.lam.real
     # rows of the closed form sum to 1 only up to the eigensolver's residual
@@ -229,8 +228,7 @@ def test_parry_chain_toy_closed_form(toy3_mixed):
 def test_sample_cocycle_zero_steps(toy2):
     spec = tr.OperatorSpec(toy2)
     sr = tr.leading_eigenvalue(spec, math.log(2.0), want_measure=True)
-    chain = parry_chain(toy2, sr)
-    tau, f = sample_cocycle_batch(chain, toy2, 0, 1, master_seed=7)
+    tau, f = sample_cocycle_batch(sr, 0, 1, master_seed=7)
     assert tau[0] == 0.0
     assert np.all(f[0] == 0)
 
@@ -238,8 +236,7 @@ def test_sample_cocycle_zero_steps(toy2):
 def test_sample_cocycle_constant_roof_exact(toy2):
     spec = tr.OperatorSpec(toy2)
     sr = tr.leading_eigenvalue(spec, math.log(2.0), want_measure=True)
-    chain = parry_chain(toy2, sr)
-    tau, f = sample_cocycle_batch(chain, toy2, 250, 8, master_seed=3)
+    tau, f = sample_cocycle_batch(sr, 250, 8, master_seed=3)
     assert_allclose(tau, 250.0, atol=1e-12)  # tau_n = n c exactly
     assert f.shape == (8, 1)
 
@@ -247,28 +244,23 @@ def test_sample_cocycle_constant_roof_exact(toy2):
 def test_sample_cocycle_zero_drift(toy2):
     spec = tr.OperatorSpec(toy2)
     sr = tr.leading_eigenvalue(spec, math.log(2.0), want_measure=True)
-    chain = parry_chain(toy2, sr)
     n, m = 400, 600
-    tau, f = sample_cocycle_batch(chain, toy2, n, m, master_seed=11)
+    tau, f = sample_cocycle_batch(sr, n, m, master_seed=11)
     mean = f[:, 0].mean() / n
     se = f[:, 0].std(ddof=1) / n / math.sqrt(m)
     assert abs(mean) < 3 * se + 1e-12
 
 
-def test_sampler_deterministic_per_trajectory(toy2, shift_b, spectral_b, monkeypatch):
+def test_sampler_deterministic_per_trajectory(toy2, spectral_b, monkeypatch):
     spec = tr.OperatorSpec(toy2)
     sr = tr.leading_eigenvalue(spec, math.log(2.0), want_measure=True)
-    for shift, spectral in ((toy2, sr), (shift_b, spectral_b)):
-        chain = parry_chain(shift, spectral)
+    for spectral in (sr, spectral_b):
         monkeypatch.setattr(sh, "BATCH", 2)
-        t1, f1 = sample_cocycle_batch(chain, shift, 100, 6, master_seed=5,
-                                      spectral=spectral)
+        t1, f1 = sample_cocycle_batch(spectral, 100, 6, master_seed=5)
         monkeypatch.setattr(sh, "BATCH", 6)
-        t2, f2 = sample_cocycle_batch(chain, shift, 100, 6, master_seed=5,
-                                      spectral=spectral)
+        t2, f2 = sample_cocycle_batch(spectral, 100, 6, master_seed=5)
         assert np.array_equal(t1, t2) and np.array_equal(f1, f2)
-        _, f3 = sample_cocycle_batch(chain, shift, 100, 6, master_seed=6,
-                                     spectral=spectral)
+        _, f3 = sample_cocycle_batch(spectral, 100, 6, master_seed=6)
         assert not np.array_equal(f1, f3)
 
 
@@ -286,9 +278,9 @@ def test_toy_batch_matches_searchsorted_loop(toy3_mixed, monkeypatch):
     shift = toy3_mixed
     spec = tr.OperatorSpec(shift)
     sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
-    chain = parry_chain(shift, sr)
+    chain = parry_chain(sr)
     n, m, seed = 300, 40, 13
-    tau, f = sample_cocycle_batch(chain, shift, n, m, master_seed=seed)
+    tau, f = sample_cocycle_batch(sr, n, m, master_seed=seed)
     cum_pi = np.cumsum(chain.stationary)
     cum_p = np.cumsum(chain.transitions, axis=1)
     for i in range(m):
@@ -307,7 +299,7 @@ def test_toy_start_state_above_the_last_cumulative_weight(toy2):
     # the stationary law sums to 1 - 2^-52, within ParryChain's tolerance, and
     # the start uniform 1 - 2^-53 lies above it: the start is the last state
     chain = sh.ParryChain(stationary=np.array([0.5, 0.5 - 2.0 ** -52]),
-                          transitions=np.full((2, 2), 0.5), delta=math.log(2.0))
+                          transitions=np.full((2, 2), 0.5))
 
     class LastUniform:
         def random(self, out=None):
@@ -327,10 +319,10 @@ def test_branch_weight_series_matches_direct_formula(name, N, group_b, group_c):
     group = {"b": group_b, "c": group_c}[name]
     spec = tr.OperatorSpec(from_schottky(group), nodes_per_disk=N)
     sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
-    grid, nsym = sr.discretization, spec.shift.k
+    grid, nsym = spec.grid(), spec.shift.k
     delta = float(sr.s.real)
     coeffs = grid.chebyshev_coeffs(np.real(sr.h))
-    G = branch_weight_series(spec.shift, sr)
+    G = branch_weight_series(sr)
     t = np.random.default_rng(17).uniform(-1.0, 1.0, 200)
     for s in range(nsym):
         x = grid.centers[s] + grid.radii[s] * t
@@ -352,8 +344,8 @@ def test_branch_weight_series_matches_direct_formula(name, N, group_b, group_c):
 
 def _reference_schottky_batch(chain, shift, n, rngs, spectral, burn=192):
     group = shift.group
-    disc = spectral.discretization
-    delta = chain.delta
+    disc = spectral.spec.grid()
+    delta = float(spectral.s.real)
     h = np.real(spectral.h)
     N = disc.nodes_per_disk
     nsym = shift.k
@@ -404,7 +396,8 @@ def _reference_schottky_dump(chain, shift, n, rng_seed, spectral):
     rng = np.random.default_rng([rng_seed, 0])
     state = int(np.searchsorted(np.cumsum(chain.stationary), rng.random()))
     group = shift.group
-    disc = spectral.discretization
+    disc = spectral.spec.grid()
+    delta = float(spectral.s.real)
     h = np.real(spectral.h)
     N = disc.nodes_per_disk
     x = group.disks[state].center
@@ -421,7 +414,7 @@ def _reference_schottky_dump(chain, shift, n, rng_seed, spectral):
             den = mb[2] * x + mb[3]
             y = (mb[0] * x + mb[1]) / den
             hy = float(disc.interp_values(b, np.array([y.real]))[0] @ h[b * N:(b + 1) * N])
-            weights.append(abs(den) ** (-2.0 * chain.delta) * hy)
+            weights.append(abs(den) ** (-2.0 * delta) * hy)
         cum = np.cumsum(weights)
         b = min(int(np.searchsorted(cum, rng.random() * cum[-1])), shift.k - 1)
         mb = group.symbol_matrix(b)
@@ -439,10 +432,9 @@ def _reference_schottky_dump(chain, shift, n, rng_seed, spectral):
 def test_schottky_kernel_matches_reference_loop(name, seed, request):
     shift = request.getfixturevalue(f"shift_{name}")
     spectral = request.getfixturevalue(f"spectral_{name}")
-    chain = parry_chain(shift, spectral)
+    chain = parry_chain(spectral)
     n, m = 300, 64
-    tau, f = sample_cocycle_batch(chain, shift, n, m, master_seed=seed,
-                                  spectral=spectral)
+    tau, f = sample_cocycle_batch(spectral, n, m, master_seed=seed)
     rngs = [np.random.default_rng([seed, i]) for i in range(m)]
     tau_ref, f_ref = _reference_schottky_batch(chain, shift, n, rngs, spectral)
     assert np.array_equal(tau, tau_ref)
@@ -453,7 +445,7 @@ def test_schottky_kernel_matches_reference_loop(name, seed, request):
 def test_pick_table_bounds_the_series_on_every_cell(name, request):
     # every cell's [LO_r, HI_r] holds C_r / S of the exact path at 64 points inside it
     shift = request.getfixturevalue(f"shift_{name}")
-    G = branch_weight_series(shift, request.getfixturevalue(f"spectral_{name}"))
+    G = branch_weight_series(request.getfixturevalue(f"spectral_{name}"))
     nsym, cells = shift.k, sh.CELLS
     lo, hi = sh._pick_table(G).reshape(2, nsym - 1, nsym, cells + 2)[..., 1:-1]
     inside = (np.arange(64) + 0.5) / 64
@@ -471,7 +463,7 @@ def test_table_picks_match_the_series(name, request):
     # C_r / S and the next 200 a t a few ulps outside [-1, 1]: all of those
     # must go to the series
     shift = request.getfixturevalue(f"shift_{name}")
-    G = branch_weight_series(shift, request.getfixturevalue(f"spectral_{name}"))
+    G = branch_weight_series(request.getfixturevalue(f"spectral_{name}"))
     table, nsym = sh._pick_table(G), shift.k
     rng = np.random.default_rng(23)
     m, near, out = 50_000, 1000, 200
@@ -492,8 +484,8 @@ def test_table_picks_match_the_series(name, request):
 
 
 def test_schottky_dump_matches_reference_loop(shift_b, spectral_b):
-    chain = parry_chain(shift_b, spectral_b)
-    rows = sample_trajectory(chain, shift_b, 400, 7, spectral=spectral_b)
+    chain = parry_chain(spectral_b)
+    rows = sample_trajectory(spectral_b, 400, 7)
     ref = _reference_schottky_dump(chain, shift_b, 400, 7, spectral_b)
     assert len(rows) == len(ref) == 400
     for got, want in zip(rows, ref):
@@ -503,11 +495,11 @@ def test_schottky_dump_matches_reference_loop(shift_b, spectral_b):
 
 def test_toy_dump_matches_reference_loop():
     shift = toy_full_shift(3, 0.7, [[1], [-1], [0]])
-    shift = MarkovShift(k=3, transition=shift.transition, f=shift.f,
+    shift = MarkovShift(transition=shift.transition, f=shift.f,
                         tau=shift.tau * np.array([[1.0, 2.0, 0.5]]))
     spec = tr.OperatorSpec(shift)
     sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
-    chain = parry_chain(shift, sr)
+    chain = parry_chain(sr)
     rng = np.random.default_rng([5, 0])
     state = int(np.searchsorted(np.cumsum(chain.stationary), rng.random()))
     cum_p = np.cumsum(chain.transitions, axis=1)
@@ -518,13 +510,11 @@ def test_toy_dump_matches_reference_loop():
         f_cum = f_cum + shift.f[state, nxt]
         ref.append((step, nxt, tau_cum, *f_cum.tolist()))
         state = nxt
-    assert sample_trajectory(chain, shift, 300, 5) == ref
+    assert sample_trajectory(sr, 300, 5) == ref
 
 
-def test_schottky_sampler_statistics(shift_b, spectral_b, surface_b):
-    chain = parry_chain(shift_b, spectral_b)
-    tau, f = sample_cocycle_batch(chain, shift_b, 2000, 400, master_seed=9,
-                                  spectral=spectral_b)
+def test_schottky_sampler_statistics(spectral_b, surface_b):
+    tau, f = sample_cocycle_batch(spectral_b, 2000, 400, master_seed=9)
     assert np.all(tau > 0)
     z = f[:, 0] / np.sqrt(tau)
     # loose 4-sigma-ish band around the Hessian variance at this sample size
@@ -598,42 +588,38 @@ def test_scan_stays_in_one_process_without_a_blas_variable(monkeypatch):
 
 
 @pytest.mark.skipif(sh._cpus() < 2, reason="needs two usable CPUs")
-def test_sampler_forks_at_the_default_blas_threads(shift_b, spectral_b, monkeypatch):
+def test_sampler_forks_at_the_default_blas_threads(spectral_b, monkeypatch):
     # a process whose OpenBLAS started one thread per CPU forks the sampler,
     # whose steps call no BLAS, over every usable CPU, with one process's bits
-    chain = parry_chain(shift_b, spectral_b)
     script = """if True:
         import hashlib, pickle, sys
         from covercount import shift as sh
-        chain, shift, spectral = pickle.load(sys.stdin.buffer)
+        spectral = pickle.load(sys.stdin.buffer)
         chunks, fork_map = [], sh._fork_map
         sh._fork_map = lambda fn, parts: chunks.append(len(parts)) or fork_map(fn, parts)
-        tau, f = sh.sample_cocycle_batch(chain, shift, 300, 1000, 3, spectral=spectral)
+        tau, f = sh.sample_cocycle_batch(spectral, 300, 1000, 3)
         print(chunks[0], hashlib.sha256(tau.tobytes() + f.tobytes()).hexdigest())
     """
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(sh.__file__))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          input=pickle.dumps((chain, shift_b, spectral_b)),
+                          input=pickle.dumps(spectral_b),
                           timeout=300, check=True)
     forked, bits = done.stdout.decode().split()
     assert int(forked) == sh._cpus()
     monkeypatch.setattr(sh, "_cpus", lambda: 1)
-    tau, f = sample_cocycle_batch(chain, shift_b, 300, 1000, 3, spectral=spectral_b)
+    tau, f = sample_cocycle_batch(spectral_b, 300, 1000, 3)
     assert bits == hashlib.sha256(tau.tobytes() + f.tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("n_traj", [1, 7, 4096])
-def test_sampler_same_bits_in_two_processes(n_traj, toy2, shift_b, spectral_b,
-                                            monkeypatch):
+def test_sampler_same_bits_in_two_processes(n_traj, toy2, spectral_b, monkeypatch):
     sr = tr.leading_eigenvalue(tr.OperatorSpec(toy2), math.log(2.0), want_measure=True)
-    for shift, spectral in ((toy2, sr), (shift_b, spectral_b)):
-        chain = parry_chain(shift, spectral)
+    for spectral in (sr, spectral_b):
         got = []
         for workers in (1, 2):
             monkeypatch.setattr(sh, "_cpus", lambda: workers)
-            got.append(sample_cocycle_batch(chain, shift, 40, n_traj, master_seed=3,
-                                            spectral=spectral))
+            got.append(sample_cocycle_batch(spectral, 40, n_traj, master_seed=3))
         (t1, f1), (t2, f2) = got
         assert np.array_equal(t1, t2) and np.array_equal(f1, f2)

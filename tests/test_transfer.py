@@ -218,7 +218,7 @@ def test_pressure_surface_rejects_degenerate_cocycle():
     roof = [[0.7, 1.1, 0.9], [1.3, 0.6, 1.7], [0.8, 1.2, 1.0]]
     for g in ([0, 1, 2], [1, -1, 0], [3, -2, 7], [0, 0, 5], [[1, 0], [0, 1], [2, -1]]):
         gv = np.array(g).reshape(3, -1)
-        shift = MarkovShift(k=3, transition=np.ones((3, 3), dtype=int),
+        shift = MarkovShift(transition=np.ones((3, 3), dtype=int),
                             f=gv[None, :, :] - gv[:, None, :], tau=roof)
         with pytest.raises(HessianNotPD):
             pressure_surface(OperatorSpec(shift))
