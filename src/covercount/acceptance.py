@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tempfile
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,7 +22,7 @@ from . import transfer as tr
 from .errors import CovercountError
 from .groupfile import load_any, load_group
 from .hyperbolic import geodesic_invariants
-from .reporting import ReportWriter
+from .reporting import ReportWriter, census_csv_rows
 
 
 @dataclass
@@ -34,50 +35,28 @@ class CriterionResult:
 
 
 class Workspace:
-    """Lazy shared fixture data (groups, shifts, spectra) for the criteria."""
+    """Lazy fixture data that two or more criteria share."""
 
     def __init__(self, seed: int = 1):
         self.seed = seed
 
     @cached_property
-    def toy2(self):
-        return load_any("fixture:toy2")
-
-    @cached_property
     def toy2_spec(self):
-        return tr.OperatorSpec(self.toy2)
+        return tr.OperatorSpec(load_any("fixture:toy2"))
 
     @cached_property
     def group_b(self):
         return load_group("fixture:b")
 
     @cached_property
-    def shift_b(self):
-        return sh.from_schottky(self.group_b)
-
-    @cached_property
-    def spec_b(self):
-        return tr.OperatorSpec(self.shift_b, nodes_per_disk=24)
-
-    @cached_property
     def surface_b(self):
-        return tr.pressure_surface(self.spec_b)
-
-    @cached_property
-    def group_c(self):
-        return load_group("fixture:c")
-
-    @cached_property
-    def spec_c(self):
-        return tr.OperatorSpec(sh.from_schottky(self.group_c), nodes_per_disk=20)
+        return tr.pressure_surface(tr.OperatorSpec(sh.from_schottky(self.group_b),
+                                                   nodes_per_disk=24))
 
     @cached_property
     def surface_c(self):
-        return tr.pressure_surface(self.spec_c)
-
-    @cached_property
-    def group_d0(self):
-        return load_group("fixture:d0")
+        return tr.pressure_surface(tr.OperatorSpec(sh.from_schottky(load_group("fixture:c")),
+                                                   nodes_per_disk=20))
 
 
 def c01_toy_closed_forms(ws: Workspace) -> tuple:
@@ -122,7 +101,7 @@ def c03_two_method_delta(ws: Workspace) -> tuple:
     details = {}
     passed = True
     for tag, group, delta in (("b", ws.group_b, ws.surface_b.delta),
-                              ("c", ws.group_c, ws.surface_c.delta)):
+                              ("c", load_group("fixture:c"), ws.surface_c.delta)):
         cps, rep = _orbit_report(group, delta, 1.0, 12.5)
         half = len(cps) // 2
         slope = cen.fit_growth(cps[half:], rep.totals[half:], fix_log_power=0.0)
@@ -137,7 +116,8 @@ def c03_two_method_delta(ws: Workspace) -> tuple:
 def c04_pressure_structure(ws: Workspace) -> tuple:
     details = {}
     passed = True
-    for tag, spec, surf in (("b", ws.spec_b, ws.surface_b), ("c", ws.spec_c, ws.surface_c)):
+    for tag, surf in (("b", ws.surface_b), ("c", ws.surface_c)):
+        spec = surf.spectral.spec
         lam_err = abs(surf.spectral.lam - 1.0)
         grad_inf = float(np.max(np.abs(surf.gradient)))
         spd = float(np.min(np.linalg.eigvalsh(surf.hessian)))
@@ -157,7 +137,7 @@ def c04_pressure_structure(ws: Workspace) -> tuple:
 
 
 def c05_spectral_gap_scan(ws: Workspace) -> tuple:
-    spec48 = tr.OperatorSpec(ws.shift_b, nodes_per_disk=48)
+    spec48 = tr.OperatorSpec(sh.from_schottky(ws.group_b), nodes_per_disk=48)
     delta = tr.critical_exponent(spec48)
     t_grid = np.linspace(0.05, 5.0, 25)
     v_grid = [[x] for x in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
@@ -228,7 +208,7 @@ def c08_clt_homology_cocycle(ws: Workspace) -> tuple:
 def c09_holonomy_equidistribution(ws: Workspace) -> tuple:
     L = 17.0
     cps = cen.checkpoints_linear(9.0, L, 8)
-    rep = cen.holonomy_equidistribution(ws.group_d0, [1, 2, 3], cps)
+    rep = cen.holonomy_equidistribution(load_group("fixture:d0"), [1, 2, 3], cps)
     tops = {p: float(rep.ratios[p][-1]) for p in (1, 2, 3)}
     passed = all(v < 0.1 for v in tops.values())
     return ("C9", "holonomy character sums equidistribute", passed,
@@ -252,30 +232,27 @@ def c10_vector_orbit(ws: Workspace) -> tuple:
              "stabilizer_hits": rep.meta["stabilizer_hits"]})
 
 
-def c11_determinism(ws: Workspace, out_dir=None) -> tuple:
-    import tempfile
-    base = out_dir or tempfile.mkdtemp(prefix="covercount-det-")
+def c11_determinism(ws: Workspace) -> tuple:
     hashes = []
-    for run in ("run1", "run2"):
-        w = ReportWriter(f"{base}/{run}", "determinism-probe",
-                         {"seed": ws.seed})
-        spec = tr.OperatorSpec(load_any("fixture:toy2"))
-        sr = tr.spectral_at_delta(spec, want_measure=True)
-        delta = sr.s
-        tau, f = sh.sample_cocycle_batch(sr, 500, 64, ws.seed)
-        group = load_group("fixture:b")
-        cps = cen.checkpoints_linear(4.0, 8.0, 6)
-        rep = cen.orbit_by_homology(group, cen.Prediction(delta, 1.0), cps)
-        w.write_json("summary.json", {
-            "delta": delta,
-            "tau_head": tau[:8].tolist(),
-            "f_head": f[:8, 0].tolist(),
-            "totals": rep.totals.tolist(),
-        })
-        from .reporting import census_csv_rows
-        w.write_csv("orbit.csv", *census_csv_rows(rep))
-        manifest = w.finish({"group": group.fingerprint()})
-        hashes.append(manifest["manifest_sha256"])
+    with tempfile.TemporaryDirectory(prefix="covercount-det-") as base:
+        for run in ("run1", "run2"):
+            w = ReportWriter(f"{base}/{run}", "determinism-probe", {"seed": ws.seed})
+            sr = tr.spectral_at_delta(tr.OperatorSpec(load_any("fixture:toy2")),
+                                      want_measure=True)
+            delta = sr.s
+            tau, f = sh.sample_cocycle_batch(sr, 500, 64, ws.seed)
+            group = load_group("fixture:b")
+            cps = cen.checkpoints_linear(4.0, 8.0, 6)
+            rep = cen.orbit_by_homology(group, cen.Prediction(delta, 1.0), cps)
+            w.write_json("summary.json", {
+                "delta": delta,
+                "tau_head": tau[:8].tolist(),
+                "f_head": f[:8, 0].tolist(),
+                "totals": rep.totals.tolist(),
+            })
+            w.write_csv("orbit.csv", *census_csv_rows(rep))
+            manifest = w.finish({"group": group.fingerprint()})
+            hashes.append(manifest["manifest_sha256"])
     passed = hashes[0] == hashes[1]
     return ("C11", "byte-identical report manifests across reruns", passed, {"hashes": hashes})
 

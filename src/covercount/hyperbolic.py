@@ -119,13 +119,13 @@ def displacement(g: MoebiusMap) -> float:
     return math.acosh(max(frob2(g.entries) / 2.0, 1.0))
 
 
-def classify(g: MoebiusMap, tol: float = CLASSIFY_TOL) -> ElementClass:
-    if max(abs(g.b), abs(g.c), abs(g.a - g.d)) <= tol:
+def classify(g: MoebiusMap) -> ElementClass:
+    if max(abs(g.b), abs(g.c), abs(g.a - g.d)) <= CLASSIFY_TOL:
         return ElementClass.IDENTITY
     tr2 = g.trace() ** 2
-    if abs(tr2 - 4.0) <= tol:
+    if abs(tr2 - 4.0) <= CLASSIFY_TOL:
         return ElementClass.PARABOLIC
-    if abs(tr2.imag) <= tol and -tol < tr2.real < 4.0:
+    if abs(tr2.imag) <= CLASSIFY_TOL and -CLASSIFY_TOL < tr2.real < 4.0:
         return ElementClass.ELLIPTIC
     return ElementClass.LOXODROMIC
 

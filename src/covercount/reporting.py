@@ -63,9 +63,7 @@ class ReportWriter:
 
     def write_csv(self, name: str, header, rows) -> Path:
         path = self.dir / name
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(x) for x in row))
+        lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
         path.write_text("\n".join(lines) + "\n")
         self._files.append(name)
         return path
@@ -82,14 +80,6 @@ class ReportWriter:
         (self.dir / "manifest.json").write_text(canonical_json(manifest))
         manifest["manifest_sha256"] = sha256_file(self.dir / "manifest.json")
         return manifest
-
-
-def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return repr(x)
-    return str(x)
 
 
 def census_csv_rows(report) -> tuple[list[str], list[list]]:

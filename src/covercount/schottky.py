@@ -170,6 +170,10 @@ class SchottkyGroup:
         n = 2 * self.g
         if self.g < 2:
             raise ValidationError("need at least 2 generators for a nonelementary group")
+        data = [x for dk in self.disks for x in (dk.center, dk.radius)]
+        data += [x for gen in self.generators for x in gen.entries]
+        if not all(cmath.isfinite(x) for x in data):
+            raise ValidationError("disk centers, radii and generator entries must be finite")
         overlaps = [(i, j) for i in range(n) for j in range(i + 1, n)
                     if abs(self.disks[i].center - self.disks[j].center)
                     <= self.disks[i].radius + self.disks[j].radius]
@@ -288,8 +292,8 @@ def enumerate_orbit(group: SchottkyGroup, T: float,
     records are emitted in (first letter, length, index word) order, the
     empty word first; a record gets its letter word and class then.
     """
-    if math.isnan(T):
-        raise ValidationError("orbit cut-off T is NaN")
+    if not math.isfinite(T):
+        raise ValidationError(f"orbit cut-off T is {T}: it must be finite, not NaN or infinite")
     cosh_cut = math.cosh(T) * (1.0 + SHADOW_SLACK)
     sinh_cut = math.sinh(T) * (1.0 + SHADOW_SLACK)
     mats = group._mats
@@ -401,8 +405,8 @@ def primitive_classes(group: SchottkyGroup, L: float,
     are emitted in the order of a walk of single words: first letter
     ascending, later ones descending, a prefix first.
     """
-    if math.isnan(L):
-        raise ValidationError("class cut-off L is NaN")
+    if not math.isfinite(L):
+        raise ValidationError(f"class cut-off L is {L}: it must be finite, not NaN or infinite")
     group.min_cycle_step()  # validates that all admissible steps contract
     n, model = group.n_symbols, group.model
     letters = [letter_of_index(idx) for idx in range(n)]

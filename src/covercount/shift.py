@@ -141,12 +141,6 @@ def from_schottky(group: SchottkyGroup) -> MarkovShift:
 # -- periodic data of the coding -------------------------------------------
 
 
-def periodic_point(group: SchottkyGroup, word: Sequence[int]) -> complex:
-    """Attracting fixed point of the word's evaluation: the boundary point
-    coded by the periodic symbol sequence word^infinity."""
-    return fixed_points(group.evaluate(word))[0]
-
-
 def _roof_term(group: SchottkyGroup, letter: int, x: complex) -> complex:
     """Complex roof log (branch_letter^{-1})'(x) = -2 Log(-c x + a)."""
     a, _, c, _ = group.symbol_matrix(sk.sym_index(letter))
@@ -159,16 +153,17 @@ def cycle_roof_sum(group: SchottkyGroup, word: Sequence[int]) -> complex:
     cyclically reduced word; theta_n is not wrapped.
 
     Each rotation's branch derivative is evaluated at its own attracting
-    fixed point; this avoids iterating the expanding map.  By the chain rule
-    the real part equals the translation length of the word's conjugacy
-    class, and the imaginary part its holonomy angle modulo 2 pi.
+    fixed point, the point coded by the rotation repeated forever; this
+    avoids iterating the expanding map.  By the chain rule the real part
+    equals the translation length of the word's conjugacy class, and the
+    imaginary part its holonomy angle modulo 2 pi.
     """
     if not sk.is_cyclically_reduced(word):
         raise ValidationError("cycle roof sums need a cyclically reduced word")
     total = 0j
     for r in range(len(word)):
         rot = tuple(word[r:]) + tuple(word[:r])
-        total += _roof_term(group, rot[0], periodic_point(group, rot))
+        total += _roof_term(group, rot[0], fixed_points(group.evaluate(rot))[0])
     return total
 
 

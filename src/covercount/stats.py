@@ -141,9 +141,9 @@ def _beta_series(a: float, b: float, x: float) -> float:
     return math.pow(x, a) * math.pow(1.0 - x, b) / a * total
 
 
-def plateau_deviation(values: Sequence[float], last: int = 3) -> float:
-    """Max pairwise relative deviation across the final checkpoints."""
-    v = np.asarray(values, dtype=float)[-last:]
+def plateau_deviation(values: Sequence[float]) -> float:
+    """Max pairwise relative deviation across the last three checkpoints."""
+    v = np.asarray(values, dtype=float)[-3:]
     if v.size < 2 or np.any(v <= 0):
         raise InsufficientData("plateau needs >= 2 positive trailing values")
     return float(v.max() / v.min() - 1.0)

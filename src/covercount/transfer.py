@@ -158,7 +158,7 @@ class OperatorSpec:
     def __post_init__(self):
         if self.shift.analytic:
             if self.nodes_per_disk is None:
-                self.nodes_per_disk = 16
+                raise ValidationError("a Schottky coding needs nodes_per_disk")
             if self.shift.group is None:
                 raise ValidationError("analytic shift without group data")
         elif self.nodes_per_disk is not None:

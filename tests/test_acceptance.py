@@ -44,3 +44,12 @@ def test_criterion_that_raises_fails_under_its_id(monkeypatch):
     res = run_criterion(raises, Workspace())
     assert (res.cid, res.name, res.passed) == ("C2", "raises", False)
     assert res.details == {"error": f"BudgetExceeded: {BudgetExceeded(5)}"}
+
+
+def test_determinism_probe_leaves_no_directory(monkeypatch, tmp_path):
+    import tempfile
+
+    from covercount.acceptance import c11_determinism
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert run_criterion(c11_determinism, Workspace()).passed
+    assert list(tmp_path.iterdir()) == []

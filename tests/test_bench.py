@@ -34,12 +34,13 @@ def test_tracer_targets_resolve():
 
 
 # small jobs that reach every traced layer with a work count: the grid build
-# (nodes_per_disk), both samplers (n, n_traj), an enumerator (its int result)
+# (nodes_per_disk), both samplers (n, n_traj), both enumerators (their int results)
 TRACED_JOBS = [
     ["delta", "--group", "fixture:toy2"],
     ["clt", "--group", "fixture:toy2", "--traj", "64", "--steps", "100", "--seed", "1",
      "--dump-trajectory", "20"],
     ["count-orbit", "--group", "fixture:b", "--t-max", "6"],  # its delta builds a grid
+    ["count-geodesics", "--group", "fixture:b", "--l-min", "4", "--l-max", "8"],
 ]
 
 
@@ -76,7 +77,8 @@ def test_pass_metrics_fills_every_metric(traced_jobs):
     assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in m.values()), m
     # the work counts the tracer reads from arguments and results reached the metrics
     for name in ("transfer.grid_build.calls", "shift.traj_steps_per_s", "shift.dump_steps_per_s",
-                 "schottky.enumerate_orbit.records", "schottky.enumerate_orbit.records_per_s"):
+                 "schottky.enumerate_orbit.records", "schottky.enumerate_orbit.records_per_s",
+                 "schottky.primitive_classes.classes"):
         assert m[name] > 0, name
 
 

@@ -12,7 +12,7 @@ from covercount.census import (Prediction, checkpoints_linear,
                                holonomy_equidistribution, orbit_by_homology,
                                vector_orbit)
 from covercount.errors import InsufficientData, ValidationError
-from covercount.reporting import census_csv_rows
+from covercount.reporting import ReportWriter, census_csv_rows
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +292,14 @@ def test_census_table_rows(orbit_b, geo_b):
     _, rows = census_csv_rows(rep)
     assert {r[1] for r in rows if math.isnan(r[3]) and math.isnan(r[4])} \
         == {"|".join(map(str, k)) for k in rep.counts if k != (0,)}
+
+
+def test_csv_cells_are_their_str(tmp_path):
+    # a float's str is its repr, nan and -0.0 included; a numpy scalar's is its value
+    writer = ReportWriter(tmp_path, "cells", {})
+    path = writer.write_csv("t.csv", ["h"], [[0.1, math.nan, -0.0, math.inf, 3, "a|b",
+                                              np.float64(0.1)]])
+    assert path.read_text() == "h\n0.1,nan,-0.0,inf,3,a|b,0.1\n"
 
 
 def test_checkpoints_validation():

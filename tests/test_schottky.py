@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 from covercount import schottky as sk
 from covercount.errors import (BudgetExceeded, DisksOverlap, PairingBroken,
                                RankDeficientHomology, ValidationError)
-from covercount.groupfile import group_from_dict, pairing_map
+from covercount.groupfile import fixture_text, group_from_dict, load_group, pairing_map
 from covercount.hyperbolic import (Model, geodesic_invariants, mat_mul,
                                    trace_invariants)
 from covercount.schottky import (Disk, SchottkyGroup, canonical_rotation,
@@ -151,6 +152,31 @@ def test_rank_deficient_homology_rejected():
             ],
             "homology_matrix": [[0, 0]],
         })
+
+
+@pytest.mark.parametrize("field", ["radius", "center", "generator"])
+def test_non_finite_group_dict_rejected(field):
+    # every overlap, pairing and base-point comparison with NaN is false
+    data = json.loads(fixture_text("b"))
+    plus = data["disks"][0]["plus"]
+    if field == "radius":
+        plus["radius"] = math.nan
+    elif field == "center":
+        plus["center"] = [math.nan, 0.0]
+    else:
+        data["generators"] = [list(gen.entries) for gen in load_group(data).generators]
+        data["generators"][0][1] = math.nan
+    with pytest.raises(ValidationError, match="finite"):
+        load_group(data)
+
+
+def test_non_finite_disk_rejected_by_constructor():
+    g = simple_group()
+    with pytest.raises(ValidationError, match="finite"):
+        SchottkyGroup(g.generators,
+                      [Disk(-3.0 + 0j, math.nan), Disk(-9.0 + 0j, 1.0)],
+                      [Disk(3.0 + 0j, 1.0), Disk(9.0 + 0j, 1.0)],
+                      [[1, 0]], Model.H2)
 
 
 def test_broken_pairing_rejected():
@@ -365,6 +391,9 @@ def test_budget_raises_iff_exceeded_and_then_emits_nothing(request, enumerate_, 
 def test_nan_cut_off_is_validation_error(group_b, enumerate_, capped_walks):
     with pytest.raises(ValidationError, match="NaN"):
         enumerate_(group_b, math.nan, budget=50)
+    for cut_off in (math.inf, -math.inf):  # +inf prunes nothing either
+        with pytest.raises(ValidationError, match="finite"):
+            enumerate_(group_b, cut_off, budget=50)
 
 
 # -- primitive classes -----------------------------------------------------------

@@ -256,6 +256,8 @@ def test_holonomy_unavailable_on_collocation(spec_b, delta_b):
 def test_collocation_rejects_small_grid(shift_b):
     with pytest.raises(ValidationError):
         OperatorSpec(shift_b, nodes_per_disk=4).grid()
+    with pytest.raises(ValidationError, match="nodes_per_disk"):
+        OperatorSpec(shift_b)  # a Schottky coding has no default grid
 
 
 def test_chebyshev_coeffs_and_chebval_match_interp_values(spec_b, spectral_b):
