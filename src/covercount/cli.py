@@ -20,7 +20,7 @@ from . import stats as st
 from . import transfer as tr
 from .errors import CovercountError, ValidationError
 from .groupfile import load_any, load_group
-from .hyperbolic import frob2
+from .hyperbolic import displacement
 from .reporting import ReportWriter, census_csv_rows, scan_csv_rows
 
 EXIT_OK, EXIT_COMPUTE, EXIT_ACCEPT, EXIT_CONFIG = 0, 1, 2, 3
@@ -230,8 +230,8 @@ def cmd_count_geodesics(args) -> int:
                    + ["length", "holonomy"], rows)
 
         def sink(r):
-            disp = math.acosh(max(frob2(r.matrix) / 2.0, 1.0))  # d(o, g o) of the record
-            rows.append([len(r.word), disp, *r.homology, r.length, r.holonomy])
+            rows.append([len(r.word), displacement(r.matrix), *r.homology, r.length,
+                         r.holonomy])
     rep = cen.geodesics_by_homology(group, pred, cps, budget=args.budget_cap, sink=sink)
     key = (0,) * group.d
     print(f"primitive classes <= {args.l_max}: {rep.totals[-1]}")

@@ -55,6 +55,8 @@ class MoebiusMap:
             if max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag)) > DET_TOL:
                 raise ValueError("H2 maps require real entries")
         if normalize:
+            if not all(map(cmath.isfinite, (a, b, c, d))):
+                raise ValueError("map entries must be finite")
             det = a * d - b * c
             if abs(det) < DET_TOL:
                 raise ValueError("matrix is singular")
@@ -110,13 +112,13 @@ def frob2(m) -> float:
             + c.real * c.real + c.imag * c.imag + d.real * d.real + d.imag * d.imag)
 
 
-def displacement(g: MoebiusMap) -> float:
-    """Hyperbolic distance d(o, g o).
+def displacement(m) -> float:
+    """Hyperbolic distance d(o, g o) of the map g with raw (a, b, c, d) entries m.
 
     Equal to acosh(||g||_F^2 / 2); the Frobenius norm is invariant under the
     stabilizer of o on both sides, so this matches the moved-point formula.
     """
-    return math.acosh(max(frob2(g.entries) / 2.0, 1.0))
+    return math.acosh(max(frob2(m) / 2.0, 1.0))
 
 
 def classify(g: MoebiusMap) -> ElementClass:

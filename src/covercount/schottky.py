@@ -340,7 +340,7 @@ def enumerate_orbit_bruteforce(group: SchottkyGroup, T: float, max_len: int) -> 
     n = group.n_symbols
 
     def rec_walk(word, m, last):
-        disp = math.acosh(max(hyp.frob2(m) / 2.0, 1.0))
+        disp = hyp.displacement(m)
         if disp <= T:
             out.append(OrbitRecord(word, disp, group.abelianize(word), m))
         if len(word) >= max_len:

@@ -126,14 +126,10 @@ def toy_from_json(data: dict) -> MarkovShift:
 def from_schottky(group: SchottkyGroup) -> MarkovShift:
     """Boundary coding of a Schottky group: 2g symbols, transitions forbid a
     letter followed by its inverse, analytic roof, per-letter homology."""
-    n = group.n_symbols
-    A = np.ones((n, n), dtype=np.int64)
-    for a in range(n):
-        A[a, sk.inverse_index(a)] = 0
-    d = group.d
-    f = np.zeros((n, n, d), dtype=np.int64)
-    for a in range(n):
-        f[a, :, :] = np.asarray(group.symbol_homology(a), dtype=np.int64)
+    n, H = group.n_symbols, group.homology_matrix.T  # H[i]: generator i's class
+    A = (np.arange(n)[:, None] != sk.inverse_index(np.arange(n))).astype(np.int64)
+    f_sym = np.stack([H, -H], axis=1).reshape(n, group.d)  # symbol 2i + 1 inverts 2i
+    f = np.repeat(f_sym[:, None, :], n, axis=1)
     # analytic holonomy lives on the group, queried per point: no theta table
     return MarkovShift(transition=A, f=f, group=group)
 
@@ -196,21 +192,14 @@ def parry_chain(spectral) -> ParryChain:
         raise NotAtCriticalExponent(f"leading eigenvalue {lam} != 1")
     if spectral.rho is None:
         raise ValidationError("parry_chain needs rho: leading_eigenvalue(want_measure=True)")
-    shift, grid = spectral.spec.shift, spectral.spec.grid()
-    h = np.real(spectral.h)
-    rho = np.real(spectral.rho)
+    shift, grid = spectral.spec.shift, spectral.spec.grid
     n, N = shift.k, grid.nodes_per_disk
+    h, rho = np.real(spectral.h).reshape(n, N), np.real(spectral.rho).reshape(n, N)
     delta = float(complex(spectral.s).real)
-    nu_a = np.array([float(np.dot(rho[a * N:(a + 1) * N], h[a * N:(a + 1) * N]))
-                     for a in range(n)])
-    nu_ab = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            if shift.transition[a, b] == 0:
-                continue
-            w = np.exp(delta * grid.logd[a, b])
-            hvals = grid.interp[a, b] @ h[a * N:(a + 1) * N]
-            nu_ab[a, b] = float(np.dot(rho[b * N:(b + 1) * N], w * hvals))
+    nu_a = np.vecdot(rho, h)
+    hvals = (grid.interp @ h[:, None, :, None])[..., 0]  # (a, b, node): interp[a, b] h_a
+    nu_ab = np.where(shift.transition != 0,
+                     np.vecdot(rho, np.exp(delta * grid.logd) * hvals), 0.0)
     return ParryChain(stationary=nu_a / nu_a.sum(),
                       transitions=nu_ab / nu_ab.sum(axis=1, keepdims=True))
 
@@ -405,7 +394,7 @@ def branch_weight_series(spectral) -> np.ndarray:
     the decay.  Row (s, inverse of s) is zero, as the grid leaves the block
     of that inadmissible branch.
     """
-    grid = spectral.spec.grid()
+    grid = spectral.spec.grid
     n, N = spectral.spec.shift.k, grid.nodes_per_disk
     delta = float(complex(spectral.s).real)
     h = np.real(spectral.h).reshape(n, 1, N, 1)
@@ -434,13 +423,12 @@ def _schottky_kernel(chain: ParryChain, shift: MarkovShift, spectral):
     roof depend on the weights only through the picks.
     """
     group = shift.group
-    grid = spectral.spec.grid()
+    grid = spectral.spec.grid
     G = branch_weight_series(spectral)
     table = _pick_table(G)
     nsym = shift.k
     a, b, c, d = np.array([group.symbol_matrix(s) for s in range(nsym)]).real.T
-    f_sym = np.array([group.symbol_homology(s) for s in range(nsym)],
-                     dtype=np.int64).reshape(nsym, group.d)
+    f_sym = shift.f[:, 0]
     cum_pi = np.cumsum(chain.stationary)
 
     def steps(n: int, rngs, burn: int):

@@ -27,6 +27,7 @@ perturbation theory (pressure_surface), not from differences of roots.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -145,15 +146,15 @@ class ExactGrid:
         self.interp = np.ones((shift.k, shift.k, 1, 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorSpec:
-    """Shift plus its discretization, built on first use with the off-node
-    check blocks (CollocationGrid), and twist exponents cached per twist."""
+    """Shift plus its discretization: grid is the CollocationGrid at
+    nodes_per_disk, with the off-node check blocks, or a toy shift's
+    ExactGrid, built on construction."""
 
     shift: MarkovShift
     nodes_per_disk: Optional[int] = None
-    _grid: object = field(default=None, repr=False)
-    _twists: dict = field(default_factory=dict, repr=False)
+    grid: CollocationGrid | ExactGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.shift.analytic:
@@ -161,51 +162,47 @@ class OperatorSpec:
                 raise ValidationError("a Schottky coding needs nodes_per_disk")
             if self.shift.group is None:
                 raise ValidationError("analytic shift without group data")
+            grid = CollocationGrid(self.shift.group, self.nodes_per_disk)
         elif self.nodes_per_disk is not None:
             raise ValidationError("exact toy operators take no collocation nodes")
-
-    def grid(self):
-        """The CollocationGrid at nodes_per_disk, or a toy shift's ExactGrid."""
-        if self._grid is None:
-            self._grid = (CollocationGrid(self.shift.group, self.nodes_per_disk)
-                          if self.shift.analytic else ExactGrid(self.shift))
-        return self._grid
+        else:
+            grid = ExactGrid(self.shift)
+        object.__setattr__(self, "grid", grid)
 
     def twist(self, v=None, p: int = 0, u=None) -> np.ndarray:
         """cw[a, b] = <u + iv, f[a, b]> + i p theta[a, b] on the admissible
-        transitions, one scalar at a time (math.fsum rounds <u, f> once),
-        cached per twist: a root's solves, and a scan's rows, share it."""
+        transitions, 0 elsewhere.  Each <u, f[a, b]> is one array sum, which
+        for the shipped tables (f in {-1, 0, 1}, d <= 2) is a single
+        correctly rounded addition, as math.fsum gives; with d >= 3 or
+        |f| >= 2 its last bit may differ from fsum's."""
         shift, d = self.shift, self.shift.d
         if p != 0 and shift.theta is None:
             raise HolonomyUnavailable("shift carries no holonomy data")
         v, u = (np.zeros(d) if x is None else np.asarray(x, dtype=float) for x in (v, u))
         if v.shape != (d,) or u.shape != (d,):
             raise ValidationError(f"twist vectors must have dimension {d}")
-        key = (v.tobytes(), u.tobytes(), p)
-        if key not in self._twists:
-            f = shift.f.astype(float)
-            uf = u * f
-            cw = self._twists[key] = np.zeros((shift.k,) * 2, dtype=complex if d or p else float)
-            for a, b in zip(*np.nonzero(shift.transition)):
-                if d:
-                    cw[a, b] = math.fsum(uf[a, b]) + 1j * float(v @ f[a, b])
-                if p != 0:
-                    cw[a, b] += 1j * p * shift.theta[a, b]
-        return self._twists[key]
+        if not (np.isfinite(v).all() and np.isfinite(u).all()):
+            raise ValidationError(f"twist vectors must be finite, not u = {u}, v = {v}")
+        f = shift.f.astype(float)
+        cw = f @ u + 1j * (f @ v) if d else np.zeros((shift.k,) * 2)
+        if p != 0:
+            cw = cw + 1j * p * shift.theta
+        return np.where(shift.transition != 0, cw, 0.0)
 
 
 def build_matrix(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None) -> np.ndarray:
     """Dense matrix of L_{s,v,p} (with an optional real twist u) on node
     values, disk after disk: block (b, a) of an admissible transition (a, b)
     is exp(s logd[a,b] + <u + iv, f[a,b]> + i p theta[a,b]) interp[a,b]."""
-    grid = spec.grid()
-    return _assemble(spec, s, spec.twist(v, p, u), grid.logd, grid.interp)
+    return _assemble(spec, s, spec.twist(v, p, u), spec.grid.logd, spec.grid.interp)
 
 
 def _assemble(spec: OperatorSpec, s: complex, cw: np.ndarray, logd: np.ndarray,
               interp: np.ndarray) -> np.ndarray:
     """build_matrix from the blocks logd (n, n, J) and interp (n, n, J, K):
     the rows are the J points of each target disk, the columns its K nodes."""
+    if not cmath.isfinite(s):
+        raise ValidationError(f"operator at s = {s}: s must be finite")
     n, J, K = spec.shift.k, logd.shape[-1], interp.shape[-1]
     wvec = np.exp(s * logd + cw[:, :, None])  # (a, b, j)
     M = np.empty((n, J, n, K), dtype=complex)  # entry (b, j, a, k)
@@ -332,7 +329,7 @@ def _off_node_residuals(spec: OperatorSpec, s: complex, v, p: int, u,
     R = M(s, v, p, u) evaluated at the 2N first-kind nodes of each disk (n 2N x
     n N, from CollocationGrid's off_* blocks), E h the interpolant of h there.
     Every member in one product; r ~ rounding when h resolves the eigenfunction."""
-    grid = spec.grid()
+    grid = spec.grid
     lam, H = np.array([lam for lam, _, _ in pairs]), np.array([h for _, h, _ in pairs])
     R = _assemble(spec, s, spec.twist(v, p, u), grid.off_logd, grid.off_interp)
     Eh = (grid.off_eye @ H.reshape(len(H), -1, grid.nodes_per_disk, 1)).reshape(len(H), -1)
@@ -345,7 +342,7 @@ def _certified(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
     """M = M(s, v, p, u) and _dominant's eigenpairs (lam, h, res) of M D_b, D_b
     scaling block column a by phases[b, a] (None: M alone), each res < RESIDUAL_TOL
     and, with collocation, each off-node residual r <= OFF_NODE_TOL."""
-    N, M = spec.grid().nodes_per_disk, build_matrix(spec, s, v, p, u)
+    N, M = spec.grid.nodes_per_disk, build_matrix(spec, s, v, p, u)
     D = None if phases is None else np.repeat(phases, N, axis=1)
     pairs = _dominant(M, D)
     if bad := [res for _, _, res in pairs if not res < RESIDUAL_TOL]:
@@ -506,7 +503,7 @@ def pressure_surface(spec: OperatorSpec) -> PressureSurface:
     HessianNotPD fires at eigenvalues <= RESIDUAL_TOL times the scale
     max_i |rho (X_i^2 o M) h / lambda_s|.
     """
-    shift, grid = spec.shift, spec.grid()
+    shift, grid = spec.shift, spec.grid
     n, N, d = shift.k, grid.nodes_per_disk, shift.d
     if d < 1:
         raise ValidationError("pressure surface needs homology dimension d >= 1")
@@ -582,16 +579,17 @@ def spectral_radius_scan(spec: OperatorSpec, delta: float, t_grid: Sequence[floa
     M(delta + i t, 0, 0): each t row builds that matrix, solves those twists as
     one batch and checks their off-node residuals in one product; any other
     twist solves its own matrix.  Row t_i goes to process i mod
-    shift._workers() (shift._fork_map), which inherits the grid and its check
-    blocks built here; no row depends on its process."""
-    shift, points = spec.shift, []
+    shift._workers() (shift._fork_map), which inherits the spec's grid; no row
+    depends on its process."""
+    shift, points, ts = spec.shift, [], sorted(float(t) for t in t_grid)
+    if not (ts and len(v_grid) and len(p_list)):
+        raise ValidationError("a scan needs at least one t, one v and one p")
     for v in v_grid:
         vv = tuple(np.atleast_1d(np.asarray(v, dtype=float)).tolist())
         if len(vv) != shift.d:
             raise ValidationError(f"scan twist {vv} has wrong dimension")
         points += [(vv, p, _column_phases(spec, vv, p)) for p in p_list]
     P = np.array([ph for _, _, ph in points if ph is not None])
-    spec.grid()
 
     def scan_rows(ts):
         rows = []
@@ -606,7 +604,6 @@ def spectral_radius_scan(spec: OperatorSpec, delta: float, t_grid: Sequence[floa
                                     violation=(not trivial) and mod > 1.0 - margin))
         return rows
 
-    ts = sorted(float(t) for t in t_grid)
     w = max(1, min(sh._workers(), len(ts)))
     rows = [r for part in sh._fork_map(scan_rows, [ts[i::w] for i in range(w)]) for r in part]
     rows.sort(key=lambda r: (r.t, r.v, r.p))

@@ -120,6 +120,17 @@ def test_h2_rejects_negative_determinant():
         MoebiusMap(1.0, 0.0, 0.0, -1.0, Model.H2)
 
 
+@pytest.mark.parametrize("entries,model", [((math.nan, 0.0, 0.0, 1.0), Model.H2),
+                                           ((math.inf, 0.0, 0.0, 1.0), Model.H2),
+                                           ((1.0, complex(0.0, math.nan), 0.0, 1.0), Model.H3)],
+                         ids=["nan", "inf", "h3-nan"])
+def test_non_finite_entries_rejected(entries, model):
+    # these used to normalize to all-NaN entries, which classify called loxodromic
+    with pytest.raises(ValueError, match="finite"):
+        MoebiusMap(*entries, model)
+    MoebiusMap(*entries, model, normalize=False)  # the internal compositions skip the check
+
+
 def test_projective_equality():
     g = MoebiusMap(2.0, 1.0, 1.0, 1.0)
     neg = MoebiusMap(-2.0, -1.0, -1.0, -1.0, Model.H2, normalize=False)
@@ -166,29 +177,30 @@ def test_compose_model_mismatch():
 # -- displacement -------------------------------------------------------------
 
 def test_displacement_identity_zero():
-    assert displacement(identity()) == 0.0
+    assert displacement(identity().entries) == 0.0
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 3.7])
 def test_displacement_of_translation(t):
-    assert_allclose(displacement(translation(t)), t, atol=1e-12)
+    assert_allclose(displacement(translation(t).entries), t, atol=1e-12)
 
 
 def test_displacement_symmetric_and_matches_moved_point(rng):
     for _ in range(1000):
         g = random_h2(rng)
-        assert_allclose(displacement(g), displacement(inverse(g)), atol=1e-9)
-        assert_allclose(displacement(g), displacement_moved_point(g), atol=1e-9)
+        assert_allclose(displacement(g.entries), displacement(inverse(g).entries), atol=1e-9)
+        assert_allclose(displacement(g.entries), displacement_moved_point(g), atol=1e-9)
     for _ in range(200):
         g = random_h3(rng)
-        assert_allclose(displacement(g), displacement(inverse(g)), atol=1e-9)
-        assert_allclose(displacement(g), displacement_moved_point(g), atol=1e-9)
+        assert_allclose(displacement(g.entries), displacement(inverse(g).entries), atol=1e-9)
+        assert_allclose(displacement(g.entries), displacement_moved_point(g), atol=1e-9)
 
 
 def test_displacement_triangle_inequality(rng):
     for _ in range(500):
         g, h = random_h2(rng), random_h2(rng)
-        assert displacement(compose(g, h)) <= displacement(g) + displacement(h) + 1e-9
+        gh = compose(g, h).entries
+        assert displacement(gh) <= displacement(g.entries) + displacement(h.entries) + 1e-9
 
 
 # -- classification -----------------------------------------------------------

@@ -171,7 +171,7 @@ def _reference_symbol_chain(shift, spectral):
     """The collocation chain before toy and Schottky shifts shared one
     formula: cylinder masses nu([a]) and nu([ab]) of nu = h d rho, with each
     branch's log-derivative and interpolation block formed from the group."""
-    disc = spectral.spec.grid()
+    disc = spectral.spec.grid
     group = shift.group
     h = np.real(spectral.h)
     ell = np.real(spectral.rho)  # quadrature weights of the eigenmeasure
@@ -319,7 +319,7 @@ def test_branch_weight_series_matches_direct_formula(name, N, group_b, group_c):
     group = {"b": group_b, "c": group_c}[name]
     spec = tr.OperatorSpec(from_schottky(group), nodes_per_disk=N)
     sr = tr.leading_eigenvalue(spec, tr.critical_exponent(spec), want_measure=True)
-    grid, nsym = spec.grid(), spec.shift.k
+    grid, nsym = spec.grid, spec.shift.k
     delta = float(sr.s.real)
     coeffs = grid.chebyshev_coeffs(np.real(sr.h))
     G = branch_weight_series(sr)
@@ -344,7 +344,7 @@ def test_branch_weight_series_matches_direct_formula(name, N, group_b, group_c):
 
 def _reference_schottky_batch(chain, shift, n, rngs, spectral, burn=192):
     group = shift.group
-    disc = spectral.spec.grid()
+    disc = spectral.spec.grid
     delta = float(spectral.s.real)
     h = np.real(spectral.h)
     N = disc.nodes_per_disk
@@ -396,7 +396,7 @@ def _reference_schottky_dump(chain, shift, n, rng_seed, spectral):
     rng = np.random.default_rng([rng_seed, 0])
     state = int(np.searchsorted(np.cumsum(chain.stationary), rng.random()))
     group = shift.group
-    disc = spectral.spec.grid()
+    disc = spectral.spec.grid
     delta = float(spectral.s.real)
     h = np.real(spectral.h)
     N = disc.nodes_per_disk

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -84,24 +85,35 @@ def test_toy_matrix_closed_form(toy3_mixed, s, v, u, p):
     assert_allclose(build_matrix(OperatorSpec(shift), s, v, p, u), W.T, rtol=1e-15, atol=0)
 
 
+def _twist_by_transitions(shift, v, p, u):
+    """OperatorSpec.twist one admissible transition at a time, with <u, f>
+    summed by math.fsum: the oracle for the one-expression twist."""
+    d = shift.d
+    f = shift.f.astype(float)
+    cw = np.zeros((shift.k,) * 2, dtype=complex if d or p else float)
+    for a, b in zip(*np.nonzero(shift.transition)):
+        if d:
+            cw[a, b] = math.fsum(u * f[a, b]) + 1j * float(v @ f[a, b])
+        if p != 0:
+            cw[a, b] += 1j * p * shift.theta[a, b]
+    return cw
+
+
 def _build_matrix_by_blocks(spec, s, v=None, p=0, u=None):
     """build_matrix one transition block at a time: the oracle for the
     one-expression assembly, which must match it bit for bit."""
     shift = spec.shift
-    grid = spec.grid()
+    grid = spec.grid
     n, N, d = shift.k, grid.nodes_per_disk, shift.d
     v = np.zeros(d) if v is None else np.asarray(v, dtype=float)
     u = np.zeros(d) if u is None else np.asarray(u, dtype=float)
+    cw = _twist_by_transitions(shift, v, p, u)
     M = np.zeros((n * N, n * N), dtype=complex)
     for a in range(n):
         for b in range(n):
             if shift.transition[a, b] == 0:
                 continue
-            f = shift.f[a, b].astype(float)
-            cw = math.fsum(u * f) + 1j * float(v @ f) if d else 0.0
-            if p != 0:
-                cw += 1j * p * shift.theta[a, b]
-            wvec = np.exp(s * grid.logd[a, b] + cw)
+            wvec = np.exp(s * grid.logd[a, b] + cw[a, b])
             M[b * N:(b + 1) * N, a * N:(a + 1) * N] = wvec[:, None] * grid.interp[a, b]
     return M
 
@@ -125,6 +137,74 @@ def test_build_matrix_bit_identical_to_blocks(name, nodes, toy3_mixed):
                     got = build_matrix(spec, s, v, p, u)
                     want = _build_matrix_by_blocks(spec, s, v, p, u)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,nodes", [("b", 24), ("c", 20), ("toy2", None), ("toy3", None)])
+def test_twist_bit_identical_to_fsum_loop(name, nodes, toy3_mixed):
+    if name == "toy3":
+        shift = toy3_mixed
+    else:
+        obj = load_any(f"fixture:{name}")
+        shift = obj if isinstance(obj, MarkovShift) else from_schottky(obj)
+    spec, d = OperatorSpec(shift, nodes_per_disk=nodes), shift.d
+    ps = [0, 1, -2] if shift.theta is not None else [0]
+    for v in (np.resize([0.7, -0.3], d), np.resize([-2.9, 1e-3], d)):
+        for u in (np.resize([0.2, -0.31], d), np.resize([-1.7, 0.45], d)):
+            for p in ps:
+                got, want = spec.twist(v, p, u), _twist_by_transitions(shift, v, p, u)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert np.array_equal(spec.twist(v, p, -u).real, -want.real)  # P(u) = P(-u)
+
+
+def test_spec_is_frozen_with_one_grid(shift_b, monkeypatch, tmp_path):
+    # every grid build appends to a file, so a forked scan or sampler worker
+    # that built its own would be counted too
+    builds, init = tmp_path / "builds", tr.CollocationGrid.__init__
+
+    def counted(self, *args):
+        with open(builds, "a") as fh:
+            fh.write("x")
+        init(self, *args)
+
+    monkeypatch.setattr(tr.CollocationGrid, "__init__", counted)
+    monkeypatch.setattr(sh, "_workers", lambda: 2)
+    monkeypatch.setattr(sh, "_cpus", lambda: 2)
+    spec = OperatorSpec(shift_b, nodes_per_disk=24)
+    surface = pressure_surface(spec)
+    assert len(spectral_radius_scan(spec, surface.delta, [0.5, 0.25], [[0.0]]).rows) == 2
+    sh.sample_cocycle_batch(surface.spectral, 20, 8, master_seed=1)
+    assert builds.read_text() == "x"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.nodes_per_disk = 48
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.grid = None
+
+
+@pytest.mark.parametrize("case", ["pressure-toy2-u-nan", "pressure-b-u-inf", "lambda-b-s-nan",
+                                  "lambda-b-v-nan", "scan-b-t-inf", "scan-b-delta-nan",
+                                  "scan-b-v-nan"])
+def test_non_finite_s_u_v_are_validation_errors(case, toy2_spec, spec_b, delta_b):
+    # each used to warn and then die in numpy's LinAlgError; a RuntimeWarning
+    # on the way fails the test too (pyproject's filterwarnings)
+    calls = {
+        "pressure-toy2-u-nan": lambda: pressure(toy2_spec, [math.nan]),
+        "pressure-b-u-inf": lambda: pressure(spec_b, [math.inf]),
+        "lambda-b-s-nan": lambda: leading_eigenvalue(spec_b, math.nan),
+        "lambda-b-v-nan": lambda: leading_eigenvalue(spec_b, 0.5, v=[math.nan]),
+        "scan-b-t-inf": lambda: spectral_radius_scan(spec_b, delta_b, [0.5, math.inf], [[0.0]]),
+        "scan-b-delta-nan": lambda: spectral_radius_scan(spec_b, math.nan, [0.5], [[0.0]]),
+        "scan-b-v-nan": lambda: spectral_radius_scan(spec_b, delta_b, [0.5], [[math.nan]]),
+    }
+    with pytest.raises(ValidationError, match="finite"):
+        calls[case]()
+
+
+@pytest.mark.parametrize("grid", [([], [[0.0]], [0]), ([0.5], [], [0]), ([0.5], [[0.0]], [])],
+                         ids=["t", "v", "p"])
+def test_scan_refuses_an_empty_grid(toy2_spec, grid):
+    # an empty scan used to return no rows, and max_abs_lambda() then died in max()
+    with pytest.raises(ValidationError, match="at least one"):
+        spectral_radius_scan(toy2_spec, math.log(2.0), *grid)
 
 
 def test_critical_exponent_toys(toy2_spec):
@@ -255,7 +335,7 @@ def test_holonomy_unavailable_on_collocation(spec_b, delta_b):
 
 def test_collocation_rejects_small_grid(shift_b):
     with pytest.raises(ValidationError):
-        OperatorSpec(shift_b, nodes_per_disk=4).grid()
+        OperatorSpec(shift_b, nodes_per_disk=4)
     with pytest.raises(ValidationError, match="nodes_per_disk"):
         OperatorSpec(shift_b)  # a Schottky coding has no default grid
 
@@ -263,7 +343,7 @@ def test_collocation_rejects_small_grid(shift_b):
 def test_chebyshev_coeffs_and_chebval_match_interp_values(spec_b, spectral_b):
     # the series of node values, summed by numpy's chebval in t = (x - z_b) / r_b,
     # is the barycentric interpolant on disk b: at the nodes and between them
-    grid = spec_b.grid()
+    grid = spec_b.grid
     h = np.real(spectral_b.h)
     N = grid.nodes_per_disk
     coeffs = grid.chebyshev_coeffs(h)
@@ -287,7 +367,7 @@ def test_collocation_apply_matches_branch_sum(group_b, spec_b):
     """Oracle: apply the operator matrix to samples of an entire function and
     compare against the direct branch-sum quadrature at every node."""
     import covercount.schottky as sk
-    grid = spec_b.grid()
+    grid = spec_b.grid
     s = 0.75
     F = lambda x: np.exp(0.31 * x) * np.cos(x)
     gvec = np.concatenate([F(grid.nodes[a]) for a in range(4)])
@@ -820,7 +900,7 @@ def test_off_node_blocks_match_chebval_and_branch_sum(group_b, spec_b, spectral_
     # operator applied to it, the direct sum over branches of |den|^-2s
     # times the interpolant of disk a at the branch image
     import covercount.schottky as sk
-    grid, N, s = spec_b.grid(), spec_b.nodes_per_disk, 0.75
+    grid, N, s = spec_b.grid, spec_b.nodes_per_disk, 0.75
     h = np.real(spectral_b.h)
     coeffs = grid.chebyshev_coeffs(h)
 
