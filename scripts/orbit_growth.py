@@ -6,24 +6,24 @@ Example:
     python scripts/orbit_growth.py --group fixture:b --t-max 13 --out growth_b.dat
 """
 
-import argparse
+import sys
 
 import numpy as np
 
-from covercount.census import (Prediction, checkpoints_linear, fit_growth,
-                               orbit_by_homology)
+from covercount.census import checkpoints_linear, fit_growth, orbit_by_homology
+from covercount.cli import _FINITE, _NODES, _POSITIVE_INT, _Parser, exit_code
 from covercount.groupfile import load_group
 from covercount.shift import from_schottky
 from covercount.transfer import OperatorSpec, critical_exponent
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--group", default="fixture:b")
-    ap.add_argument("--nodes", type=int, default=24)
-    ap.add_argument("--t-min", type=float, default=5.0)
-    ap.add_argument("--t-max", type=float, default=13.0)
-    ap.add_argument("--checkpoints", type=int, default=14)
+    ap.add_argument("--nodes", type=_NODES, default=24)
+    ap.add_argument("--t-min", type=_FINITE, default=5.0)
+    ap.add_argument("--t-max", type=_FINITE, default=13.0)
+    ap.add_argument("--checkpoints", type=_POSITIVE_INT, default=14)
     ap.add_argument("--out", default="orbit_growth.dat")
     args = ap.parse_args()
 
@@ -31,8 +31,7 @@ def main():
     spec = OperatorSpec(from_schottky(group), nodes_per_disk=args.nodes)
     delta = critical_exponent(spec)
     cps = checkpoints_linear(args.t_min, args.t_max, args.checkpoints)
-    pred = Prediction(delta=delta, sigma=1.0)
-    rep = orbit_by_homology(group, pred, cps)
+    rep = orbit_by_homology(group, delta, cps)
 
     half = min(len(cps) // 2, len(cps) - 5)  # top half, at least 5 points
     slope = fit_growth(cps[half:], rep.totals[half:], fix_log_power=0.0)
@@ -50,4 +49,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -6,21 +6,22 @@ Example:
         --u-max 1.5 --points 31 --out pressure_b.dat
 """
 
-import argparse
+import sys
 
 import numpy as np
 
+from covercount.cli import _FINITE, _NODES, _POSITIVE_INT, _Parser, exit_code
 from covercount.groupfile import load_any
 from covercount.shift import MarkovShift, from_schottky
 from covercount.transfer import OperatorSpec, pressure, pressure_surface
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--group", default="fixture:b")
-    ap.add_argument("--nodes", type=int, default=24)
-    ap.add_argument("--u-max", type=float, default=1.5)
-    ap.add_argument("--points", type=int, default=31)
+    ap.add_argument("--nodes", type=_NODES, default=24)
+    ap.add_argument("--u-max", type=_FINITE, default=1.5)
+    ap.add_argument("--points", type=_POSITIVE_INT, default=31)
     ap.add_argument("--out", default="pressure_sweep.dat")
     args = ap.parse_args()
 
@@ -51,4 +52,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

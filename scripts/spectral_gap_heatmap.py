@@ -6,22 +6,23 @@ Example:
     gnuplot> plot "gap_b.dat" using 1:2:3 with image
 """
 
-import argparse
+import sys
 
 import numpy as np
 
+from covercount.cli import _FINITE, _NODES, _POSITIVE_INT, _Parser, exit_code
 from covercount.groupfile import load_group
 from covercount.shift import from_schottky
 from covercount.transfer import OperatorSpec, critical_exponent, spectral_radius_scan
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--group", default="fixture:b")
-    ap.add_argument("--nodes", type=int, default=48)
-    ap.add_argument("--t-max", type=float, default=5.0)
-    ap.add_argument("--t-count", type=int, default=25)
-    ap.add_argument("--v-count", type=int, default=16)
+    ap.add_argument("--nodes", type=_NODES, default=48)
+    ap.add_argument("--t-max", type=_FINITE, default=5.0)
+    ap.add_argument("--t-count", type=_POSITIVE_INT, default=25)
+    ap.add_argument("--v-count", type=_POSITIVE_INT, default=16)
     ap.add_argument("--out", default="spectral_gap.dat")
     args = ap.parse_args()
 
@@ -47,4 +48,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

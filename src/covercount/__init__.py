@@ -12,5 +12,5 @@ from .shift import MarkovShift, ParryChain, from_schottky, parry_chain
 from .transfer import (OperatorSpec, PressureSurface, SpectralResult,
                        critical_exponent, leading_eigenvalue, pressure,
                        pressure_surface, spectral_at_delta, spectral_radius_scan)
-from .census import (CensusReport, Prediction, fit_growth, geodesics_by_homology,
+from .census import (CensusReport, fit_growth, geodesics_by_homology,
                      holonomy_equidistribution, orbit_by_homology, vector_orbit)

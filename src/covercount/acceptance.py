@@ -91,10 +91,9 @@ def c02_coding_correctness(ws: Workspace) -> tuple:
              "max_word_length": max_len})
 
 
-def _orbit_report(group, delta, sigma, T):
+def _orbit_report(group, delta, T):
     cps = cen.checkpoints_linear(5.0, T, 12)
-    pred = cen.Prediction(delta=delta, sigma=sigma)
-    return cps, cen.orbit_by_homology(group, pred, cps)
+    return cps, cen.orbit_by_homology(group, delta, cps)
 
 
 def c03_two_method_delta(ws: Workspace) -> tuple:
@@ -102,7 +101,7 @@ def c03_two_method_delta(ws: Workspace) -> tuple:
     passed = True
     for tag, group, delta in (("b", ws.group_b, ws.surface_b.delta),
                               ("c", load_group("fixture:c"), ws.surface_c.delta)):
-        cps, rep = _orbit_report(group, delta, 1.0, 12.5)
+        cps, rep = _orbit_report(group, delta, 12.5)
         half = len(cps) // 2
         slope = cen.fit_growth(cps[half:], rep.totals[half:], fix_log_power=0.0)
         err = abs(slope - delta)
@@ -157,7 +156,7 @@ def c05_spectral_gap_scan(ws: Workspace) -> tuple:
 def c06_local_mixing_counts(ws: Workspace) -> tuple:
     T = 13.0
     delta = ws.surface_b.delta
-    cps, rep = _orbit_report(ws.group_b, delta, ws.surface_b.sigma, T)
+    cps, rep = _orbit_report(ws.group_b, delta, T)
     c0 = rep.counts[(0,)]
     plateau = st.plateau_deviation(c0 * np.exp(-delta * cps) * np.sqrt(cps))
     symmetric = all(np.array_equal(cts, rep.counts[tuple(-x for x in key)])
@@ -171,8 +170,7 @@ def c07_prime_geodesic_theorem(ws: Workspace) -> tuple:
     L = 18.5
     delta, sigma = ws.surface_b.delta, ws.surface_b.sigma
     cps = cen.checkpoints_linear(6.0, L, 16)
-    pred = cen.Prediction(delta=delta, sigma=sigma)
-    rep = cen.geodesics_by_homology(ws.group_b, pred, cps)
+    rep = cen.geodesics_by_homology(ws.group_b, delta, sigma, cps)
     ratios = rep.ratios[(0,)]
     top_ok = 0.7 <= ratios[-1] <= 1.3
     trend_p = st.trend_test(np.abs(ratios - 1.0))
@@ -181,7 +179,7 @@ def c07_prime_geodesic_theorem(ws: Workspace) -> tuple:
                               [ws.group_b.disks[sk.sym_index(-(i + 1))] for i in range(ws.group_b.g)],
                               [ws.group_b.disks[sk.sym_index(i + 1)] for i in range(ws.group_b.g)],
                               [], ws.group_b.model)
-    rep0 = cen.geodesics_by_homology(group0, cen.Prediction(delta=delta, sigma=1.0), cps)
+    rep0 = cen.geodesics_by_homology(group0, delta, 1.0, cps)
     control = float(rep0.ratios[()][-1])
     control_ok = 0.7 <= control <= 1.3
     passed = top_ok and trend_p < 0.05 and control_ok
@@ -218,8 +216,7 @@ def c09_holonomy_equidistribution(ws: Workspace) -> tuple:
 def c10_vector_orbit(ws: Workspace) -> tuple:
     delta = ws.surface_b.delta
     cps = np.exp(np.linspace(6.0, 13.5, 12))
-    pred = cen.Prediction(delta=delta, sigma=1.0)
-    rep = cen.vector_orbit(ws.group_b, pred, [1.0, 0.0, 1.0], cps)
+    rep = cen.vector_orbit(ws.group_b, delta, [1.0, 0.0, 1.0], cps)
     cts = rep.counts["vectors"]
     half = len(cps) // 2
     exponent = cen.fit_growth(np.log(cps)[half:], cts[half:], fix_log_power=-0.5)
@@ -228,8 +225,7 @@ def c10_vector_orbit(ws: Workspace) -> tuple:
     passed = exp_err < 0.05 and plateau < 0.15
     return ("C10", "vector-orbit counting exponent and plateau", passed,
             {"exponent": exponent, "exponent_err": exp_err,
-             "plateau": plateau, "top_count": int(cts[-1]),
-             "stabilizer_hits": rep.meta["stabilizer_hits"]})
+             "plateau": plateau, "top_count": int(cts[-1])})
 
 
 def c11_determinism(ws: Workspace) -> tuple:
@@ -243,7 +239,7 @@ def c11_determinism(ws: Workspace) -> tuple:
             tau, f = sh.sample_cocycle_batch(sr, 500, 64, ws.seed)
             group = load_group("fixture:b")
             cps = cen.checkpoints_linear(4.0, 8.0, 6)
-            rep = cen.orbit_by_homology(group, cen.Prediction(delta, 1.0), cps)
+            rep = cen.orbit_by_homology(group, delta, cps)
             w.write_json("summary.json", {
                 "delta": delta,
                 "tau_head": tau[:8].tolist(),

@@ -21,18 +21,6 @@ from .errors import InsufficientData, ValidationError
 from .schottky import SchottkyGroup
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Growth-law inputs; sigma enters only the absolute geodesic constant."""
-
-    delta: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.delta <= 0 or self.sigma <= 0:
-            raise ValidationError("prediction needs delta > 0 and sigma > 0")
-
-
 @dataclass
 class CensusReport:
     kind: str
@@ -64,6 +52,13 @@ def _checkpoints(checkpoints: Sequence[float]) -> np.ndarray:
     if not (cps.size and np.isfinite(cps).all()):
         raise ValidationError(f"need finite checkpoints, got {cps.tolist()}")
     return cps
+
+
+def _positive(**constants) -> None:
+    """Refuse a growth-law constant (delta, sigma) that is not > 0, NaN included."""
+    for name, x in constants.items():
+        if not x > 0:
+            raise ValidationError(f"census needs {name} > 0, got {x}")
 
 
 def _safe_ratio(counts, preds):
@@ -122,8 +117,7 @@ def _fit_constant(checkpoints, counts, law) -> float:
     return math.exp(sum(logs) / len(logs))
 
 
-def orbit_by_homology(group: SchottkyGroup, prediction: Prediction,
-                      checkpoints: Sequence[float],
+def orbit_by_homology(group: SchottkyGroup, delta: float, checkpoints: Sequence[float],
                       classes: Optional[Sequence[tuple]] = None,
                       budget: Optional[int] = None,
                       sink: Optional[Callable[[sk.OrbitRecord], None]] = None) -> CensusReport:
@@ -136,6 +130,7 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction,
     """
     if group.d < 1:
         raise ValidationError("orbit census by homology needs d >= 1")
+    _positive(delta=delta)
     cps = _checkpoints(checkpoints)
     wanted = None if classes is None else [tuple(int(x) for x in c) for c in classes]
     for c in wanted or ():
@@ -143,7 +138,7 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction,
             raise ValidationError(f"homology class {c} has {len(c)} entries, but d = {group.d}")
     by_class, totals = _by_class(cps, sk.enumerate_orbit, group, budget, sink)
 
-    delta, d = prediction.delta, group.d
+    d = group.d
     law = lambda T: math.exp(delta * T) / T ** (d / 2.0) if T > 0 else 0.0
     counts, preds = {}, {}
     for key in sorted(by_class) if wanted is None else wanted:
@@ -155,7 +150,7 @@ def orbit_by_homology(group: SchottkyGroup, prediction: Prediction,
     return CensusReport("OrbitByHomology", cps, counts, preds, totals, meta)
 
 
-def geodesics_by_homology(group: SchottkyGroup, prediction: Prediction,
+def geodesics_by_homology(group: SchottkyGroup, delta: float, sigma: float,
                           checkpoints: Sequence[float],
                           budget: Optional[int] = None,
                           sink: Optional[Callable[[sk.GeodesicRecord], None]] = None
@@ -168,10 +163,11 @@ def geodesics_by_homology(group: SchottkyGroup, prediction: Prediction,
 
     sink, if given, receives every enumerated record, in enumeration order.
     """
+    _positive(delta=delta, sigma=sigma)
     cps = _checkpoints(checkpoints)
     by_class, totals = _by_class(cps, sk.primitive_classes, group, budget, sink)
 
-    delta, sigma, d = prediction.delta, prediction.sigma, group.d
+    d = group.d
     if d == 0:
         law = lambda L: math.exp(delta * L) / (delta * L)
     else:
@@ -211,7 +207,7 @@ def holonomy_equidistribution(group: SchottkyGroup, p_list: Sequence[int],
     return CensusReport("HolonomyHistogram", cps, counts, preds, totals, meta)
 
 
-def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[float],
+def vector_orbit(group: SchottkyGroup, delta: float, w0: Sequence[float],
                  checkpoints: Sequence[float], norm: str = "euclidean",
                  budget: Optional[int] = None) -> CensusReport:
     """#{v in w0 Gamma : ||v|| <= T} for the kernel subgroup (f = 0 words)
@@ -229,12 +225,16 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
     and 2 for the sup norm.  Every ||v|| <= T therefore comes from a word
     with d(o, g o) <= acosh(kappa T / 2c) + d(o, p), the cap used with T the
     last checkpoint; for w0 = (1, 0, 1) it is acosh(T / sqrt(2)).  An
-    indefinite or degenerate w0 has no such bound and is rejected.  Vectors
-    are deduplicated, and coincidences from distinct words are reported in
-    meta["stabilizer_hits"] rather than double counted.
+    indefinite or degenerate w0 has no such bound and is rejected.
+
+    No vector is deduplicated: v = +-c F_{g^-1 p} determines g^-1 p, and no
+    element but I of a Schottky group fixes p (its stabilizer in a discrete
+    group is finite, and a free group has no torsion, -I included), so
+    distinct reduced words give distinct vectors.
     """
     if group.model != hyp.Model.H2:
         raise ValidationError("vector orbit census needs the H2 model")
+    _positive(delta=delta)
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != (3,):
         raise ValidationError("w0 must be a 3-vector")
@@ -250,29 +250,15 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
     two_c = math.sqrt(-q0)
     disp_cap = (math.acosh(max(kappa * cps[-1] / two_c, 1.0))
                 + math.acosh(max(abs(w0[0] + w0[2]) / two_c, 1.0)))
-    seen: dict = {}
-    hits = 0
-    norms = []
+    norms = []  # of the kernel words' vectors; _tally drops those past cps[-1]
 
     def take(rec: sk.OrbitRecord):
-        nonlocal hits
-        if any(rec.homology):
-            return
-        mat = hyp.MoebiusMap(*rec.matrix, group.model, normalize=False)
-        vec = w0 @ hyp.adjoint_so21(mat)
-        r = norm_fn(vec)
-        if r > cps[-1]:
-            return
-        key = tuple(np.round(vec / max(r, 1e-12), 9)) + (round(r, 9),)
-        if key in seen:
-            hits += 1
-            return
-        seen[key] = True
-        norms.append(r)
+        if not any(rec.homology):
+            norms.append(norm_fn(w0 @ hyp.adjoint_so21(rec.matrix)))
 
     sk.enumerate_orbit(group, disp_cap, emit=take, budget=budget)
     counts_arr = _tally(cps, norms)
-    delta, d = prediction.delta, group.d
+    d = group.d
     law = lambda T: T ** delta / (math.log(T) ** (d / 2.0)) if T > 1.0 else 0.0
     try:
         c = _fit_constant(cps, counts_arr, law)
@@ -280,8 +266,7 @@ def vector_orbit(group: SchottkyGroup, prediction: Prediction, w0: Sequence[floa
         c = 0.0  # nothing in range (e.g. all checkpoints below ||w0||)
     key = "vectors"
     preds = {key: np.array([c * law(T) for T in cps])}
-    meta = {"delta": delta, "d": d, "norm": norm, "w0": w0.tolist(),
-            "disp_cap": disp_cap, "stabilizer_hits": hits,
+    meta = {"delta": delta, "d": d, "norm": norm, "w0": w0.tolist(), "disp_cap": disp_cap,
             "constant_mode": "UpToConstant", "group": group.fingerprint()}
     return CensusReport("VectorNorm", cps, {key: counts_arr}, preds, counts_arr, meta)
 

@@ -51,6 +51,7 @@ _POSITIVE_INT = _rule("positive int", int, lambda n: n > 0)
 _NATURAL = _rule("non-negative int", int, lambda n: n >= 0)
 _FINITE = _rule("finite float", float, math.isfinite)
 _POSITIVE = _rule("positive finite float", float, lambda x: 0 < x < math.inf)
+_NODES = _rule("int >= 8", int, lambda n: n >= 8)
 # number lists stay text, so that manifests and run directories keep their bytes
 _FLOATS = _rule("finite float list", _parse_vec, lambda v: np.isfinite(v).all(), keep_text=True)
 _INTS = _rule("int list", lambda text: _parse_vec(text, int), keep_text=True)
@@ -99,15 +100,17 @@ class _Parser(argparse.ArgumentParser):
                 else self._get_values(action, texts))
 
 
-def _spec_for(source, nodes):
-    obj = load_any(source)
+def _spec_for(obj, nodes):
     if isinstance(obj, sh.MarkovShift):
         return tr.OperatorSpec(obj)
     return tr.OperatorSpec(sh.from_schottky(obj), nodes_per_disk=nodes)
 
 
 def cmd_validate(args) -> int:
-    group = load_group(args.group)  # construction validates; raises on failure
+    try:
+        group = load_group(args.group)  # construction validates
+    except ValidationError as e:  # the check this command runs failed: not bad input
+        raise CovercountError(str(e)) from e
     print(f"group ok: model={group.model.value} generators={group.g} d={group.d}")
     print(f"fingerprint: {group.fingerprint()}")
     for i, j in itertools.combinations(range(group.n_symbols), 2):
@@ -118,7 +121,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    spec = _spec_for(args.group, args.nodes)
+    spec = _spec_for(load_any(args.group), args.nodes)
     res = tr.spectral_at_delta(spec)
     print(f"delta = {res.s:.12f}   |lambda(delta)-1| = {abs(res.lam - 1.0):.3e}")
     writer = _writer(args)
@@ -129,7 +132,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_pressure(args) -> int:
-    spec = _spec_for(args.group, args.nodes)
+    spec = _spec_for(load_any(args.group), args.nodes)
     surf = tr.pressure_surface(spec)
     print(f"delta = {surf.delta:.12f}")
     print(f"grad P(0) = {surf.gradient.tolist()}")
@@ -153,7 +156,7 @@ def cmd_pressure(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    spec = _spec_for(args.group, args.nodes)
+    spec = _spec_for(load_any(args.group), args.nodes)
     delta = tr.critical_exponent(spec)
     t_grid = np.linspace(args.t_min, args.t_max, args.t_count)
     d = spec.shift.d
@@ -191,38 +194,33 @@ def _writer(args) -> ReportWriter:
     return ReportWriter(args.out, args.command, config)
 
 
-def _group_prediction(args, group, use_sigma: bool = False):
-    """delta of the group's operator; sigma from its pressure surface when
-    use_sigma, else 1 (sigma enters only the absolute geodesic law)."""
-    spec = tr.OperatorSpec(sh.from_schottky(group), nodes_per_disk=args.nodes)
-    if use_sigma:
-        surf = tr.pressure_surface(spec)
-        return cen.Prediction(delta=surf.delta, sigma=surf.sigma)
-    return cen.Prediction(delta=tr.critical_exponent(spec), sigma=1.0)
-
-
 def cmd_count_orbit(args) -> int:
     group = load_group(args.group)
     cps = cen.checkpoints_linear(args.t_min, args.t_max, args.checkpoints)
-    pred = _group_prediction(args, group)
+    delta = tr.critical_exponent(_spec_for(group, args.nodes))
     classes = [tuple(_parse_vec(c, int)) for c in args.classes] if args.classes else None
     records, sink = None, None
     if args.dump_records:
         rows = []
         records = (["word_len", "displacement"] + [f"xi_{i}" for i in range(group.d)], rows)
         sink = lambda r: rows.append([len(r.word), r.displacement, *r.homology])
-    rep = cen.orbit_by_homology(group, pred, cps, classes=classes, budget=args.budget_cap,
+    rep = cen.orbit_by_homology(group, delta, cps, classes=classes, budget=args.budget_cap,
                                 sink=sink)
     for key in sorted(rep.counts):
         print(f"class {key}: N(T_max) = {rep.counts[key][-1]}, ratio = {rep.ratios[key][-1]:.4f}")
-    _emit_census(args, rep, {"delta": pred.delta}, records)
+    _emit_census(args, rep, {"delta": delta}, records)
     return EXIT_OK
 
 
 def cmd_count_geodesics(args) -> int:
     group = load_group(args.group)
     cps = cen.checkpoints_linear(args.l_min, args.l_max, args.checkpoints)
-    pred = _group_prediction(args, group, use_sigma=group.d >= 1)
+    spec = _spec_for(group, args.nodes)
+    if group.d >= 1:
+        surf = tr.pressure_surface(spec)
+        delta, sigma = surf.delta, surf.sigma
+    else:  # the d = 0 law e^{delta L} / (delta L) has no sigma
+        delta, sigma = tr.critical_exponent(spec), 1.0
     records, sink = None, None
     if args.dump_records:
         rows = []
@@ -232,11 +230,11 @@ def cmd_count_geodesics(args) -> int:
         def sink(r):
             rows.append([len(r.word), displacement(r.matrix), *r.homology, r.length,
                          r.holonomy])
-    rep = cen.geodesics_by_homology(group, pred, cps, budget=args.budget_cap, sink=sink)
+    rep = cen.geodesics_by_homology(group, delta, sigma, cps, budget=args.budget_cap, sink=sink)
     key = (0,) * group.d
     print(f"primitive classes <= {args.l_max}: {rep.totals[-1]}")
     print(f"trivial-class ratio to the absolute law: {rep.ratios[key][-1]:.4f}")
-    _emit_census(args, rep, {"delta": pred.delta, "sigma": pred.sigma}, records)
+    _emit_census(args, rep, {"delta": delta, "sigma": sigma}, records)
     return EXIT_OK
 
 
@@ -244,15 +242,15 @@ def cmd_count_vectors(args) -> int:
     group = load_group(args.group)
     cps = np.exp(cen.checkpoints_linear(math.log(args.t_min), math.log(args.t_max),
                                         args.checkpoints))
-    pred = _group_prediction(args, group)
-    rep = cen.vector_orbit(group, pred, _parse_vec(args.w0), cps, norm=args.norm,
+    delta = tr.critical_exponent(_spec_for(group, args.nodes))
+    rep = cen.vector_orbit(group, delta, _parse_vec(args.w0), cps, norm=args.norm,
                            budget=args.budget_cap)
     cts = rep.counts["vectors"]
     print(f"vectors with norm <= {args.t_max:.3e}: {cts[-1]}")
     half = len(cps) // 2
     exponent = cen.fit_growth(np.log(cps)[half:], cts[half:], fix_log_power=-group.d / 2.0)
-    print(f"fitted exponent {exponent:.4f} (delta = {pred.delta:.4f})")
-    _emit_census(args, rep, {"delta": pred.delta, "fitted_exponent": exponent})
+    print(f"fitted exponent {exponent:.4f} (delta = {delta:.4f})")
+    _emit_census(args, rep, {"delta": delta, "fitted_exponent": exponent})
     return EXIT_OK
 
 
@@ -267,7 +265,7 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_clt(args) -> int:
-    spec = _spec_for(args.group, args.nodes)
+    spec = _spec_for(load_any(args.group), args.nodes)
     shift = spec.shift
     if shift.d < 1:
         raise ValidationError("CLT check needs homology dimension d >= 1")
@@ -334,8 +332,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     ap._command_parsers = {}
 
     shared = {"--group": dict(help="group file, or fixture:<name>"),
-              "--nodes": dict(type=_rule("int >= 8", int, lambda n: n >= 8), default=24,
-                              help="collocation nodes per disk"),
+              "--nodes": dict(type=_NODES, default=24, help="collocation nodes per disk"),
               "--checkpoints": dict(type=_POSITIVE_INT),
               "--budget-cap": dict(type=_POSITIVE_INT, default=5_000_000),
               "--seed": dict(type=_NATURAL),
@@ -419,29 +416,38 @@ def _read_config(argv: list) -> dict:
     return {k.replace("-", "_"): v for k, v in cfg.items()}
 
 
-def main(argv=None) -> int:
-    # the modules imported so far live as long as the job: keep the cyclic
-    # collector's full passes, which a census's allocations trigger, off them
-    gc.freeze()
-    argv = list(sys.argv[1:] if argv is None else argv)
+def exit_code(body) -> int:
+    """body()'s exit code.  A bad option or input prints one `error:` line and
+    gives EXIT_CONFIG; a failed computation (a CovercountError other than a
+    ValidationError) prints one and gives EXIT_COMPUTE."""
     try:
-        ap = build_parser(_read_config(argv))
-        known = {a.dest for p in (ap, *ap._command_parsers.values())
-                 for a in p._actions if a.option_strings} - {"help"}
-        if set(ap.config) - known:
-            ap.error(f"bad --config: unknown keys {sorted(set(ap.config) - known)}")
-        args = ap.parse_args(argv)
-        for name in ("group", "seed"):
-            if getattr(args, name, "") is None:
-                ap.error(f"--{name} is required (flag or config file)")
-        return args.func(args)
+        return body()
     except SystemExit as e:  # --help
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     except (argparse.ArgumentError, CovercountError, FileNotFoundError) as e:
         print(f"error: {str(e).removeprefix('argument ')}", file=sys.stderr)
-        compute = isinstance(e, CovercountError) and (
-            args.command == "validate" or not isinstance(e, ValidationError))
+        compute = isinstance(e, CovercountError) and not isinstance(e, ValidationError)
         return EXIT_COMPUTE if compute else EXIT_CONFIG
+
+
+def _dispatch(argv: list) -> int:
+    ap = build_parser(_read_config(argv))
+    known = {a.dest for p in (ap, *ap._command_parsers.values())
+             for a in p._actions if a.option_strings} - {"help"}
+    if set(ap.config) - known:
+        ap.error(f"bad --config: unknown keys {sorted(set(ap.config) - known)}")
+    args = ap.parse_args(argv)
+    for name in ("group", "seed"):
+        if getattr(args, name, "") is None:
+            ap.error(f"--{name} is required (flag or config file)")
+    return args.func(args)
+
+
+def main(argv=None) -> int:
+    # the modules imported so far live as long as the job: keep the cyclic
+    # collector's full passes, which a census's allocations trigger, off them
+    gc.freeze()
+    return exit_code(lambda: _dispatch(list(sys.argv[1:] if argv is None else argv)))
 
 
 if __name__ == "__main__":

@@ -203,10 +203,9 @@ def fixed_points(g: MoebiusMap) -> tuple[complex, complex]:
 # right and preserves the discriminant, a signature (2,1) form.
 
 
-def adjoint_so21(g: MoebiusMap) -> np.ndarray:
-    if g.model != Model.H2:
-        raise ValueError("adjoint_so21 is defined for the H2 model only")
-    a, b, c, d = (g.a.real, g.b.real, g.c.real, g.d.real)
+def adjoint_so21(m) -> np.ndarray:
+    """The SO(2,1) matrix of the H2 map with raw (a, b, c, d) entries m."""
+    a, b, c, d = (x.real for x in m)
     return np.array(
         [
             [a * a, 2 * a * b, b * b],

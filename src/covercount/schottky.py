@@ -215,9 +215,6 @@ class SchottkyGroup:
     def symbol_matrix(self, idx: int) -> tuple[complex, complex, complex, complex]:
         return self._mats[idx]
 
-    def symbol_homology(self, idx: int) -> tuple[int, ...]:
-        return self._hom[idx]
-
     def _index_homology(self, w: Sequence[int]) -> tuple[int, ...]:
         """Class in Z^d of the index word w: the sum of its symbols' columns."""
         if self.d == 0:

@@ -45,9 +45,10 @@ from .hyperbolic import fixed_points
 from .schottky import SchottkyGroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovShift:
-    """Aperiodic SFT with 2-block roof/cocycle/holonomy data."""
+    """Aperiodic SFT with 2-block roof/cocycle/holonomy data.  Its tables are
+    arrays, so a shift compares and hashes by identity."""
 
     transition: np.ndarray           # (k, k) 0/1
     f: np.ndarray                    # (k, k, d) integer cocycle increments
@@ -307,7 +308,7 @@ def sample_cocycle_batch(spectral, n: int, n_traj: int,
     shift = spectral.spec.shift
     if n == 0:
         return np.zeros(n_traj), np.zeros((n_traj, shift.d), dtype=np.int64)
-    steps = _kernel(parry_chain(spectral), shift, spectral)
+    steps = _kernel(spectral)
     w = max(1, min(_cpus(), n_traj))
     cuts = [n_traj * i // w for i in range(w + 1)]
     parts = _fork_map(run, list(zip(cuts, cuts[1:])))
@@ -324,7 +325,7 @@ def sample_trajectory(spectral, n: int, rng_seed: int) -> list[tuple]:
     tau_cum = 0.0
     f_cum = np.zeros(shift.d, dtype=np.int64)
     rngs = [np.random.default_rng([rng_seed, 0])]
-    steps = _kernel(parry_chain(spectral), shift, spectral)
+    steps = _kernel(spectral)
     for step, (sym, step_tau, step_f) in enumerate(steps(n, rngs, burn=0)):
         tau_cum += float(step_tau[0])
         f_cum += step_f[0]
@@ -349,7 +350,7 @@ def _uniforms(rngs, count: int):
         yield from rows.T
 
 
-def _kernel(chain: ParryChain, shift: MarkovShift, spectral):
+def _kernel(spectral):
     """The sampler kernel of one run: a function steps(n, rngs, burn) whose
     generator runs n steps of all len(rngs) trajectories at once, yielding
     per step (symbol, roof increment, cocycle increment) arrays.
@@ -357,6 +358,7 @@ def _kernel(chain: ParryChain, shift: MarkovShift, spectral):
     Each trajectory first draws its start symbol from the stationary law,
     then one uniform per step (burn-in included).
     """
+    chain, shift = parry_chain(spectral), spectral.spec.shift
     if shift.analytic:
         return _schottky_kernel(chain, shift, spectral)
     return lambda n, rngs, burn: _toy_steps(chain, shift, n, rngs)

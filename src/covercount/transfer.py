@@ -78,7 +78,6 @@ class CollocationGrid:
             raise ValidationError("collocation needs nodes_per_disk >= 8")
         if group.model != Model.H2:
             raise ValidationError("collocation is implemented for the H2 model only")
-        self.group = group
         self.nodes_per_disk = nodes_per_disk
         n = group.n_symbols
         N = nodes_per_disk

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from covercount import census as cen
 from covercount import hyperbolic as hyp
 from covercount.schottky import enumerate_orbit
-from covercount.census import (Prediction, checkpoints_linear,
+from covercount.census import (checkpoints_linear,
                                fit_growth, geodesics_by_homology,
                                holonomy_equidistribution, orbit_by_homology,
                                vector_orbit)
@@ -18,15 +18,13 @@ from covercount.reporting import ReportWriter, census_csv_rows
 @pytest.fixture(scope="module")
 def orbit_b(group_b, delta_b, surface_b):
     cps = checkpoints_linear(4.0, 10.0, 8)
-    pred = Prediction(delta=delta_b, sigma=surface_b.sigma)
-    return cps, orbit_by_homology(group_b, pred, cps)
+    return cps, orbit_by_homology(group_b, delta_b, cps)
 
 
 @pytest.fixture(scope="module")
 def geo_b(group_b, delta_b, surface_b):
     cps = checkpoints_linear(6.0, 12.0, 8)
-    pred = Prediction(delta=delta_b, sigma=surface_b.sigma)
-    return cps, geodesics_by_homology(group_b, pred, cps)
+    return cps, geodesics_by_homology(group_b, delta_b, surface_b.sigma, cps)
 
 
 # -- fit_growth ------------------------------------------------------------------
@@ -52,9 +50,22 @@ def test_fit_growth_insufficient():
         fit_growth(np.arange(1, 7), np.zeros(6), fix_log_power=0.0)
 
 
-def test_prediction_validates():
-    with pytest.raises(ValidationError):
-        Prediction(delta=-1.0, sigma=1.0)
+@pytest.mark.parametrize("delta,sigma", [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
+                                         (1.0, 0.0), (1.0, -1.0), (1.0, math.nan)],
+                         ids=["delta-0", "delta-negative", "delta-nan",
+                              "sigma-0", "sigma-negative", "sigma-nan"])
+def test_censuses_refuse_non_positive_constants(group_b, delta, sigma):
+    # every census refuses delta <= 0, and the geodesic census sigma <= 0
+    # too, before it enumerates anything; NaN is not > 0 either
+    cps = [4.0, 5.0]
+    bad_delta = not delta > 0
+    censuses = [lambda: geodesics_by_homology(group_b, delta, sigma, cps)]
+    if bad_delta:
+        censuses += [lambda: orbit_by_homology(group_b, delta, cps),
+                     lambda: vector_orbit(group_b, delta, [1.0, 0.0, 1.0], cps)]
+    for census in censuses:
+        with pytest.raises(ValidationError, match="delta > 0" if bad_delta else "sigma > 0"):
+            census()
 
 
 # -- binning kernel ----------------------------------------------------------------
@@ -97,9 +108,8 @@ def test_orbit_census_past_last_checkpoint(group_b, delta_b):
     # records of a longer walk at or below it, in order, and counts every
     # class among them
     cps = checkpoints_linear(3.0, 6.0, 4)
-    pred = Prediction(delta=delta_b, sigma=1.0)
     seen, direct = [], []
-    rep = orbit_by_homology(group_b, pred, cps, sink=seen.append)
+    rep = orbit_by_homology(group_b, delta_b, cps, sink=seen.append)
     enumerate_orbit(group_b, 8.0, emit=direct.append)
     assert seen == [r for r in direct if r.displacement <= cps[-1]]
     assert len(seen) < len(direct)
@@ -119,8 +129,7 @@ def test_orbit_counts_monotone_and_symmetric(orbit_b):
 
 def test_orbit_identity_at_small_T(group_b, delta_b):
     cps = checkpoints_linear(0.5, 1.0, 5)
-    pred = Prediction(delta=delta_b, sigma=1.0)
-    rep = orbit_by_homology(group_b, pred, cps, classes=[(0,)])
+    rep = orbit_by_homology(group_b, delta_b, cps, classes=[(0,)])
     assert rep.counts[(0,)][0] == 1  # the identity word
     assert rep.totals[-1] == 1
 
@@ -141,7 +150,7 @@ def test_orbit_ratios_positive_where_predicted(orbit_b):
 def test_orbit_class_of_wrong_dimension_is_validation_error(group_b, delta_b):
     cps = checkpoints_linear(3.0, 5.0, 3)
     with pytest.raises(ValidationError, match=r"class \(1, 2\).*d = 1"):
-        orbit_by_homology(group_b, Prediction(delta_b, 1.0), cps, classes=[(0,), (1, 2)])
+        orbit_by_homology(group_b, delta_b, cps, classes=[(0,), (1, 2)])
 
 
 def test_orbit_requires_positive_d(group_b, delta_b):
@@ -151,7 +160,7 @@ def test_orbit_requires_positive_d(group_b, delta_b):
                               [group_b.disks[sk.sym_index(i + 1)] for i in range(group_b.g)],
                               [], group_b.model)
     with pytest.raises(ValidationError):
-        orbit_by_homology(group0, Prediction(delta_b, 1.0), checkpoints_linear(4.0, 8.0, 6))
+        orbit_by_homology(group0, delta_b, checkpoints_linear(4.0, 8.0, 6))
 
 
 # -- geodesic census ------------------------------------------------------------------
@@ -172,9 +181,8 @@ def test_geodesic_absolute_prediction_formula(geo_b, delta_b, surface_b):
 
 def test_geodesic_reproducible(group_b, delta_b, surface_b):
     cps = checkpoints_linear(6.0, 10.0, 5)
-    pred = Prediction(delta=delta_b, sigma=surface_b.sigma)
-    r1 = geodesics_by_homology(group_b, pred, cps)
-    r2 = geodesics_by_homology(group_b, pred, cps)
+    r1 = geodesics_by_homology(group_b, delta_b, surface_b.sigma, cps)
+    r2 = geodesics_by_homology(group_b, delta_b, surface_b.sigma, cps)
     for key in r1.counts:
         assert np.array_equal(r1.counts[key], r2.counts[key])
     assert np.array_equal(r1.totals, r2.totals)
@@ -197,12 +205,11 @@ def test_holonomy_requires_h3(group_b):
 
 def test_censuses_reject_non_finite_checkpoints(group_b, group_d0, delta_b, capped_walks):
     # the last checkpoint is the walk's cut-off
-    pred = Prediction(delta=delta_b, sigma=1.0)
     for cps in ([4.0, math.nan], [4.0, math.inf], [-math.inf, 4.0], []):
-        for census in (lambda: orbit_by_homology(group_b, pred, cps),
-                       lambda: geodesics_by_homology(group_b, pred, cps),
+        for census in (lambda: orbit_by_homology(group_b, delta_b, cps),
+                       lambda: geodesics_by_homology(group_b, delta_b, 1.0, cps),
                        lambda: holonomy_equidistribution(group_d0, [1], cps),
-                       lambda: vector_orbit(group_b, pred, [1.0, 0.0, 1.0], cps)):
+                       lambda: vector_orbit(group_b, delta_b, [1.0, 0.0, 1.0], cps)):
             with pytest.raises(ValidationError, match="finite checkpoints"):
                 census()
 
@@ -210,28 +217,37 @@ def test_censuses_reject_non_finite_checkpoints(group_b, group_d0, delta_b, capp
 # -- vector census ------------------------------------------------------------------
 
 def test_vector_below_norm_is_empty(group_b, delta_b):
-    pred = Prediction(delta=delta_b, sigma=1.0)
     cps = np.array([0.3, 0.5, 0.9])
-    rep = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], cps)
+    rep = vector_orbit(group_b, delta_b, [1.0, 0.0, 1.0], cps)
     assert np.array_equal(rep.counts["vectors"], np.zeros(3, dtype=int))
 
 
 def test_vector_counts_norm_equivalence(group_b, delta_b):
-    pred = Prediction(delta=delta_b, sigma=1.0)
     cps = np.exp(np.linspace(5.0, 10.0, 8))
-    r_euc = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], cps)
-    r_sup = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], cps, norm="sup")
+    r_euc = vector_orbit(group_b, delta_b, [1.0, 0.0, 1.0], cps)
+    r_sup = vector_orbit(group_b, delta_b, [1.0, 0.0, 1.0], cps, norm="sup")
     tail = slice(3, None)
     ratio = r_sup.counts["vectors"][tail] / r_euc.counts["vectors"][tail]
     lo, hi = 3.0 ** -delta_b, 3.0 ** delta_b
     assert np.all(ratio >= lo - 1e-12) and np.all(ratio <= hi + 1e-12)
 
 
-def test_vector_counts_deduplicated(group_b, delta_b):
-    pred = Prediction(delta=delta_b, sigma=1.0)
-    cps = np.exp(np.linspace(5.0, 9.0, 6))
-    rep = vector_orbit(group_b, pred, [1.0, 0.0, 1.0], cps)
-    assert rep.meta["stabilizer_hits"] == 0
+@pytest.mark.parametrize("name,w0", [("b", (1.0, 0.0, 1.0)), ("b", (2.0, 1.0, 1.0)),
+                                     ("c", (1.0, 0.0, 1.0))], ids=["b-o", "b-p", "c-o"])
+def test_vector_orbit_is_injective(group_b, group_c, delta_b, name, w0):
+    # the census counts every kernel word without deduplication: up to its
+    # displacement cap at the count-vectors defaults, the words give pairwise
+    # distinct vectors, compared exactly (vector_orbit's docstring has the proof)
+    group = {"b": group_b, "c": group_c}[name]
+    rep = vector_orbit(group, delta_b, w0, np.exp(np.linspace(6.0, 13.0, 12)))
+    vecs = []
+
+    def take(rec):
+        if not any(rec.homology):
+            vecs.append(tuple(np.array(w0) @ hyp.adjoint_so21(rec.matrix)))
+
+    enumerate_orbit(group, rep.meta["disp_cap"], emit=take)
+    assert len(vecs) > 100 and len(set(vecs)) == len(vecs)
 
 
 @pytest.mark.parametrize("w0", [(1.0, 0.0, 1.0), (2.0, 1.0, 1.0)], ids=["o", "p"])
@@ -239,9 +255,8 @@ def test_vector_counts_deduplicated(group_b, delta_b):
 def test_vector_exact_cap_matches_padded_cap(group_b, delta_b, w0, norm):
     # counts at the exact displacement cap equal those enumerated out to the
     # padded cap log(T / ||w0||) + 4 that it replaced
-    pred = Prediction(delta=delta_b, sigma=1.0)
     cps = np.exp(np.linspace(6.0, 11.0, 6))
-    rep = vector_orbit(group_b, pred, w0, cps, norm=norm)
+    rep = vector_orbit(group_b, delta_b, w0, cps, norm=norm)
     norm_fn = {"euclidean": np.linalg.norm, "sup": lambda v: np.max(np.abs(v))}[norm]
     padded = math.log(cps[-1] / norm_fn(np.array(w0))) + 4.0
     assert rep.meta["disp_cap"] < padded - 2.0
@@ -249,33 +264,30 @@ def test_vector_exact_cap_matches_padded_cap(group_b, delta_b, w0, norm):
 
     def take(rec):
         if not any(rec.homology):
-            vec = np.array(w0) @ hyp.adjoint_so21(group_b.evaluate(rec.word))
+            vec = np.array(w0) @ hyp.adjoint_so21(group_b.evaluate(rec.word).entries)
             norms[tuple(np.round(vec, 6))] = norm_fn(vec)
 
     enumerate_orbit(group_b, padded, emit=take)
     want = [sum(r <= T for r in norms.values()) for T in cps]
     assert rep.counts["vectors"].tolist() == want
     assert want[-1] > 50
-    assert rep.meta["stabilizer_hits"] == 0
 
 
 @pytest.mark.parametrize("w0", [(1.0, 0.0, -1.0), (1.0, 2.0, 1.0)], ids=["indefinite", "degenerate"])
 def test_vector_rejects_non_definite_w0(group_b, delta_b, w0):
-    pred = Prediction(delta=delta_b, sigma=1.0)
     with pytest.raises(ValidationError, match="definite"):
-        vector_orbit(group_b, pred, w0, [10.0, 100.0])
+        vector_orbit(group_b, delta_b, w0, [10.0, 100.0])
 
 
 def test_vector_unknown_norm_is_validation_error(group_b, delta_b):
     with pytest.raises(ValidationError, match="bogus"):
-        vector_orbit(group_b, Prediction(delta_b, 1.0), [1.0, 0.0, 1.0], [1e2, 1e3],
+        vector_orbit(group_b, delta_b, [1.0, 0.0, 1.0], [1e2, 1e3],
                      norm="bogus")
 
 
 def test_vector_requires_h2(group_d0, delta_b):
-    pred = Prediction(delta=delta_b, sigma=1.0)
     with pytest.raises(ValidationError):
-        vector_orbit(group_d0, pred, [1.0, 0.0, 1.0], [10.0, 100.0])
+        vector_orbit(group_d0, delta_b, [1.0, 0.0, 1.0], [10.0, 100.0])
 
 
 # -- report plumbing ------------------------------------------------------------------

@@ -338,22 +338,22 @@ def test_boundary_derivative_finite_difference_oracle():
 # -- adjoint representation ----------------------------------------------------
 
 def test_adjoint_identity():
-    assert_allclose(adjoint_so21(identity()), np.eye(3), atol=1e-14)
+    assert_allclose(adjoint_so21(identity().entries), np.eye(3), atol=1e-14)
 
 
 def test_adjoint_preserves_form(rng):
     for _ in range(100):
         g = random_h2(rng)
         v = rng.normal(size=3)
-        assert_allclose(so21_form(v @ adjoint_so21(g)), so21_form(v),
+        assert_allclose(so21_form(v @ adjoint_so21(g.entries)), so21_form(v),
                         rtol=1e-10, atol=1e-10)
 
 
 def test_adjoint_homomorphism(rng):
     for _ in range(100):
         g, h = random_h2(rng), random_h2(rng)
-        assert_allclose(adjoint_so21(compose(g, h)),
-                        adjoint_so21(g) @ adjoint_so21(h), rtol=1e-9, atol=1e-9)
+        assert_allclose(adjoint_so21(compose(g, h).entries),
+                        adjoint_so21(g.entries) @ adjoint_so21(h.entries), rtol=1e-9, atol=1e-9)
 
 
 @given(st.floats(0.1, 3.0), st.floats(0.0, 6.28))
@@ -361,4 +361,4 @@ def test_adjoint_homomorphism(rng):
 def test_adjoint_projective(t, a):
     g = compose(rotation(a), translation(t))
     neg = MoebiusMap(-g.a, -g.b, -g.c, -g.d, Model.H2, normalize=False)
-    assert_allclose(adjoint_so21(g), adjoint_so21(neg), atol=1e-12)
+    assert_allclose(adjoint_so21(g.entries), adjoint_so21(neg.entries), atol=1e-12)

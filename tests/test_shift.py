@@ -307,7 +307,7 @@ def test_toy_start_state_above_the_last_cumulative_weight(toy2):
                 return 1.0 - 2.0 ** -53
             out[:] = 1.0 - 2.0 ** -53
 
-    (sym, tau, f), = sh._kernel(chain, toy2, None)(1, [LastUniform()], 0)
+    (sym, tau, f), = sh._toy_steps(chain, toy2, 1, [LastUniform()])
     assert sym.tolist() == [1] and tau.tolist() == [1.0]
     assert f.tolist() == [[-1]]  # f[a, b] is symbol a's: the start state was 1
 
@@ -351,7 +351,7 @@ def _reference_schottky_batch(chain, shift, n, rngs, spectral, burn=192):
     nsym = shift.k
     m = len(rngs)
     mats = np.array([group.symbol_matrix(a) for a in range(nsym)])
-    f_sym = np.array([group.symbol_homology(a) for a in range(nsym)],
+    f_sym = np.array([group.abelianize((sk.letter_of_index(a),)) for a in range(nsym)],
                      dtype=np.int64).reshape(nsym, group.d)
     cum_pi = np.cumsum(chain.stationary)
     u0 = np.array([r.random() for r in rngs])
@@ -420,7 +420,7 @@ def _reference_schottky_dump(chain, shift, n, rng_seed, spectral):
         mb = group.symbol_matrix(b)
         den = mb[2] * x + mb[3]
         tau_cum += 2.0 * math.log(abs(den))
-        f_cum = f_cum + np.asarray(group.symbol_homology(b), dtype=np.int64)
+        f_cum = f_cum + np.asarray(group.abelianize((sk.letter_of_index(b),)), dtype=np.int64)
         x = (mb[0] * x + mb[1]) / den
         state = b
         rows.append((step, sk.letter_of_index(b), tau_cum, *f_cum.tolist()))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.fft import dct
 from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
+from covercount import schottky as sk
 from covercount import shift as sh
 from covercount import transfer as tr
 from covercount.errors import (DiscretizationUnstable, HessianNotPD, HolonomyUnavailable,
@@ -178,6 +180,14 @@ def test_spec_is_frozen_with_one_grid(shift_b, monkeypatch, tmp_path):
         spec.nodes_per_disk = 48
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.grid = None
+
+
+def test_spec_compares_and_hashes(toy2_spec):
+    # a shift's tables are arrays, so a shift, and with it a spec, compares and
+    # hashes by identity: neither call raises on the arrays
+    copy = pickle.loads(pickle.dumps(toy2_spec))
+    assert toy2_spec == toy2_spec and toy2_spec != copy
+    assert hash(toy2_spec) == hash(toy2_spec) and isinstance(hash(copy), int)
 
 
 @pytest.mark.parametrize("case", ["pressure-toy2-u-nan", "pressure-b-u-inf", "lambda-b-s-nan",
@@ -475,7 +485,7 @@ def _periodic_sums(group, n_max, s, v):
     letters, matrices and homology sums."""
     n = group.n_symbols
     mats = np.array([np.reshape(group.symbol_matrix(a), (2, 2)).real for a in range(n)])
-    hom = np.array([group.symbol_homology(a) for a in range(n)], dtype=float)
+    hom = np.array([group.abelianize((sk.letter_of_index(a),)) for a in range(n)], dtype=float)
     first, last, M, H = np.arange(n), np.arange(n), mats, hom
     sums = {}
     for length in range(1, n_max + 1):
