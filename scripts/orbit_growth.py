@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from covercount.census import checkpoints_linear, fit_growth, orbit_by_homology
-from covercount.cli import _FINITE, _NODES, _POSITIVE_INT, _Parser, exit_code
+from covercount.cli import _FINITE, _FIT_COUNT, _NODES, _Parser, exit_code
 from covercount.groupfile import load_group
 from covercount.shift import from_schottky
 from covercount.transfer import OperatorSpec, critical_exponent
@@ -23,7 +23,7 @@ def main():
     ap.add_argument("--nodes", type=_NODES, default=24)
     ap.add_argument("--t-min", type=_FINITE, default=5.0)
     ap.add_argument("--t-max", type=_FINITE, default=13.0)
-    ap.add_argument("--checkpoints", type=_POSITIVE_INT, default=14)
+    ap.add_argument("--checkpoints", type=_FIT_COUNT, default=14)
     ap.add_argument("--out", default="orbit_growth.dat")
     args = ap.parse_args()
 
@@ -33,8 +33,7 @@ def main():
     cps = checkpoints_linear(args.t_min, args.t_max, args.checkpoints)
     rep = orbit_by_homology(group, delta, cps)
 
-    half = min(len(cps) // 2, len(cps) - 5)  # top half, at least 5 points
-    slope = fit_growth(cps[half:], rep.totals[half:], fix_log_power=0.0)
+    slope = fit_growth(cps, rep.totals, fix_log_power=0.0)
     print(f"delta = {delta:.6f}, fitted slope = {slope:.6f} "
           f"(difference {abs(slope - delta):.2e})")
 

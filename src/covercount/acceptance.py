@@ -102,8 +102,7 @@ def c03_two_method_delta(ws: Workspace) -> tuple:
     for tag, group, delta in (("b", ws.group_b, ws.surface_b.delta),
                               ("c", load_group("fixture:c"), ws.surface_c.delta)):
         cps, rep = _orbit_report(group, delta, 12.5)
-        half = len(cps) // 2
-        slope = cen.fit_growth(cps[half:], rep.totals[half:], fix_log_power=0.0)
+        slope = cen.fit_growth(cps, rep.totals, fix_log_power=0.0)
         err = abs(slope - delta)
         details[f"delta_{tag}"] = delta
         details[f"slope_{tag}"] = slope
@@ -218,8 +217,7 @@ def c10_vector_orbit(ws: Workspace) -> tuple:
     cps = np.exp(np.linspace(6.0, 13.5, 12))
     rep = cen.vector_orbit(ws.group_b, delta, [1.0, 0.0, 1.0], cps)
     cts = rep.counts["vectors"]
-    half = len(cps) // 2
-    exponent = cen.fit_growth(np.log(cps)[half:], cts[half:], fix_log_power=-0.5)
+    exponent = cen.fit_growth(np.log(cps), cts, fix_log_power=-0.5)
     exp_err = abs(exponent - delta)
     plateau = st.plateau_deviation(cts * cps ** (-delta) * np.sqrt(np.log(cps)))
     passed = exp_err < 0.05 and plateau < 0.15

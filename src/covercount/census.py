@@ -271,14 +271,19 @@ def vector_orbit(group: SchottkyGroup, delta: float, w0: Sequence[float],
     return CensusReport("VectorNorm", cps, {key: counts_arr}, preds, counts_arr, meta)
 
 
+FIT_POINTS = 5  # the fewest checkpoints a growth fit takes
+
+
 def fit_growth(xs: Sequence[float], counts: Sequence[float],
                fix_log_power: float) -> float:
     """Exponent of the least-squares fit log N = const + exponent * x +
-    fix_log_power * log x, with the log power pinned."""
-    xs = np.asarray(xs, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    if len(xs) < 5:
-        raise InsufficientData("growth fits need >= 5 checkpoints")
+    fix_log_power * log x, with the log power pinned, over the top half of
+    the points, and at least FIT_POINTS of them."""
+    if len(xs) < FIT_POINTS:
+        raise InsufficientData(f"growth fits need >= {FIT_POINTS} checkpoints, got {len(xs)}")
+    start = min(len(xs) // 2, len(xs) - FIT_POINTS)
+    xs = np.asarray(xs, dtype=float)[start:]
+    counts = np.asarray(counts, dtype=float)[start:]
     if np.any(counts <= 0):
         raise InsufficientData("growth fits need positive counts")
     if np.any(xs <= 0):

@@ -52,6 +52,7 @@ _NATURAL = _rule("non-negative int", int, lambda n: n >= 0)
 _FINITE = _rule("finite float", float, math.isfinite)
 _POSITIVE = _rule("positive finite float", float, lambda x: 0 < x < math.inf)
 _NODES = _rule("int >= 8", int, lambda n: n >= 8)
+_FIT_COUNT = _rule(f"int >= {cen.FIT_POINTS}", int, lambda n: n >= cen.FIT_POINTS)
 # number lists stay text, so that manifests and run directories keep their bytes
 _FLOATS = _rule("finite float list", _parse_vec, lambda v: np.isfinite(v).all(), keep_text=True)
 _INTS = _rule("int list", lambda text: _parse_vec(text, int), keep_text=True)
@@ -247,8 +248,7 @@ def cmd_count_vectors(args) -> int:
                            budget=args.budget_cap)
     cts = rep.counts["vectors"]
     print(f"vectors with norm <= {args.t_max:.3e}: {cts[-1]}")
-    half = len(cps) // 2
-    exponent = cen.fit_growth(np.log(cps)[half:], cts[half:], fix_log_power=-group.d / 2.0)
+    exponent = cen.fit_growth(np.log(cps), cts, fix_log_power=-group.d / 2.0)
     print(f"fitted exponent {exponent:.4f} (delta = {delta:.4f})")
     _emit_census(args, rep, {"delta": delta, "fitted_exponent": exponent})
     return EXIT_OK
@@ -376,8 +376,10 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--l-min", type=_FINITE, default=8.0)
     p.add_argument("--l-max", type=_FINITE, default=16.0)
 
-    p = add("count-vectors", cmd_count_vectors, "vector orbit counting in R^3", census,
-            checkpoints=12)
+    p = add("count-vectors", cmd_count_vectors, "vector orbit counting in R^3",
+            "--group --nodes --budget-cap")
+    p.add_argument("--checkpoints", type=_FIT_COUNT, default=12,
+                   help=f"the growth fit takes the top half, at least {cen.FIT_POINTS}")
     p.add_argument("--w0", type=_FLOATS, default="1,0,1")
     p.add_argument("--t-min", type=_POSITIVE, default=math.e ** 6,
                    help="first checkpoint; checkpoints are log-spaced")

@@ -11,6 +11,7 @@ import cmath
 import math
 from dataclasses import InitVar, dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,11 +79,37 @@ class MoebiusMap:
 
 
 def mat_mul(m, n) -> tuple[complex, complex, complex, complex]:
-    """Product m @ n of 2x2 matrices given as raw (a, b, c, d) tuples."""
+    """Product m @ n of 2x2 matrices given as raw (a, b, c, d) of complex or Split."""
     a, b, c, d = m
     na, nb, nc, nd = n
     return (a * na + b * nc, a * nb + b * nd,
             c * na + d * nc, c * nb + d * nd)
+
+
+class Split(NamedTuple):
+    """Complex arrays as float pairs, combined elementwise in CPython 3.11's
+    order for one complex: mat_mul, frob2 and trace_invariants over them keep
+    the bits of one complex at a time, numpy's complex does not."""
+
+    real: np.ndarray
+    imag: np.ndarray
+
+    def __mul__(self, o):
+        return Split(self.real * o.real - self.imag * o.imag,
+                     self.real * o.imag + self.imag * o.real)
+
+    def __add__(self, o):
+        return Split(self.real + o.real, self.imag + o.imag)
+
+    def __sub__(self, o):
+        return Split(self.real - o.real, self.imag - o.imag)
+
+    def __truediv__(self, x: float):  # as CPython 3.11 divides by x + 0j
+        ratio = 0.0 / x
+        return Split((self.real + self.imag * ratio) / x, (self.imag - self.real * ratio) / x)
+
+    def __abs__(self):
+        return np.hypot(self.real, self.imag)  # C hypot, as complex.__abs__
 
 
 def compose(g: MoebiusMap, h: MoebiusMap) -> MoebiusMap:
@@ -140,38 +167,56 @@ class GeodesicInvariants:
     holonomy_angle: float = 0.0
 
 
-def wrap_angle(theta: float) -> float:
-    """theta reduced to (-pi, pi]."""
-    out = math.fmod(theta, 2.0 * math.pi)
-    if out > math.pi:
-        out -= 2.0 * math.pi
-    elif out <= -math.pi:
-        out += 2.0 * math.pi
-    return out
+def wrap_angle(theta):
+    """theta reduced to (-pi, pi], elementwise."""
+    out = np.fmod(theta, 2.0 * math.pi)  # exact, as math.fmod
+    return np.where(out > math.pi, out - 2.0 * math.pi,
+                    np.where(out <= -math.pi, out + 2.0 * math.pi, out))
 
 
-def trace_invariants(tr: complex, model: Model) -> tuple[float, float]:
-    """(length, holonomy) solving tr = +-2 cosh((l + i theta)/2) for a det-1
-    matrix with trace tr; theta = 0 in the H2 model.  The multiplier is the
-    root of larger modulus (past |tr| ~ 1/eps the other is all cancellation),
-    and tr itself past |tr| = 1e150, where tr * tr nears overflow and 1/lam in
-    tr = lam + 1/lam is below rounding.  Non-loxodromic traces give length 0."""
-    if abs(tr) > 1e150:
-        lam = tr
-    else:
-        disc = cmath.sqrt(tr * tr - 4.0)
-        lam = max((tr + disc) / 2.0, (tr - disc) / 2.0, key=abs)
-    length = 2.0 * math.log(max(abs(lam), 1.0))
+def _csqrt(z: Split) -> Split:
+    """Elementwise cmath.sqrt of finite z, by CPython's c_sqrt formula
+    (np.sqrt of a complex rounds differently where the real part is 0)."""
+    ax, ay = np.abs(z.real), np.abs(z.imag)
+    tiny = (ax < np.finfo(float).tiny) & (ay < np.finfo(float).tiny)  # hypot is subnormal
+    big = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
+    ax = np.ldexp(ax, 53)
+    s = np.where(tiny, np.ldexp(np.sqrt(ax + np.hypot(ax, np.ldexp(ay, 53))), -27), big)
+    d = ay / (2.0 * s)
+    up = z.real >= 0.0
+    zero = (z.real == 0.0) & (z.imag == 0.0)
+    return Split(np.where(zero, 0.0, np.where(up, s, d)),
+                 np.where(zero, z.imag, np.copysign(np.where(up, d, s), z.imag)))
+
+
+def trace_invariants(tr: Split, model: Model) -> tuple[np.ndarray, np.ndarray]:
+    """(length, holonomy) arrays solving tr = +-2 cosh((l + i theta)/2) for
+    det-1 matrices with finite traces tr; theta = 0 in the H2 model.  The
+    multiplier is the root of larger modulus (past |tr| ~ 1/eps the other is
+    all cancellation), and tr itself past |tr| = 1e150, where tr * tr nears
+    overflow and 1/lam in tr = lam + 1/lam is below rounding.  Non-loxodromic
+    traces give length 0.  Every bit is that of the scalar cmath formula:
+    the log and the phase are taken per element by math, as numpy's differ."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = tr * tr
+        disc = _csqrt(Split(sq.real - 4.0, sq.imag))  # tr * tr - 4.0 subtracts 4 + 0j
+        plus, minus = (tr + disc) / 2.0, (tr - disc) / 2.0
+        far, low = abs(tr) > 1e150, abs(minus) > abs(plus)  # max(plus, minus, key=abs)
+    lam = Split(*(np.where(far, t, np.where(low, m, p)) for t, m, p in zip(tr, minus, plus)))
+    length = 2.0 * np.array([math.log(x) for x in np.maximum(abs(lam), 1.0).tolist()])
     if model == Model.H2:
-        return length, 0.0
-    return length, wrap_angle(2.0 * cmath.phase(lam))
+        return length, np.zeros_like(length)
+    phase = [math.atan2(y, x) for x, y in zip(lam.real.tolist(), lam.imag.tolist())]
+    return length, wrap_angle(2.0 * np.array(phase))
 
 
 def geodesic_invariants(g: MoebiusMap) -> GeodesicInvariants:
     """Translation length and holonomy of a loxodromic map (see trace_invariants)."""
     if classify(g) != ElementClass.LOXODROMIC:
         raise NotLoxodromic(f"element classifies as {classify(g).value}")
-    return GeodesicInvariants(*trace_invariants(g.trace(), g.model))
+    tr = g.trace()
+    length, theta = trace_invariants(Split(np.array([tr.real]), np.array([tr.imag])), g.model)
+    return GeodesicInvariants(float(length[0]), float(theta[0]))
 
 
 def fixed_points(g: MoebiusMap) -> tuple[complex, complex]:

@@ -7,11 +7,14 @@ is represented by its Lyndon word (its least rotation), and enumeration order
 is deterministic.  Disk j of letter a is the disk the letter maps INTO:
 letter a sends the exterior of disk(-a) onto the interior of disk(a).
 
-Both enumerators walk index words (tuples of symbol indices, see word_key),
-collect their records in one list and raise BudgetExceeded as soon as it
-holds more than budget, so a walk over its budget emits nothing.  Otherwise
-they sort the list once and emit it, turning each word into letters then; a
-record's homology class is the sum of its symbols' columns (_index_homology).
+Both enumerators walk index words (symbol indices, see word_key) depth first
+over numpy blocks of <= BLOCK words of one length, in hyp.Split arithmetic,
+so every record is that of a walk of single words to the last bit.  They
+hold their records as columns: word rows, values, classes (a child's is its
+parent's plus its letter's column) and matrices, and raise BudgetExceeded as
+soon as they hold more than budget, so a walk over its budget emits nothing.
+Otherwise one sort of the padded word rows gives the emission order, and the
+records are built as they are emitted (_emit_sorted).
 """
 
 from __future__ import annotations
@@ -155,13 +158,8 @@ class SchottkyGroup:
             mats.append(gen.entries)
             mats.append(hyp.inverse(gen).entries)
         self._mats = tuple(mats)
-        # homology increment per symbol index
-        cols = []
-        for i in range(self.g):
-            col = tuple(int(x) for x in hom[:, i]) if self.d else ()
-            cols.append(col)
-            cols.append(tuple(-x for x in col))
-        self._hom = tuple(cols)
+        # homology increment per symbol index: rows +col, -col per generator
+        self._hom = np.stack([hom.T, -hom.T], axis=1).reshape(2 * self.g, self.d)
         self.validate()
 
     # -- validation -------------------------------------------------------
@@ -215,14 +213,9 @@ class SchottkyGroup:
     def symbol_matrix(self, idx: int) -> tuple[complex, complex, complex, complex]:
         return self._mats[idx]
 
-    def _index_homology(self, w: Sequence[int]) -> tuple[int, ...]:
-        """Class in Z^d of the index word w: the sum of its symbols' columns."""
-        if self.d == 0:
-            return ()
-        return tuple(map(sum, zip(*map(self._hom.__getitem__, w)))) or (0,) * self.d
-
     def abelianize(self, word: Sequence[int]) -> tuple[int, ...]:
-        return self._index_homology(word_key(word))
+        """Class in Z^d of the word: the sum of its symbols' columns."""
+        return tuple(self._hom[list(word_key(word))].sum(axis=0).tolist())
 
     def evaluate(self, word: Sequence[int]) -> MoebiusMap:
         m = IDENTITY
@@ -262,6 +255,36 @@ class SchottkyGroup:
         return step
 
 
+BLOCK = 4096  # most words per walk block: 2048 is 11% slower, 8192 adds 2 MB RSS
+EMIT_CHUNK = 512  # records built at a time from the sorted columns
+
+
+def _entries(M: np.ndarray) -> list:
+    """Raw (a, b, c, d) of matrices held as rows re a, im a, ..., im d."""
+    return [hyp.Split(M[i], M[i + 1]) for i in range(0, 8, 2)]
+
+
+def _emit_sorted(found: list, key: Callable, make: Callable, n: int,
+                 emit: Callable) -> None:
+    """Emit, EMIT_CHUNK at a time, the records held in found as blocks of
+    columns (word rows, then one per field after the word), emptying found,
+    in the order of key(words padded with 0, lengths): sort rows, primary first."""
+    if not found:
+        return
+    width = max(W.shape[1] for W, *_ in found)
+    words = np.concatenate([np.pad(W, ((0, 0), (0, width - W.shape[1]))) for W, *_ in found])
+    sizes = np.concatenate([np.full(len(W), W.shape[1]) for W, *_ in found])
+    fields = [np.concatenate(col) for col in zip(*(rest for _, *rest in found))]
+    found.clear()
+    order = np.lexsort(key(words, sizes)[::-1])
+    letters = np.array([letter_of_index(idx) for idx in range(n)])
+    for s in range(0, len(order), EMIT_CHUNK):
+        j = order[s:s + EMIT_CHUNK]
+        cols = [f[j].tolist() if f.ndim == 1 else map(tuple, f[j].tolist()) for f in fields]
+        for w, k, *rest in zip(letters[words[j]].tolist(), sizes[j].tolist(), *cols):
+            emit(make(tuple(w[:k]), *rest))
+
+
 def enumerate_orbit(group: SchottkyGroup, T: float,
                     emit: Optional[Callable[[OrbitRecord], None]] = None,
                     budget: Optional[int] = None) -> int:
@@ -283,50 +306,55 @@ def enumerate_orbit(group: SchottkyGroup, T: float,
     acosh(||w||_F^2 / 2) is <= T; the cosh pre-test carries the same slack,
     because cosh(acosh(x)) can round below x.
 
-    The walk starts from the empty word, collects (index word, displacement,
-    matrix) and raises BudgetExceeded as soon as it holds more than budget
-    records, so a run that exceeds its budget emits nothing.  Otherwise the
-    records are emitted in (first letter, length, index word) order, the
-    empty word first; a record gets its letter word and class then.
+    The block walk (see the module docstring) starts from the empty word.
+    Records are emitted in (first letter, length, index word) order, the
+    empty word first.
     """
     if not math.isfinite(T):
         raise ValidationError(f"orbit cut-off T is {T}: it must be finite, not NaN or infinite")
     cosh_cut = math.cosh(T) * (1.0 + SHADOW_SLACK)
     sinh_cut = math.sinh(T) * (1.0 + SHADOW_SLACK)
-    mats = group._mats
-    letters = [letter_of_index(idx) for idx in range(group.n_symbols)]
-    # per letter: its disk's center q and r^2, and 2 r sinh T with the slack
-    shadows = [(idx, dk.center, dk.radius * dk.radius, 2.0 * dk.radius * sinh_cut)
-               for idx, dk in enumerate(group.disks)]
-    found: list[tuple] = []  # (index word, displacement, matrix) per record
-    stack = [((), IDENTITY)]
+    n = group.n_symbols
+    gens = np.array(group._mats).view(float).T  # rows: re, im of a, b, c, d
+    # per letter (rows): its disk's center q and r^2, and 2 r sinh T with the slack
+    q = np.array([[dk.center] for dk in group.disks])
+    r = np.array([[dk.radius] for dk in group.disks])
+    r2, cut = r * r, 2.0 * r * sinh_cut
+    idx = np.arange(n, dtype=np.uint8)[:, None]
+    stack = [(np.zeros((1, 0), np.uint8), np.array(IDENTITY).view(float)[:, None],
+              np.zeros((1, group.d), np.int64))]  # (words, matrices, classes)
+    found: list = []  # (words, displacements, classes, matrices) per block
+    count = 0
     while stack:
-        w, m = stack.pop()
-        ch = hyp.frob2(m) / 2.0
-        if ch <= cosh_cut:
-            disp = math.acosh(max(ch, 1.0))
-            if disp <= T:
-                found.append((w, disp, m))
-                if budget is not None and len(found) > budget:
-                    raise BudgetExceeded(budget)
-        a, b, c, d = m
+        W, M, H = stack.pop()
+        a, b, c, d = _entries(M)
+        ch = hyp.frob2((a, b, c, d)) / 2.0
+        cand = np.flatnonzero(ch <= cosh_cut)
+        disp = np.array([math.acosh(x) for x in np.maximum(ch[cand], 1.0).tolist()])
+        ok = disp <= T
+        hit = cand[ok]
+        count += hit.size
+        if budget is not None and count > budget:
+            raise BudgetExceeded(budget)
+        found.append((W[hit], disp[ok], H[hit], M[:, hit].T.copy().view(complex)))
+        # p = w^-1 o = (z, t): z = -(b conj(a) + d conj(c)) t as one complex
+        # gave it, but for the signs of zeros, which the squares drop
         t = 1.0 / (a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag)
-        z = -(b * a.conjugate() + d * c.conjugate()) * t
-        tt = t * t
-        bad = inverse_index(w[-1]) if w else None
-        for idx, q, r2, cut in shadows:
-            if idx == bad:
-                continue
-            dz = z - q
-            if dz.real * dz.real + dz.imag * dz.imag + tt - r2 > cut * t:
-                continue
-            stack.append((w + (idx,), hyp.mat_mul(m, mats[idx])))
+        zb = b * hyp.Split(a.real, -a.imag) + d * hyp.Split(c.real, -c.imag)
+        dzr, dzi = -zb.real * t - q.real, -zb.imag * t - q.imag  # rows: letters
+        far = dzr * dzr + dzi * dzi + t * t - r2 > cut * t
+        bad = W[:, -1] ^ 1 if W.shape[1] else n
+        let, par = np.nonzero(~far & (idx != bad))
+        let = let.astype(np.uint8)
+        for s in range(0, len(par), BLOCK):  # one child block at a time
+            lets, pars = let[s:s + BLOCK], par[s:s + BLOCK]
+            CW = np.concatenate([W[pars], lets[:, None]], axis=1)
+            CM = np.array(hyp.mat_mul(_entries(M[:, pars]), _entries(gens[:, lets])))
+            stack.append((CW, CM.reshape(8, -1), H[pars] + group._hom[lets]))
     if emit is not None:
-        found.sort(key=lambda rec: (rec[0][:1], len(rec[0]), rec[0]))
-        for w, disp, m in found:
-            emit(OrbitRecord(tuple(map(letters.__getitem__, w)), disp,
-                             group._index_homology(w), m))
-    return len(found)
+        key = lambda w, k: [*w[:, :1].T, k, *w.T]  # the empty word (k = 0) first
+        _emit_sorted(found, key, OrbitRecord, n, emit)
+    return count
 
 
 def enumerate_orbit_bruteforce(group: SchottkyGroup, T: float, max_len: int) -> list[OrbitRecord]:
@@ -349,27 +377,6 @@ def enumerate_orbit_bruteforce(group: SchottkyGroup, T: float, max_len: int) -> 
 
     rec_walk((), IDENTITY, None)
     return out
-
-
-class _Split(NamedTuple):
-    """Complex arrays as float pairs, combined in CPython's order for one
-    complex: hyp.mat_mul over them keeps its bits, numpy's complex does not."""
-
-    real: np.ndarray
-    imag: np.ndarray
-
-    def __mul__(self, o):
-        return _Split(self.real * o.real - self.imag * o.imag,
-                      self.real * o.imag + self.imag * o.real)
-
-    def __add__(self, o):
-        return _Split(self.real + o.real, self.imag + o.imag)
-
-    def __abs__(self):
-        return np.hypot(self.real, self.imag)  # C hypot, as complex.__abs__
-
-
-CLASS_BLOCK = 4096  # most words per class-walk block: 2048 is 11% slower, 8192 adds 2 MB RSS
 
 
 def primitive_classes(group: SchottkyGroup, L: float,
@@ -395,56 +402,55 @@ def primitive_classes(group: SchottkyGroup, L: float,
     are taken (exact on H2, one-sided on H3).  Both caps are widened by 1e-12
     and are inf past L ~ 1419, where they overflow.
 
-    The walk is depth-first over numpy blocks of <= CLASS_BLOCK words of one
-    length; _Split keeps the bits of a walk of single words.  It collects the
-    classes and raises BudgetExceeded as soon as it holds more than budget,
-    so a run that exceeds its budget emits nothing.  Otherwise the classes
-    are emitted in the order of a walk of single words: first letter
-    ascending, later ones descending, a prefix first.
+    The block walk (see the module docstring) takes the trace invariants of
+    a block's candidates in one hyp.trace_invariants call.  Classes are
+    emitted in the order of a walk of single words: first letter ascending,
+    later ones descending, a prefix first.
     """
     if not math.isfinite(L):
         raise ValidationError(f"class cut-off L is {L}: it must be finite, not NaN or infinite")
     group.min_cycle_step()  # validates that all admissible steps contract
-    n, model = group.n_symbols, group.model
-    letters = [letter_of_index(idx) for idx in range(n)]
+    n = group.n_symbols
     with np.errstate(over="ignore"):
         gap_cap = np.exp(L / 2.0) * (1.0 + 1e-12)
         tr_cap = 2.0 * np.cosh(L / 2.0) * (1.0 + 1e-12)
     gens = np.array(group._mats).view(float).T  # rows: re, im of a, b, c, d
     q = np.array([[dk.center] for dk in group.disks])
-    centers, radii = _Split(q.real, q.imag), np.array([[dk.radius] for dk in group.disks])
+    centers, radii = hyp.Split(q.real, q.imag), np.array([[dk.radius] for dk in group.disks])
     idx = np.arange(n, dtype=np.uint8)[:, None]
-    flip = bytes(n - 1 - x if x < n else x for x in range(256))
-    key = lambda w: w[:1] + w[1:].translate(flip)  # visiting order of index words
-    entries = lambda m: [_Split(m[i], m[i + 1]) for i in range(0, 8, 2)]
-    stack = [(idx.copy(), gens, np.ones(n, dtype=np.int64))]  # (words, matrices, p)
-    found: list = []  # (index word, length, holonomy, matrix) per class
+    stack = [(idx.copy(), gens, group._hom.copy(), np.ones(n, dtype=np.int64))]
+    found: list = []  # (words, lengths, classes, holonomies, matrices) per block
+    count = 0
     while stack:
-        W, M, p = stack.pop()
+        W, M, H, p = stack.pop()  # words, matrices, classes, Lyndon periods
         k = W.shape[1]
-        a, _, c, d = entries(M)
+        a, _, c, d = _entries(M)
         tr = a + d
         cand = np.flatnonzero((p == k) & (W[:, -1] != W[:, 0] ^ 1) & (abs(tr) <= tr_cap))
-        for j, x, y in zip(cand.tolist(), tr.real[cand].tolist(), tr.imag[cand].tolist()):
-            length, theta = hyp.trace_invariants(complex(x, y), model)
-            if 0.0 < length <= L:
-                found.append((W[j].tobytes(), length, theta, M[:, j].tobytes()))
-                if budget is not None and len(found) > budget:
-                    raise BudgetExceeded(budget)
+        if cand.size:  # about half the blocks have none, and a kernel call costs ~60 us
+            length, theta = hyp.trace_invariants(hyp.Split(tr.real[cand], tr.imag[cand]),
+                                                 group.model)
+            ok = (0.0 < length) & (length <= L)
+            hit = cand[ok]
+            count += hit.size
+            if budget is not None and count > budget:
+                raise BudgetExceeded(budget)
+            found.append((W[hit], length[ok], H[hit], theta[ok],
+                          M[:, hit].T.copy().view(complex)))
         gap = abs(c * centers + d) - abs(c) * radii  # rows: letters, columns: words
         low = W[np.arange(len(W)), k - p]
         keep = ~(gap > gap_cap) & (idx >= low) & (idx != W[:, -1] ^ 1)
         let, par = np.nonzero(keep)
         let = let.astype(np.uint8)
-        CW = np.concatenate([W[par], let[:, None]], axis=1)
-        CM = np.array(hyp.mat_mul(entries(M[:, par]), entries(gens[:, let]))).reshape(8, -1)
-        cp = np.where(let == low[par], p[par], k + 1)
-        for s in range(0, len(par), CLASS_BLOCK):
-            stack.append((CW[s:s + CLASS_BLOCK], CM[:, s:s + CLASS_BLOCK], cp[s:s + CLASS_BLOCK]))
+        for s in range(0, len(par), BLOCK):  # one child block at a time
+            lets, pars = let[s:s + BLOCK], par[s:s + BLOCK]
+            CW = np.concatenate([W[pars], lets[:, None]], axis=1)
+            CM = np.array(hyp.mat_mul(_entries(M[:, pars]), _entries(gens[:, lets])))
+            stack.append((CW, CM.reshape(8, -1), H[pars] + group._hom[lets],
+                          np.where(lets == low[pars], p[pars], k + 1)))
     if emit is not None:
-        found.sort(key=lambda rec: key(rec[0]))
-        for w, length, theta, m in found:
-            emit(GeodesicRecord(tuple(map(letters.__getitem__, w)), length,
-                                group._index_homology(w), theta,
-                                tuple(np.frombuffer(m, complex).tolist())))
-    return len(found)
+        # the first letter ascending, later ones descending, a prefix (padded by 0) first
+        later = lambda w, k: np.where(np.arange(1, w.shape[1]) < k[:, None], n - w[:, 1:], 0)
+        key = lambda w, k: [w[:, 0], *later(w, k).T]
+        _emit_sorted(found, key, GeodesicRecord, n, emit)
+    return count

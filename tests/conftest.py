@@ -1,4 +1,6 @@
+import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +18,25 @@ def toy_full_shift(k, c, f_values, theta_values=None):
              else np.repeat(np.asarray(theta_values, dtype=float)[:, None], k, axis=1))
     return sh.toy_from_json({"transition": np.ones((k, k)), "tau": np.full((k, k), float(c)),
                              "f": np.asarray(f_values, dtype=np.int64), "theta": theta})
+
+
+def scalar_trace_invariants(tr: complex, model) -> tuple[float, float]:
+    """The one-complex-at-a-time cmath formula that hyperbolic.trace_invariants
+    computes over arrays, kept as its bit-for-bit oracle."""
+    if abs(tr) > 1e150:
+        lam = tr
+    else:
+        disc = cmath.sqrt(tr * tr - 4.0)
+        lam = max((tr + disc) / 2.0, (tr - disc) / 2.0, key=abs)
+    length = 2.0 * math.log(max(abs(lam), 1.0))
+    if model == hyp.Model.H2:
+        return length, 0.0
+    theta = math.fmod(2.0 * cmath.phase(lam), 2.0 * math.pi)
+    if theta > math.pi:
+        theta -= 2.0 * math.pi
+    elif theta <= -math.pi:
+        theta += 2.0 * math.pi
+    return length, theta
 
 
 @pytest.fixture

@@ -43,6 +43,17 @@ def test_fit_growth_constant_series():
     assert abs(fit_growth(np.linspace(1, 5, 6), np.full(6, 4.0), fix_log_power=0.0)) < 1e-9
 
 
+@pytest.mark.parametrize("n,start", [(5, 0), (8, 3), (12, 6), (14, 7)])
+def test_fit_growth_takes_the_top_half_and_at_least_five(n, start):
+    # points before the window may be anything; the first one in it counts
+    T = np.linspace(2.0, 10.0, n)
+    counts = 3.7 * np.exp(2.0 * T)
+    counts[:start] = 1.0
+    assert abs(fit_growth(T, counts, fix_log_power=0.0) - 2.0) < 1e-9
+    counts[start] *= 2.0
+    assert abs(fit_growth(T, counts, fix_log_power=0.0) - 2.0) > 1e-3
+
+
 def test_fit_growth_insufficient():
     with pytest.raises(InsufficientData):
         fit_growth([1, 2, 3], [1, 2, 3], fix_log_power=0.0)

@@ -333,6 +333,22 @@ def test_record_sinks_take_the_enumerator_matrix(tmp_path, monkeypatch):
                 "--t-min", "100", "--t-max", "20000", "--checkpoints", "10"]) == 0
 
 
+@pytest.mark.parametrize("count,code", [(8, 0), (4, 3)])
+def test_count_vectors_fit_window(tmp_path, capsys, monkeypatch, count, code):
+    # the growth fit takes the top half of the checkpoints, at least 5: 8
+    # checkpoints fit on their last 5, and 4 are refused before delta is solved
+    solves = []
+    solve = tr.critical_exponent
+    monkeypatch.setattr(tr, "critical_exponent", lambda spec: solves.append(1) or solve(spec))
+    assert run(["--out", str(tmp_path), "count-vectors", "--group", "fixture:b",
+                "--checkpoints", str(count)]) == code
+    assert len(list(tmp_path.glob("count-vectors-*"))) == (code == 0)
+    assert len(solves) == (code == 0)
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error: --checkpoints") and "'4'" in err and err.count("\n") == 1
+
+
 def test_count_vectors_indefinite_w0_is_config_error(tmp_path, capsys):
     assert run(["--out", str(tmp_path), "count-vectors", "--group", "fixture:b",
                 "--w0", "1,0,-1"]) == 3

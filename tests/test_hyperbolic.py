@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import scalar_trace_invariants
 from covercount.errors import NotLoxodromic, PoleAtPoint
-from covercount.hyperbolic import (ElementClass, Model, MoebiusMap, adjoint_so21,
+from covercount.hyperbolic import (ElementClass, Model, MoebiusMap, Split, adjoint_so21,
                                    apply_boundary, classify, compose, displacement,
                                    geodesic_invariants, inverse, so21_form,
                                    trace_invariants, wrap_angle)
@@ -270,13 +271,20 @@ def test_invariants_reject_elliptic():
         geodesic_invariants(rotation(0.7))
 
 
+def invariants(trs, model) -> list[tuple[float, float]]:
+    """(length, holonomy) per trace from the array kernel."""
+    trs = np.asarray(trs, dtype=complex)
+    length, theta = trace_invariants(Split(trs.real.copy(), trs.imag.copy()), model)
+    return list(zip(length.tolist(), theta.tolist()))
+
+
 @pytest.mark.parametrize("R", [1e16, 1e20, 1e30])
 def test_trace_invariants_of_large_traces(R):
     # past |tr| ~ 1/eps one root of lam^2 - tr lam + 1 is all cancellation and
     # can still have modulus >= 1; the multiplier is the other root
     for k in range(64):
         lam = R * cmath.exp(2j * math.pi * k / 64)
-        length, theta = trace_invariants(lam + 1 / lam, Model.H3)
+        [(length, theta)] = invariants([lam + 1 / lam], Model.H3)
         assert_allclose(length, 2 * math.log(R), rtol=1e-14)
         assert abs(wrap_angle(theta - 4 * math.pi * k / 64)) < 1e-12
 
@@ -286,7 +294,7 @@ def test_trace_invariants_of_large_traces(R):
 def test_trace_invariants_past_the_square_overflow(tr, model):
     # tr * tr overflows past |tr| ~ 1.3e154 (length ~ 709), which gave (inf,
     # nan) or (nan, nan); up there the multiplier is tr to the last bit
-    length, theta = trace_invariants(tr, model)
+    [(length, theta)] = invariants([tr], model)
     assert length == 2 * math.log(abs(tr))
     assert math.isfinite(theta)
     if model == Model.H3:
@@ -299,10 +307,43 @@ def test_trace_invariants_of_a_long_d0_class(group_d0):
     # 95 letters, tr = -9.7e42 - 5.6e43i: the cancelled root gave length 123.38
     m = group_d0.evaluate((1,) + (-2,) * 88 + (-1, 2, 2, -1, -2, -2))
     lam = max(np.linalg.eigvals(np.array(m.entries).reshape(2, 2)), key=abs)
-    length, theta = trace_invariants(m.trace(), Model.H3)
+    [(length, theta)] = invariants([m.trace()], Model.H3)
     assert_allclose(length, 2 * math.log(abs(lam)), rtol=1e-12)
     assert length > 200.0
     assert abs(wrap_angle(theta - 2 * cmath.phase(lam))) < 1e-9
+
+
+def _kernel_cases(rng):
+    """Traces where the array kernel's formula could part from the scalar one."""
+    z = rng.standard_normal((2, 3000)) * np.exp(rng.uniform(-5.0, 40.0, 3000))
+    y = rng.uniform(0.0, 6.0, 500)  # tr^2 - 4 with a real part of exactly 0
+    x = np.sqrt(4.0 + y * y)
+    on_axis = [complex(sx * a, sy * b) for a, b in zip(x, y) for sx in (1, -1) for sy in (1, -1)]
+    on_axis = [t for t in on_axis if (t * t).real - 4.0 == 0.0]
+    near = [np.nextafter(1e150, 0.0), 1e150, np.nextafter(1e150, math.inf)]
+    return (list(z[0] + 1j * z[1])                                    # all four quadrants
+            + list(z[0] + 0j) + [complex(t, -0.0) for t in z[0][:500]]  # real, both zero signs
+            + on_axis
+            + [2, -2, 2j, complex(2, -0.0), complex(-2, -0.0), 0, complex(-0.0, -0.0),
+               1.5, -1.5, complex(-1.5, -0.0), 2 * cmath.exp(0.3j), 1.9 * cmath.exp(-2.1j),
+               complex(2, 1e-310), complex(-2, -5e-324)]               # |tr| <= 2, subnormal roots
+            + [complex(x, s * y) for y in (0.5, 3.0, 1e20) for s in (1, -1)
+               for x in (0.0, -0.0)]                 # imaginary multipliers: holonomy exactly +-pi
+            + [complex(s * t, v) for t in near for s in (1, -1) for v in (0.0, -0.0)]
+            + [complex(t * math.cos(0.7), t * math.sin(0.7)) for t in near]
+            + [1e160, -3e170, 1e300, 1e200 + 1e199j])                  # past the square overflow
+
+
+@pytest.mark.parametrize("model", [Model.H2, Model.H3])
+def test_trace_invariants_match_the_scalar_formula(model, rng):
+    # to the last bit, signs of zeros included: repr tells -0.0 from 0.0
+    trs = _kernel_cases(rng)
+    if model == Model.H2:
+        trs = [complex(t.real, 0.0) for t in map(complex, trs)]
+    got = invariants(trs, model)
+    assert len(got) > 7000
+    assert [repr(x) for x in got] == [repr(scalar_trace_invariants(complex(t), model))
+                                      for t in trs]
 
 
 # -- boundary derivative ---------------------------------------------------------

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import scalar_trace_invariants
 from covercount import schottky as sk
 from covercount.errors import (BudgetExceeded, DisksOverlap, PairingBroken,
                                RankDeficientHomology, ValidationError)
 from covercount.groupfile import fixture_text, group_from_dict, load_group, pairing_map
-from covercount.hyperbolic import (Model, geodesic_invariants, mat_mul,
-                                   trace_invariants)
+from covercount.hyperbolic import Model, frob2, geodesic_invariants, mat_mul
 from covercount.schottky import (Disk, SchottkyGroup, canonical_rotation,
                                  enumerate_orbit, enumerate_orbit_bruteforce,
                                  is_cyclically_reduced, is_primitive, is_reduced,
@@ -370,6 +370,83 @@ def test_enumerate_identity_is_an_ordinary_record(group_b):
     assert records == [sk.OrbitRecord((), 0.0, (0,), sk.IDENTITY)]
 
 
+# The scalar depth-first loop that the block orbit walk replaced: one word
+# and one Python complex product per node, records collected as visited and
+# sorted once.  The block walk must give its records bit for bit and in its
+# order; over a budget both raise and emit nothing.
+
+def _scalar_enumerate_orbit(group, T, emit=None, budget=None):
+    cosh_cut = math.cosh(T) * (1.0 + sk.SHADOW_SLACK)
+    sinh_cut = math.sinh(T) * (1.0 + sk.SHADOW_SLACK)
+    mats = group._mats
+    letters = [sk.letter_of_index(idx) for idx in range(group.n_symbols)]
+    shadows = [(idx, dk.center, dk.radius * dk.radius, 2.0 * dk.radius * sinh_cut)
+               for idx, dk in enumerate(group.disks)]
+    found = []  # (index word, displacement, matrix) per record
+    stack = [((), sk.IDENTITY)]
+    while stack:
+        w, m = stack.pop()
+        ch = frob2(m) / 2.0
+        if ch <= cosh_cut:
+            disp = math.acosh(max(ch, 1.0))
+            if disp <= T:
+                found.append((w, disp, m))
+                if budget is not None and len(found) > budget:
+                    raise BudgetExceeded(budget)
+        a, b, c, d = m
+        t = 1.0 / (a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag)
+        z = -(b * a.conjugate() + d * c.conjugate()) * t
+        tt = t * t
+        bad = sk.inverse_index(w[-1]) if w else None
+        for idx, q, r2, cut in shadows:
+            if idx == bad:
+                continue
+            dz = z - q
+            if dz.real * dz.real + dz.imag * dz.imag + tt - r2 > cut * t:
+                continue
+            stack.append((w + (idx,), mat_mul(m, mats[idx])))
+    if emit is not None:
+        found.sort(key=lambda rec: (rec[0][:1], len(rec[0]), rec[0]))
+        for w, disp, m in found:
+            word = tuple(map(letters.__getitem__, w))
+            emit(sk.OrbitRecord(word, disp, _reference_homology(group, word), m))
+    return len(found)
+
+
+def _run(fn, group, cut_off, budget=None):
+    """(count or "budget", records as reprs: every float to the last bit)."""
+    records = []
+    try:
+        out = fn(group, cut_off, emit=records.append, budget=budget)
+    except BudgetExceeded:
+        out = "budget"
+    return out, [repr(r) for r in records]
+
+
+@pytest.mark.parametrize("name,T", [("b", 13.0), ("b", 13.35), ("c", 12.5), ("d0", 11.0),
+                                    ("d1", 11.0), ("b", 0.0), ("c", -0.5)],
+                         ids=["b", "b-vectors-cap", "c", "d0", "d1", "T0", "T-below-0"])
+def test_enumerate_matches_scalar_loop(request, name, T):
+    group = request.getfixturevalue(f"group_{name}")
+    new = _run(enumerate_orbit, group, T)
+    assert new == _run(_scalar_enumerate_orbit, group, T)
+    assert new[0] > 1500 or T <= 0.0
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 100])
+@pytest.mark.parametrize("name,T", [("b", 9.0), ("d0", 8.5)], ids=["b", "d0"])
+def test_small_orbit_blocks_match_scalar_loop(request, monkeypatch, name, T, block):
+    # small blocks split every level into many stack entries, and the records
+    # into many emission chunks
+    group = request.getfixturevalue(f"group_{name}")
+    monkeypatch.setattr(sk, "BLOCK", block)
+    monkeypatch.setattr(sk, "EMIT_CHUNK", block)
+    ref = _run(_scalar_enumerate_orbit, group, T)
+    assert _run(enumerate_orbit, group, T) == ref
+    for budget in (0, 1, ref[0] // 3, ref[0] - 1):
+        assert _run(enumerate_orbit, group, T, budget) == ("budget", [])
+
+
 @pytest.mark.parametrize("enumerate_", [enumerate_orbit, primitive_classes],
                          ids=["orbit", "classes"])
 @pytest.mark.parametrize("name", ["b", "d0"])
@@ -400,7 +477,9 @@ def test_nan_cut_off_is_validation_error(group_b, enumerate_, capped_walks):
 
 def test_classes_below_min_length_empty(group_b):
     min_gen = min(geodesic_invariants(x).length for x in group_b.generators)
-    assert primitive_classes(group_b, 0.9 * min_gen) == 0
+    records = []
+    assert primitive_classes(group_b, 0.9 * min_gen, emit=records.append) == 0
+    assert records == []
 
 
 def test_classes_orientation_reversal_pairing(group_b):
@@ -475,7 +554,7 @@ def _reference_primitive_classes(group, L, emit=None, budget=None):
         while stack:
             word, m, last = stack.pop()
             if last != sk.inverse_index(first_idx):
-                length, theta = trace_invariants(m[0] + m[3], group.model)
+                length, theta = scalar_trace_invariants(m[0] + m[3], group.model)
                 if 0.0 < length <= L and word == canonical_rotation(word) \
                         and is_primitive(word):
                     count += 1
@@ -557,14 +636,15 @@ def _scalar_primitive_classes(group, L, emit=None, budget=None):
             w, m, p = stack.pop()
             if (p == len(w) and w[-1] != sk.inverse_index(first_idx)
                     and abs(m[0] + m[3]) <= tr_cap):
-                length, theta = trace_invariants(m[0] + m[3], group.model)
+                length, theta = scalar_trace_invariants(m[0] + m[3], group.model)
                 if 0.0 < length <= L:
                     count += 1
                     if budget is not None and count > budget:
                         raise BudgetExceeded(budget)
                     if emit is not None:
-                        emit(sk.GeodesicRecord(tuple(map(letters.__getitem__, w)), length,
-                                               group._index_homology(w), theta, m))
+                        word = tuple(map(letters.__getitem__, w))
+                        emit(sk.GeodesicRecord(word, length, _reference_homology(group, word),
+                                               theta, m))
             _, _, c, d = m
             ac = abs(c)
             bad = sk.inverse_index(w[-1])
@@ -580,24 +660,14 @@ def _scalar_primitive_classes(group, L, emit=None, budget=None):
     return count
 
 
-def _run_classes(fn, group, L, budget=None):
-    """(count or "budget", records as reprs: every float to the last bit)."""
-    records = []
-    try:
-        out = fn(group, L, emit=records.append, budget=budget)
-    except BudgetExceeded:
-        out = "budget"
-    return out, [repr(r) for r in records]
-
-
 @pytest.mark.parametrize("name,L", [("b", 18.5), ("c", 16.0), ("d0", 17.0), ("d1", 15.0)],
                          ids=["b", "c", "d0", "d1"])
 def test_classes_match_scalar_loop(request, name, L):
     # the census sizes; on H3 the loop has no trace cap, so this also checks
     # that the cap drops no class
     group = request.getfixturevalue(f"group_{name}")
-    new = _run_classes(primitive_classes, group, L)
-    assert new == _run_classes(_scalar_primitive_classes, group, L)
+    new = _run(primitive_classes, group, L)
+    assert new == _run(_scalar_primitive_classes, group, L)
     assert new[0] > 3000
 
 
@@ -606,20 +676,22 @@ def test_classes_budget_at_large_length_matches_scalar_loop(request, name):
     # whole levels up to L = 40 would hold about e^24 words; the depth-first
     # block walk meets the budget after a few blocks, as the loop does
     group = request.getfixturevalue(f"group_{name}")
-    assert _run_classes(primitive_classes, group, 40.0, budget=1000) == ("budget", [])
-    assert _run_classes(_scalar_primitive_classes, group, 40.0, budget=1000)[0] == "budget"
+    assert _run(primitive_classes, group, 40.0, budget=1000) == ("budget", [])
+    assert _run(_scalar_primitive_classes, group, 40.0, budget=1000)[0] == "budget"
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
 @pytest.mark.parametrize("name,L", [("b", 12.0), ("d0", 11.0)], ids=["b", "d0"])
 def test_small_class_blocks_match_scalar_loop(request, monkeypatch, name, L, block):
-    # small blocks split every level into many stack entries
+    # small blocks split every level into many stack entries, and the classes
+    # into many emission chunks
     group = request.getfixturevalue(f"group_{name}")
-    monkeypatch.setattr(sk, "CLASS_BLOCK", block)
-    ref = _run_classes(_scalar_primitive_classes, group, L)
-    assert _run_classes(primitive_classes, group, L) == ref
+    monkeypatch.setattr(sk, "BLOCK", block)
+    monkeypatch.setattr(sk, "EMIT_CHUNK", block)
+    ref = _run(_scalar_primitive_classes, group, L)
+    assert _run(primitive_classes, group, L) == ref
     for budget in (0, 1, ref[0] // 3, ref[0] - 1):
-        assert _run_classes(primitive_classes, group, L, budget) == ("budget", [])
+        assert _run(primitive_classes, group, L, budget) == ("budget", [])
 
 
 def _reduced_words(n_letters, max_len):
@@ -670,7 +742,7 @@ def test_classes_match_bruteforce(request, name, L, max_len):
     words = []
     primitive_classes(group, L, emit=lambda r: words.append(r.word))
     brute = [w for w in _lyndon_classes(_reduced_words(group.n_symbols, max_len))
-             if 0.0 < trace_invariants(group.evaluate(w).trace(), group.model)[0] <= L]
+             if 0.0 < scalar_trace_invariants(group.evaluate(w).trace(), group.model)[0] <= L]
     # the oracle is complete only if no emitted word comes near its depth
     assert max(len(w) for w in words) < max_len
     assert sorted(words) == sorted(brute)

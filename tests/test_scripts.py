@@ -23,9 +23,11 @@ def test_script_writes_data(tmp_path, script, args):
 
 @pytest.mark.parametrize("script,args", [
     ("orbit_growth.py", ["--t-max", "nan"]),
+    ("orbit_growth.py", ["--checkpoints", "4"]),  # the growth fit takes >= 5
     ("pressure_surface_sweep.py", ["--u-max", "nan"]),
     ("spectral_gap_heatmap.py", ["--t-max", "inf"]),
-], ids=["orbit_growth", "pressure_surface_sweep", "spectral_gap_heatmap"])
+], ids=["orbit_growth", "orbit_growth-checkpoints", "pressure_surface_sweep",
+        "spectral_gap_heatmap"])
 def test_script_bad_option_is_one_error_line(tmp_path, script, args):
     # as the CLI does: one error line, exit 3, no traceback and no data
     proc, out = _run(tmp_path, script, args)
