@@ -14,10 +14,14 @@ tabulates its branch weights from the same blocks.  Toy shifts are the exact
 one-node case (logd = -tau, interp = 1), so both kinds share one assembly
 from per-transition blocks.
 
-Every eigensolve is a batch (numpy only: importing this module loads no
-scipy): one matrix M with a column scaling D_b per member, stepped together
-through an in-package Krylov-Schur kernel, with dense eig as the fallback.  A
-single solve is the batch of one; the scan solves each t row's twists, which
+Eigensolves use numpy only (importing this module loads no scipy).  The path
+rule is Perron -> power loop -> kernel -> dense.  A Perron solve, at real s
+with no imaginary twist (every solve of a root, the certified one at it and
+the left one for rho), runs a power loop on the real matrix.  A solve the
+loop fails, and every other solve, goes to an in-package Krylov-Schur kernel
+that takes a batch: one matrix M with a column scaling D_b per member,
+stepped together.  Dense eig is the fallback, and the solver at 16 x 16 and
+below.  A single solve is the batch of one; the scan solves each t row's twists, which
 scale the block columns of M(delta + i t, 0, 0), as one batch.
 
 The pressure P(u) is a Brent root of lambda(s; u) = 1; its gradient and
@@ -301,13 +305,44 @@ def _krylov_schur(M: np.ndarray, starts: np.ndarray, D: Optional[np.ndarray] = N
     return out
 
 
-def _dominant(M: np.ndarray, D: Optional[np.ndarray] = None) -> list:
+# Power steps before a Perron solve moves on to the kernel: 300 steps cost about one kernel
+# solve (4.7 us a step against 1.4 ms at n = 96, 7.0 us against 1.9 ms at n = 192; 2-vCPU
+# Intel Xeon, BLAS at 1 thread).  The roots' solves take at most about 200 (b at s = 1).
+PERRON_STEPS = 300
+
+
+def _power(A: np.ndarray, x: np.ndarray):
+    """(lam, z, residual) for the real matrix A, whose top eigenvalue is
+    positive and simple, by the power method from x: lam = |A z| with |z| = 1
+    once two successive estimates agree to 2 ulps; None after PERRON_STEPS."""
+    lam, z = 0.0, x / np.linalg.norm(x)
+    for _ in range(PERRON_STEPS):
+        w = A @ z
+        lam, prev = float(np.linalg.norm(w)), lam
+        if not lam > 0.0:
+            return None
+        z = w / lam
+        if abs(lam - prev) <= 2 * math.ulp(lam):
+            return lam, z, float(np.linalg.norm(A @ z - lam * z))
+    return None
+
+
+def _dominant(M: np.ndarray, D: Optional[np.ndarray] = None, perron: bool = False) -> list:
     """Dominant eigenpairs [(lam, z, residual)] of M D_b for the rows D_b of
-    the column scalings D (None: M alone, a batch of one).  Path rule, per
-    member: the kernel from a fixed near-constant start when M is larger than
-    16 x 16; dense eig when M is smaller or the kernel's pair misses 1e-10."""
+    the column scalings D (None: M alone, a batch of one).  Path rule, from a
+    fixed near-constant start when M is larger than 16 x 16: a Perron solve
+    (perron: the caller's real s with no imaginary twist, D None) runs the
+    power loop on M.real; a loop that hits its cap or misses a residual of
+    1e-10 max(1, |lam|), and every other member, goes to the kernel; a
+    kernel pair that misses it goes to dense eig, as every solve at 16 x 16
+    and below does."""
     n, B = M.shape[0], 1 if D is None else len(D)
-    starts = np.ones((B, n), dtype=complex) + 1e-3 * np.linspace(0.0, 1.0, n)
+    start = np.ones(n) + 1e-3 * np.linspace(0.0, 1.0, n)
+    # the copy makes M.real contiguous, which BLAS steps about 3x faster than the view
+    pair = _power(np.ascontiguousarray(M.real), start) if perron and n > 16 else None
+    if pair is not None and pair[2] < 1e-10 * max(1.0, pair[0]):
+        return [pair]
+    starts = np.tile(start, (B, 1)).astype(complex)
     out = []
     for i, pair in enumerate(_krylov_schur(M, starts, D) if n > 16 else [None] * B):
         A = M if D is None else M * D[i]
@@ -337,13 +372,14 @@ def _off_node_residuals(spec: OperatorSpec, s: complex, v, p: int, u,
 
 
 def _certified(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
-               phases: Optional[np.ndarray] = None, check_stability: bool = True):
+               phases: Optional[np.ndarray] = None, check_stability: bool = True,
+               perron: bool = False):
     """M = M(s, v, p, u) and _dominant's eigenpairs (lam, h, res) of M D_b, D_b
     scaling block column a by phases[b, a] (None: M alone), each res < RESIDUAL_TOL
     and, with collocation, each off-node residual r <= OFF_NODE_TOL."""
     N, M = spec.grid.nodes_per_disk, build_matrix(spec, s, v, p, u)
     D = None if phases is None else np.repeat(phases, N, axis=1)
-    pairs = _dominant(M, D)
+    pairs = _dominant(M, D, perron=perron)
     if bad := [res for _, _, res in pairs if not res < RESIDUAL_TOL]:
         raise NotConverged(f"residual {bad[0]:.3e}")
     if spec.shift.analytic and check_stability:
@@ -356,12 +392,15 @@ def _certified(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
 def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
                        u=None, want_measure: bool = False,
                        check_stability: bool = True) -> SpectralResult:
-    """Dominant eigenvalue with certified residual: _certified's batch of one."""
-    M, [(lam, h, res)] = _certified(spec, s, v, p, u, check_stability=check_stability)
-    rho = None
+    """Dominant eigenvalue with certified residual: _certified's batch of one.
+    At real s with v = 0 and p = 0 (any real u) the operator is positive, and
+    its right and left Perron solves start with _dominant's power loop."""
     is_perron = (abs(complex(s).imag) == 0.0
                  and (v is None or not np.any(np.asarray(v)))
                  and p == 0)
+    M, [(lam, h, res)] = _certified(spec, s, v, p, u, check_stability=check_stability,
+                                    perron=is_perron)
+    rho = None
     # the solver's phase is arbitrary: divide it out before taking real parts
     if is_perron:
         lam = complex(lam.real, 0.0)
@@ -369,7 +408,7 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
         if want_measure and np.min(h) <= 0:
             raise NotConverged("Perron eigenfunction is not strictly positive")
     if want_measure:
-        [(lamL, rho, resL)] = _dominant(M.T)
+        [(lamL, rho, resL)] = _dominant(M.T, perron=is_perron)
         gap = abs(lamL - lam)
         if not (resL < RESIDUAL_TOL and gap <= RESIDUAL_TOL * max(1.0, abs(lam))):
             raise NotConverged(f"left eigenpair residual {resL:.3e}, "
@@ -475,6 +514,22 @@ def pressure(spec: OperatorSpec, u) -> float:
     return _solve_pressure_root(spec, u=u)
 
 
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^-1 B by Gaussian elimination with partial pivoting, every step an
+    elementwise numpy operation or a sum: no BLAS call, so its bits do not
+    depend on the BLAS thread count, as LAPACK's getrf's do."""
+    m = len(A)
+    W = np.hstack([A, B])  # [A | B], reduced to [U | C] in place
+    for k in range(m):
+        p = k + int(np.argmax(np.abs(W[k:, k])))
+        W[[k, p]] = W[[p, k]]
+        W[k + 1:, k:] -= (W[k + 1:, k] / W[k, k])[:, None] * W[k, k:]
+    X = W[:, m:]
+    for k in range(m - 1, -1, -1):
+        X[k] = (X[k] - (W[k, k + 1:m, None] * X[k + 1:]).sum(axis=0)) / W[k, k]
+    return X
+
+
 @dataclass
 class PressureSurface:
     delta: float
@@ -494,7 +549,8 @@ def pressure_surface(spec: OperatorSpec) -> PressureSurface:
     coefficient of s (p = 0: logd) or of u_p (f) in the exponent of each entry
     of M (build_matrix), so M_p = X_p o M, lambda_p = rho M_p h and
       lambda_pq = rho (X_p X_q o M) h + rho M_p h_q + rho M_q h_p,
-    where (lambda - M + h rho^T) h_p = (M_p - lambda_p) h, one dense solve.
+    where (lambda - M + h rho^T) h_p = (M_p - lambda_p) h, one dense solve
+    (_solve, whose bits do not depend on the BLAS thread count).
     Implicit differentiation of lambda(P(u), u) = 1 gives grad P and Hess P.
 
     A cocycle cohomologous to zero leaves a Hessian of rounding size and
@@ -517,8 +573,7 @@ def pressure_surface(spec: OperatorSpec) -> PressureSurface:
     Mp = (X * M.ravel()).reshape(d + 1, m, m)
     rMp = rho @ Mp
     lam_p = rMp @ h
-    hp = np.linalg.solve(lam * np.eye(m) - M + np.outer(h, rho),
-                         (Mp @ h - lam_p[:, None] * h).T)
+    hp = _solve(lam * np.eye(m) - M + np.outer(h, rho), (Mp @ h - lam_p[:, None] * h).T)
     first = (X * (np.outer(rho, h) * M).ravel()) @ X.T
     cross = rMp @ hp  # rho M_p h_q
     lam_pq = first + cross + cross.T

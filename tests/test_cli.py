@@ -9,9 +9,11 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from covercount import acceptance, cli
+from covercount import shift as sh
 from covercount import transfer as tr
 from covercount.cli import main
 
@@ -69,9 +71,34 @@ def test_delta_solves_once_at_the_root(tmp_path, monkeypatch):
     sizes = []
     solve = tr._dominant
     monkeypatch.setattr(tr, "_dominant",
-                        lambda M, D=None: sizes.append(M.shape[0]) or solve(M, D))
+                        lambda M, D=None, **kw: sizes.append(M.shape[0]) or solve(M, D, **kw))
     assert run(["--out", str(tmp_path), "delta", "--group", "fixture:b"]) == 0
     assert Counter(sizes) == {96: 11}
+
+
+def test_root_jobs_run_no_kernel_and_no_lapack_eig(tmp_path, monkeypatch):
+    # delta, pressure and a census that needs delta solve every Perron problem
+    # with the power loop: neither the Krylov-Schur kernel nor LAPACK's eig or
+    # QR runs, whose first call alone adds about 2 MB to the peak RSS; a
+    # scan row still runs the kernel
+    calls = Counter()
+
+    def counted(name, f):
+        return lambda *a, **kw: calls.update([name]) or f(*a, **kw)
+
+    monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    monkeypatch.setattr(tr, "_krylov_schur", counted("kernel", tr._krylov_schur))
+    monkeypatch.setattr(sh, "_workers", lambda: 1)  # a forked worker's calls are not counted
+    for argv in (["delta", "--group", "fixture:b"],
+                 ["pressure", "--group", "fixture:c", "--u=0.1,0.2", "--u=-0.1,-0.2"],
+                 ["count-orbit", "--group", "fixture:b", "--t-min", "3", "--t-max", "5",
+                  "--checkpoints", "3"]):
+        assert run(["--out", str(tmp_path), *argv]) == 0
+    assert not calls
+    assert run(["--out", str(tmp_path), "scan", "--group", "fixture:b",
+                "--t-count", "1", "--v-count", "2"]) == 0
+    assert calls["kernel"] == 1 and calls["eig"] >= 1
 
 
 def _src_env():
@@ -450,30 +477,54 @@ def test_float_option_must_be_finite(tmp_path, capsys, monkeypatch, command, fla
         assert not (tmp_path / "out").exists()
 
 
+def _cli_run_dir(out, blas, command, *args):
+    """Run one CLI command in a subprocess at `blas` OpenBLAS threads; its run
+    directory under out."""
+    env = {k: v for k, v in _src_env().items() if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = str(blas)
+    proc = subprocess.run([sys.executable, "-m", "covercount.cli", "--out", str(out), command,
+                           *args], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (run_dir,) = Path(out).glob(f"{command}-*")
+    return run_dir
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def test_scan_and_clt_same_manifest_forked_or_serial(tmp_path):
     # the real worker rule: one BLAS thread per process shares the work
     # between the CPUs, as many BLAS threads as CPUs keeps it in one process
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cpus = _usable_cpus()
     if cpus < 2 or not hasattr(os, "fork"):
         pytest.skip("needs fork and 2 usable CPUs")
     jobs = {"scan": ["--t-max", "2.0", "--t-count", "6", "--v-count", "4"],
             "clt": ["--traj", "600", "--steps", "200", "--seed", "4"]}
     manifests = {}
     for blas in (1, cpus):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["OPENBLAS_NUM_THREADS"] = str(blas)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         for command, extra in jobs.items():
-            out = tmp_path / f"blas{blas}"
-            proc = subprocess.run([sys.executable, "-m", "covercount.cli", "--out", str(out),
-                                   command, "--group", "fixture:b", *extra],
-                                  env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            (run_dir,) = out.glob(f"{command}-*")
+            run_dir = _cli_run_dir(tmp_path / f"blas{blas}", blas, command,
+                                   "--group", "fixture:b", *extra)
             manifests[blas, command] = (run_dir / "manifest.json").read_bytes()
     for command in jobs:
         assert manifests[1, command] == manifests[cpus, command], command
+
+
+def test_root_reports_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # no step of a root or of pressure_surface depends on the BLAS thread
+    # count (LAPACK's solve there moved sigma, c0 and a Hessian entry of c in
+    # their last digit); a single-CPU host runs OpenBLAS at one thread only
+    if _usable_cpus() < 2:
+        pytest.skip("one usable CPU: OpenBLAS cannot run 2 threads to compare with 1")
+    jobs = {"pressure": ["--group", "fixture:c", "--u=0.1,0.2", "--u=-0.1,-0.2"],
+            "delta": ["--group", "fixture:b"]}
+    for command, args in jobs.items():
+        files = []
+        for blas in (1, 2):
+            run_dir = _cli_run_dir(tmp_path / f"blas{blas}", blas, command, *args)
+            files.append({f.name: f.read_bytes() for f in sorted(run_dir.iterdir())})
+        assert files[0] == files[1], command
 
 
 # cheap options for every command that writes a manifest

@@ -20,7 +20,7 @@ from covercount.groupfile import load_any, load_group
 from covercount.shift import MarkovShift, from_schottky
 from covercount.transfer import (OperatorSpec, build_matrix, critical_exponent,
                                  leading_eigenvalue, pressure, pressure_surface,
-                                 spectral_radius_scan)
+                                 spectral_at_delta, spectral_radius_scan)
 
 from conftest import toy_full_shift
 
@@ -423,7 +423,7 @@ def _scipy_brentq(f, lo, hi, f_lo, f_hi):
 
 
 @pytest.mark.parametrize("name,nodes,solves", [("toy2", None, 4), ("b", 24, 10),
-                                               ("b", 48, 10), ("c", 24, 10)])
+                                               ("b", 48, 10), ("c", 24, 9)])
 def test_brent_port_bit_equal_to_scipy(name, nodes, solves, monkeypatch):
     # the port starts from the bracket's eigenvalues, where scipy evaluates
     # both ends again: two eigensolves fewer per root, the same root bits
@@ -458,7 +458,7 @@ def test_surface_solves_once_at_delta(spec_b, monkeypatch):
     sizes = []
     solve = tr._dominant
     monkeypatch.setattr(tr, "_dominant",
-                        lambda M, D=None: sizes.append(M.shape[0]) or solve(M, D))
+                        lambda M, D=None, **kw: sizes.append(M.shape[0]) or solve(M, D, **kw))
     pressure_surface(spec_b)
     assert Counter(sizes) == {96: 12}
 
@@ -569,8 +569,8 @@ def test_scan_batches_only_column_scaling_twists(toy3_mixed, monkeypatch):
     sizes = []
     solve = tr._dominant
     monkeypatch.setattr(sh, "_workers", lambda: 1)
-    monkeypatch.setattr(tr, "_dominant", lambda M, D=None:
-                        sizes.append(0 if D is None else len(D)) or solve(M, D))
+    monkeypatch.setattr(tr, "_dominant", lambda M, D=None, **kw:
+                        sizes.append(0 if D is None else len(D)) or solve(M, D, **kw))
     rows = spectral_radius_scan(spec, 0.4, [1.3, 0.0], v_grid, p_list).rows
     assert Counter(sizes) == {3: 2, 0: 2 * 6}
     for r in rows:
@@ -604,7 +604,7 @@ def test_scan_rejects_an_unresolved_row_at_24_nodes(shift_b, delta_b, monkeypatc
 
 
 def test_not_converged_message(toy2_spec, monkeypatch):
-    monkeypatch.setattr(tr, "_dominant", lambda M, D=None: [(1.0 + 0j, np.ones(2), 1.2e-3)])
+    monkeypatch.setattr(tr, "_dominant", lambda M, D=None, **kw: [(1.0 + 0j, np.ones(2), 1.2e-3)])
     with pytest.raises(NotConverged) as err:
         leading_eigenvalue(toy2_spec, math.log(2.0))
     assert str(err.value) == "eigensolver did not converge: residual 1.200e-03"
@@ -616,8 +616,8 @@ def test_left_eigenpair_checked(toy2_spec, monkeypatch, left_shift, left_res):
     # the right solve is exact; the left one (the second call) is perturbed
     solve, calls = tr._dominant, []
 
-    def perturbed(M, D=None):
-        [(lam, z, res)] = solve(M, D)
+    def perturbed(M, D=None, **kw):
+        [(lam, z, res)] = solve(M, D, **kw)
         calls.append(M)
         if len(calls) == 2:
             return [(lam + left_shift, z, res + left_res)]
@@ -636,8 +636,9 @@ def test_perron_vectors_ignore_solver_phase(spec_b, delta_b, monkeypatch, want_m
     want = leading_eigenvalue(spec_b, delta_b, want_measure=want_measure)
     solve = tr._dominant
 
-    def rotated(M, D=None):
-        return [(lam, 1j * z / z[np.argmax(np.abs(z))], res) for lam, z, res in solve(M, D)]
+    def rotated(M, D=None, **kw):
+        return [(lam, 1j * z / z[np.argmax(np.abs(z))], res)
+                for lam, z, res in solve(M, D, **kw)]
 
     monkeypatch.setattr(tr, "_dominant", rotated)
     got = leading_eigenvalue(spec_b, delta_b, want_measure=want_measure)
@@ -727,7 +728,8 @@ def test_scan_rows_match_reference_solver(shift_b, delta_b, monkeypatch):
     solves, builds = [], []
     solve, build = tr._dominant, tr.build_matrix
     monkeypatch.setattr(sh, "_workers", lambda: 1)  # a worker's calls are not recorded here
-    monkeypatch.setattr(tr, "_dominant", lambda M, D=None: solves.append((M, D)) or solve(M, D))
+    monkeypatch.setattr(tr, "_dominant",
+                        lambda M, D=None, **kw: solves.append((M, D)) or solve(M, D, **kw))
     monkeypatch.setattr(tr, "build_matrix", lambda *a, **kw: builds.append(a) or build(*a, **kw))
     got = spectral_radius_scan(spec, delta_b, **grid).rows
     assert len(builds) == len(solves) == 3  # one per t row
@@ -842,24 +844,82 @@ def test_krylov_schur_batch_matches_dense_eig(restarts, monkeypatch):
 
 @pytest.mark.parametrize("case", ["perron-b-half", "perron-toy2"])
 def test_dominant_path_rule(case, spec_b, delta_b, toy2_spec, monkeypatch):
-    # every solve goes straight to the kernel from the fixed start, or to
-    # dense eig at 16 x 16 and below
+    # a Perron solve larger than 16 x 16 is the power loop on M.real from the
+    # fixed start, and nothing else; the same matrix as a general solve goes
+    # straight to the kernel from that start; dense eig alone at 16 x 16 and below
     M = _reference_case(case, spec_b, delta_b, toy2_spec)
-    starts, dense = [], []
-    kernel, leading = tr._krylov_schur, tr._dense_leading
+    powers, starts, dense = [], [], []
+    power, kernel, leading = tr._power, tr._krylov_schur, tr._dense_leading
+    monkeypatch.setattr(tr, "_power", lambda A, x: powers.append((A, x)) or power(A, x))
     monkeypatch.setattr(tr, "_krylov_schur",
                         lambda A, X, D=None: starts.append(X) or kernel(A, X, D))
     monkeypatch.setattr(tr, "_dense_leading", lambda A: dense.append(A) or leading(A))
-    _solve_one(M)
+    tr._dominant(M, perron=True)
     n = M.shape[0]
+    start = np.ones(n) + 1e-3 * np.linspace(0.0, 1.0, n)
     if case == "perron-b-half":
-        assert n == 96 and len(starts) == 1 and starts[0].shape == (1, n) and not dense
-        assert np.array_equal(starts[0][0], np.ones(n) + 1e-3 * np.linspace(0.0, 1.0, n))
+        assert n == 96 and len(powers) == 1 and not starts and not dense
+        assert np.array_equal(powers[0][0], M.real) and np.array_equal(powers[0][1], start)
+        _solve_one(M)
+        assert len(powers) == 1 and len(starts) == 1 and starts[0].shape == (1, n) and not dense
+        assert np.array_equal(starts[0][0], start)
     else:
-        assert n <= 16 and not starts and len(dense) == 1 and dense[0] is M
+        assert n <= 16 and not powers and not starts and len(dense) == 1 and dense[0] is M
 
 
-def _dense_dominant(M, D=None):
+@pytest.mark.parametrize("name,nodes,u", [("b", 24, None), ("b", 48, None), ("c", 20, None),
+                                          ("c", 24, None), ("c", 24, (0.1, 0.2)),
+                                          ("c", 24, (-0.3, 0.25))])
+def test_perron_solves_match_dense_eig(name, nodes, u, monkeypatch):
+    # every solve of a root (the bracket, Brent, and at delta the certified
+    # right solve and the left one for rho) is a power-loop solve, and its
+    # lambda agrees with dense eig's to 1e-14
+    spec = OperatorSpec(from_schottky(load_any(f"fixture:{name}")), nodes_per_disk=nodes)
+    solves, solve = [], tr._dominant
+
+    def recorded(M, D=None, **kw):
+        pairs = solve(M, D, **kw)
+        solves.append((M, D, kw, pairs[0][0]))
+        return pairs
+
+    monkeypatch.setattr(tr, "_dominant", recorded)
+    monkeypatch.setattr(tr, "_krylov_schur", lambda *a: pytest.fail("the kernel ran"))
+    if u is None:
+        spectral_at_delta(spec, want_measure=True)
+    else:
+        pressure(spec, u)
+    assert len(solves) >= 9
+    for M, D, kw, lam in solves:
+        assert D is None and kw == {"perron": True}
+        vals = np.linalg.eigvals(M)
+        want = vals[np.argmax(np.abs(vals))]
+        assert abs(lam - want) <= 1e-14 * abs(want)
+
+
+def test_power_loop_cap_reaches_the_kernel(monkeypatch):
+    # |lam2 / lam1| = 0.999: after PERRON_STEPS steps the loop's estimates
+    # still move by far more than 2 ulps, so the Perron solve goes on to the
+    # kernel, whose pair matches dense eig's
+    rng = np.random.default_rng(40)
+    spectrum = np.concatenate([[1.3, 0.999 * 1.3], 0.65 * (2.0 * rng.random(38) - 1.0)])
+    X = rng.standard_normal((40, 40))
+    M = np.linalg.solve(X, X * spectrum[:, None])  # X^-1 diag(spectrum) X
+    assert tr._power(M, np.ones(40) + 1e-3 * np.linspace(0.0, 1.0, 40)) is None
+    kernel, dense, calls = tr._krylov_schur, tr._dense_leading, []
+    monkeypatch.setattr(tr, "_krylov_schur",
+                        lambda A, X0, D=None: calls.append(A) or kernel(A, X0, D))
+    monkeypatch.setattr(tr, "_dense_leading", lambda A: pytest.fail("dense eig ran"))
+    [(lam, z, res)] = tr._dominant(M + 0j, perron=True)
+    assert len(calls) == 1
+    vals = np.linalg.eigvals(M)
+    want = vals[np.argmax(np.abs(vals))]
+    assert abs(lam - want) <= 1e-12 * abs(want)
+    assert abs(np.linalg.norm(z) - 1.0) < 1e-14 and res < 1e-10
+    assert np.linalg.norm(M @ z - lam * z) <= 1e-12 * np.linalg.norm(M, 2)
+
+
+def _dense_dominant(M, D=None, perron=False):
+    """Dense eig on every solve, Perron or not."""
     out = []
     for A in ([M] if D is None else [M * d for d in D]):
         vals, vecs = np.linalg.eig(A)
@@ -1010,7 +1070,8 @@ def test_scan_row_solves_once_at_n_nodes(shift_b, delta_b, monkeypatch):
     spec = OperatorSpec(shift_b, nodes_per_disk=48)
     solves, dense, solve = [], [], tr._dominant
     monkeypatch.setattr(sh, "_workers", lambda: 1)
-    monkeypatch.setattr(tr, "_dominant", lambda M, D=None: solves.append((M, D)) or solve(M, D))
+    monkeypatch.setattr(tr, "_dominant",
+                        lambda M, D=None, **kw: solves.append((M, D)) or solve(M, D, **kw))
     monkeypatch.setattr(tr, "_dense_leading", lambda A: dense.append(A))
     v_grid = [[x] for x in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
     assert len(spectral_radius_scan(spec, delta_b, [1.0], v_grid).rows) == 16
