@@ -10,10 +10,9 @@ import sys
 
 import numpy as np
 
-from covercount.cli import _FINITE, _NODES, _POSITIVE_INT, _Parser, exit_code
+from covercount.cli import _FINITE, _NODES, _POSITIVE_INT, _Parser, _spec_for, exit_code
 from covercount.groupfile import load_any
-from covercount.shift import MarkovShift, from_schottky
-from covercount.transfer import OperatorSpec, pressure, pressure_surface
+from covercount.transfer import pressure, pressure_surface
 
 
 def main():
@@ -25,15 +24,12 @@ def main():
     ap.add_argument("--out", default="pressure_sweep.dat")
     args = ap.parse_args()
 
-    obj = load_any(args.group)
-    shift = obj if isinstance(obj, MarkovShift) else from_schottky(obj)
-    spec = OperatorSpec(shift) if not shift.analytic else \
-        OperatorSpec(shift, nodes_per_disk=args.nodes)
+    spec = _spec_for(load_any(args.group), args.nodes)
     surf = pressure_surface(spec)
     print(f"delta = {surf.delta:.12f}  sigma = {surf.sigma:.9f}  C0 = {surf.c0:.9f}")
 
     us = np.linspace(-args.u_max, args.u_max, args.points)
-    d = shift.d
+    d = spec.shift.d
     with open(args.out, "w") as fh:
         if d == 1:
             fh.write("# u  P(u)  quadratic_model\n")

@@ -84,7 +84,7 @@ def c02_coding_correctness(ws: Workspace) -> tuple:
             if word != sk.canonical_rotation(word) or not sk.is_primitive(word):
                 continue
             n_classes += 1
-            ell = geodesic_invariants(group.evaluate(word)).length
+            ell = geodesic_invariants(group.evaluate(word))[0]
             worst = max(worst, abs(sh.cycle_roof_sum(group, word).real - ell))
     return ("C2", "roof sums equal translation lengths", worst < 1e-6,
             {"max_error": worst, "classes_checked": n_classes,

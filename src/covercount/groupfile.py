@@ -38,6 +38,8 @@ def pairing_map(minus: Disk, plus: Disk, model: Model, twist: float = 0.0) -> Mo
 
 def _parse_scalar(x) -> complex:
     if isinstance(x, (list, tuple)):
+        if len(x) != 2:
+            raise ValidationError(f"a complex number is [re, im], not {x}")
         return complex(x[0], x[1])
     return complex(x)
 

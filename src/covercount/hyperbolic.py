@@ -112,13 +112,6 @@ class Split(NamedTuple):
         return np.hypot(self.real, self.imag)  # C hypot, as complex.__abs__
 
 
-def compose(g: MoebiusMap, h: MoebiusMap) -> MoebiusMap:
-    """Matrix product g @ h, not renormalized (see MoebiusMap)."""
-    if g.model != h.model:
-        raise ValueError("cannot compose maps of different models")
-    return MoebiusMap(*mat_mul(g.entries, h.entries), g.model, normalize=False)
-
-
 def inverse(g: MoebiusMap) -> MoebiusMap:
     return MoebiusMap(g.d, -g.b, -g.c, g.a, g.model, normalize=False)
 
@@ -157,14 +150,6 @@ def classify(g: MoebiusMap) -> ElementClass:
     if abs(tr2.imag) <= CLASSIFY_TOL and -CLASSIFY_TOL < tr2.real < 4.0:
         return ElementClass.ELLIPTIC
     return ElementClass.LOXODROMIC
-
-
-@dataclass(frozen=True)
-class GeodesicInvariants:
-    """Translation length and holonomy angle of a loxodromic element."""
-
-    length: float
-    holonomy_angle: float = 0.0
 
 
 def wrap_angle(theta):
@@ -210,13 +195,13 @@ def trace_invariants(tr: Split, model: Model) -> tuple[np.ndarray, np.ndarray]:
     return length, wrap_angle(2.0 * np.array(phase))
 
 
-def geodesic_invariants(g: MoebiusMap) -> GeodesicInvariants:
-    """Translation length and holonomy of a loxodromic map (see trace_invariants)."""
+def geodesic_invariants(g: MoebiusMap) -> tuple[float, float]:
+    """(length, holonomy) of a loxodromic map (see trace_invariants)."""
     if classify(g) != ElementClass.LOXODROMIC:
         raise NotLoxodromic(f"element classifies as {classify(g).value}")
     tr = g.trace()
     length, theta = trace_invariants(Split(np.array([tr.real]), np.array([tr.imag])), g.model)
-    return GeodesicInvariants(float(length[0]), float(theta[0]))
+    return float(length[0]), float(theta[0])
 
 
 def fixed_points(g: MoebiusMap) -> tuple[complex, complex]:

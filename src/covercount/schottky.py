@@ -131,6 +131,16 @@ def _rank_over_q(mat: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def integer_array(values, name: str) -> np.ndarray:
+    """values as int64, refused unless every entry is an integer (the cast
+    alone would truncate 0.5 to 0)."""
+    x = np.asarray(values)
+    if not (x.dtype.kind in "biu" or x.dtype.kind == "f"
+            and np.all((np.abs(x) < 2.0 ** 53) & (x == np.round(x)))):
+        raise ValidationError(f"{name} entries must be integers")
+    return x.astype(np.int64)
+
+
 class SchottkyGroup:
     """Validated Schottky data; immutable once constructed."""
 
@@ -147,7 +157,7 @@ class SchottkyGroup:
             disks.append(disks_plus[i])
             disks.append(disks_minus[i])
         self.disks = tuple(disks)
-        hom = np.asarray(homology_matrix, dtype=np.int64)
+        hom = integer_array(homology_matrix, "homology_matrix")
         if hom.size == 0:
             hom = hom.reshape(0, self.g)
         self.homology_matrix = hom

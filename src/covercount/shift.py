@@ -57,9 +57,11 @@ class MarkovShift:
     group: Optional[SchottkyGroup] = None
 
     def __post_init__(self):
+        if not np.isin(self.transition, (0, 1)).all():
+            raise ValidationError("transition entries must be 0 or 1")
         A = np.asarray(self.transition, dtype=np.int64)
         object.__setattr__(self, "transition", A)
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=np.int64))
+        object.__setattr__(self, "f", sk.integer_array(self.f, "f"))
         k = self.k
         for name in ("transition", "f", "tau", "theta"):
             table, ndim = getattr(self, name), 3 if name == "f" else 2
@@ -73,7 +75,10 @@ class MarkovShift:
                 raise ValidationError("roof must be positive and finite on admissible transitions")
             object.__setattr__(self, "tau", tau)
         if self.theta is not None:
-            object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
+            theta = np.asarray(self.theta, dtype=float)
+            if not np.all(np.isfinite(theta)):
+                raise ValidationError("theta must be finite")
+            object.__setattr__(self, "theta", theta)
         _aperiodicity_power(A)  # raises unless some power of A is positive
 
     @property
@@ -114,10 +119,10 @@ def _aperiodicity_power(A: np.ndarray) -> int:
 
 
 def toy_from_json(data: dict) -> MarkovShift:
-    A = np.asarray(data["transition"], dtype=np.int64)
+    A = np.asarray(data["transition"])
     k = A.shape[0]
     tau = np.asarray(data["tau"], dtype=float)
-    f = np.asarray(data["f"], dtype=np.int64)
+    f = np.asarray(data["f"])
     if f.ndim == 2:  # per-symbol table: row a is every transition (a, b)'s
         f = np.repeat(f[:, None, :], k, axis=1)
     theta = np.asarray(data["theta"], dtype=float) if data.get("theta") is not None else None

@@ -401,29 +401,22 @@ def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
     M, [(lam, h, res)] = _certified(spec, s, v, p, u, check_stability=check_stability,
                                     perron=is_perron)
     rho = None
-    # the solver's phase is arbitrary: divide it out before taking real parts
-    if is_perron:
-        lam = complex(lam.real, 0.0)
-        h = np.real(h / h[int(np.argmax(np.abs(h)))])
-        if want_measure and np.min(h) <= 0:
-            raise NotConverged("Perron eigenfunction is not strictly positive")
     if want_measure:
         [(lamL, rho, resL)] = _dominant(M.T, perron=is_perron)
+    if is_perron:  # the solver's phase is arbitrary: divide it out, then take real parts
+        lam = complex(lam.real, 0.0)
+        h, rho = (x if x is None else np.real(x / x[int(np.argmax(np.abs(x)))]) for x in (h, rho))
+    if want_measure:
         gap = abs(lamL - lam)
         if not (resL < RESIDUAL_TOL and gap <= RESIDUAL_TOL * max(1.0, abs(lam))):
             raise NotConverged(f"left eigenpair residual {resL:.3e}, "
                                f"|lambda_left - lambda| = {gap:.3e}")
         if is_perron:
-            rho = np.real(rho / rho[int(np.argmax(np.abs(rho)))])
+            if np.min(h) <= 0:
+                raise NotConverged("Perron eigenfunction is not strictly positive")
             rho = rho / rho.sum()  # rho(1) = 1
             h = h / float(rho @ h)  # nu = h d rho is a probability
     return SpectralResult(s=s, lam=lam, h=h, rho=rho, residual=float(res), spec=spec)
-
-
-def _lead_lam_real(spec: OperatorSpec, s: float, u=None) -> float:
-    """Leading eigenvalue on the real axis (positive operator), fast path."""
-    r = leading_eigenvalue(spec, s, v=None, p=0, u=u, check_stability=False)
-    return float(np.real(r.lam))
 
 
 def _brentq(f, xpre: float, xcur: float, fpre: float, fcur: float) -> float:
@@ -470,25 +463,28 @@ def _solve_pressure_root(spec: OperatorSpec, u=None) -> float:
     the first crossing, where the eigenvalue is O(1) and the discretization
     is well resolved.
     """
+    def lead(s: float) -> float:
+        return leading_eigenvalue(spec, s, u=u, check_stability=False).lam.real
+
     lo = 1e-3
-    f_lo = _lead_lam_real(spec, lo, u)
+    f_lo = lead(lo)
     while lo > 1e-12 and f_lo <= 1.0:
         lo *= 0.5
-        f_lo = _lead_lam_real(spec, lo, u)
+        f_lo = lead(lo)
     if f_lo <= 1.0:
         raise BracketFailed(f"lambda({lo}) = {f_lo} <= 1 at the lower bracket")
     hi = max(4.0 * lo, 0.5)
-    f_hi = _lead_lam_real(spec, hi, u)
+    f_hi = lead(hi)
     while f_hi >= 1.0:
         hi *= 2.0
         if hi > 1e6:
             raise BracketFailed("no upper bracket below 1e6")
-        f_hi = _lead_lam_real(spec, hi, u)
+        f_hi = lead(hi)
     if not f_hi > 0.0:
         raise BracketFailed(f"eigenvalue {f_hi} at s = {hi} is not positive")
 
     def logf(s: float) -> float:
-        lam = _lead_lam_real(spec, s, u)
+        lam = lead(s)
         if lam <= 0.0:
             raise BracketFailed(f"eigenvalue {lam} at s = {s} is not positive")
         return math.log(lam)
@@ -510,7 +506,6 @@ def critical_exponent(spec: OperatorSpec) -> float:
 
 def pressure(spec: OperatorSpec, u) -> float:
     """P(u): the root of lambda(P(u); weights e^{<u,f>}) = 1; P(0) = delta."""
-    u = np.asarray(u, dtype=float)
     return _solve_pressure_root(spec, u=u)
 
 
@@ -638,6 +633,8 @@ def spectral_radius_scan(spec: OperatorSpec, delta: float, t_grid: Sequence[floa
     shift, points, ts = spec.shift, [], sorted(float(t) for t in t_grid)
     if not (ts and len(v_grid) and len(p_list)):
         raise ValidationError("a scan needs at least one t, one v and one p")
+    if not math.isfinite(margin):
+        raise ValidationError(f"scan margin must be finite, not {margin}")
     for v in v_grid:
         vv = tuple(np.atleast_1d(np.asarray(v, dtype=float)).tolist())
         if len(vv) != shift.d:

@@ -20,6 +20,11 @@ def toy_full_shift(k, c, f_values, theta_values=None):
                              "f": np.asarray(f_values, dtype=np.int64), "theta": theta})
 
 
+def compose(g: hyp.MoebiusMap, h: hyp.MoebiusMap) -> hyp.MoebiusMap:
+    """Matrix product g @ h of two maps of one model, not renormalized."""
+    return hyp.MoebiusMap(*hyp.mat_mul(g.entries, h.entries), g.model, normalize=False)
+
+
 def scalar_trace_invariants(tr: complex, model) -> tuple[float, float]:
     """The one-complex-at-a-time cmath formula that hyperbolic.trace_invariants
     computes over arrays, kept as its bit-for-bit oracle."""

@@ -286,6 +286,8 @@ def test_bad_config_file(tmp_path):
 _TOY = {"transition": [[1, 1], [1, 1]], "tau": [[1.0, 1.0], [1.0, 1.0]], "f": [[1], [-1]]}
 _DISK = {"minus": {"center": [-3.0, 0.0], "radius": 1.0},
          "plus": {"center": [3.0, 0.0], "radius": 1.0}}
+_DISK_FAR = {"minus": {"center": [-9.0, 0.0], "radius": 1.0},
+             "plus": {"center": [9.0, 0.0], "radius": 1.0}}
 
 
 @pytest.mark.parametrize("text", [
@@ -301,13 +303,18 @@ _DISK = {"minus": {"center": [-3.0, 0.0], "radius": 1.0},
     json.dumps({**_TOY, "f": [[1], [-1], [0]]}),
     json.dumps({**_TOY, "tau": [[float("nan"), 1.0], [1.0, 1.0]]}),
     json.dumps({"model": "H2", "homology_matrix": [[1, 0]], "disks": [
-        {**_DISK, "plus": {"center": [3.0, 0.0], "radius": float("nan")}},
-        {"minus": {"center": [-9.0, 0.0], "radius": 1.0},
-         "plus": {"center": [9.0, 0.0], "radius": 1.0}}]}),
+        {**_DISK, "plus": {"center": [3.0, 0.0], "radius": float("nan")}}, _DISK_FAR]}),
     json.dumps({**_TOY, "theta": [[float("inf"), 0.0], [0.0, 0.0]]}),
+    json.dumps({**_TOY, "f": [[0.5], [-1]]}),
+    json.dumps({"transition": [[1, 1, -1], [1, 1, 1], [1, 1, 1]], "tau": [[1.0] * 3] * 3,
+                "f": [[1], [-1], [0]]}),
+    json.dumps({"model": "H2", "homology_matrix": [[1.5, 0]], "disks": [_DISK, _DISK_FAR]}),
+    json.dumps({"model": "H2", "homology_matrix": [[1, 0]], "disks": [
+        {**_DISK, "minus": {"center": [-3.0, 0.0, 7.0], "radius": 1.0}}, _DISK_FAR]}),
 ], ids=["not-json", "not-utf8", "no-disks", "model-h4", "radius-not-a-number", "json-list",
         "toy-no-tau", "toy-tau-1d", "toy-extra-cocycle-row", "toy-tau-nan", "radius-nan",
-        "toy-theta-infinity"])
+        "toy-theta-infinity", "toy-f-half", "toy-transition-minus-one", "homology-half",
+        "center-three-entries"])
 @pytest.mark.parametrize("command,code", [("delta", 3), ("validate", 1), ("count-geodesics", 3)])
 def test_malformed_input_file_is_one_error_line(tmp_path, capsys, text, command, code):
     bad = tmp_path / "input.json"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import scalar_trace_invariants
+from conftest import compose, scalar_trace_invariants
 from covercount import schottky as sk
 from covercount.errors import (BudgetExceeded, DisksOverlap, PairingBroken,
                                RankDeficientHomology, ValidationError)
@@ -97,7 +97,6 @@ def test_primitivity():
 def test_evaluate_matches_composition(group_b):
     w1, w2 = (1, 2, -1), (2, 2, 1)
     lhs = group_b.evaluate(w1 + w2)  # concatenation stays reduced
-    from covercount.hyperbolic import compose
     rhs = compose(group_b.evaluate(w1), group_b.evaluate(w2))
     assert max(abs(x - y) for x, y in zip(lhs.entries, rhs.entries)) <= 1e-9
 
@@ -170,6 +169,20 @@ def test_non_finite_group_dict_rejected(field):
         load_group(data)
 
 
+def test_non_integer_homology_rejected():
+    # an int64 cast read 1.5 as 1
+    g = simple_group()
+    with pytest.raises(ValidationError, match="^homology_matrix entries must be integers$"):
+        SchottkyGroup(g.generators, g.disks[1::2], g.disks[::2], [[1.5, 0]], Model.H2)
+
+
+def test_complex_pair_of_another_length_rejected():
+    data = json.loads(fixture_text("b"))
+    data["disks"][0]["minus"]["center"].append(7.0)  # [re, im, 7.0]: 7.0 was dropped
+    with pytest.raises(ValidationError, match=r"^a complex number is \[re, im\]"):
+        load_group(data)
+
+
 def test_non_finite_disk_rejected_by_constructor():
     g = simple_group()
     with pytest.raises(ValidationError, match="finite"):
@@ -202,7 +215,7 @@ def test_enumerate_t0_identity_only():
 
 def test_enumerate_below_min_generator():
     g = simple_group()
-    min_gen = min(geodesic_invariants(x).length for x in g.generators)
+    min_gen = min(geodesic_invariants(x)[0] for x in g.generators)
     n = enumerate_orbit(g, min_gen * 0.5)
     assert n == 1
 
@@ -476,7 +489,7 @@ def test_nan_cut_off_is_validation_error(group_b, enumerate_, capped_walks):
 # -- primitive classes -----------------------------------------------------------
 
 def test_classes_below_min_length_empty(group_b):
-    min_gen = min(geodesic_invariants(x).length for x in group_b.generators)
+    min_gen = min(geodesic_invariants(x)[0] for x in group_b.generators)
     records = []
     assert primitive_classes(group_b, 0.9 * min_gen, emit=records.append) == 0
     assert records == []
@@ -515,8 +528,8 @@ def test_classes_lengths_match_invariants(group_b):
     records = []
     primitive_classes(group_b, 7.0, emit=records.append)
     for r in records:
-        inv = geodesic_invariants(group_b.evaluate(r.word))
-        assert_allclose(r.length, inv.length, atol=1e-10)
+        length, _ = geodesic_invariants(group_b.evaluate(r.word))
+        assert_allclose(r.length, length, atol=1e-10)
 
 
 def test_class_growth_coarse_sanity(group_b, delta_b):
@@ -532,9 +545,9 @@ def test_classes_3d_model(group_d0):
     primitive_classes(group_d0, 8.0, emit=records.append)
     assert records
     for r in records:
-        inv = geodesic_invariants(group_d0.evaluate(r.word))
-        assert_allclose(r.length, inv.length, atol=1e-10)
-        dtheta = abs(r.holonomy - inv.holonomy_angle) % (2 * math.pi)
+        length, holonomy = geodesic_invariants(group_d0.evaluate(r.word))
+        assert_allclose(r.length, length, atol=1e-10)
+        dtheta = abs(r.holonomy - holonomy) % (2 * math.pi)
         assert min(dtheta, 2 * math.pi - dtheta) < 1e-10
         assert any(abs(r.holonomy) > 1e-3 for r in records)
 
@@ -726,7 +739,7 @@ def test_prenecklace_rule_matches_rotation_test():
         "homology_matrix": [[1, 0]],
     })
     expected = _lyndon_classes(_reduced_words(g.n_symbols, 8))
-    L = max(geodesic_invariants(g.evaluate(w)).length for w in expected)
+    L = max(geodesic_invariants(g.evaluate(w))[0] for w in expected)
     words = []
     primitive_classes(g, L, emit=lambda r: words.append(r.word))
     assert len(expected) == 1320  # Lyndon words with no cancelling pair, k <= 8

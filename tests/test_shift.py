@@ -57,6 +57,23 @@ def test_markov_shift_rejects_tables_of_another_k(field, value):
         MarkovShift(**tables)
 
 
+_TOY2 = {"transition": [[1, 1], [1, 1]], "tau": [[1.0, 1.0], [1.0, 1.0]], "f": [[1], [-1]]}
+
+
+@pytest.mark.parametrize("data,match", [
+    ({**_TOY2, "f": [[0.5], [-1]]}, "^f entries must be integers$"),
+    ({"transition": [[1, 1, -1], [1, 1, 1], [1, 1, 1]], "tau": np.ones((3, 3)),
+      "f": [[1], [-1], [0]]}, "^transition entries must be 0 or 1$"),
+    ({**_TOY2, "theta": [[math.nan, 0.0], [0.0, 0.0]]}, "^theta must be finite$"),
+], ids=["f-half", "transition-minus-one", "theta-nan"])
+def test_toy_tables_are_read_exactly(data, match):
+    # an int64 cast read f = 0.5 as 0; a -1 step was forbidden to the
+    # aperiodicity test but allowed to the operator and the Parry chain; a NaN
+    # theta reached LAPACK at p = 1
+    with pytest.raises(ValidationError, match=match):
+        toy_from_json(data)
+
+
 def test_toy_json_roundtrip():
     s = toy_full_shift(3, 0.5, [[1, 0], [0, 1], [-1, -1]])
     back = toy_from_json(toy_to_json(s))
@@ -97,7 +114,7 @@ def test_cycle_roof_sums_match_translation_lengths(group_b):
                 continue
             if word != sk.canonical_rotation(word):
                 continue
-            ell = geodesic_invariants(group_b.evaluate(word)).length
+            ell, _ = geodesic_invariants(group_b.evaluate(word))
             worst = max(worst, abs(cycle_roof_sum(group_b, word).real - ell))
     assert worst < 1e-9
 
@@ -118,10 +135,10 @@ def test_cycle_holonomy_sums_match_invariants(group_d0):
                 continue
             if word != sk.canonical_rotation(word):
                 continue
-            inv = geodesic_invariants(group_d0.evaluate(word))
+            length, holonomy = geodesic_invariants(group_d0.evaluate(word))
             total = cycle_roof_sum(group_d0, word)
-            assert_allclose(total.real, inv.length, atol=1e-9)
-            dtheta = abs(wrap_angle(total.imag) - inv.holonomy_angle)
+            assert_allclose(total.real, length, atol=1e-9)
+            dtheta = abs(wrap_angle(total.imag) - holonomy)
             dtheta = dtheta % (2 * math.pi)
             assert min(dtheta, 2 * math.pi - dtheta) < 1e-9
 

@@ -192,10 +192,13 @@ def test_spec_compares_and_hashes(toy2_spec):
 
 @pytest.mark.parametrize("case", ["pressure-toy2-u-nan", "pressure-b-u-inf", "lambda-b-s-nan",
                                   "lambda-b-v-nan", "scan-b-t-inf", "scan-b-delta-nan",
-                                  "scan-b-v-nan"])
+                                  "scan-b-v-nan", "scan-toy2-margin-nan",
+                                  "scan-toy2-margin-minus-inf"])
 def test_non_finite_s_u_v_are_validation_errors(case, toy2_spec, spec_b, delta_b):
-    # each used to warn and then die in numpy's LinAlgError; a RuntimeWarning
-    # on the way fails the test too (pyproject's filterwarnings)
+    # each used to warn and then die in numpy's LinAlgError, or, for a scan's
+    # margin, flag no point, not even toy2's arithmetic control at t = 2 pi; a
+    # RuntimeWarning on the way fails the test too (pyproject's filterwarnings)
+    control = (toy2_spec, math.log(2.0), [2.0 * math.pi], [[0.0]])
     calls = {
         "pressure-toy2-u-nan": lambda: pressure(toy2_spec, [math.nan]),
         "pressure-b-u-inf": lambda: pressure(spec_b, [math.inf]),
@@ -204,6 +207,8 @@ def test_non_finite_s_u_v_are_validation_errors(case, toy2_spec, spec_b, delta_b
         "scan-b-t-inf": lambda: spectral_radius_scan(spec_b, delta_b, [0.5, math.inf], [[0.0]]),
         "scan-b-delta-nan": lambda: spectral_radius_scan(spec_b, math.nan, [0.5], [[0.0]]),
         "scan-b-v-nan": lambda: spectral_radius_scan(spec_b, delta_b, [0.5], [[math.nan]]),
+        "scan-toy2-margin-nan": lambda: spectral_radius_scan(*control, margin=math.nan),
+        "scan-toy2-margin-minus-inf": lambda: spectral_radius_scan(*control, margin=-math.inf),
     }
     with pytest.raises(ValidationError, match="finite"):
         calls[case]()
@@ -431,12 +436,12 @@ def test_brent_port_bit_equal_to_scipy(name, nodes, solves, monkeypatch):
     shift = obj if isinstance(obj, MarkovShift) else from_schottky(obj)
     spec = OperatorSpec(shift, nodes_per_disk=nodes)
     twists = [np.resize([0.3, -0.2], shift.d) * k for k in (1.0, -1.5)]
-    calls = []
-    lead = tr._lead_lam_real
-    monkeypatch.setattr(tr, "_lead_lam_real",
-                        lambda *a, **kw: calls.append(a[1]) or lead(*a, **kw))
+    calls = []  # the root's solves: the uncertified ones
+    lead = tr.leading_eigenvalue
+    monkeypatch.setattr(tr, "leading_eigenvalue", lambda *a, **kw: calls.append(
+        kw.get("check_stability")) or lead(*a, **kw))
     got = [critical_exponent(spec)]
-    assert len(calls) == solves
+    assert calls.count(False) == solves and len(calls) == solves + 1
     got += [pressure(spec, u) for u in twists]
     monkeypatch.setattr(tr, "_brentq", _scipy_brentq)
     want = [critical_exponent(spec)] + [pressure(spec, u) for u in twists]
