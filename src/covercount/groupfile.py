@@ -11,7 +11,7 @@ from typing import Union
 
 from .errors import ValidationError
 from .hyperbolic import Model, MoebiusMap
-from .schottky import Disk, SchottkyGroup
+from .schottky import Disk, SchottkyGroup, numbers_only
 
 FIXTURES = {
     "toy2": "toy2.json",
@@ -36,7 +36,8 @@ def pairing_map(minus: Disk, plus: Disk, model: Model, twist: float = 0.0) -> Mo
     return MoebiusMap(a, b, c, d, model)
 
 
-def _parse_scalar(x) -> complex:
+def _parse_scalar(x, name: str) -> complex:
+    numbers_only(x, name)
     if isinstance(x, (list, tuple)):
         if len(x) != 2:
             raise ValidationError(f"a complex number is [re, im], not {x}")
@@ -48,20 +49,19 @@ def group_from_dict(data: dict) -> SchottkyGroup:
     model = Model(data["model"])
     disks_minus, disks_plus, twists = [], [], []
     for entry in data["disks"]:
-        disks_minus.append(Disk(_parse_scalar(entry["minus"]["center"]),
-                                float(entry["minus"]["radius"])))
-        disks_plus.append(Disk(_parse_scalar(entry["plus"]["center"]),
-                               float(entry["plus"]["radius"])))
-        twists.append(float(entry.get("twist", 0.0)))
+        for disks, side in ((disks_minus, entry["minus"]), (disks_plus, entry["plus"])):
+            disks.append(Disk(_parse_scalar(side["center"], "center"),
+                              float(numbers_only(side["radius"], "radius"))))
+        twists.append(float(numbers_only(entry.get("twist", 0.0), "twist")))
     if "generators" in data and data["generators"] is not None:
         gens = []
         for rows in data["generators"]:
-            a, b, c, d = (_parse_scalar(x) for x in rows)
+            a, b, c, d = (_parse_scalar(x, "generator entry") for x in rows)
             gens.append(MoebiusMap(a, b, c, d, model))
     else:
         gens = [pairing_map(m, p, model, t)
                 for m, p, t in zip(disks_minus, disks_plus, twists)]
-    hom = data.get("homology_matrix", [])
+    hom = numbers_only(data.get("homology_matrix", []), "homology_matrix")
     return SchottkyGroup(gens, disks_minus, disks_plus, hom, model)
 
 

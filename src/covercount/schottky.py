@@ -23,14 +23,15 @@ import cmath
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import hyperbolic as hyp
-from .errors import (BudgetExceeded, DisksOverlap, PairingBroken,
+from .errors import (BudgetExceeded, DisksOverlap, PairingBroken, PoleAtPoint,
                      RankDeficientHomology, ValidationError)
 from .hyperbolic import Model, MoebiusMap
 
@@ -77,25 +78,6 @@ def is_cyclically_reduced(word: Sequence[int]) -> bool:
     return is_reduced(word) and word[0] != -word[-1]
 
 
-def rotations(word: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    w = tuple(word)
-    for i in range(len(w)):
-        yield w[i:] + w[:i]
-
-
-def canonical_rotation(word: Sequence[int]) -> tuple[int, ...]:
-    return min(rotations(word), key=word_key)
-
-
-def is_primitive(word: Sequence[int]) -> bool:
-    """Not a proper power of a shorter cyclic word."""
-    n = len(word)
-    for p in range(1, n):
-        if n % p == 0 and all(word[k] == word[(k + p) % n] for k in range(n)):
-            return False
-    return True
-
-
 Matrix = tuple[complex, complex, complex, complex]  # raw (a, b, c, d)
 
 
@@ -131,11 +113,26 @@ def _rank_over_q(mat: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def numbers_only(values, name: str):
+    """values, refused unless it is a number or nested lists (or arrays) of
+    numbers: json reads "1.0" as a string and true as a bool, which float(),
+    complex() and numpy take for 1.0 and 1."""
+    todo = [values]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif not (x.dtype.kind in "iufc" if isinstance(x, np.ndarray)
+                  else isinstance(x, numbers.Number) and not isinstance(x, bool)):
+            raise ValidationError(f"{name}: {x!r} is not a number")
+    return values
+
+
 def integer_array(values, name: str) -> np.ndarray:
     """values as int64, refused unless every entry is an integer (the cast
-    alone would truncate 0.5 to 0)."""
+    alone would truncate 0.5 to 0, and would take True for 1)."""
     x = np.asarray(values)
-    if not (x.dtype.kind in "biu" or x.dtype.kind == "f"
+    if not (x.dtype.kind in "iu" or x.dtype.kind == "f"
             and np.all((np.abs(x) < 2.0 ** 53) & (x == np.round(x)))):
         raise ValidationError(f"{name} entries must be integers")
     return x.astype(np.int64)
@@ -198,13 +195,17 @@ class SchottkyGroup:
             dplus = self.disks[sym_index(i + 1)]
             if gen.model != self.model:
                 raise ValidationError(f"generator {i + 1} has wrong model tag")
-            for k in range(16):
-                z = dminus.center + dminus.radius * cmath.exp(2j * math.pi * k / 16)
-                w = hyp.apply_boundary(gen, z)
+            try:  # 16 points of disk(-a)'s circle, and one far outside it
+                images = [hyp.apply_boundary(gen, dminus.center + dminus.radius
+                                             * cmath.exp(2j * math.pi * k / 16))
+                          for k in range(16)]
+                far = hyp.apply_boundary(gen, dminus.center + 1e7 * dminus.radius)
+            except PoleAtPoint as e:
+                raise PairingBroken(i + 1, f"({e})") from None
+            for k, w in enumerate(images):
                 if abs(abs(w - dplus.center) - dplus.radius) > PAIRING_TOL:
                     raise PairingBroken(i + 1, f"(boundary point {k} maps off the paired circle)")
-            far = dminus.center + 1e7 * dminus.radius
-            if abs(hyp.apply_boundary(gen, far) - dplus.center) >= dplus.radius:
+            if abs(far - dplus.center) >= dplus.radius:
                 raise PairingBroken(i + 1, "(exterior does not map inside the paired disk)")
         if self.model == Model.H2:
             for i, dk in enumerate(self.disks):

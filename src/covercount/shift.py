@@ -57,9 +57,9 @@ class MarkovShift:
     group: Optional[SchottkyGroup] = None
 
     def __post_init__(self):
-        if not np.isin(self.transition, (0, 1)).all():
+        A = sk.integer_array(self.transition, "transition")
+        if not np.isin(A, (0, 1)).all():
             raise ValidationError("transition entries must be 0 or 1")
-        A = np.asarray(self.transition, dtype=np.int64)
         object.__setattr__(self, "transition", A)
         object.__setattr__(self, "f", sk.integer_array(self.f, "f"))
         k = self.k
@@ -119,14 +119,12 @@ def _aperiodicity_power(A: np.ndarray) -> int:
 
 
 def toy_from_json(data: dict) -> MarkovShift:
-    A = np.asarray(data["transition"])
-    k = A.shape[0]
-    tau = np.asarray(data["tau"], dtype=float)
-    f = np.asarray(data["f"])
+    A, tau, f = (np.asarray(sk.numbers_only(data[key], key)) for key in ("transition", "tau", "f"))
     if f.ndim == 2:  # per-symbol table: row a is every transition (a, b)'s
-        f = np.repeat(f[:, None, :], k, axis=1)
-    theta = np.asarray(data["theta"], dtype=float) if data.get("theta") is not None else None
-    return MarkovShift(transition=A, f=f, tau=tau, theta=theta)
+        f = np.repeat(f[:, None, :], A.shape[0], axis=1)
+    theta = data.get("theta")
+    return MarkovShift(transition=A, f=f, tau=tau,
+                       theta=None if theta is None else sk.numbers_only(theta, "theta"))
 
 
 def from_schottky(group: SchottkyGroup) -> MarkovShift:
@@ -193,15 +191,13 @@ def parry_chain(spectral) -> ParryChain:
     s = delta, with nu([ab]) = sum rho_b exp(delta logd[a,b]) interp[a,b] h_a
     and nu([a]) = sum rho_a h_a over the nodes of the blocks of spectral's
     operator.  On a toy shift (one node) this is B[a,b] rho_b / (lambda rho_a)."""
-    lam = spectral.lam
-    if abs(lam - 1.0) > 1e-8 or abs(complex(lam).imag) > 1e-8:
-        raise NotAtCriticalExponent(f"leading eigenvalue {lam} != 1")
+    if abs(spectral.lam - 1.0) > 1e-8:
+        raise NotAtCriticalExponent(f"leading eigenvalue {spectral.lam} != 1")
     if spectral.rho is None:
         raise ValidationError("parry_chain needs rho: leading_eigenvalue(want_measure=True)")
     shift, grid = spectral.spec.shift, spectral.spec.grid
     n, N = shift.k, grid.nodes_per_disk
-    h, rho = np.real(spectral.h).reshape(n, N), np.real(spectral.rho).reshape(n, N)
-    delta = float(complex(spectral.s).real)
+    h, rho, delta = spectral.h.reshape(n, N), spectral.rho.reshape(n, N), spectral.s
     nu_a = np.vecdot(rho, h)
     hvals = (grid.interp @ h[:, None, :, None])[..., 0]  # (a, b, node): interp[a, b] h_a
     nu_ab = np.where(shift.transition != 0,
@@ -403,8 +399,7 @@ def branch_weight_series(spectral) -> np.ndarray:
     """
     grid = spectral.spec.grid
     n, N = spectral.spec.shift.k, grid.nodes_per_disk
-    delta = float(complex(spectral.s).real)
-    h = np.real(spectral.h).reshape(n, 1, N, 1)
+    delta, h = spectral.s, spectral.h.reshape(n, 1, N, 1)
     g = np.exp(delta * grid.off_logd) * (grid.off_interp @ h)[..., 0]  # (b, s, node)
     G = grid.chebyshev_coeffs(g.transpose(1, 0, 2))
     size = np.abs(G).max(axis=(0, 1))

@@ -15,14 +15,15 @@ one-node case (logd = -tau, interp = 1), so both kinds share one assembly
 from per-transition blocks.
 
 Eigensolves use numpy only (importing this module loads no scipy).  The path
-rule is Perron -> power loop -> kernel -> dense.  A Perron solve, at real s
-with no imaginary twist (every solve of a root, the certified one at it and
-the left one for rho), runs a power loop on the real matrix.  A solve the
-loop fails, and every other solve, goes to an in-package Krylov-Schur kernel
-that takes a batch: one matrix M with a column scaling D_b per member,
-stepped together.  Dense eig is the fallback, and the solver at 16 x 16 and
-below.  A single solve is the batch of one; the scan solves each t row's twists, which
-scale the block columns of M(delta + i t, 0, 0), as one batch.
+rule is Perron -> power loop -> kernel -> dense.  A Perron solve, of one
+matrix with no imaginary part (leading_eigenvalue's at real s: every solve of
+a root, the certified one at it and the left one for rho), runs a power loop
+on the real matrix.  A solve the loop fails, and every twisted solve of the
+scan, goes to an in-package Krylov-Schur kernel that takes a batch: one
+matrix M with a column scaling D_b per member, stepped together.  Dense eig
+is the fallback, and the solver at 16 x 16 and below.  A single solve is the
+batch of one; the scan solves each t row's twists, which scale the block
+columns of M(delta + i t, 0, 0), as one batch.
 
 The pressure P(u) is a Brent root of lambda(s; u) = 1; its gradient and
 Hessian at 0 follow exactly from the eigentriple (lambda, h, rho) at delta by
@@ -219,8 +220,8 @@ class SpectralResult:
     """Leading eigentriple of spec's operator at s; at delta, with rho, it
     fixes the equilibrium state that shift.sample_cocycle_batch samples."""
 
-    s: complex
-    lam: complex
+    s: float
+    lam: float
     h: np.ndarray
     rho: Optional[np.ndarray]
     residual: float
@@ -327,19 +328,20 @@ def _power(A: np.ndarray, x: np.ndarray):
     return None
 
 
-def _dominant(M: np.ndarray, D: Optional[np.ndarray] = None, perron: bool = False) -> list:
+def _dominant(M: np.ndarray, D: Optional[np.ndarray] = None) -> list:
     """Dominant eigenpairs [(lam, z, residual)] of M D_b for the rows D_b of
     the column scalings D (None: M alone, a batch of one).  Path rule, from a
     fixed near-constant start when M is larger than 16 x 16: a Perron solve
-    (perron: the caller's real s with no imaginary twist, D None) runs the
-    power loop on M.real; a loop that hits its cap or misses a residual of
-    1e-10 max(1, |lam|), and every other member, goes to the kernel; a
+    (M alone with no imaginary part, the operator at real s and real u) runs
+    the power loop on M.real; a loop that hits its cap or misses a residual
+    of 1e-10 max(1, |lam|), and every other member, goes to the kernel; a
     kernel pair that misses it goes to dense eig, as every solve at 16 x 16
     and below does."""
     n, B = M.shape[0], 1 if D is None else len(D)
     start = np.ones(n) + 1e-3 * np.linspace(0.0, 1.0, n)
+    perron = D is None and n > 16 and not M.imag.any()
     # the copy makes M.real contiguous, which BLAS steps about 3x faster than the view
-    pair = _power(np.ascontiguousarray(M.real), start) if perron and n > 16 else None
+    pair = _power(np.ascontiguousarray(M.real), start) if perron else None
     if pair is not None and pair[2] < 1e-10 * max(1.0, pair[0]):
         return [pair]
     starts = np.tile(start, (B, 1)).astype(complex)
@@ -372,14 +374,13 @@ def _off_node_residuals(spec: OperatorSpec, s: complex, v, p: int, u,
 
 
 def _certified(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
-               phases: Optional[np.ndarray] = None, check_stability: bool = True,
-               perron: bool = False):
+               phases: Optional[np.ndarray] = None, check_stability: bool = True):
     """M = M(s, v, p, u) and _dominant's eigenpairs (lam, h, res) of M D_b, D_b
     scaling block column a by phases[b, a] (None: M alone), each res < RESIDUAL_TOL
     and, with collocation, each off-node residual r <= OFF_NODE_TOL."""
     N, M = spec.grid.nodes_per_disk, build_matrix(spec, s, v, p, u)
     D = None if phases is None else np.repeat(phases, N, axis=1)
-    pairs = _dominant(M, D, perron=perron)
+    pairs = _dominant(M, D)
     if bad := [res for _, _, res in pairs if not res < RESIDUAL_TOL]:
         raise NotConverged(f"residual {bad[0]:.3e}")
     if spec.shift.analytic and check_stability:
@@ -389,33 +390,28 @@ def _certified(spec: OperatorSpec, s: complex, v=None, p: int = 0, u=None,
     return M, pairs
 
 
-def leading_eigenvalue(spec: OperatorSpec, s: complex, v=None, p: int = 0,
-                       u=None, want_measure: bool = False,
+def leading_eigenvalue(spec: OperatorSpec, s: float, u=None, want_measure: bool = False,
                        check_stability: bool = True) -> SpectralResult:
-    """Dominant eigenvalue with certified residual: _certified's batch of one.
-    At real s with v = 0 and p = 0 (any real u) the operator is positive, and
-    its right and left Perron solves start with _dominant's power loop."""
-    is_perron = (abs(complex(s).imag) == 0.0
-                 and (v is None or not np.any(np.asarray(v)))
-                 and p == 0)
-    M, [(lam, h, res)] = _certified(spec, s, v, p, u, check_stability=check_stability,
-                                    perron=is_perron)
-    rho = None
-    if want_measure:
-        [(lamL, rho, resL)] = _dominant(M.T, perron=is_perron)
-    if is_perron:  # the solver's phase is arbitrary: divide it out, then take real parts
-        lam = complex(lam.real, 0.0)
-        h, rho = (x if x is None else np.real(x / x[int(np.argmax(np.abs(x)))]) for x in (h, rho))
+    """The Perron eigenvalue lambda(s; u) at real s, with its eigenfunction h
+    and, when want_measure, its eigenmeasure rho: _certified's batch of one,
+    whose real matrix _dominant steps by the power loop.  Twisted spectra
+    come from spectral_radius_scan."""
+    if np.iscomplexobj(s):
+        raise ValidationError(f"leading_eigenvalue takes a real s, not {s}")
+    M, [(lam, h, res)] = _certified(spec, s, u=u, check_stability=check_stability)
+    [(lamL, rho, resL)] = _dominant(M.T) if want_measure else [(None, None, None)]
+    # the solver's phase is arbitrary: divide it out, then take real parts
+    lam = float(lam.real)
+    h, rho = (x if x is None else np.real(x / x[int(np.argmax(np.abs(x)))]) for x in (h, rho))
     if want_measure:
         gap = abs(lamL - lam)
         if not (resL < RESIDUAL_TOL and gap <= RESIDUAL_TOL * max(1.0, abs(lam))):
             raise NotConverged(f"left eigenpair residual {resL:.3e}, "
                                f"|lambda_left - lambda| = {gap:.3e}")
-        if is_perron:
-            if np.min(h) <= 0:
-                raise NotConverged("Perron eigenfunction is not strictly positive")
-            rho = rho / rho.sum()  # rho(1) = 1
-            h = h / float(rho @ h)  # nu = h d rho is a probability
+        if np.min(h) <= 0:
+            raise NotConverged("Perron eigenfunction is not strictly positive")
+        rho = rho / rho.sum()  # rho(1) = 1
+        h = h / float(rho @ h)  # nu = h d rho is a probability
     return SpectralResult(s=s, lam=lam, h=h, rho=rho, residual=float(res), spec=spec)
 
 
@@ -464,7 +460,7 @@ def _solve_pressure_root(spec: OperatorSpec, u=None) -> float:
     is well resolved.
     """
     def lead(s: float) -> float:
-        return leading_eigenvalue(spec, s, u=u, check_stability=False).lam.real
+        return leading_eigenvalue(spec, s, u=u, check_stability=False).lam
 
     lo = 1e-3
     f_lo = lead(lo)
@@ -559,7 +555,7 @@ def pressure_surface(spec: OperatorSpec) -> PressureSurface:
         raise ValidationError("pressure surface needs homology dimension d >= 1")
     sr = spectral_at_delta(spec, want_measure=True)
     delta = sr.s
-    h, rho, lam, m = sr.h, sr.rho, sr.lam.real, sr.h.size
+    h, rho, lam, m = sr.h, sr.rho, sr.lam, sr.h.size
     M = build_matrix(spec, delta).real
     X = np.empty((d + 1, n, N, n, N))  # entry (p, b, j, a, k) of X_p
     X[0] = grid.logd.transpose(1, 2, 0)[:, :, :, None]

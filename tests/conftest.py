@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from covercount import hyperbolic as hyp
 from covercount import shift as sh
 from covercount import transfer as tr
 from covercount.groupfile import load_any, load_group
+from covercount.schottky import word_key
 
 
 def toy_full_shift(k, c, f_values, theta_values=None):
@@ -23,6 +25,25 @@ def toy_full_shift(k, c, f_values, theta_values=None):
 def compose(g: hyp.MoebiusMap, h: hyp.MoebiusMap) -> hyp.MoebiusMap:
     """Matrix product g @ h of two maps of one model, not renormalized."""
     return hyp.MoebiusMap(*hyp.mat_mul(g.entries, h.entries), g.model, normalize=False)
+
+
+def rotations(word: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    w = tuple(word)
+    for i in range(len(w)):
+        yield w[i:] + w[:i]
+
+
+def canonical_rotation(word: Sequence[int]) -> tuple[int, ...]:
+    return min(rotations(word), key=word_key)
+
+
+def is_primitive(word: Sequence[int]) -> bool:
+    """Not a proper power of a shorter cyclic word."""
+    n = len(word)
+    for p in range(1, n):
+        if n % p == 0 and all(word[k] == word[(k + p) % n] for k in range(n)):
+            return False
+    return True
 
 
 def scalar_trace_invariants(tr: complex, model) -> tuple[float, float]:

@@ -16,6 +16,7 @@ from covercount import acceptance, cli
 from covercount import shift as sh
 from covercount import transfer as tr
 from covercount.cli import main
+from covercount.groupfile import fixture_text
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -71,7 +72,7 @@ def test_delta_solves_once_at_the_root(tmp_path, monkeypatch):
     sizes = []
     solve = tr._dominant
     monkeypatch.setattr(tr, "_dominant",
-                        lambda M, D=None, **kw: sizes.append(M.shape[0]) or solve(M, D, **kw))
+                        lambda M, D=None: sizes.append(M.shape[0]) or solve(M, D))
     assert run(["--out", str(tmp_path), "delta", "--group", "fixture:b"]) == 0
     assert Counter(sizes) == {96: 11}
 
@@ -311,10 +312,27 @@ _DISK_FAR = {"minus": {"center": [-9.0, 0.0], "radius": 1.0},
     json.dumps({"model": "H2", "homology_matrix": [[1.5, 0]], "disks": [_DISK, _DISK_FAR]}),
     json.dumps({"model": "H2", "homology_matrix": [[1, 0]], "disks": [
         {**_DISK, "minus": {"center": [-3.0, 0.0, 7.0], "radius": 1.0}}, _DISK_FAR]}),
+    # a JSON string or bool where a number belongs: float(), complex() and
+    # numpy read "1.0", "(3+0j)" and true as numbers
+    *(json.dumps({"model": "H2", "homology_matrix": [[1, 0]], "disks": [disk, _DISK_FAR]})
+      for disk in ({**_DISK, "plus": {"center": [3.0, 0.0], "radius": "1.0"}},
+                   {**_DISK, "plus": {"center": "(3+0j)", "radius": 1.0}},
+                   {**_DISK, "plus": {"center": [3.0, False], "radius": 1.0}},
+                   {**_DISK, "twist": True})),
+    json.dumps({"model": "H2", "homology_matrix": [[True, 0]], "disks": [_DISK, _DISK_FAR]}),
+    json.dumps({"model": "H2", "homology_matrix": [[1, 0]], "disks": [_DISK, _DISK_FAR],
+                "generators": [[[3, 0], "8", [1, 0], [3, 0]], [[9, 0], [80, 0], [1, 0], [9, 0]]]}),
+    json.dumps({**_TOY, "tau": [["1.0", "1"], [1, 1]]}),
+    json.dumps({**_TOY, "transition": [[True, True], [True, True]]}),
+    json.dumps({**_TOY, "transition": [[True, 1], [1, 1]]}),
+    json.dumps({**_TOY, "f": [[True], [-1]]}),
+    json.dumps({**_TOY, "theta": [["0.5", 0.0], [0.0, 0.0]]}),
 ], ids=["not-json", "not-utf8", "no-disks", "model-h4", "radius-not-a-number", "json-list",
         "toy-no-tau", "toy-tau-1d", "toy-extra-cocycle-row", "toy-tau-nan", "radius-nan",
         "toy-theta-infinity", "toy-f-half", "toy-transition-minus-one", "homology-half",
-        "center-three-entries"])
+        "center-three-entries", "radius-string", "center-string", "center-im-false",
+        "twist-true", "homology-true", "generator-entry-string", "toy-tau-strings",
+        "toy-transition-true", "toy-transition-true-and-1", "toy-f-true", "toy-theta-string"])
 @pytest.mark.parametrize("command,code", [("delta", 3), ("validate", 1), ("count-geodesics", 3)])
 def test_malformed_input_file_is_one_error_line(tmp_path, capsys, text, command, code):
     bad = tmp_path / "input.json"
@@ -323,6 +341,25 @@ def test_malformed_input_file_is_one_error_line(tmp_path, capsys, text, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k,generators", [
+    (1, [[[0, 0], [1, 0], [-1, 0], [-0.05, 0]], [[3.15, 0], [8.9225, 0], [1, 0], [3.15, 0]]]),
+    (2, [[[1.05, 0], [0.1025, 0], [1, 0], [1.05, 0]], [[0, 0], [1, 0], [-1, 0], [-2.15, 0]]]),
+], ids=["generator-1", "generator-2"])
+def test_pole_on_the_paired_circle_is_a_broken_pairing(tmp_path, capsys, k, generators):
+    # generator k, z -> 1 / (-z - p), has its pole p on disk(-k)'s circle (p =
+    # -1.05 + 1 or -3.15 + 1, fixture b's disks); the other is b's own.  It is
+    # refused as a broken pairing, not run as a failed computation
+    data = {**json.loads(fixture_text("b")), "generators": generators}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(data))
+    assert run(["--out", str(tmp_path / "out"), "count-orbit", "--group", str(path)]) == 3
+    assert run(["validate", "--group", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+    assert err[0].startswith(f"error: generator {k} does not pair its disks (")
+    assert err[0].endswith(" is the pole of the map)")
 
 
 def test_dump_records_enumerates_once(tmp_path, monkeypatch):

@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import compose, scalar_trace_invariants
+from conftest import (canonical_rotation, compose, is_primitive, rotations,
+                      scalar_trace_invariants)
 from covercount import schottky as sk
 from covercount.errors import (BudgetExceeded, DisksOverlap, PairingBroken,
                                RankDeficientHomology, ValidationError)
 from covercount.groupfile import fixture_text, group_from_dict, load_group, pairing_map
 from covercount.hyperbolic import Model, frob2, geodesic_invariants, mat_mul
-from covercount.schottky import (Disk, SchottkyGroup, canonical_rotation,
-                                 enumerate_orbit, enumerate_orbit_bruteforce,
-                                 is_cyclically_reduced, is_primitive, is_reduced,
-                                 primitive_classes)
+from covercount.schottky import (Disk, SchottkyGroup, enumerate_orbit,
+                                 enumerate_orbit_bruteforce, is_cyclically_reduced,
+                                 is_reduced, primitive_classes)
 
 # Word operations and a homology query that only the tests use.
 
@@ -82,7 +82,7 @@ def test_canonical_rotation_is_least():
     word = (2, 1, 2)
     rot = canonical_rotation(word)
     assert rot == (1, 2, 2)
-    assert all(sk.word_key(rot) <= sk.word_key(r) for r in sk.rotations(word))
+    assert all(sk.word_key(rot) <= sk.word_key(r) for r in rotations(word))
 
 
 def test_primitivity():
@@ -174,6 +174,14 @@ def test_non_integer_homology_rejected():
     g = simple_group()
     with pytest.raises(ValidationError, match="^homology_matrix entries must be integers$"):
         SchottkyGroup(g.generators, g.disks[1::2], g.disks[::2], [[1.5, 0]], Model.H2)
+
+
+def test_boolean_homology_rejected():
+    # integer_array took a bool array for its 0/1 cast
+    g = simple_group()
+    with pytest.raises(ValidationError, match="^homology_matrix entries must be integers$"):
+        SchottkyGroup(g.generators, g.disks[1::2], g.disks[::2], np.array([[True, False]]),
+                      Model.H2)
 
 
 def test_complex_pair_of_another_length_rejected():

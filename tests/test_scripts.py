@@ -1,6 +1,8 @@
-"""Smoke tests: each experiment script runs at a small size and writes data."""
+"""Smoke tests: each experiment script runs at a small size and writes data,
+and README's Library snippet runs as printed."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +49,14 @@ def _run(tmp_path, script, args):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     return proc, out
+
+
+def test_readme_library_snippet_runs():
+    # the python block under "## Library", run as printed, so that a changed
+    # signature cannot leave the README stale
+    readme = (ROOT / "README.md").read_text()
+    [code] = re.findall(r"^## Library\n.*?^```python\n(.*?)^```", readme, re.M | re.S)
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    assert type(names["lam"]) is float and abs(names["lam"] - 1.0) < 1e-10
+    assert names["length"] > 0.0

@@ -20,7 +20,7 @@ from covercount.shift import (MarkovShift, branch_weight_series, cycle_roof_sum,
                               from_schottky, parry_chain, sample_cocycle_batch,
                               sample_trajectory, toy_from_json)
 
-from conftest import toy_full_shift
+from conftest import canonical_rotation, toy_full_shift
 
 
 def toy_to_json(shift: MarkovShift) -> dict:
@@ -74,6 +74,13 @@ def test_toy_tables_are_read_exactly(data, match):
         toy_from_json(data)
 
 
+def test_boolean_transition_rejected():
+    # np.isin took True for 1
+    with pytest.raises(ValidationError, match="^transition entries must be integers$"):
+        MarkovShift(transition=np.ones((2, 2), dtype=bool), f=np.zeros((2, 2, 1), dtype=int),
+                    tau=np.ones((2, 2)))
+
+
 def test_toy_json_roundtrip():
     s = toy_full_shift(3, 0.5, [[1, 0], [0, 1], [-1, -1]])
     back = toy_from_json(toy_to_json(s))
@@ -112,7 +119,7 @@ def test_cycle_roof_sums_match_translation_lengths(group_b):
         for word in itertools.product(letters, repeat=n):
             if not sk.is_cyclically_reduced(word):
                 continue
-            if word != sk.canonical_rotation(word):
+            if word != canonical_rotation(word):
                 continue
             ell, _ = geodesic_invariants(group_b.evaluate(word))
             worst = max(worst, abs(cycle_roof_sum(group_b, word).real - ell))
@@ -133,7 +140,7 @@ def test_cycle_holonomy_sums_match_invariants(group_d0):
         for word in itertools.product(letters, repeat=n):
             if not sk.is_cyclically_reduced(word):
                 continue
-            if word != sk.canonical_rotation(word):
+            if word != canonical_rotation(word):
                 continue
             length, holonomy = geodesic_invariants(group_d0.evaluate(word))
             total = cycle_roof_sum(group_d0, word)

@@ -45,27 +45,46 @@ def test_apply_toy_twisted_constant(toy2_spec):
     assert_allclose(out, np.full(2, expected, dtype=complex), atol=1e-12)
 
 
+def _twisted_lam(spec, s, v=None, p=0):
+    """The certified dominant eigenvalue of L_{s,v,p}: _certified's batch of one,
+    as the scan solves a twist that does not scale M's columns."""
+    return tr._certified(spec, s, v, p)[1][0][0]
+
+
 def test_leading_eigenvalue_toy_closed_form(toy2_spec):
     for s in (0.2, 0.7, 1.3):
         r = leading_eigenvalue(toy2_spec, s)
         assert_allclose(r.lam, 2.0 * math.exp(-s), rtol=1e-12)
-        r2 = leading_eigenvalue(toy2_spec, s, v=[0.6])
-        assert_allclose(abs(r2.lam), abs(2.0 * math.exp(-s) * math.cos(0.6)), rtol=1e-10)
+        lam2 = _twisted_lam(toy2_spec, s, [0.6])
+        assert_allclose(abs(lam2), abs(2.0 * math.exp(-s) * math.cos(0.6)), rtol=1e-10)
 
 
 def test_eigenvalue_conjugation_symmetry(toy2_spec):
     s = complex(0.6, 0.8)
-    r1 = leading_eigenvalue(toy2_spec, s, v=[0.5])
-    r2 = leading_eigenvalue(toy2_spec, s.conjugate(), v=[-0.5])
-    assert abs(r2.lam - np.conj(r1.lam)) < 1e-10
+    lam1 = _twisted_lam(toy2_spec, s, [0.5])
+    lam2 = _twisted_lam(toy2_spec, s.conjugate(), [-0.5])
+    assert abs(lam2 - np.conj(lam1)) < 1e-10
 
 
 def test_toy_with_holonomy_characters():
     s = toy_full_shift(2, 1.0, [[1], [-1]], theta_values=[0.7, -0.7])
     spec = OperatorSpec(s)
-    r1 = leading_eigenvalue(spec, complex(0.5, 0.2), v=[0.3], p=2)
-    r2 = leading_eigenvalue(spec, complex(0.5, -0.2), v=[-0.3], p=-2)
-    assert abs(r2.lam - np.conj(r1.lam)) < 1e-10
+    lam1 = _twisted_lam(spec, complex(0.5, 0.2), [0.3], 2)
+    lam2 = _twisted_lam(spec, complex(0.5, -0.2), [-0.3], -2)
+    assert abs(lam2 - np.conj(lam1)) < 1e-10
+
+
+@pytest.mark.parametrize("s", [complex(0.5, 0.0), np.complex128(0.5), complex(0.5, 0.2)])
+def test_leading_eigenvalue_refuses_a_complex_s(spec_b, s):
+    # the Perron solve is at real s; a twisted spectrum is the scan's
+    with pytest.raises(ValidationError, match="real s"):
+        leading_eigenvalue(spec_b, s)
+
+
+def test_leading_eigenvalue_is_real(spectral_b, delta_b):
+    assert type(spectral_b.lam) is float and abs(spectral_b.lam - 1.0) < 1e-10
+    assert spectral_b.s == delta_b
+    assert not np.iscomplexobj(spectral_b.h) and not np.iscomplexobj(spectral_b.rho)
 
 
 def test_holonomy_unavailable_without_theta(toy2_spec):
@@ -203,7 +222,7 @@ def test_non_finite_s_u_v_are_validation_errors(case, toy2_spec, spec_b, delta_b
         "pressure-toy2-u-nan": lambda: pressure(toy2_spec, [math.nan]),
         "pressure-b-u-inf": lambda: pressure(spec_b, [math.inf]),
         "lambda-b-s-nan": lambda: leading_eigenvalue(spec_b, math.nan),
-        "lambda-b-v-nan": lambda: leading_eigenvalue(spec_b, 0.5, v=[math.nan]),
+        "lambda-b-v-nan": lambda: tr._certified(spec_b, 0.5, v=[math.nan]),
         "scan-b-t-inf": lambda: spectral_radius_scan(spec_b, delta_b, [0.5, math.inf], [[0.0]]),
         "scan-b-delta-nan": lambda: spectral_radius_scan(spec_b, math.nan, [0.5], [[0.0]]),
         "scan-b-v-nan": lambda: spectral_radius_scan(spec_b, delta_b, [0.5], [[math.nan]]),
@@ -345,7 +364,7 @@ def test_holonomy_unavailable_on_collocation(spec_b, delta_b):
     with pytest.raises(HolonomyUnavailable):
         build_matrix(spec_b, delta_b, None, 1)
     with pytest.raises(HolonomyUnavailable):
-        leading_eigenvalue(spec_b, delta_b, p=-2)
+        tr._certified(spec_b, delta_b, p=-2)
 
 
 def test_collocation_rejects_small_grid(shift_b):
@@ -411,7 +430,7 @@ def test_collocation_node_doubling_invariance(spec_b, delta_b):
 
 def test_lambda_monotone_decreasing_on_real_axis(spec_b):
     grid = np.linspace(0.1, 1.5, 8)
-    vals = [leading_eigenvalue(spec_b, s, check_stability=False).lam.real for s in grid]
+    vals = [leading_eigenvalue(spec_b, s, check_stability=False).lam for s in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -463,7 +482,7 @@ def test_surface_solves_once_at_delta(spec_b, monkeypatch):
     sizes = []
     solve = tr._dominant
     monkeypatch.setattr(tr, "_dominant",
-                        lambda M, D=None, **kw: sizes.append(M.shape[0]) or solve(M, D, **kw))
+                        lambda M, D=None: sizes.append(M.shape[0]) or solve(M, D))
     pressure_surface(spec_b)
     assert Counter(sizes) == {96: 12}
 
@@ -574,12 +593,12 @@ def test_scan_batches_only_column_scaling_twists(toy3_mixed, monkeypatch):
     sizes = []
     solve = tr._dominant
     monkeypatch.setattr(sh, "_workers", lambda: 1)
-    monkeypatch.setattr(tr, "_dominant", lambda M, D=None, **kw:
-                        sizes.append(0 if D is None else len(D)) or solve(M, D, **kw))
+    monkeypatch.setattr(tr, "_dominant", lambda M, D=None:
+                        sizes.append(0 if D is None else len(D)) or solve(M, D))
     rows = spectral_radius_scan(spec, 0.4, [1.3, 0.0], v_grid, p_list).rows
     assert Counter(sizes) == {3: 2, 0: 2 * 6}
     for r in rows:
-        want = abs(leading_eigenvalue(spec, complex(0.4, r.t), r.v, r.p).lam)
+        want = abs(_twisted_lam(spec, complex(0.4, r.t), r.v, r.p))
         assert abs(r.abs_lambda - want) <= (1e-14 * want if r.p == 0 else 0.0)
 
 
@@ -609,7 +628,7 @@ def test_scan_rejects_an_unresolved_row_at_24_nodes(shift_b, delta_b, monkeypatc
 
 
 def test_not_converged_message(toy2_spec, monkeypatch):
-    monkeypatch.setattr(tr, "_dominant", lambda M, D=None, **kw: [(1.0 + 0j, np.ones(2), 1.2e-3)])
+    monkeypatch.setattr(tr, "_dominant", lambda M, D=None: [(1.0 + 0j, np.ones(2), 1.2e-3)])
     with pytest.raises(NotConverged) as err:
         leading_eigenvalue(toy2_spec, math.log(2.0))
     assert str(err.value) == "eigensolver did not converge: residual 1.200e-03"
@@ -621,8 +640,8 @@ def test_left_eigenpair_checked(toy2_spec, monkeypatch, left_shift, left_res):
     # the right solve is exact; the left one (the second call) is perturbed
     solve, calls = tr._dominant, []
 
-    def perturbed(M, D=None, **kw):
-        [(lam, z, res)] = solve(M, D, **kw)
+    def perturbed(M, D=None):
+        [(lam, z, res)] = solve(M, D)
         calls.append(M)
         if len(calls) == 2:
             return [(lam + left_shift, z, res + left_res)]
@@ -641,9 +660,9 @@ def test_perron_vectors_ignore_solver_phase(spec_b, delta_b, monkeypatch, want_m
     want = leading_eigenvalue(spec_b, delta_b, want_measure=want_measure)
     solve = tr._dominant
 
-    def rotated(M, D=None, **kw):
+    def rotated(M, D=None):
         return [(lam, 1j * z / z[np.argmax(np.abs(z))], res)
-                for lam, z, res in solve(M, D, **kw)]
+                for lam, z, res in solve(M, D)]
 
     monkeypatch.setattr(tr, "_dominant", rotated)
     got = leading_eigenvalue(spec_b, delta_b, want_measure=want_measure)
@@ -734,7 +753,7 @@ def test_scan_rows_match_reference_solver(shift_b, delta_b, monkeypatch):
     solve, build = tr._dominant, tr.build_matrix
     monkeypatch.setattr(sh, "_workers", lambda: 1)  # a worker's calls are not recorded here
     monkeypatch.setattr(tr, "_dominant",
-                        lambda M, D=None, **kw: solves.append((M, D)) or solve(M, D, **kw))
+                        lambda M, D=None: solves.append((M, D)) or solve(M, D))
     monkeypatch.setattr(tr, "build_matrix", lambda *a, **kw: builds.append(a) or build(*a, **kw))
     got = spectral_radius_scan(spec, delta_b, **grid).rows
     assert len(builds) == len(solves) == 3  # one per t row
@@ -749,6 +768,15 @@ def test_scan_rows_match_reference_solver(shift_b, delta_b, monkeypatch):
         for i, pair in enumerate(solve(M, D)):
             A = M * D[i]
             _assert_agrees_with_reference(pair, _reference_dominant(A), A)
+    # at production size: the default grid's row t = 0.25625 of b at N = 48, with
+    # all 16 twists, against the top modulus of dense eig of each point's matrix
+    spec48, t = OperatorSpec(shift_b, nodes_per_disk=48), 0.25625
+    axis = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    rows = spectral_radius_scan(spec48, delta_b, [t], [[v] for v in axis]).rows
+    assert [r.v for r in rows] == [(v,) for v in axis]
+    for r in rows:
+        want = np.abs(np.linalg.eigvals(build(spec48, complex(delta_b, t), r.v))).max()
+        assert abs(r.abs_lambda - want) <= 1e-14
 
 
 # -- the Krylov-Schur kernel ---------------------------------------------------------
@@ -849,9 +877,11 @@ def test_krylov_schur_batch_matches_dense_eig(restarts, monkeypatch):
 
 @pytest.mark.parametrize("case", ["perron-b-half", "perron-toy2"])
 def test_dominant_path_rule(case, spec_b, delta_b, toy2_spec, monkeypatch):
-    # a Perron solve larger than 16 x 16 is the power loop on M.real from the
-    # fixed start, and nothing else; the same matrix as a general solve goes
-    # straight to the kernel from that start; dense eig alone at 16 x 16 and below
+    # a single matrix with no imaginary part larger than 16 x 16 is a Perron
+    # solve: the power loop on M.real from the fixed start, and nothing else.
+    # The same matrix as a batch member, or with an imaginary part of 1e-300,
+    # goes straight to the kernel from that start; dense eig alone at 16 x 16
+    # and below
     M = _reference_case(case, spec_b, delta_b, toy2_spec)
     powers, starts, dense = [], [], []
     power, kernel, leading = tr._power, tr._krylov_schur, tr._dense_leading
@@ -859,15 +889,16 @@ def test_dominant_path_rule(case, spec_b, delta_b, toy2_spec, monkeypatch):
     monkeypatch.setattr(tr, "_krylov_schur",
                         lambda A, X, D=None: starts.append(X) or kernel(A, X, D))
     monkeypatch.setattr(tr, "_dense_leading", lambda A: dense.append(A) or leading(A))
-    tr._dominant(M, perron=True)
+    _solve_one(M)
     n = M.shape[0]
     start = np.ones(n) + 1e-3 * np.linspace(0.0, 1.0, n)
     if case == "perron-b-half":
         assert n == 96 and len(powers) == 1 and not starts and not dense
         assert np.array_equal(powers[0][0], M.real) and np.array_equal(powers[0][1], start)
-        _solve_one(M)
-        assert len(powers) == 1 and len(starts) == 1 and starts[0].shape == (1, n) and not dense
-        assert np.array_equal(starts[0][0], start)
+        tr._dominant(M, np.ones((1, n)))
+        _solve_one(M + 1e-300j)
+        assert len(powers) == 1 and len(starts) == 2 and not dense
+        assert all(X.shape == (1, n) and np.array_equal(X[0], start) for X in starts)
     else:
         assert n <= 16 and not powers and not starts and len(dense) == 1 and dense[0] is M
 
@@ -882,9 +913,9 @@ def test_perron_solves_match_dense_eig(name, nodes, u, monkeypatch):
     spec = OperatorSpec(from_schottky(load_any(f"fixture:{name}")), nodes_per_disk=nodes)
     solves, solve = [], tr._dominant
 
-    def recorded(M, D=None, **kw):
-        pairs = solve(M, D, **kw)
-        solves.append((M, D, kw, pairs[0][0]))
+    def recorded(M, D=None):
+        pairs = solve(M, D)
+        solves.append((M, D, pairs[0][0]))
         return pairs
 
     monkeypatch.setattr(tr, "_dominant", recorded)
@@ -894,8 +925,8 @@ def test_perron_solves_match_dense_eig(name, nodes, u, monkeypatch):
     else:
         pressure(spec, u)
     assert len(solves) >= 9
-    for M, D, kw, lam in solves:
-        assert D is None and kw == {"perron": True}
+    for M, D, lam in solves:
+        assert D is None and not M.imag.any()
         vals = np.linalg.eigvals(M)
         want = vals[np.argmax(np.abs(vals))]
         assert abs(lam - want) <= 1e-14 * abs(want)
@@ -914,7 +945,7 @@ def test_power_loop_cap_reaches_the_kernel(monkeypatch):
     monkeypatch.setattr(tr, "_krylov_schur",
                         lambda A, X0, D=None: calls.append(A) or kernel(A, X0, D))
     monkeypatch.setattr(tr, "_dense_leading", lambda A: pytest.fail("dense eig ran"))
-    [(lam, z, res)] = tr._dominant(M + 0j, perron=True)
+    [(lam, z, res)] = tr._dominant(M + 0j)
     assert len(calls) == 1
     vals = np.linalg.eigvals(M)
     want = vals[np.argmax(np.abs(vals))]
@@ -923,7 +954,7 @@ def test_power_loop_cap_reaches_the_kernel(monkeypatch):
     assert np.linalg.norm(M @ z - lam * z) <= 1e-12 * np.linalg.norm(M, 2)
 
 
-def _dense_dominant(M, D=None, perron=False):
+def _dense_dominant(M, D=None):
     """Dense eig on every solve, Perron or not."""
     out = []
     for A in ([M] if D is None else [M * d for d in D]):
@@ -1076,7 +1107,7 @@ def test_scan_row_solves_once_at_n_nodes(shift_b, delta_b, monkeypatch):
     solves, dense, solve = [], [], tr._dominant
     monkeypatch.setattr(sh, "_workers", lambda: 1)
     monkeypatch.setattr(tr, "_dominant",
-                        lambda M, D=None, **kw: solves.append((M, D)) or solve(M, D, **kw))
+                        lambda M, D=None: solves.append((M, D)) or solve(M, D))
     monkeypatch.setattr(tr, "_dense_leading", lambda A: dense.append(A))
     v_grid = [[x] for x in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
     assert len(spectral_radius_scan(spec, delta_b, [1.0], v_grid).rows) == 16
